@@ -3,7 +3,10 @@
 All bounds here require finite second moments.  For the Student-t family
 the scale entries of the spec are inflated by sqrt(nu/(nu-2)) to obtain
 standard deviations before any bound is formed; with nu <= 2 the bounds
-simply do not exist and the report marks them inapplicable.
+simply do not exist and the report marks them inapplicable.  Spec-level
+bounds are formed for all pairs at once from the same arrays as the
+closed form (``model.pair_differences``, ``model.pair_correlations``);
+``second_moment_pair_bound`` is the one-pair form.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from .errors import DomainError, MomentExistenceError
-from .model import Family, PairParams, ValidatedSpec, pair_params
+from .model import Family, PairParams, ValidatedSpec, pair_correlations, pair_differences
 from .special import lp_norm_std_normal
 
 
@@ -68,15 +71,15 @@ def _sd_factor(spec: ValidatedSpec) -> float:
 
 
 def second_moment_bound(spec: ValidatedSpec) -> float:
-    """Average of the pairwise second-moment bounds over all pairs."""
+    """Average of the pairwise second-moment bounds over all pairs.
+
+    A pair's bound is sd(X_i - X_j) + |mu_i - mu_j|, the value of
+    ``second_moment_pair_bound`` at standard deviations, formed for every
+    pair at once from the law of the difference.
+    """
     factor = _sd_factor(spec)
-    total = 0.0
-    pairs = spec.pairs()
-    for i, j in pairs:
-        p = pair_params(spec, i, j)
-        p_sd = PairParams(p.mu_i, p.mu_j, factor * p.sigma_i, factor * p.sigma_j, p.rho_ij)
-        total += second_moment_pair_bound(p_sd)
-    return total / len(pairs)
+    m, v, _ = pair_differences(spec)
+    return float(np.mean(factor * np.sqrt(v) + np.abs(m)))
 
 
 def exchangeable_rho_bound(sigma1: float, rhos: Sequence[float]) -> float:
@@ -87,12 +90,12 @@ def exchangeable_rho_bound(sigma1: float, rhos: Sequence[float]) -> float:
     """
     if sigma1 <= 0:
         raise DomainError(f"sigma1 must be > 0, got {sigma1}")
-    rhos = list(rhos)
-    if not rhos:
+    rhos = np.asarray(rhos, dtype=float)
+    if rhos.size == 0:
         raise DomainError("empty pair correlation list")
-    if any(abs(r) > 1.0 for r in rhos):
+    if np.any(np.abs(rhos) > 1.0):
         raise DomainError("correlations must lie in [-1, 1]")
-    avg = sum(math.sqrt(max(1.0 - r, 0.0)) for r in rhos) / len(rhos)
+    avg = float(np.mean(np.sqrt(np.maximum(1.0 - rhos, 0.0))))
     return math.sqrt(2.0) * sigma1 * avg
 
 
@@ -147,8 +150,8 @@ def build_bound_report(
 ) -> BoundReport:
     """Assemble every bound whose assumptions the spec satisfies."""
     notes: list[str] = []
-    sds = np.array([spec.scale_sd(k) for k in range(spec.n)])
-    rhos = [spec.rho(i, j) for i, j in spec.pairs()]
+    sds = np.sqrt(np.diag(spec.sigma_mat))
+    rhos = pair_correlations(spec)
     equal_sigma = _equal_within(sds)
     equal_mu = _equal_within(np.asarray(spec.mu))
 
@@ -175,7 +178,7 @@ def build_bound_report(
         spec.family is Family.NORMAL
         and equal_sigma
         and equal_mu
-        and all(abs(r) <= 1e-12 for r in rhos)
+        and np.all(np.abs(rhos) <= 1e-12)
     ):
         cp = (cp_p, cp_bound(cp_p, float(sds[0])))
     else:

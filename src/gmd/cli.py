@@ -23,7 +23,15 @@ from scipy.special import ndtri, stdtrit
 from . import closed_form, general_ec, monte_carlo
 from .bounds import build_bound_report
 from .errors import GmdError, NonconvergenceError, ValidationError
-from .model import Family, ValidatedSpec, spec_from_json, validate
+from .model import (
+    Family,
+    GmdResult,
+    ValidatedSpec,
+    dimension_of_pairs,
+    pair_indices,
+    spec_from_json,
+    validate,
+)
 from .quadrature import QuadratureConfig
 
 EXIT_OK = 0
@@ -33,6 +41,35 @@ EXIT_NUMERICAL = 2
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
+
+
+# A float64 array in a report is a pair breakdown in ``pairs()`` order.
+# It is written as the list of {"pair": [i, j], "value": v} objects that
+# ``GmdResult.to_dict`` gives, with one line template per pair, since a
+# breakdown can hold n (n - 1) / 2 = 124 750 pairs at n = 500.
+
+def _pair_rows(values: np.ndarray, non_finite: str):
+    """(i, j, value text) per pair.  Formats inline, as ``_fmt`` does, since
+    formatting is most of the time an n = 500 breakdown takes to write."""
+    rows, cols = pair_indices(dimension_of_pairs(values.size))
+    texts = [f"{v:.17g}" if math.isfinite(v) else non_finite for v in values.tolist()]
+    return zip(rows.tolist(), cols.tolist(), texts)
+
+
+def _pairs_json(values: np.ndarray, indent: int) -> str:
+    p1, p2, p3 = ("  " * (indent + k) for k in (1, 2, 3))
+    body = ",\n".join([
+        f'{p1}{{\n{p2}"pair": [\n{p3}{i},\n{p3}{j}\n{p2}],\n{p2}"value": {v}\n{p1}}}'
+        for i, j, v in _pair_rows(values, "null")
+    ])
+    return f"[\n{body}\n{'  ' * indent}]"
+
+
+def _pairs_text(values: np.ndarray, prefix: str) -> list[str]:
+    return [
+        f"{prefix}{k}.pair.0 = {i}\n{prefix}{k}.pair.1 = {j}\n{prefix}{k}.value = {v}"
+        for k, (i, j, v) in enumerate(_pair_rows(values, "nan"))
+    ]
 
 
 def _to_json(obj: Any, indent: int = 0) -> str:
@@ -50,6 +87,8 @@ def _to_json(obj: Any, indent: int = 0) -> str:
         return str(obj)
     if isinstance(obj, float):
         return _fmt(obj) if math.isfinite(obj) else "null"
+    if isinstance(obj, np.ndarray):
+        return _pairs_json(obj, indent)
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
@@ -66,11 +105,13 @@ def _to_json(obj: Any, indent: int = 0) -> str:
 
 
 def _to_text(obj: Any, prefix: str = "") -> list[str]:
+    if isinstance(obj, np.ndarray):
+        return _pairs_text(obj, prefix)
     lines: list[str] = []
     if isinstance(obj, dict):
         for k, v in obj.items():
             key = f"{prefix}{k}"
-            if isinstance(v, (dict, list, tuple)):
+            if isinstance(v, (dict, list, tuple, np.ndarray)):
                 lines.extend(_to_text(v, key + "."))
             else:
                 lines.append(f"{key} = {_scalar_text(v)}")
@@ -123,9 +164,19 @@ def _closed_result(spec: ValidatedSpec):
     return closed_form.student_gmd(spec)
 
 
+def _result_report(result: GmdResult) -> dict[str, Any]:
+    """``result.to_dict()`` with the pair breakdown kept as its array."""
+    return {
+        "value": result.value,
+        "method": result.method.value,
+        "pair_contributions": result.pair_values,
+        "diagnostics": dict(result.diagnostics),
+    }
+
+
 def _cmd_closed_form(args: argparse.Namespace) -> int:
     spec = _load_spec(args, require_mean=True)
-    _emit(_closed_result(spec).to_dict(), args.output)
+    _emit(_result_report(_closed_result(spec)), args.output)
     return EXIT_OK
 
 
@@ -151,7 +202,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     if args.dump:
         _dump_csv(samples, args.dump)
     result = monte_carlo.estimate_from_samples(samples, cfg)
-    _emit(result.to_dict(), args.output)
+    _emit(_result_report(result), args.output)
     return EXIT_OK
 
 
@@ -166,7 +217,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     quad_diff = abs(closed.value - quad.value)
     mc_diff = abs(closed.value - mc.value)
     mc_diff_se = mc_diff / se if se > 0 else (0.0 if mc_diff == 0 else math.inf)
-    ok = quad_diff <= args.quad_tol and mc_diff_se <= args.mc_se
+    # A Python bool: numpy's comparison result does not serialize.
+    ok = bool(quad_diff <= args.quad_tol and mc_diff_se <= args.mc_se)
     report = {
         "closed_form": closed.value,
         "quadrature": quad.value,

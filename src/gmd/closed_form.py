@@ -1,14 +1,30 @@
 """Exact Gini mean difference formulas.
 
-The pairwise mean absolute difference of a multivariate normal or
-Student-t vector has a closed form built from two ordered "brackets", one
-per orientation of the pair.  For the (i, j) orientation the bracket is
+The GMD of a multivariate normal or Student-t vector is the average over
+pairs i < j of E|X_i - X_j|.  The difference D = X_i - X_j is itself
+normal, or t with the same nu, since elliptical laws are closed under
+linear maps; with location m = mu_i - mu_j, scale
+s = sqrt(S_ii + S_jj - 2 S_ij) and z = m/s, its absolute mean is the mean
+of the folded law (Leone, Nelson & Nottingham 1961):
+
+    E|D| = 2 s w(z) k + m (2 K(z) - 1),
+
+where (w, K) is (pdf, cdf) of the standard normal with k = 1, or of the
+standard t with the first-moment factor k = (nu + z^2)/(nu - 1).  Both
+terms are nonnegative, so nothing cancels, and m is differenced directly,
+so the value does not depend on a common location offset.
+``normal_gmd``/``student_gmd`` evaluate it for every pair of a spec in a
+handful of array calls.
+
+The paper's per-pair form is kept as ``normal_pair_gmd`` and
+``student_pair_gmd``, the reference the tests hold the kernel to.  It is
+built from two ordered "brackets", one per orientation of the pair.  For
+the (i, j) orientation the bracket is
 
     (sigma_j/c) (sigma_j/sigma_i - rho) w(D/c) + mu_j K(D/c) - mu_j/2
 
 with D = (mu_j - mu_i)/sigma_i, c = sqrt(1 - rho^2 + (sigma_j/sigma_i - rho)^2),
-where (w, K) is (pdf, cdf) of the standard normal, or for the Student-t
-the pdf carries the extra first-moment factor
+where for the Student-t the pdf carries the extra first-moment factor
 (nu/(nu-1)) (1 + D^2/(nu c^2)).  The pair GMD is twice the sum of the two
 brackets.  Note the asymmetric denominators: D and c for the (i, j)
 bracket both standardize by sigma_i, the *other* coordinate's scale.
@@ -34,7 +50,7 @@ from .model import (
     GmdResult,
     PairParams,
     ValidatedSpec,
-    pair_params,
+    pair_differences,
 )
 from .quadrature import QuadratureConfig, integrate_interval
 from .special import (
@@ -100,17 +116,46 @@ def student_pair_gmd(p: PairParams, dof: DegreesOfFreedom) -> float:
     )
 
 
-def _assemble(spec: ValidatedSpec, pair_fn: Callable[[PairParams], float]) -> GmdResult:
-    contributions = []
-    degenerate = 0
-    for i, j in spec.pairs():
-        p = pair_params(spec, i, j)
-        if _degenerate(p):
-            degenerate += 1
-        contributions.append(((i, j), pair_fn(p)))
-    result = GmdResult.from_pairs(GmdMethod.CLOSED_FORM, contributions)
-    result.diagnostics["abs_error_estimate"] = 8.0 * np.finfo(float).eps * abs(result.value)
-    result.diagnostics["degenerate_pairs"] = float(degenerate)
+# Multiple of eps * (|m| + E|D| var_sum / v) that bounds the rounding
+# error of one pair's E|D|: the pdf/cdf evaluations, the products and sum
+# of the formula, and forming v from the scale matrix, which costs E|D| a
+# relative eps * var_sum / v.  Against mpmath the first three stay below
+# 4 eps (|m| + E|D|) for the normal and for nu from 1.05 to 1e5; the
+# factor leaves twice that.
+_ERROR_FACTOR = 16.0
+
+
+def _folded_gmd(spec: ValidatedSpec) -> GmdResult:
+    """Average of E|X_i - X_j| over all pairs, by the folded-law formula."""
+    m, v, var_sum = pair_differences(spec)
+    degenerate = v == 0.0
+    v_safe = np.where(degenerate, 1.0, v)
+    s = np.sqrt(v_safe)
+    z = m / s
+    # The pdf term 2 s w(z) k is formed as 2 w(z) q / s with q = v k, from
+    # m and v rather than the rounded z: as accurate (about 0.6 ulp on
+    # average against mpmath) and correctly rounded for the independent
+    # standard pair, 2/sqrt(pi).
+    if spec.family is Family.NORMAL:
+        density = std_normal_pdf(z)
+        cdf = std_normal_cdf(z)
+        q = v
+    else:
+        nu = spec.dof.nu
+        density = student_t_pdf(z, spec.dof)
+        cdf = student_t_cdf(z, spec.dof)
+        q = (nu * v + m * m) / (nu - 1.0)
+    # A degenerate pair (v = 0) differs by the constant m.
+    values = np.where(degenerate, np.abs(m), 2.0 * density * q / s + m * (2.0 * cdf - 1.0))
+    eps = np.finfo(float).eps
+    # A degenerate pair's true scale may be anything below sqrt(eps * var_sum).
+    pair_errors = np.where(
+        degenerate, np.sqrt(eps * var_sum), eps * (np.abs(m) + values * var_sum / v_safe)
+    )
+    count = values.size
+    result = GmdResult(float(values.sum()) / count, GmdMethod.CLOSED_FORM, values)
+    result.diagnostics["abs_error_estimate"] = _ERROR_FACTOR * float(pair_errors.sum()) / count
+    result.diagnostics["degenerate_pairs"] = int(np.count_nonzero(degenerate))
     return result
 
 
@@ -118,7 +163,7 @@ def normal_gmd(spec: ValidatedSpec) -> GmdResult:
     """GMD of a validated multivariate normal spec."""
     if spec.family is not Family.NORMAL:
         raise DomainError(f"normal_gmd requires the normal family, got {spec.family}")
-    return _assemble(spec, normal_pair_gmd)
+    return _folded_gmd(spec)
 
 
 def student_gmd(spec: ValidatedSpec) -> GmdResult:
@@ -126,7 +171,7 @@ def student_gmd(spec: ValidatedSpec) -> GmdResult:
     if spec.family is not Family.STUDENT_T or spec.dof is None:
         raise DomainError(f"student_gmd requires the student-t family, got {spec.family}")
     spec.dof.require_mean()
-    return _assemble(spec, lambda p: student_pair_gmd(p, spec.dof))
+    return _folded_gmd(spec)
 
 
 def exchangeable_normal_gmd(sigma1: float, rhos: list[float]) -> float:

@@ -4,8 +4,11 @@ A ``DistributionSpec`` describes a location-scale family (multivariate
 normal or Student-t) through a location vector mu and a positive-definite
 scale matrix sigma.  ``validate`` turns it into an immutable
 ``ValidatedSpec`` with a cached Cholesky factor, or raises with the full
-list of violated invariants.  Pairwise slices (``PairParams``) and their
-derived constants (``PairDerived``) feed every formula downstream.
+list of violated invariants.  ``pair_differences`` and
+``pair_correlations`` give the law of X_i - X_j and rho_ij for every pair
+at once, as arrays in ``ValidatedSpec.pairs()`` order, for the closed
+form and the bounds; pairwise slices (``PairParams``) and their derived
+constants (``PairDerived``) feed the per-pair formulas.
 """
 
 from __future__ import annotations
@@ -14,7 +17,8 @@ import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Sequence
+from functools import cached_property
+from typing import Any, NamedTuple, Sequence
 
 import numpy as np
 
@@ -83,6 +87,11 @@ class ValidatedSpec:
         n = self.n
         return [(i, j) for i in range(n) for j in range(i + 1, n)]
 
+    @cached_property
+    def pair_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """``pair_indices(n)``, kept with the spec: every array route reads it."""
+        return pair_indices(self.n)
+
 
 @dataclass(frozen=True)
 class PairParams:
@@ -133,24 +142,38 @@ class PairDerived:
 class GmdResult:
     """A GMD value with its provenance and per-pair breakdown.
 
-    Diagnostics are numeric (error estimates, sample counts, subdivision
-    counts) plus the algorithm-name constants recorded by the sampler.
+    ``pair_values`` holds the term of every pair i < j as one float64
+    array in ``ValidatedSpec.pairs()`` order; ``pair_contributions`` pairs
+    each value with its indices.  Diagnostics are numeric (error
+    estimates, sample counts, subdivision counts) plus the algorithm-name
+    constants recorded by the sampler.
     """
 
     value: float
     method: GmdMethod
-    pair_contributions: list[tuple[tuple[int, int], float]]
-    diagnostics: dict[str, float | str] = field(default_factory=dict)
+    pair_values: np.ndarray
+    diagnostics: dict[str, float | int | str] = field(default_factory=dict)
 
     @classmethod
     def from_pairs(
         cls,
         method: GmdMethod,
         contributions: list[tuple[tuple[int, int], float]],
-        diagnostics: dict[str, float | str] | None = None,
+        diagnostics: dict[str, float | int | str] | None = None,
     ) -> "GmdResult":
+        """Result from ((i, j), value) items listed in ``pairs()`` order."""
+        values = np.array([v for _, v in contributions], dtype=float)
+        rows, cols = pair_indices(dimension_of_pairs(values.size))
+        if [tuple(key) for key, _ in contributions] != list(zip(rows.tolist(), cols.tolist())):
+            raise DomainError("pair contributions must list the pairs i < j in row order")
         value = sum(v for _, v in contributions) / len(contributions)
-        return cls(value, method, contributions, diagnostics or {})
+        return cls(value, method, values, diagnostics or {})
+
+    @property
+    def pair_contributions(self) -> list[tuple[tuple[int, int], float]]:
+        """((i, j), value) for every pair, in ``pairs()`` order."""
+        rows, cols = pair_indices(dimension_of_pairs(self.pair_values.size))
+        return list(zip(zip(rows.tolist(), cols.tolist()), self.pair_values.tolist()))
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -274,6 +297,59 @@ def _check_moments(
         )
     if problems:
         raise ValidationError(problems)
+
+
+def pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows i and columns j of the pairs i < j, in ``ValidatedSpec.pairs()`` order."""
+    return np.triu_indices(n, 1)
+
+
+def dimension_of_pairs(count: int) -> int:
+    """The n with n (n - 1) / 2 = count."""
+    n = (1 + math.isqrt(1 + 8 * count)) // 2
+    if count < 1 or n * (n - 1) // 2 != count:
+        raise DomainError(f"{count} is not the pair count of a dimension n >= 2")
+    return n
+
+
+class PairDifferences(NamedTuple):
+    """The law of D = X_i - X_j for every pair i < j, in ``pairs()`` order.
+
+    D is normal, or Student-t with the spec's nu, because elliptical laws
+    are closed under linear maps.
+    """
+
+    m: np.ndarray  # location mu_i - mu_j
+    v: np.ndarray  # squared scale S_ii + S_jj - 2 S_ij
+    var_sum: np.ndarray  # S_ii + S_jj, which v is the rounded difference of
+
+
+def pair_differences(spec: ValidatedSpec) -> PairDifferences:
+    """Location and squared scale of X_i - X_j for all pairs at once.
+
+    The means are differenced directly, so a large common location offset
+    costs m no digits.  v comes from the entries of the scale matrix in
+    O(n^2) work; rounding can only take it below zero for a singular
+    matrix, which validation rejects, and it is clamped at 0.
+    """
+    rows, cols = spec.pair_index
+    diag = np.diag(spec.sigma_mat)
+    var_sum = diag[rows] + diag[cols]
+    v = np.maximum(var_sum - 2.0 * spec.sigma_mat[rows, cols], 0.0)
+    return PairDifferences(spec.mu[rows] - spec.mu[cols], v, var_sum)
+
+
+def pair_correlations(spec: ValidatedSpec) -> np.ndarray:
+    """``spec.rho(i, j)`` for every pair i < j, in ``pairs()`` order."""
+    rows, cols = spec.pair_index
+    sd = np.sqrt(np.diag(spec.sigma_mat))
+    rho = spec.sigma_mat[rows, cols] / (sd[rows] * sd[cols])
+    worst = int(np.argmax(np.abs(rho)))
+    if abs(rho[worst]) - 1.0 > RHO_CLAMP:
+        raise ValidationError(
+            [f"correlation ({rows[worst]},{cols[worst]}) = {rho[worst]} outside [-1, 1]"]
+        )
+    return np.clip(rho, -1.0, 1.0)
 
 
 def pair_params(spec: ValidatedSpec, i: int, j: int) -> PairParams:

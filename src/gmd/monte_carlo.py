@@ -147,9 +147,8 @@ def empirical_gmd(samples: np.ndarray) -> GmdEstimate:
 def estimate_from_samples(samples: np.ndarray, cfg: MonteCarloConfig) -> GmdResult:
     """Package the empirical GMD of already-drawn samples as a GmdResult."""
     pair_means, per_draw = _pair_stats(np.asarray(samples, dtype=float))
-    value = sum(v for _, v in pair_means) / len(pair_means)
     std_error = float(per_draw.std(ddof=1) / math.sqrt(samples.shape[0]))
-    result = GmdResult(value, GmdMethod.MONTE_CARLO, pair_means)
+    result = GmdResult.from_pairs(GmdMethod.MONTE_CARLO, pair_means)
     result.diagnostics.update(
         {
             "std_error": std_error,

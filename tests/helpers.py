@@ -1,6 +1,8 @@
-"""Shared random-spec generators for the test suite."""
+"""Shared random-spec generators and reference oracles for the test suite."""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -80,3 +82,115 @@ def pair_diff_params(p: PairParams) -> tuple[float, float]:
     m = p.mu_i - p.mu_j
     s = np.sqrt(p.sigma_i**2 + p.sigma_j**2 - 2 * p.rho_ij * p.sigma_i * p.sigma_j)
     return m, float(s)
+
+
+# --- reference report emitter ------------------------------------------------
+# A plain recursive writer of the CLI's report format, the oracle for the CLI's
+# array-based pair-breakdown writer: the same report must give the same bytes.
+
+def _fmt(x: float) -> str:
+    return format(float(x), ".17g")
+
+
+def reference_to_json(obj, indent: int = 0) -> str:
+    """JSON with 17-significant-digit floats, two-space indent, one value a line."""
+    pad = "  " * indent
+    inner = "  " * (indent + 1)
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, str):
+        escaped = obj.replace("\\", "\\\\").replace('"', '\\"')
+        return f'"{escaped}"'
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        return _fmt(obj) if math.isfinite(obj) else "null"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = ",\n".join(inner + reference_to_json(v, indent + 1) for v in obj)
+        return f"[\n{items}\n{pad}]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = ",\n".join(
+            f'{inner}"{k}": {reference_to_json(v, indent + 1)}' for k, v in obj.items()
+        )
+        return f"{{\n{items}\n{pad}}}"
+    raise TypeError(f"cannot serialize {type(obj)!r}")
+
+
+def reference_to_text(obj, prefix: str = "") -> list[str]:
+    """``key.sub.0 = value`` lines, one per scalar leaf."""
+    lines: list[str] = []
+    if isinstance(obj, dict):
+        for k, v in obj.items():
+            key = f"{prefix}{k}"
+            if isinstance(v, (dict, list, tuple)):
+                lines.extend(reference_to_text(v, key + "."))
+            else:
+                lines.append(f"{key} = {_scalar_text(v)}")
+    elif isinstance(obj, (list, tuple)):
+        for idx, v in enumerate(obj):
+            key = f"{prefix}{idx}"
+            if isinstance(v, (dict, list, tuple)):
+                lines.extend(reference_to_text(v, key + "."))
+            else:
+                lines.append(f"{key} = {_scalar_text(v)}")
+    else:
+        lines.append(f"{prefix.rstrip('.')} = {_scalar_text(obj)}")
+    return lines
+
+
+def _scalar_text(v) -> str:
+    if isinstance(v, float):
+        return _fmt(v) if math.isfinite(v) else "nan"
+    return str(v)
+
+
+def reference_output(report: dict, output: str) -> str:
+    """What the CLI prints for ``report`` in ``--output json|text`` mode."""
+    if output == "json":
+        return reference_to_json(report) + "\n"
+    return "\n".join(reference_to_text(report)) + "\n"
+
+
+# --- mpmath oracle for whole specs -------------------------------------------
+
+def mp_folded_mean(m, v, nu: float | None):
+    """E|m + sqrt(v) T| in mpmath, T standard normal (nu None) or t_nu."""
+    import mpmath as mp
+
+    s = mp.sqrt(v)
+    d = m / s
+    if nu is None:
+        return s * (2 * mp.npdf(d) + d * mp.erf(d / mp.sqrt(2)))
+    nu = mp.mpf(nu)
+    pdf = (mp.gamma((nu + 1) / 2) / (mp.sqrt(nu * mp.pi) * mp.gamma(nu / 2))
+           * (1 + d * d / nu) ** (-(nu + 1) / 2))
+    two_f_minus_1 = mp.sign(d) * mp.betainc(mp.mpf(1) / 2, nu / 2, 0, d * d / (nu + d * d),
+                                            regularized=True)
+    return s * (d * two_f_minus_1 + 2 * (nu + d * d) / (nu - 1) * pdf)
+
+
+def mp_spec_gmd(spec: ValidatedSpec) -> float:
+    """GMD of a validated spec at 30 digits, its float64 entries taken as exact.
+
+    D = X_i - X_j is normal or t with location mu_i - mu_j and squared
+    scale S_ii + S_jj - 2 S_ij, formed here without rounding.
+    """
+    import mpmath as mp
+
+    nu = None if spec.dof is None else spec.dof.nu
+    sigma = spec.sigma_mat
+    with mp.workdps(30):
+        mu = [mp.mpf(float(x)) for x in spec.mu]
+        terms = [
+            mp_folded_mean(mu[i] - mu[j],
+                           mp.mpf(sigma[i, i]) + mp.mpf(sigma[j, j]) - 2 * mp.mpf(sigma[i, j]),
+                           nu)
+            for i, j in spec.pairs()
+        ]
+        return float(mp.fsum(terms) / len(terms))

@@ -1,0 +1,69 @@
+"""The benchmark's tracer must find the symbols its metrics read.
+
+``bench/tracing.py`` times the package from outside by replacing module
+attributes with timing wrappers.  A metric whose wrapped call has gone
+is left out of the benchmark result, so renaming or dropping one of
+those attributes silently removes a measured layer.  These tests keep
+the names in place and check that the exact path still enters them.
+"""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+from gmd import cli
+
+TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+# Layers the exact path runs through; none of their wrapped calls may be absent.
+EXACT_LAYERS = ("cli", "special", "closed_form", "bounds")
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_read_symbol_is_present(tracing):
+    tracer = tracing.Tracer()
+    tracer.install()
+    tracer.uninstall()
+    read = {name for names in tracing.READS.values() for name in names}
+    assert sorted(read & set(tracer.absent)) == []
+    assert [name for name in tracer.absent if name.split(".")[0] in EXACT_LAYERS] == []
+
+
+@pytest.mark.parametrize(
+    "family, nu, special",
+    [
+        ("normal", None, ("special.std_normal_pdf", "special.std_normal_cdf")),
+        ("student-t", 4.0, ("special.student_t_pdf", "special.student_t_cdf")),
+    ],
+)
+def test_exact_path_enters_the_traced_calls(tracing, tmp_path, capsys, family, nu, special):
+    data = {"family": family, "mu": [0.0, 0.5, -1.0],
+            "sigma": [[1.0, 0.3, 0.1], [0.3, 2.0, -0.4], [0.1, -0.4, 1.5]]}
+    if nu is not None:
+        data["nu"] = nu
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(data))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        tracer.begin_op(0)
+        assert cli.main(["closed-form", str(path)]) == 0
+        assert cli.main(["bound", str(path)]) == 0
+        calls = tracer.end_op()["calls"]
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    for name in special:
+        assert calls.get(name, 0) > 0, name
+    gmd_call = "closed_form.normal_gmd" if nu is None else "closed_form.student_gmd"
+    assert calls[gmd_call] == 2
+    assert calls["bounds.second_moment_bound"] == 1
+    assert calls["cli._emit"] == 2

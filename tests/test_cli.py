@@ -6,9 +6,15 @@ import math
 import numpy as np
 import pytest
 
+from gmd import cli
+from gmd.bounds import build_bound_report
 from gmd.cli import main
-from gmd.closed_form import exchangeable_student_gmd
+from gmd.closed_form import exchangeable_student_gmd, normal_gmd, student_gmd
+from gmd.model import GmdMethod, GmdResult, spec_from_dict, validate
+from gmd.monte_carlo import MonteCarloConfig, estimate_gmd
 from gmd.special import DegreesOfFreedom
+
+from helpers import reference_output
 
 TWO_OVER_SQRT_PI = 1.1283791670955126
 
@@ -252,3 +258,73 @@ class TestReportRoundTrip:
         report = json.loads(out)
         again = json.loads(json.dumps(report))
         assert again == report
+
+
+class TestVerifyAtLargeOffset:
+    def test_failed_quadrature_check_exits_2_with_json(self, capsys, tmp_path):
+        # At a location offset of 1e4 the heavy-tailed quadrature route loses
+        # its accuracy; the verdict must still be a JSON boolean.
+        spec = tmp_path / "offset.json"
+        spec.write_text(json.dumps({
+            "family": "student-t", "nu": 1.5, "mu": [10000.0, 10000.5],
+            "sigma": [[1.0, 0.3], [0.3, 1.0]],
+        }))
+        code, out = run(capsys, "verify", str(spec), "--draws", "2000", "--seed", "1")
+        report = json.loads(out)
+        assert code == 2
+        assert report["pass"] is False
+        assert report["abs_diff_quadrature"] > report["quad_tol"]
+
+
+def _spec_file(tmp_path, name, family, nu, n, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(n, n))
+    sigma = a @ a.T + n * np.eye(n)
+    data = {"family": family, "mu": rng.normal(0.0, 2.0, n).tolist(),
+            "sigma": (0.5 * (sigma + sigma.T)).tolist()}
+    if nu is not None:
+        data["nu"] = nu
+    path = tmp_path / name
+    path.write_text(json.dumps(data))
+    return str(path), validate(spec_from_dict(data))
+
+
+class TestReportBytes:
+    """The array writer of the pair breakdown against the recursive emitter."""
+
+    @pytest.mark.parametrize("output", ["json", "text"])
+    @pytest.mark.parametrize("family, nu", [("normal", None), ("student-t", 4.0)])
+    def test_closed_form(self, capsys, tmp_path, output, family, nu):
+        path, spec = _spec_file(tmp_path, "spec.json", family, nu, 7, 3)
+        _, out = run(capsys, "closed-form", path, "--output", output)
+        result = normal_gmd(spec) if nu is None else student_gmd(spec)
+        assert out == reference_output(result.to_dict(), output)
+
+    @pytest.mark.parametrize("output", ["json", "text"])
+    def test_estimate(self, capsys, tmp_path, output):
+        path, spec = _spec_file(tmp_path, "spec.json", "student-t", 5.0, 3, 4)
+        _, out = run(capsys, "estimate", path, "--draws", "5000", "--seed", "9",
+                     "--chunks", "2", "--output", output)
+        cfg = MonteCarloConfig(draws=5000, seed=9, chunks=2)
+        assert out == reference_output(estimate_gmd(spec, cfg).to_dict(), output)
+
+    @pytest.mark.parametrize("output", ["json", "text"])
+    def test_bound(self, capsys, tmp_path, output):
+        path, spec = _spec_file(tmp_path, "spec.json", "student-t", 4.0, 5, 5)
+        _, out = run(capsys, "bound", path, "--output", output)
+        report = build_bound_report(spec, exact_gmd=student_gmd(spec).value)
+        assert out == reference_output(report.to_dict(), output)
+
+    def test_verify(self, capsys, tmp_path):
+        path, _ = _spec_file(tmp_path, "spec.json", "normal", None, 3, 6)
+        _, out = run(capsys, "verify", path, "--draws", "5000", "--seed", "2")
+        # 17 significant digits re-parse to the same doubles, so the parsed
+        # report is the report the program emitted.
+        assert out == reference_output(json.loads(out), "json")
+
+    @pytest.mark.parametrize("output", ["json", "text"])
+    def test_non_finite_pair_values(self, capsys, output):
+        values = np.array([1.5, math.nan, math.inf, -0.25, 1e-300, 12345678.9])
+        result = GmdResult(1.0, GmdMethod.CLOSED_FORM, values, {"degenerate_pairs": 0})
+        cli._emit(cli._result_report(result), output)
+        assert capsys.readouterr().out == reference_output(result.to_dict(), output)

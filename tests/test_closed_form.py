@@ -35,6 +35,7 @@ from gmd.special import DegreesOfFreedom, gamma_fn, student_t_pdf
 
 from helpers import (
     folded_normal_mean,
+    mp_spec_gmd,
     pair_diff_params,
     random_exchangeable_spec,
     random_normal_spec,
@@ -152,9 +153,10 @@ class TestNormalPair:
 
 class TestNormalGmd:
     def test_n2_matches_pair_op(self):
+        # The kernel and the bracket form round differently: a few ulp apart.
         spec = validate(DistributionSpec("normal", [0.0, 1.0], [[4.0, 1.0], [1.0, 1.0]]))
         result = normal_gmd(spec)
-        assert result.value == normal_pair_gmd(pair_params(spec, 0, 1))
+        assert result.value == pytest.approx(normal_pair_gmd(pair_params(spec, 0, 1)), rel=1e-14)
         assert result.method.value == "ClosedForm"
 
     def test_exchangeable_consistency(self):
@@ -383,3 +385,95 @@ class TestGiniIndex:
         assert gini_index_from_skew_mean(mu_g, mu) == pytest.approx(
             gini_index(2.0 * (mu_g - mu), mu), rel=1e-14
         )
+
+
+FAMILIES = [None, 1.5, 4.0, 30.0]  # normal, then Student-t nu
+
+
+def _spec(rng: np.random.Generator, n: int, nu: float | None, offset: float = 0.0,
+          mu: np.ndarray | None = None):
+    base = random_normal_spec(rng, n)
+    mu = base.mu if mu is None else mu
+    family = "normal" if nu is None else "student-t"
+    return validate(DistributionSpec(family, mu + offset, base.sigma_mat, nu=nu))
+
+
+def _rebuilt(spec, mu, sigma):
+    nu = None if spec.dof is None else spec.dof.nu
+    return validate(DistributionSpec(spec.family, mu, sigma, nu=nu))
+
+
+def _gmd(spec):
+    return normal_gmd(spec) if spec.dof is None else student_gmd(spec)
+
+
+def _bracket(spec, i, j):
+    p = pair_params(spec, i, j)
+    return normal_pair_gmd(p) if spec.dof is None else student_pair_gmd(p, spec.dof)
+
+
+class TestFoldedKernel:
+    """The all-pairs kernel against the paper's bracket form and mpmath."""
+
+    @pytest.mark.parametrize("nu", FAMILIES)
+    def test_agrees_with_bracket_oracle(self, nu):
+        rng = np.random.default_rng(41)
+        for n in (2, 3, 5, 8, 12):
+            spec = _spec(rng, n, nu)
+            expected = [_bracket(spec, i, j) for i, j in spec.pairs()]
+            np.testing.assert_allclose(_gmd(spec).pair_values, expected, rtol=1e-12, atol=0)
+
+    def test_pair_order_at_n200(self):
+        rng = np.random.default_rng(42)
+        spec = _spec(rng, 200, 4.0)
+        result = _gmd(spec)
+        pairs = spec.pairs()
+        assert [key for key, _ in result.pair_contributions] == pairs
+        for k in rng.choice(len(pairs), size=40, replace=False):
+            assert result.pair_values[k] == pytest.approx(_bracket(spec, *pairs[k]), rel=1e-12)
+        assert result.value == pytest.approx(np.mean(result.pair_values), rel=1e-15)
+
+    @pytest.mark.parametrize("nu", FAMILIES)
+    @pytest.mark.parametrize("offset", [0.0, 1e4, 1e8, 1e12])
+    def test_error_estimate_bounds_mpmath_error(self, nu, offset):
+        rng = np.random.default_rng(43)
+        for n in (2, 12):
+            spec = _spec(rng, n, nu, offset)
+            result = _gmd(spec)
+            exact = mp_spec_gmd(spec)
+            estimate = result.diagnostics["abs_error_estimate"]
+            assert abs(result.value - exact) <= estimate
+            assert estimate <= 1e-13 * exact
+            assert isinstance(result.diagnostics["degenerate_pairs"], int)
+
+    @pytest.mark.parametrize("nu", [None, 4.0])
+    def test_n50_at_offset_1e12_matches_mpmath(self, nu):
+        spec = _spec(np.random.default_rng(44), 50, nu, 1e12)
+        assert _gmd(spec).value == pytest.approx(mp_spec_gmd(spec), rel=1e-14)
+
+    @pytest.mark.parametrize("nu", FAMILIES)
+    def test_translation_invariance_up_to_1e12(self, nu):
+        # Means on a 2^-10 grid stay exact under every offset, so the shifted
+        # specs have the same pair differences and must give the same bits.
+        rng = np.random.default_rng(45)
+        for n in (2, 7, 50):
+            mu = np.round(rng.uniform(-4.0, 4.0, n) * 1024.0) / 1024.0
+            spec = _spec(rng, n, nu, mu=mu)
+            base = _gmd(spec)
+            for offset in (1e4, 1e8, 1e12, -1e12):
+                moved = _gmd(_rebuilt(spec, spec.mu + offset, spec.sigma_mat))
+                np.testing.assert_array_equal(moved.pair_values, base.pair_values)
+                assert moved.value == base.value
+
+    @pytest.mark.parametrize("nu", FAMILIES)
+    def test_scale_equivariance(self, nu):
+        rng = np.random.default_rng(46)
+        for n in (2, 9, 30):
+            spec = _spec(rng, n, nu, offset=1e8)
+            value = _gmd(spec).value
+            # Powers of two scale every intermediate exactly.
+            for k in (2.0**-6, 2.0**10):
+                assert _gmd(_rebuilt(spec, k * spec.mu, k * k * spec.sigma_mat)).value == k * value
+            spec = _spec(rng, n, nu)
+            scaled = _rebuilt(spec, 3.7 * spec.mu, 3.7**2 * spec.sigma_mat)
+            assert _gmd(scaled).value == pytest.approx(3.7 * _gmd(spec).value, rel=1e-13)

@@ -14,8 +14,11 @@ from gmd.model import (
     GmdMethod,
     GmdResult,
     PairParams,
+    dimension_of_pairs,
     pair_c,
+    pair_correlations,
     pair_derived,
+    pair_differences,
     pair_params,
     spec_from_dict,
     spec_from_json,
@@ -24,7 +27,7 @@ from gmd.model import (
 )
 from gmd.special import DegreesOfFreedom
 
-from helpers import random_pair
+from helpers import random_normal_spec, random_pair
 
 
 def identity_spec(n=2):
@@ -214,6 +217,37 @@ class TestGmdResult:
         assert d["method"] == "Quadrature"
         assert d["pair_contributions"] == [{"pair": [0, 1], "value": 1.0}]
         assert d["diagnostics"] == {"k": 2.0}
+
+    def test_pair_values_array_and_contributions(self):
+        contributions = [((0, 1), 1.0), ((0, 2), 2.0), ((1, 2), 4.0)]
+        r = GmdResult.from_pairs(GmdMethod.CLOSED_FORM, contributions)
+        assert r.pair_values.dtype == np.float64
+        assert r.pair_values.tolist() == [1.0, 2.0, 4.0]
+        assert r.pair_contributions == contributions
+
+    def test_pairs_out_of_order_rejected(self):
+        with pytest.raises(DomainError, match="order"):
+            GmdResult.from_pairs(GmdMethod.QUADRATURE, [((0, 2), 1.0), ((0, 1), 2.0),
+                                                        ((1, 2), 3.0)])
+
+    def test_dimension_of_pairs(self):
+        assert [dimension_of_pairs(n * (n - 1) // 2) for n in (2, 3, 10, 500)] == [2, 3, 10, 500]
+        for bad in (0, 2, 4):
+            with pytest.raises(DomainError):
+                dimension_of_pairs(bad)
+
+
+class TestPairArrays:
+    def test_match_the_pair_slices(self):
+        spec = random_normal_spec(np.random.default_rng(32), 6)
+        m, v, var_sum = pair_differences(spec)
+        rhos = pair_correlations(spec)
+        for k, (i, j) in enumerate(spec.pairs()):
+            p = pair_params(spec, i, j)
+            assert m[k] == p.mu_i - p.mu_j
+            assert math.sqrt(v[k]) == pytest.approx(p.diff_sd(), rel=1e-13)
+            assert var_sum[k] == spec.sigma_mat[i, i] + spec.sigma_mat[j, j]
+            assert rhos[k] == spec.rho(i, j)
 
 
 class TestJsonSchema:

@@ -200,3 +200,59 @@ class TestMomentChecks:
     def test_checks_pass_above_threshold(self):
         DegreesOfFreedom(1.01).require_mean()
         DegreesOfFreedom(2.01).require_variance()
+
+
+class TestArrays:
+    """The distribution functions take arrays: one call for a whole spec."""
+
+    FUNCTIONS = [
+        (std_normal_pdf, ()),
+        (std_normal_cdf, ()),
+        (student_t_pdf, (DegreesOfFreedom(3.5),)),
+        (student_t_cdf, (DegreesOfFreedom(3.5),)),
+    ]
+
+    @pytest.mark.parametrize("fn, extra", FUNCTIONS)
+    def test_elementwise_equals_scalar_calls(self, fn, extra):
+        x = np.linspace(-9.0, 9.0, 37).reshape(37, 1)
+        values = fn(x, *extra)
+        assert isinstance(values, np.ndarray) and values.shape == x.shape
+        assert values.ravel().tolist() == [fn(float(v), *extra) for v in x.ravel()]
+
+    @pytest.mark.parametrize("fn, extra", FUNCTIONS)
+    def test_scalar_gives_float(self, fn, extra):
+        assert type(fn(0.25, *extra)) is float
+        assert type(fn(np.float64(0.25), *extra)) is float
+
+    @pytest.mark.parametrize("fn, extra", FUNCTIONS)
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_any_non_finite_element_rejected(self, fn, extra, bad):
+        with pytest.raises(DomainError):
+            fn(np.array([0.0, 1.0, bad, 2.0]), *extra)
+
+
+class TestStudentTAccuracy:
+    @staticmethod
+    def _mp_pdf(x, nu):
+        nu = mpmath.mpf(nu)
+        return (mpmath.gamma((nu + 1) / 2) / (mpmath.sqrt(nu * mpmath.pi) * mpmath.gamma(nu / 2))
+                * (1 + mpmath.mpf(x) ** 2 / nu) ** (-(nu + 1) / 2))
+
+    @pytest.mark.parametrize("nu", [1.05, 4.0, 30.0, 99.0, 100.0, 1e3, 1e5, 1e6])
+    def test_pdf_against_mpmath_at_large_nu(self, nu):
+        # A difference of log-gammas loses ~1e-13 of the density at nu = 1e3.
+        mpmath.mp.dps = 30
+        for x in (0.0, 0.5, 2.0, 6.0):
+            exact = float(self._mp_pdf(x, nu))
+            assert student_t_pdf(x, DegreesOfFreedom(nu)) == pytest.approx(exact, rel=2e-15)
+
+    @pytest.mark.parametrize("nu", [1.5, 30.0, 1e4])
+    def test_cdf_near_zero_against_mpmath(self, nu):
+        # F(x) - 1/2 for tiny x: the beta argument nu/(nu + x^2) would round
+        # to 1 and lose the digits of x.
+        mpmath.mp.dps = 30
+        nu_ = mpmath.mpf(nu)
+        for x in (1e-9, 1e-5, 0.01, 0.5, 3.0):
+            exact = mpmath.betainc(0.5, nu_ / 2, 0, x * x / (nu_ + x * x), regularized=True) / 2
+            got = student_t_cdf(x, DegreesOfFreedom(nu)) - 0.5
+            assert abs(got - float(exact)) <= 4 * np.finfo(float).eps
