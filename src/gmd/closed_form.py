@@ -41,7 +41,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import DomainError, MomentExistenceError, NonconvergenceError
 from .model import (
@@ -55,6 +54,7 @@ from .model import (
 from .quadrature import QuadratureConfig, integrate_interval
 from .special import (
     DegreesOfFreedom,
+    _student_t_log_norm,
     std_normal_cdf,
     std_normal_pdf,
     student_t_cdf,
@@ -190,16 +190,14 @@ def exchangeable_normal_gmd(sigma1: float, rhos: list[float]) -> float:
 
 
 def student_gamma_factor(nu: float) -> float:
-    """sqrt(2 nu) Gamma((nu+1)/2) / ((nu-1) Gamma(nu/2)), via log-gamma.
+    """sqrt(2 nu) Gamma((nu+1)/2) / ((nu-1) Gamma(nu/2)).
 
-    Decreases to 1 as nu -> inf; evaluated in log space so that nu ~ 1e6
-    does not overflow.
+    Decreases to 1 as nu -> inf.  The gamma ratio is sqrt(nu pi) times the
+    t density at 0, whose logarithm ``_student_t_log_norm`` forms without
+    the cancellation of a log-gamma difference (which loses 3.8e-11 of the
+    ratio at nu = 1e5).
     """
-    return (
-        math.sqrt(2.0 * nu)
-        / (nu - 1.0)
-        * math.exp(float(gammaln((nu + 1.0) / 2.0) - gammaln(nu / 2.0)))
-    )
+    return nu * math.sqrt(2.0 * math.pi) / (nu - 1.0) * math.exp(_student_t_log_norm(nu))
 
 
 def exchangeable_student_gmd(

@@ -7,6 +7,17 @@ chunks) triple, whether chunks run sequentially or on a thread pool.
 Standard normal variates come from numpy's ziggurat; within a chunk the
 normals are drawn before the chi-square mixing variables.  Both algorithm
 names are recorded in diagnostics since they pin the bit-level output.
+Every chunk writes its rows straight into one preallocated draws x n
+matrix (product, scaling and location in place), so the samples are
+built once, in the same stream order as a chunk-by-chunk concatenation.
+
+The empirical GMD is one reduction: draws are taken in blocks of
+``BLOCK_VALUES // n``, each block is transposed once to n contiguous
+columns, and the differences |x_j - x_i| for j > i are formed row by row
+in one reused buffer.  Its row sums feed the pair means, which come out
+in ``pairs()`` order as one float64 array, and its column sums the
+per-draw statistic behind the standard error; no temporary is
+draws x n.
 
 ``GMD_THREADS`` caps the worker count (default 1, i.e. sequential).
 """
@@ -25,6 +36,11 @@ from .model import Family, GmdMethod, GmdResult, ValidatedSpec
 
 PRNG_NAME = "philox4x64"
 NORMAL_METHOD = "ziggurat"
+# Values per block of the pair reduction: BLOCK_VALUES // n draws, so that
+# a block's transposed samples and its difference buffer (1 MB each) fit
+# a 2 MB L2 cache.  At n = 50 this is within noise of the fastest
+# fixed block tried (2048 draws); at n <= 10 it is 1.3-1.6x faster.
+BLOCK_VALUES = 2**17
 
 
 @dataclass(frozen=True)
@@ -72,27 +88,27 @@ def _sample(spec: ValidatedSpec, cfg: MonteCarloConfig, student: bool) -> np.nda
     if student:
         assert spec.dof is not None
         nu = spec.dof.nu
+    out = np.empty((cfg.draws, spec.n))
+    starts = np.cumsum([0, *_chunk_sizes(cfg.draws, cfg.chunks)]).tolist()
 
-    def one_chunk(args: tuple[int, int]) -> np.ndarray:
-        chunk, size = args
-        if size == 0:
-            return np.empty((0, spec.n))
+    def one_chunk(chunk: int) -> None:
+        a, b = starts[chunk], starts[chunk + 1]
         rng = _chunk_rng(cfg.seed, chunk)
-        z = rng.standard_normal((size, spec.n))
-        x = z @ spec.chol.T
+        z = rng.standard_normal((b - a, spec.n))
+        x = np.matmul(z, spec.chol.T, out=out[a:b])
         if student:
-            w = rng.chisquare(nu, size)
+            w = rng.chisquare(nu, b - a)
             x /= np.sqrt(w / nu)[:, None]
-        return spec.mu + x
+        x += spec.mu
 
-    jobs = list(enumerate(_chunk_sizes(cfg.draws, cfg.chunks)))
     workers = min(thread_count(), cfg.chunks)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(one_chunk, jobs))
+            list(pool.map(one_chunk, range(cfg.chunks)))
     else:
-        parts = [one_chunk(job) for job in jobs]
-    return np.vstack(parts)
+        for chunk in range(cfg.chunks):
+            one_chunk(chunk)
+    return out
 
 
 def sample_mvn(spec: ValidatedSpec, cfg: MonteCarloConfig) -> np.ndarray:
@@ -113,21 +129,8 @@ def sample(spec: ValidatedSpec, cfg: MonteCarloConfig) -> np.ndarray:
     return _sample(spec, cfg, student=spec.family is Family.STUDENT_T)
 
 
-def _pair_stats(samples: np.ndarray) -> tuple[list[tuple[tuple[int, int], float]], np.ndarray]:
-    m, n = samples.shape
-    pair_means = []
-    per_draw = np.zeros(m)
-    for i in range(n):
-        for j in range(i + 1, n):
-            diffs = np.abs(samples[:, i] - samples[:, j])
-            pair_means.append(((i, j), float(diffs.mean())))
-            per_draw += diffs
-    per_draw /= len(pair_means)
-    return pair_means, per_draw
-
-
-def empirical_gmd(samples: np.ndarray) -> GmdEstimate:
-    """Pair-averaged mean absolute difference with its standard error.
+def _pair_stats(samples: np.ndarray) -> tuple[np.ndarray, float]:
+    """Pair means |x_i - x_j| in ``pairs()`` order and the standard error.
 
     The standard error comes from the per-draw statistic
     s_d = average over pairs of |x_di - x_dj|, so correlated pairs are not
@@ -136,30 +139,54 @@ def empirical_gmd(samples: np.ndarray) -> GmdEstimate:
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 2 or samples.shape[1] < 2:
         raise DomainError("samples must be a draws x n matrix with n >= 2")
-    if samples.shape[0] < 2:
+    m, n = samples.shape
+    if m < 2:
         raise DomainError("need at least 2 draws")
-    pair_means, per_draw = _pair_stats(samples)
-    value = sum(v for _, v in pair_means) / len(pair_means)
-    std_error = float(per_draw.std(ddof=1) / math.sqrt(samples.shape[0]))
-    return GmdEstimate(value, std_error, samples.shape[0])
+    pair_sums = np.zeros(n * (n - 1) // 2)
+    per_draw = np.zeros(m)
+    block = BLOCK_VALUES // n
+    buf = np.empty((n - 1, min(m, block)))
+    for a in range(0, m, block):
+        b = min(a + block, m)
+        cols = np.ascontiguousarray(samples[a:b].T)
+        stat = per_draw[a:b]
+        k = 0
+        for i in range(n - 1):
+            diffs = buf[: n - 1 - i, : b - a]
+            np.subtract(cols[i + 1 :], cols[i], out=diffs)
+            np.abs(diffs, out=diffs)
+            pair_sums[k : k + n - 1 - i] += diffs.sum(axis=1)
+            stat += diffs.sum(axis=0)
+            k += n - 1 - i
+    per_draw /= pair_sums.size
+    std_error = float(per_draw.std(ddof=1) / math.sqrt(m))
+    return pair_sums / m, std_error
+
+
+def empirical_gmd(samples: np.ndarray) -> GmdEstimate:
+    """Pair-averaged mean absolute difference with its standard error, from
+    the reduction that ``estimate_from_samples`` reports."""
+    pair_means, std_error = _pair_stats(samples)
+    return GmdEstimate(float(pair_means.sum()) / pair_means.size, std_error, len(samples))
 
 
 def estimate_from_samples(samples: np.ndarray, cfg: MonteCarloConfig) -> GmdResult:
     """Package the empirical GMD of already-drawn samples as a GmdResult."""
-    pair_means, per_draw = _pair_stats(np.asarray(samples, dtype=float))
-    std_error = float(per_draw.std(ddof=1) / math.sqrt(samples.shape[0]))
-    result = GmdResult.from_pairs(GmdMethod.MONTE_CARLO, pair_means)
-    result.diagnostics.update(
+    pair_means, std_error = _pair_stats(samples)
+    value = float(pair_means.sum()) / pair_means.size
+    return GmdResult(
+        value,
+        GmdMethod.MONTE_CARLO,
+        pair_means,
         {
             "std_error": std_error,
-            "draws": float(samples.shape[0]),
-            "chunks": float(cfg.chunks),
-            "seed": float(cfg.seed),
+            "draws": len(samples),
+            "chunks": cfg.chunks,
+            "seed": cfg.seed,
             "prng": PRNG_NAME,
             "normal_method": NORMAL_METHOD,
-        }
+        },
     )
-    return result
 
 
 def estimate_gmd(spec: ValidatedSpec, cfg: MonteCarloConfig) -> GmdResult:

@@ -194,3 +194,40 @@ def mp_spec_gmd(spec: ValidatedSpec) -> float:
             for i, j in spec.pairs()
         ]
         return float(mp.fsum(terms) / len(terms))
+
+
+# --- Monte Carlo reference oracles --------------------------------------------
+# The sampler and the pair reduction as first written: one chunk at a time,
+# concatenated, and one full-length pass per pair.  The blocked kernels in
+# ``gmd.monte_carlo`` must give the same samples and the same statistics.
+
+def reference_sample(spec: ValidatedSpec, draws: int, seed: int, chunks: int) -> np.ndarray:
+    """mu + L z (/ sqrt(W/nu)) per chunk from its own Philox stream, stacked."""
+    base, extra = divmod(draws, chunks)
+    parts = []
+    for chunk in range(chunks):
+        size = base + (1 if chunk < extra else 0)
+        rng = np.random.Generator(
+            np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(chunk,)))
+        )
+        x = rng.standard_normal((size, spec.n)) @ spec.chol.T
+        if spec.dof is not None:
+            nu = spec.dof.nu
+            x /= np.sqrt(rng.chisquare(nu, size) / nu)[:, None]
+        parts.append(spec.mu + x)
+    return np.vstack(parts)
+
+
+def reference_pair_stats(samples: np.ndarray) -> tuple[np.ndarray, float]:
+    """Mean |x_i - x_j| per pair in ``pairs()`` order, and the standard error
+    of the pair-averaged per-draw statistic."""
+    m, n = samples.shape
+    pair_means = []
+    per_draw = np.zeros(m)
+    for i in range(n):
+        for j in range(i + 1, n):
+            diffs = np.abs(samples[:, i] - samples[:, j])
+            pair_means.append(float(diffs.mean()))
+            per_draw += diffs
+    per_draw /= len(pair_means)
+    return np.array(pair_means), float(per_draw.std(ddof=1) / math.sqrt(m))

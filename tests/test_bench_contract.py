@@ -67,3 +67,27 @@ def test_exact_path_enters_the_traced_calls(tracing, tmp_path, capsys, family, n
     assert calls[gmd_call] == 2
     assert calls["bounds.second_moment_bound"] == 1
     assert calls["cli._emit"] == 2
+
+
+def test_estimate_path_enters_the_traced_calls(tracing, tmp_path, capsys):
+    # The benchmark splits Monte Carlo time into sampling and reduction by
+    # these three names; each must be entered once per `estimate --dump`.
+    data = {"family": "student-t", "nu": 5.0, "mu": [0.0, 0.5, -1.0],
+            "sigma": [[1.0, 0.3, 0.1], [0.3, 2.0, -0.4], [0.1, -0.4, 1.5]]}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(data))
+    dump = tmp_path / "samples.csv"
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        tracer.begin_op(0)
+        assert cli.main(["estimate", str(path), "--draws", "2000", "--seed", "3",
+                         "--dump", str(dump)]) == 0
+        calls = tracer.end_op()["calls"]
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    for name in ("monte_carlo.sample", "monte_carlo.estimate_from_samples", "cli._dump_csv"):
+        assert calls.get(name, 0) == 1, name
+        assert name not in tracer.absent, name
+    assert len(dump.read_text().splitlines()) == 2001

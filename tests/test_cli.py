@@ -172,6 +172,21 @@ class TestEstimateCommand:
         first = [float(v) for v in lines[1].split(",")]
         assert len(first) == 2 and all(math.isfinite(v) for v in first)
 
+    @pytest.mark.parametrize("output", ["json", "text"])
+    def test_seed_above_2_53_is_reported_exactly(self, capsys, iid_normal_spec, output):
+        seed = 2**60 + 1  # not a float64: float(seed) == 2**60
+        code, out = run(capsys, "estimate", iid_normal_spec, "--draws", "1000",
+                        "--seed", str(seed), "--chunks", "2", "--output", output)
+        assert code == 0
+        if output == "json":
+            diagnostics = json.loads(out)["diagnostics"]
+            assert diagnostics["seed"] == seed
+            assert (diagnostics["draws"], diagnostics["chunks"]) == (1000, 2)
+        else:
+            lines = out.splitlines()
+            assert f"diagnostics.seed = {seed}" in lines
+            assert "diagnostics.draws = 1000" in lines
+
     def test_chunked_estimate_matches_known_layout(self, capsys, iid_normal_spec):
         _, out1 = run(capsys, "estimate", iid_normal_spec,
                       "--draws", "20000", "--seed", "5", "--chunks", "4")

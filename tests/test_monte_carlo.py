@@ -10,19 +10,27 @@ from gmd.closed_form import exchangeable_student_gmd, normal_gmd
 from gmd.errors import DomainError
 from gmd.model import DistributionSpec, validate
 from gmd.monte_carlo import (
+    BLOCK_VALUES,
     NORMAL_METHOD,
     PRNG_NAME,
     GmdEstimate,
     MonteCarloConfig,
     classic_empirical_gmd,
     empirical_gmd,
+    estimate_from_samples,
     estimate_gmd,
+    sample,
     sample_mvn,
     sample_mvt,
 )
 from gmd.special import DegreesOfFreedom
 
-from helpers import random_normal_spec
+from helpers import (
+    random_normal_spec,
+    random_student_spec,
+    reference_pair_stats,
+    reference_sample,
+)
 
 TWO_OVER_SQRT_PI = 1.1283791670955126
 
@@ -175,6 +183,45 @@ class TestEmpiricalGmd:
         assert exceedances <= 2
 
 
+class TestBlockedKernel:
+    """The blocked sampler and reduction against the chunk-by-chunk oracles."""
+
+    # Fixed draw counts, and one either side of the n-th block edge.
+    @pytest.mark.parametrize(
+        "draws", [1000, 2047, 2049, 5001,
+                  pytest.param(-1, id="edge-1"), pytest.param(1, id="edge+1")])
+    @pytest.mark.parametrize("n", [2, 3, 10, 50])
+    def test_pair_stats_match_reference(self, n, draws):
+        if draws in (-1, 1):
+            draws += BLOCK_VALUES // n
+        rng = np.random.default_rng(100 * n + draws)
+        spec = random_student_spec(rng, 4.0, n) if n % 2 else random_normal_spec(rng, n)
+        x = sample(spec, MonteCarloConfig(draws=draws, seed=n))
+        ref_means, ref_se = reference_pair_stats(x)
+        result = estimate_from_samples(x, MonteCarloConfig(draws=draws, seed=n))
+        np.testing.assert_allclose(result.pair_values, ref_means, rtol=1e-13, atol=0)
+        assert result.diagnostics["std_error"] == pytest.approx(ref_se, rel=1e-12, abs=0)
+        assert result.value == pytest.approx(ref_means.mean(), rel=1e-13)
+        est = empirical_gmd(x)
+        assert (est.value, est.std_error, est.draws) == (
+            result.value, result.diagnostics["std_error"], draws)
+
+    @pytest.mark.parametrize("threads", [None, "2"])
+    @pytest.mark.parametrize("chunks", [1, 3])
+    @pytest.mark.parametrize("family", ["normal", "student-t"])
+    def test_samples_equal_reference(self, monkeypatch, family, chunks, threads):
+        if threads is None:
+            monkeypatch.delenv("GMD_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("GMD_THREADS", threads)
+        rng = np.random.default_rng(31)
+        for n in (2, 7, 10):
+            spec = random_normal_spec(rng, n) if family == "normal" else \
+                random_student_spec(rng, 3.0, n)
+            cfg = MonteCarloConfig(draws=5001, seed=2**63 + n, chunks=chunks)
+            assert np.array_equal(sample(spec, cfg), reference_sample(spec, 5001, cfg.seed, chunks))
+
+
 class TestEstimateGmd:
     def test_diagnostics_record_algorithms(self):
         spec = iid_normal_spec()
@@ -183,6 +230,13 @@ class TestEstimateGmd:
         assert result.diagnostics["normal_method"] == NORMAL_METHOD
         assert result.diagnostics["draws"] == 10_000
         assert result.diagnostics["std_error"] > 0
+
+    def test_counts_and_seed_are_ints(self):
+        # A float64 seed above 2**53 would not reproduce the run.
+        cfg = MonteCarloConfig(draws=1000, seed=2**64 - 1, chunks=3)
+        diagnostics = estimate_gmd(iid_normal_spec(3), cfg).diagnostics
+        for key, expected in (("draws", 1000), ("chunks", 3), ("seed", 2**64 - 1)):
+            assert type(diagnostics[key]) is int and diagnostics[key] == expected
 
     def test_value_is_average_of_contributions(self):
         spec = iid_normal_spec(3)
