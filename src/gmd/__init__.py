@@ -55,10 +55,8 @@ from .model import (
     Family,
     GmdMethod,
     GmdResult,
-    PairDerived,
     PairParams,
     ValidatedSpec,
-    pair_derived,
     pair_params,
     spec_from_dict,
     spec_from_json,

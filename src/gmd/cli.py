@@ -252,11 +252,13 @@ def _cmd_quantile(args: argparse.Namespace) -> int:
     spec = _load_spec(args, require_mean=True)
     mu1 = float(spec.mu[0])
     sd1 = spec.scale_sd(0)
+    # The location integrates to zero against 2u - 1, and left in it would
+    # bury the scale term under rounding at large offsets.
     if spec.family is Family.NORMAL:
-        q = closed_form.QuantileFunction(lambda u: mu1 + sd1 * ndtri(u))
+        q = closed_form.QuantileFunction(lambda u: sd1 * ndtri(u))
     else:
         nu = spec.dof.nu
-        q = closed_form.QuantileFunction(lambda u: mu1 + sd1 * stdtrit(nu, u))
+        q = closed_form.QuantileFunction(lambda u: sd1 * stdtrit(nu, u))
     value = closed_form.quantile_gmd(q)
     report: dict[str, Any] = {
         "value": value,

@@ -8,7 +8,11 @@ diagonal:
 
     E|X_i - X_j| = 2 R_ji mu_H_ji + 2 R_ij mu_H_ij - mu_i - mu_j.
 
-Everything here is evaluated by adaptive quadrature, which makes this
+R_ij mu_H_ij is the first-moment integral I_ij of x f_{X_j}(x) pi_ij(x),
+so ``gmd_quadrature`` integrates that once per ordering and never forms
+a reliability; ``reliability``, ``h_density`` and ``mu_H`` expose the
+factors on their own.  Everything here is evaluated by adaptive
+quadrature, with the densities and CDFs of ``special``, which makes this
 module the numerical cross-check for every closed form in
 ``closed_form``.  Only the normal and Student-t conditional laws ship;
 the machinery takes the skewing function as data, so further families
@@ -25,7 +29,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import special as sp
 
 from .errors import DegeneratePairError, DomainError, NonconvergenceError
 from .model import (
@@ -43,48 +46,31 @@ from .quadrature import (
     integrate_real_line,
     integrate_real_line_split,
 )
-from .special import DegreesOfFreedom
-
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
-
-# Array-valued twins of the scalar functions in ``special``; quadrature
-# evaluates whole node batches at once.
-
-
-def _phi(x: np.ndarray) -> np.ndarray:
-    return np.exp(-0.5 * x * x) / _SQRT_2PI
-
-
-def _t_pdf(x: np.ndarray, nu: float) -> np.ndarray:
-    log_norm = sp.gammaln((nu + 1.0) / 2.0) - sp.gammaln(nu / 2.0) - 0.5 * math.log(nu * math.pi)
-    # x*x may overflow to inf for extreme abscissae; the density is then a
-    # clean zero, so the overflow is expected rather than an error.
-    with np.errstate(over="ignore"):
-        return np.exp(log_norm - 0.5 * (nu + 1.0) * np.log1p(x * x / nu))
-
-
-def _t_cdf(x: np.ndarray, nu: float) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    tail = 0.5 * sp.betainc(nu / 2.0, 0.5, nu / (nu + x * x))
-    return np.where(x < 0, tail, 1.0 - tail)
+from .special import (
+    DegreesOfFreedom,
+    std_normal_cdf,
+    std_normal_pdf,
+    student_t_cdf,
+    student_t_pdf,
+)
 
 
 def _marginal_pdf(x: np.ndarray, mu: float, sigma: float, family: Family,
                   dof: DegreesOfFreedom | None) -> np.ndarray:
     z = (np.asarray(x, dtype=float) - mu) / sigma
     if family is Family.NORMAL:
-        return _phi(z) / sigma
+        return std_normal_pdf(z) / sigma
     assert dof is not None
-    return _t_pdf(z, dof.nu) / sigma
+    return student_t_pdf(z, dof) / sigma
 
 
 def _marginal_cdf(x: np.ndarray, mu: float, sigma: float, family: Family,
                   dof: DegreesOfFreedom | None) -> np.ndarray:
     z = (np.asarray(x, dtype=float) - mu) / sigma
     if family is Family.NORMAL:
-        return sp.ndtr(z)
+        return std_normal_cdf(z)
     assert dof is not None
-    return _t_cdf(z, dof.nu)
+    return student_t_cdf(z, dof)
 
 
 @dataclass(frozen=True)
@@ -129,7 +115,7 @@ def skewing_normal(p: PairParams) -> SkewingFunction:
 
     def eval_(x: np.ndarray) -> np.ndarray:
         arg = ((x - p.mu_i) / p.sigma_i - p.rho_ij * (x - p.mu_j) / p.sigma_j) / root
-        return sp.ndtr(arg)
+        return std_normal_cdf(arg)
 
     return SkewingFunction(eval_, Family.NORMAL, p)
 
@@ -143,6 +129,7 @@ def skewing_student(p: PairParams, dof: DegreesOfFreedom) -> SkewingFunction:
     """
     _require_nondegenerate(p)
     nu = dof.nu
+    conditional = DegreesOfFreedom(nu + 1.0)
     one_minus = 1.0 - p.rho_ij**2
 
     def eval_(x: np.ndarray) -> np.ndarray:
@@ -151,7 +138,7 @@ def skewing_student(p: PairParams, dof: DegreesOfFreedom) -> SkewingFunction:
         # clean zero and the argument collapses to the centered value.
         with np.errstate(over="ignore"):
             pref = np.sqrt((nu + 1.0) / one_minus / (nu + zj * zj))
-        return _t_cdf(pref * ((x - p.mu_i) / p.sigma_i - p.rho_ij * zj), nu + 1.0)
+        return student_t_cdf(pref * ((x - p.mu_i) / p.sigma_i - p.rho_ij * zj), conditional)
 
     return SkewingFunction(eval_, Family.STUDENT_T, p, dof)
 
@@ -208,7 +195,7 @@ def reliability(
     """
     _require_nondegenerate(p)
     if family is Family.NORMAL:
-        return float(sp.ndtr((p.mu_j - p.mu_i) / p.diff_sd()))
+        return std_normal_cdf((p.mu_j - p.mu_i) / p.diff_sd())
     return reliability_quadrature(p, family, dof, config).value
 
 
@@ -290,28 +277,35 @@ def _first_moment_integral(
                                features=features)
 
 
+def _moment_integral(
+    p: PairParams,
+    family: Family,
+    dof: DegreesOfFreedom | None,
+    config: QuadratureConfig | None,
+) -> QuadratureResult:
+    """I_ij = integral of x f_{X_j}(x) pi_ij(x) = R_ij mu_H_ij, one ordering's moment."""
+    skew = _skewing(p, family, dof)
+
+    def weight(x: np.ndarray) -> np.ndarray:
+        return _marginal_pdf(x, p.mu_j, p.sigma_j, family, dof) * skew(x)
+
+    return _first_moment_integral(weight, p.mu_j, p.sigma_j, family, dof, config,
+                                  features=_skew_transition(p))
+
+
 def _mu_h(
     p: PairParams,
     family: Family,
     dof: DegreesOfFreedom | None,
     config: QuadratureConfig | None,
-    r_ij: float | None = None,
-) -> tuple[float, QuadratureResult]:
+) -> float:
     if family is Family.STUDENT_T:
         assert dof is not None
         dof.require_mean()
-    skew = _skewing(p, family, dof)
-    if r_ij is None:
-        r_ij = reliability(p, family, dof, config)
+    r_ij = reliability(p, family, dof, config)
     if r_ij <= 0.0:
         raise DomainError("R_ij = 0: mean of h_ij is undefined")
-
-    def weight(x: np.ndarray) -> np.ndarray:
-        return _marginal_pdf(x, p.mu_j, p.sigma_j, family, dof) * skew(x)
-
-    res = _first_moment_integral(weight, p.mu_j, p.sigma_j, family, dof, config,
-                                 features=_skew_transition(p))
-    return res.value / r_ij, res
+    return _moment_integral(p, family, dof, config).value / r_ij
 
 
 def mu_H(
@@ -321,59 +315,40 @@ def mu_H(
     config: QuadratureConfig | None = None,
 ) -> float:
     """Mean of the tilted density h_ij, by direct quadrature."""
-    value, _ = _mu_h(p, family, dof, config)
-    return value
+    return _mu_h(p, family, dof, config)
 
 
 def gmd_quadrature(spec: ValidatedSpec, config: QuadratureConfig | None = None) -> GmdResult:
-    """GMD assembled from reliabilities and tilted-density means.
+    """GMD assembled from the first-moment integral of each ordering.
 
-    Agrees with the closed forms to quadrature accuracy; diagnostics carry
-    the accumulated per-pair quadrature error estimates.
+    Each pair is integrated about its own location, with X_j's mean moved
+    to 0: GMD does not depend on location, and a common offset would
+    otherwise put every abscissa at the offset's magnitude, where the
+    pair's scale is lost to rounding.  Agrees with the closed forms to
+    quadrature accuracy; diagnostics carry the accumulated per-pair
+    quadrature error estimates.
     """
     if spec.family is Family.STUDENT_T:
         assert spec.dof is not None
         spec.dof.require_mean()
-    contributions = []
+    pairs = spec.pairs()
+    values = np.empty(len(pairs))
     total_err = 0.0
     total_sub = 0
-
-    def rel(p: PairParams) -> tuple[float, int]:
-        if spec.family is Family.NORMAL:
-            return reliability(p, spec.family), 0
-        res = reliability_quadrature(p, spec.family, spec.dof, config)
-        return res.value, res.subdivisions
-
-    def oriented_moment(p: PairParams) -> tuple[float, float, int]:
-        """r_ij * mu_H_ij with its error estimate and subdivision count.
-
-        An ordering whose probability underflows to zero carries no
-        representable mass, so its moment contribution is exactly zero and
-        the tilted mean never needs to be formed.
-        """
-        r, sub_r = rel(p)
-        if r <= 0.0:
-            return 0.0, 0.0, sub_r
-        mu, res = _mu_h(p, spec.family, spec.dof, config, r)
-        # r * mu_H collapses back to the raw first-moment integral, so the
-        # reliability quadrature error cancels out of the product.
-        return r * mu, res.error, res.subdivisions + sub_r
-
-    for i, j in spec.pairs():
+    for k, (i, j) in enumerate(pairs):
         p = pair_params(spec, i, j)
-        q = p.swapped()
+        local = PairParams(p.mu_i - p.mu_j, 0.0, p.sigma_i, p.sigma_j, p.rho_ij)
         try:
-            moment_ij, err_ij, sub_ij = oriented_moment(p)
-            moment_ji, err_ji, sub_ji = oriented_moment(q)
+            ij = _moment_integral(local, spec.family, spec.dof, config)
+            ji = _moment_integral(local.swapped(), spec.family, spec.dof, config)
         except NonconvergenceError as exc:
             raise NonconvergenceError(f"pair ({i},{j}): {exc}") from exc
-        term = 2.0 * moment_ji + 2.0 * moment_ij - p.mu_i - p.mu_j
-        contributions.append(((i, j), term))
-        total_err += 2.0 * (err_ij + err_ji)
-        total_sub += sub_ij + sub_ji
-    result = GmdResult.from_pairs(GmdMethod.QUADRATURE, contributions)
-    result.diagnostics["abs_error_estimate"] = total_err / len(contributions)
-    result.diagnostics["quadrature_subdivisions"] = float(total_sub)
+        values[k] = 2.0 * (ij.value + ji.value) - local.mu_i - local.mu_j
+        total_err += 2.0 * (ij.error + ji.error)
+        total_sub += ij.subdivisions + ji.subdivisions
+    result = GmdResult(float(values.sum()) / values.size, GmdMethod.QUADRATURE, values)
+    result.diagnostics["abs_error_estimate"] = float(total_err) / values.size
+    result.diagnostics["quadrature_subdivisions"] = total_sub
     return result
 
 

@@ -7,8 +7,9 @@ scale matrix sigma.  ``validate`` turns it into an immutable
 list of violated invariants.  ``pair_differences`` and
 ``pair_correlations`` give the law of X_i - X_j and rho_ij for every pair
 at once, as arrays in ``ValidatedSpec.pairs()`` order, for the closed
-form and the bounds; pairwise slices (``PairParams``) and their derived
-constants (``PairDerived``) feed the per-pair formulas.
+form and the bounds; pairwise slices (``PairParams``) feed the per-pair
+quadrature route and the paper's per-pair formulas.  ``GmdResult``
+carries every route's value with its pair breakdown.
 """
 
 from __future__ import annotations
@@ -127,17 +128,6 @@ class PairParams:
         return math.sqrt(max(v, 0.0))
 
 
-@dataclass(frozen=True)
-class PairDerived:
-    """Derived pair constants: c, tau, lambda, and the reliability R_ij."""
-
-    c_ij: float
-    tau_ij: float
-    lambda_ij: float
-    r_ij: float
-    degenerate: bool = False
-
-
 @dataclass
 class GmdResult:
     """A GMD value with its provenance and per-pair breakdown.
@@ -153,21 +143,6 @@ class GmdResult:
     method: GmdMethod
     pair_values: np.ndarray
     diagnostics: dict[str, float | int | str] = field(default_factory=dict)
-
-    @classmethod
-    def from_pairs(
-        cls,
-        method: GmdMethod,
-        contributions: list[tuple[tuple[int, int], float]],
-        diagnostics: dict[str, float | int | str] | None = None,
-    ) -> "GmdResult":
-        """Result from ((i, j), value) items listed in ``pairs()`` order."""
-        values = np.array([v for _, v in contributions], dtype=float)
-        rows, cols = pair_indices(dimension_of_pairs(values.size))
-        if [tuple(key) for key, _ in contributions] != list(zip(rows.tolist(), cols.tolist())):
-            raise DomainError("pair contributions must list the pairs i < j in row order")
-        value = sum(v for _, v in contributions) / len(contributions)
-        return cls(value, method, values, diagnostics or {})
 
     @property
     def pair_contributions(self) -> list[tuple[tuple[int, int], float]]:
@@ -366,45 +341,6 @@ def pair_params(spec: ValidatedSpec, i: int, j: int) -> PairParams:
         sigma_j=spec.scale_sd(j),
         rho_ij=spec.rho(i, j),
     )
-
-
-def pair_c(p: PairParams) -> float:
-    """The pairwise constant c_ij = sqrt(1 - rho^2 + (sigma_j/sigma_i - rho)^2)."""
-    ratio = p.sigma_j / p.sigma_i
-    return math.sqrt(max(1.0 - p.rho_ij**2 + (ratio - p.rho_ij) ** 2, 0.0))
-
-
-def pair_derived(
-    p: PairParams,
-    family: Family,
-    dof: DegreesOfFreedom | None = None,
-) -> PairDerived:
-    """Populate c, tau, lambda and the reliability R_ij for one pair.
-
-    At |rho| = 1 the conditional law is degenerate: tau and lambda are
-    reported as NaN, the pair is flagged and R_ij comes from the law of
-    the (possibly constant) difference X_i - X_j instead of quadrature.
-    """
-    if family is Family.STUDENT_T and dof is None:
-        raise DomainError("student-t pair requires degrees of freedom")
-    c = pair_c(p)
-    if abs(p.rho_ij) == 1.0:
-        sd = p.diff_sd()
-        if sd == 0.0:
-            r = 1.0 if p.mu_i <= p.mu_j else 0.0
-        else:
-            from .special import std_normal_cdf, student_t_cdf
-
-            z = (p.mu_j - p.mu_i) / sd
-            r = std_normal_cdf(z) if family is Family.NORMAL else student_t_cdf(z, dof)
-        return PairDerived(c, math.nan, math.nan, r, degenerate=True)
-
-    one_minus = math.sqrt(1.0 - p.rho_ij**2)
-    tau = (p.mu_j - p.mu_i) / (p.sigma_i * one_minus)
-    lam = (p.sigma_j / p.sigma_i - p.rho_ij) / one_minus
-    from .general_ec import reliability
-
-    return PairDerived(c, tau, lam, reliability(p, family, dof))
 
 
 # --- JSON wire format -------------------------------------------------------

@@ -59,7 +59,6 @@ class QuadratureConfig:
     abs_tol: float = 1e-10
     rel_tol: float = 1e-10
     max_subdivisions: int = 2000
-    infinite_transform: str = "tangent"
 
     def __post_init__(self) -> None:
         if not (self.abs_tol > 0 and self.rel_tol > 0):
@@ -80,7 +79,7 @@ def _gk15(f: Integrand, a: float, b: float) -> tuple[float, float]:
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
     y = np.asarray(f(mid + half * _XK), dtype=float)
-    if not np.all(np.isfinite(y)):
+    if not np.isfinite(y).all():
         raise NonconvergenceError(
             f"integrand returned non-finite values on [{a}, {b}]"
         )

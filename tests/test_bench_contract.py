@@ -91,3 +91,25 @@ def test_estimate_path_enters_the_traced_calls(tracing, tmp_path, capsys):
         assert calls.get(name, 0) == 1, name
         assert name not in tracer.absent, name
     assert len(dump.read_text().splitlines()) == 2001
+
+
+def test_verify_path_enters_the_traced_calls(tracing, tmp_path, capsys):
+    # verify-quad's per-layer metrics read the quadrature route by these
+    # names: the route once per spec, the GK15 panel once per panel.
+    data = {"family": "student-t", "nu": 4.0, "mu": [0.0, 0.5],
+            "sigma": [[1.0, 0.3], [0.3, 2.0]]}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(data))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        tracer.begin_op(0)
+        assert cli.main(["verify", str(path), "--draws", "2000", "--seed", "3"]) == 0
+        calls = tracer.end_op()["calls"]
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert calls.get("general_ec.gmd_quadrature", 0) == 1
+    assert calls.get("quadrature._gk15", 0) > 1
+    assert [name for name in tracer.absent
+            if name.split(".")[0] in ("general_ec", "quadrature")] == []

@@ -276,19 +276,47 @@ class TestReportRoundTrip:
 
 
 class TestVerifyAtLargeOffset:
+    OFFSET_SPEC = {"family": "student-t", "nu": 1.5, "mu": [10000.0, 10000.5],
+                   "sigma": [[1.0, 0.3], [0.3, 1.0]]}
+
     def test_failed_quadrature_check_exits_2_with_json(self, capsys, tmp_path):
-        # At a location offset of 1e4 the heavy-tailed quadrature route loses
-        # its accuracy; the verdict must still be a JSON boolean.
+        # Loose quadrature tolerances leave a real closed-vs-quadrature gap
+        # above a --quad-tol of 1e-15; the verdict must still be a JSON boolean.
         spec = tmp_path / "offset.json"
-        spec.write_text(json.dumps({
-            "family": "student-t", "nu": 1.5, "mu": [10000.0, 10000.5],
-            "sigma": [[1.0, 0.3], [0.3, 1.0]],
-        }))
-        code, out = run(capsys, "verify", str(spec), "--draws", "2000", "--seed", "1")
+        spec.write_text(json.dumps(self.OFFSET_SPEC))
+        code, out = run(capsys, "verify", str(spec), "--draws", "2000", "--seed", "1",
+                        "--abs-tol", "1e-4", "--rel-tol", "1e-4", "--quad-tol", "1e-15")
         report = json.loads(out)
         assert code == 2
         assert report["pass"] is False
         assert report["abs_diff_quadrature"] > report["quad_tol"]
+
+    def test_heavy_tail_offset_passes(self, capsys, tmp_path):
+        spec = tmp_path / "offset.json"
+        spec.write_text(json.dumps(self.OFFSET_SPEC))
+        code, out = run(capsys, "verify", str(spec), "--draws", "2000", "--seed", "1")
+        report = json.loads(out)
+        assert code == 0
+        assert report["pass"] is True
+        assert report["abs_diff_quadrature"] <= 1e-12
+
+
+class TestQuantileAtLargeOffset:
+    @pytest.mark.parametrize("family, nu", [("normal", None), ("student-t", 4.0),
+                                            ("student-t", 30.0)])
+    def test_offset_1e12_matches_offset_0(self, capsys, tmp_path, family, nu):
+        values = []
+        for offset in (0.0, 1e12):
+            data = {"family": family, "mu": [offset + 0.25, offset - 0.5],
+                    "sigma": [[2.0, 0.3], [0.3, 1.0]]}
+            if nu is not None:
+                data["nu"] = nu
+            spec = tmp_path / "spec.json"
+            spec.write_text(json.dumps(data))
+            code, out = run(capsys, "quantile-gmd", str(spec))
+            assert code == 0, out
+            values.append(json.loads(out)["value"])
+        assert values[1] == pytest.approx(values[0], rel=1e-12)
 
 
 def _spec_file(tmp_path, name, family, nu, n, seed):

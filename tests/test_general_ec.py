@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from gmd import general_ec
 from gmd.closed_form import (
     exchangeable_student_gmd,
     normal_gmd,
@@ -140,6 +141,11 @@ class TestHDensity:
 class TestReliability:
     def test_exchangeable_is_half(self):
         assert reliability(std_pair(rho=0.3), Family.NORMAL) == pytest.approx(0.5, abs=1e-15)
+        p = PairParams(2.0, 2.0, 1.3, 1.3, 0.4)
+        assert reliability(p, Family.NORMAL) == pytest.approx(0.5, abs=1e-15)
+        assert reliability(p, Family.STUDENT_T, DegreesOfFreedom(3.0)) == pytest.approx(
+            0.5, abs=1e-12
+        )
 
     def test_normal_fast_path_vs_quadrature(self):
         rng = np.random.default_rng(4)
@@ -162,11 +168,16 @@ class TestReliability:
 
     def test_complement_sums_to_one(self):
         rng = np.random.default_rng(6)
-        for _ in range(10):
-            p = random_pair(rng)
-            r1 = reliability(p, Family.STUDENT_T, DegreesOfFreedom(4.0))
-            r2 = reliability(p.swapped(), Family.STUDENT_T, DegreesOfFreedom(4.0))
-            assert r1 + r2 == pytest.approx(1.0, abs=1e-9)
+        for family, dof in ((Family.STUDENT_T, DegreesOfFreedom(4.0)), (Family.NORMAL, None)):
+            for _ in range(10):
+                p = random_pair(rng)
+                r1 = reliability(p, family, dof)
+                r2 = reliability(p.swapped(), family, dof)
+                assert r1 + r2 == pytest.approx(1.0, abs=1e-9)
+
+    def test_student_requires_dof(self):
+        with pytest.raises(DomainError, match="degrees of freedom"):
+            reliability(PairParams(0, 0, 1, 1, 0.2), Family.STUDENT_T)
 
     def test_forced_ordering(self):
         assert reliability(
@@ -303,8 +314,39 @@ class TestGmdQuadratureRoute:
         spec = validate(DistributionSpec("normal", [0, 0], np.eye(2)))
         result = gmd_quadrature(spec)
         assert result.method.value == "Quadrature"
-        assert "abs_error_estimate" in result.diagnostics
+        assert type(result.diagnostics["abs_error_estimate"]) is float
+        assert type(result.diagnostics["quadrature_subdivisions"]) is int
         assert result.diagnostics["quadrature_subdivisions"] >= 0
+
+    @pytest.mark.parametrize("nu", [None, 1.5, 4.0, 30.0])
+    def test_translation_invariance(self, nu):
+        # GMD does not depend on location; each pair is integrated about its
+        # own location, so a common offset up to 1e12 costs no accuracy.
+        family = "normal" if nu is None else "student-t"
+        sigma = np.array([[1.0, 0.3, 0.1], [0.3, 2.0, -0.4], [0.1, -0.4, 1.5]])
+        tol = 1e-8 if nu is None else 1e-6
+        for offset in (0.0, 1e4, 1e8, 1e12):
+            spec = validate(DistributionSpec(family, offset + np.array([0.0, 0.5, -1.0]),
+                                             sigma, nu=nu))
+            closed = normal_gmd(spec) if nu is None else student_gmd(spec)
+            assert gmd_quadrature(spec).value == pytest.approx(closed.value, abs=tol), offset
+
+    def test_two_integrals_per_pair(self, monkeypatch):
+        # One first-moment integral per ordering and no reliability integral.
+        calls = []
+        for name in ("integrate_real_line", "integrate_real_line_split"):
+            original = getattr(general_ec, name)
+
+            def counted(*args, _original=original, **kwargs):
+                calls.append(1)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(general_ec, name, counted)
+        for nu in (1.5, 4.0):
+            calls.clear()
+            spec = random_student_spec(np.random.default_rng(17), nu, 3)
+            gmd_quadrature(spec)
+            assert len(calls) == 2 * 3, nu
 
     def test_exchangeable_consistency_with_skew_route(self):
         rng = np.random.default_rng(13)
@@ -314,7 +356,10 @@ class TestGmdQuadratureRoute:
         )
 
     def test_nonconvergence_names_the_pair(self):
-        spec = validate(DistributionSpec("student-t", [0.0, 50.0], np.eye(2), nu=1.5))
+        # A scale ratio of 1e3 puts a conditional-CDF transition far narrower
+        # than the marginal into the integrand; it needs more than ten
+        # subdivisions (sixteen in all at the default budget).
+        spec = validate(DistributionSpec("student-t", [0.0, 0.5], np.diag([1.0, 1e-6]), nu=1.5))
         tiny = QuadratureConfig(abs_tol=1e-13, rel_tol=1e-13, max_subdivisions=10)
         with pytest.raises(NonconvergenceError, match=r"pair \(0,1\)"):
             gmd_quadrature(spec, tiny)

@@ -1,13 +1,13 @@
-"""Validation, pair extraction, derived constants, and the JSON wire format."""
+"""Validation, pair extraction, results, and the JSON wire format."""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
+from gmd.closed_form import normal_gmd, student_gmd
 from gmd.errors import DomainError, ValidationError
+from gmd.general_ec import gmd_quadrature
 from gmd.model import (
     DistributionSpec,
     Family,
@@ -15,9 +15,7 @@ from gmd.model import (
     GmdResult,
     PairParams,
     dimension_of_pairs,
-    pair_c,
     pair_correlations,
-    pair_derived,
     pair_differences,
     pair_params,
     spec_from_dict,
@@ -27,7 +25,7 @@ from gmd.model import (
 )
 from gmd.special import DegreesOfFreedom
 
-from helpers import random_normal_spec, random_pair
+from helpers import random_normal_spec, random_student_spec
 
 
 def identity_spec(n=2):
@@ -141,78 +139,19 @@ class TestPairParams:
             PairParams(0.0, 0.0, 0.0, 1.0, 0.0)
 
 
-class TestPairDerived:
-    def test_uncorrelated_equal_scale(self):
-        d = pair_derived(PairParams(0, 0, 1.5, 1.5, 0.0), Family.NORMAL)
-        assert d.c_ij == pytest.approx(math.sqrt(2.0), abs=1e-15)
-        assert d.lambda_ij == pytest.approx(1.0, abs=1e-15)
-        assert d.tau_ij == 0.0
-        assert not d.degenerate
-
-    def test_half_correlation(self):
-        d = pair_derived(PairParams(0, 0, 1.0, 1.0, 0.5), Family.NORMAL)
-        assert d.c_ij == pytest.approx(1.0, abs=1e-15)
-        assert d.lambda_ij == pytest.approx(0.5 / math.sqrt(0.75), rel=1e-14)
-
-    def test_exchangeable_reliability_is_half(self):
-        d = pair_derived(PairParams(2.0, 2.0, 1.3, 1.3, 0.4), Family.NORMAL)
-        assert d.r_ij == pytest.approx(0.5, abs=1e-12)
-
-    def test_exchangeable_c_formula(self):
-        rng = np.random.default_rng(5)
-        for _ in range(50):
-            rho = float(rng.uniform(-0.99, 0.99))
-            s = float(rng.uniform(0.1, 5))
-            p = PairParams(0, 0, s, s, rho)
-            assert pair_c(p) == pytest.approx(math.sqrt(2 * (1 - rho)), rel=1e-13)
-
-    def test_degenerate_pair_flagged(self):
-        d = pair_derived(PairParams(1.0, 1.0, 2.0, 2.0, 1.0), Family.NORMAL)
-        assert d.degenerate
-        assert math.isnan(d.tau_ij) and math.isnan(d.lambda_ij)
-        assert d.r_ij == 1.0
-
-    def test_reliability_sum_is_one(self):
-        rng = np.random.default_rng(11)
-        for _ in range(10):
-            p = random_pair(rng)
-            d_ij = pair_derived(p, Family.NORMAL)
-            d_ji = pair_derived(p.swapped(), Family.NORMAL)
-            assert d_ij.r_ij + d_ji.r_ij == pytest.approx(1.0, abs=1e-9)
-
-    def test_student_requires_dof(self):
-        with pytest.raises(DomainError):
-            pair_derived(PairParams(0, 0, 1, 1, 0.2), Family.STUDENT_T)
-
-    @given(
-        st.floats(-3, 3), st.floats(-3, 3),
-        st.floats(0.1, 4), st.floats(0.1, 4),
-        st.floats(-0.999, 0.999),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_c_times_sigma_is_difference_sd(self, mu_i, mu_j, s_i, s_j, rho):
-        p = PairParams(mu_i, mu_j, s_i, s_j, rho)
-        lhs = (p.sigma_i * pair_c(p)) ** 2
-        rhs = s_i**2 + s_j**2 - 2 * s_i * s_j * rho
-        assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
-
-    def test_c_identity_bulk_draws(self):
-        rng = np.random.default_rng(31)
-        for _ in range(1000):
-            p = random_pair(rng, max_abs_rho=1.0)
-            lhs = (p.sigma_i * pair_c(p)) ** 2
-            rhs = p.sigma_i**2 + p.sigma_j**2 - 2 * p.sigma_i * p.sigma_j * p.rho_ij
-            assert lhs == pytest.approx(rhs, rel=1e-12)
-
-
 class TestGmdResult:
     def test_value_is_binomial_average(self):
-        contributions = [((0, 1), 1.0), ((0, 2), 2.0), ((1, 2), 4.0)]
-        r = GmdResult.from_pairs(GmdMethod.CLOSED_FORM, contributions)
-        assert r.value == pytest.approx(7.0 / 3.0, abs=1e-12)
+        # Every route reports the plain average of its n (n - 1) / 2 pair terms.
+        rng = np.random.default_rng(7)
+        for spec, closed in ((random_normal_spec(rng, 4), normal_gmd),
+                             (random_student_spec(rng, 4.0, 4), student_gmd)):
+            for result in (closed(spec), gmd_quadrature(spec)):
+                assert result.pair_values.size == 6
+                assert result.value == pytest.approx(math.fsum(result.pair_values) / 6,
+                                                      rel=1e-15)
 
     def test_to_dict_shape(self):
-        r = GmdResult.from_pairs(GmdMethod.QUADRATURE, [((0, 1), 1.0)], {"k": 2.0})
+        r = GmdResult(1.0, GmdMethod.QUADRATURE, np.array([1.0]), {"k": 2.0})
         d = r.to_dict()
         assert d["method"] == "Quadrature"
         assert d["pair_contributions"] == [{"pair": [0, 1], "value": 1.0}]
@@ -220,15 +159,10 @@ class TestGmdResult:
 
     def test_pair_values_array_and_contributions(self):
         contributions = [((0, 1), 1.0), ((0, 2), 2.0), ((1, 2), 4.0)]
-        r = GmdResult.from_pairs(GmdMethod.CLOSED_FORM, contributions)
+        r = GmdResult(7.0 / 3.0, GmdMethod.CLOSED_FORM, np.array([1.0, 2.0, 4.0]))
         assert r.pair_values.dtype == np.float64
         assert r.pair_values.tolist() == [1.0, 2.0, 4.0]
         assert r.pair_contributions == contributions
-
-    def test_pairs_out_of_order_rejected(self):
-        with pytest.raises(DomainError, match="order"):
-            GmdResult.from_pairs(GmdMethod.QUADRATURE, [((0, 2), 1.0), ((0, 1), 2.0),
-                                                        ((1, 2), 3.0)])
 
     def test_dimension_of_pairs(self):
         assert [dimension_of_pairs(n * (n - 1) // 2) for n in (2, 3, 10, 500)] == [2, 3, 10, 500]

@@ -132,4 +132,3 @@ class TestConfig:
         assert cfg.abs_tol == 1e-10
         assert cfg.rel_tol == 1e-10
         assert cfg.max_subdivisions == 2000
-        assert cfg.infinite_transform == "tangent"
