@@ -7,7 +7,7 @@ import pytest
 
 from gmd.closed_form import normal_gmd, student_gmd
 from gmd.errors import DomainError, ValidationError
-from gmd.general_ec import gmd_quadrature
+from gmd.general_ec import gmd_quadrature, reliability
 from gmd.model import (
     DistributionSpec,
     Family,
@@ -25,7 +25,7 @@ from gmd.model import (
 )
 from gmd.special import DegreesOfFreedom
 
-from helpers import random_normal_spec, random_student_spec
+from helpers import random_normal_spec, random_pair, random_student_spec
 
 
 def identity_spec(n=2):
@@ -137,6 +137,25 @@ class TestPairParams:
     def test_sigma_must_be_positive(self):
         with pytest.raises(ValidationError):
             PairParams(0.0, 0.0, 0.0, 1.0, 0.0)
+
+
+class TestPairDerived:
+    """The reliability R_ij = P(X_i <= X_j) derived from one pair's parameters."""
+
+    def test_exchangeable_reliability_is_half(self):
+        p = PairParams(2.0, 2.0, 1.3, 1.3, 0.4)
+        assert reliability(p, Family.NORMAL) == pytest.approx(0.5, abs=1e-15)
+        assert reliability(p, Family.STUDENT_T, DegreesOfFreedom(3.0)) == pytest.approx(
+            0.5, abs=1e-12
+        )
+
+    def test_reliability_sum_is_one(self):
+        rng = np.random.default_rng(11)
+        for _ in range(10):
+            p = random_pair(rng)
+            r_ij = reliability(p, Family.NORMAL)
+            r_ji = reliability(p.swapped(), Family.NORMAL)
+            assert r_ij + r_ji == pytest.approx(1.0, abs=1e-9)
 
 
 class TestGmdResult:
