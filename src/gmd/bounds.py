@@ -18,7 +18,14 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from .errors import DomainError, MomentExistenceError
-from .model import Family, PairParams, ValidatedSpec, pair_correlations, pair_differences
+from .model import (
+    Family,
+    PairParams,
+    ValidatedSpec,
+    exchangeable_rho_average,
+    pair_correlations,
+    pair_differences,
+)
 from .special import lp_norm_std_normal
 
 
@@ -88,15 +95,7 @@ def exchangeable_rho_bound(sigma1: float, rhos: Sequence[float]) -> float:
     Valid for vectors with common mean and common standard deviation
     sigma1.  sqrt(1 - rho) is taken as 0 at rho = 1.
     """
-    if sigma1 <= 0:
-        raise DomainError(f"sigma1 must be > 0, got {sigma1}")
-    rhos = np.asarray(rhos, dtype=float)
-    if rhos.size == 0:
-        raise DomainError("empty pair correlation list")
-    if np.any(np.abs(rhos) > 1.0):
-        raise DomainError("correlations must lie in [-1, 1]")
-    avg = float(np.mean(np.sqrt(np.maximum(1.0 - rhos, 0.0))))
-    return math.sqrt(2.0) * sigma1 * avg
+    return math.sqrt(2.0) * sigma1 * exchangeable_rho_average(sigma1, rhos)
 
 
 def cp_constant(

@@ -49,6 +49,7 @@ from .model import (
     GmdResult,
     PairParams,
     ValidatedSpec,
+    exchangeable_rho_average,
     pair_differences,
 )
 from .quadrature import QuadratureConfig, integrate_interval
@@ -179,14 +180,7 @@ def exchangeable_normal_gmd(sigma1: float, rhos: list[float]) -> float:
 
     Applies to normal vectors with common mean and common scale sigma1.
     """
-    if sigma1 <= 0:
-        raise DomainError(f"sigma1 must be > 0, got {sigma1}")
-    if not rhos:
-        raise DomainError("empty pair correlation list")
-    if any(abs(r) > 1.0 for r in rhos):
-        raise DomainError("correlations must lie in [-1, 1]")
-    avg = sum(math.sqrt(max(1.0 - r, 0.0)) for r in rhos) / len(rhos)
-    return _TWO_OVER_SQRT_PI * sigma1 * avg
+    return _TWO_OVER_SQRT_PI * sigma1 * exchangeable_rho_average(sigma1, rhos)
 
 
 def student_gamma_factor(nu: float) -> float:

@@ -11,12 +11,15 @@ diagonal:
 R_ij mu_H_ij is the first-moment integral I_ij of x f_{X_j}(x) pi_ij(x),
 so ``gmd_quadrature`` integrates that once per ordering and never forms
 a reliability; ``reliability``, ``h_density`` and ``mu_H`` expose the
-factors on their own.  Everything here is evaluated by adaptive
-quadrature, with the densities and CDFs of ``special``, which makes this
-module the numerical cross-check for every closed form in
-``closed_form``.  Only the normal and Student-t conditional laws ship;
-the machinery takes the skewing function as data, so further families
-plug in without structural change.
+factors on their own.  ``reliability`` is the CDF of the difference law
+(normal, or t with the same nu).  All pair integrals are taken about
+X_j's own mean: each is one call of ``_pair_integral`` on a pair that
+``_centred`` has moved by its own location, so no abscissa carries a
+location offset.  They run on adaptive quadrature with the densities and
+CDFs of ``special``, which makes this module the numerical cross-check
+for every closed form in ``closed_form``.  Only the normal and Student-t
+conditional laws ship; the machinery takes the skewing function as data,
+so further families plug in without structural change.
 
 Pairs with |rho| = 1 have a degenerate conditional law and are rejected
 here; the closed-form module owns the degenerate-pair convention.
@@ -26,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -69,7 +72,8 @@ def _marginal_cdf(x: np.ndarray, mu: float, sigma: float, family: Family,
     z = (np.asarray(x, dtype=float) - mu) / sigma
     if family is Family.NORMAL:
         return std_normal_cdf(z)
-    assert dof is not None
+    if dof is None:
+        raise DomainError("student-t pair requires degrees of freedom")
     return student_t_cdf(z, dof)
 
 
@@ -95,10 +99,9 @@ class SkewingFunction:
         return 2.0 * _marginal_pdf(x, p.mu_j, p.sigma_j, self.family, self.dof) * self(x)
 
     def skew_cdf(self, x: float, config: QuadratureConfig | None = None) -> float:
-        res = integrate_half_line_below(
-            self.skew_density, x, config, scale=self.params.sigma_j
-        )
-        return min(1.0, max(0.0, res.value))
+        p = self.params
+        res = _pair_integral(_centred(p), self.family, self.dof, config, upper=x - p.mu_j)
+        return min(1.0, max(0.0, 2.0 * res.value))
 
 
 def _require_nondegenerate(p: PairParams) -> None:
@@ -166,37 +169,73 @@ def _skew_transition(p: PairParams) -> list[tuple[float, float]]:
     return [(x_star, width)]
 
 
+def _centred(p: PairParams) -> PairParams:
+    """The pair moved so that X_j's mean is 0.
+
+    The laws depend on x only through x - mu, and a common offset would
+    otherwise put every abscissa at the offset's magnitude, where the
+    pair's scale is lost to rounding; mu_i - mu_j is then the only
+    subtraction that meets the offset.
+    """
+    return PairParams(p.mu_i - p.mu_j, 0.0, p.sigma_i, p.sigma_j, p.rho_ij)
+
+
+def _pair_integral(
+    p: PairParams,
+    family: Family,
+    dof: DegreesOfFreedom | None,
+    config: QuadratureConfig | None,
+    moment: bool = False,
+    upper: float | None = None,
+) -> QuadratureResult:
+    """Integral of f_{X_j}(x) pi_ij(x), times x if ``moment``, over x <= upper.
+
+    ``upper=None`` is the whole real line.  Student-t moments with nu in
+    (1, 2] decay like |x|^{-nu}, too slowly for the tangent substitution
+    to resolve at tight tolerances, so the domain is split at +/- 10 scale
+    units and the tails extrapolated.
+    """
+    skew = _skewing(p, family, dof)
+
+    def integrand(x: np.ndarray) -> np.ndarray:
+        weight = _marginal_pdf(x, p.mu_j, p.sigma_j, family, dof) * skew(x)
+        return x * weight if moment else weight
+
+    if upper is not None:
+        return integrate_half_line_below(integrand, upper, config, scale=p.sigma_j)
+    features = _skew_transition(p)
+    if moment and family is Family.STUDENT_T and dof is not None and dof.nu <= 2.0:
+        return integrate_real_line_split(integrand, config, center=p.mu_j, scale=p.sigma_j,
+                                         split=10.0, features=features)
+    return integrate_real_line(integrand, config, center=p.mu_j, scale=p.sigma_j,
+                               features=features)
+
+
 def reliability_quadrature(
     p: PairParams,
     family: Family,
     dof: DegreesOfFreedom | None = None,
     config: QuadratureConfig | None = None,
 ) -> QuadratureResult:
-    """R_ij = E[pi_ij(X_j)] by quadrature; the checked slow path."""
-    skew = _skewing(p, family, dof)
-
-    def integrand(x: np.ndarray) -> np.ndarray:
-        return _marginal_pdf(x, p.mu_j, p.sigma_j, family, dof) * skew(x)
-
-    return integrate_real_line(integrand, config, center=p.mu_j, scale=p.sigma_j,
-                               features=_skew_transition(p))
+    """R_ij = E[pi_ij(X_j)] by quadrature; the independent check of ``reliability``."""
+    return _pair_integral(_centred(p), family, dof, config)
 
 
 def reliability(
     p: PairParams,
     family: Family,
     dof: DegreesOfFreedom | None = None,
-    config: QuadratureConfig | None = None,
 ) -> float:
-    """Stress-strength reliability P(X_i <= X_j).
+    """Stress-strength reliability P(X_i <= X_j) = K((mu_j - mu_i) / s_ij).
 
-    The normal family takes the analytic fast path through the CDF of the
-    difference; the Student-t family integrates.
+    X_i - X_j of an elliptical pair is normal, or t with the same nu, with
+    scale s_ij, so R_ij is that law's CDF K at the standardized mean gap
+    and needs no integral.  ``reliability_quadrature`` is the independent
+    check: it integrates E[pi_ij(X_j)], like every pair integral here,
+    about X_j's own mean.
     """
     _require_nondegenerate(p)
-    if family is Family.NORMAL:
-        return std_normal_cdf((p.mu_j - p.mu_i) / p.diff_sd())
-    return reliability_quadrature(p, family, dof, config).value
+    return _marginal_cdf(p.mu_j, p.mu_i, p.diff_sd(), family, dof)
 
 
 def h_density(
@@ -204,12 +243,10 @@ def h_density(
     family: Family,
     x: np.ndarray,
     dof: DegreesOfFreedom | None = None,
-    r_ij: float | None = None,
 ) -> np.ndarray:
     """The tilted density h_ij(x) = f_{X_j}(x) pi_ij(x) / R_ij."""
     skew = _skewing(p, family, dof)
-    if r_ij is None:
-        r_ij = reliability(p, family, dof)
+    r_ij = reliability(p, family, dof)
     if r_ij <= 0.0:
         raise DomainError("R_ij = 0: the ordering X_i <= X_j has no mass")
     return _marginal_pdf(x, p.mu_j, p.sigma_j, family, dof) * skew(x) / r_ij
@@ -250,49 +287,6 @@ def min_pdf(
     )
 
 
-def _first_moment_integral(
-    weight: Callable[[np.ndarray], np.ndarray],
-    center: float,
-    scale: float,
-    family: Family,
-    dof: DegreesOfFreedom | None,
-    config: QuadratureConfig | None,
-    features: Sequence[tuple[float, float]] = (),
-) -> QuadratureResult:
-    """Integral of x * weight(x); split-and-extrapolate for heavy t tails.
-
-    With nu in (1, 2] the integrand decays like |x|^{-nu}, too slowly for
-    the tangent substitution to resolve at tight tolerances, so the
-    domain is split at +/- 10 scale units and the tails extrapolated.
-    """
-
-    def integrand(x: np.ndarray) -> np.ndarray:
-        return x * weight(x)
-
-    if family is Family.STUDENT_T and dof is not None and dof.nu <= 2.0:
-        return integrate_real_line_split(integrand, config, center=center,
-                                         scale=scale, split=10.0,
-                                         features=features)
-    return integrate_real_line(integrand, config, center=center, scale=scale,
-                               features=features)
-
-
-def _moment_integral(
-    p: PairParams,
-    family: Family,
-    dof: DegreesOfFreedom | None,
-    config: QuadratureConfig | None,
-) -> QuadratureResult:
-    """I_ij = integral of x f_{X_j}(x) pi_ij(x) = R_ij mu_H_ij, one ordering's moment."""
-    skew = _skewing(p, family, dof)
-
-    def weight(x: np.ndarray) -> np.ndarray:
-        return _marginal_pdf(x, p.mu_j, p.sigma_j, family, dof) * skew(x)
-
-    return _first_moment_integral(weight, p.mu_j, p.sigma_j, family, dof, config,
-                                  features=_skew_transition(p))
-
-
 def _mu_h(
     p: PairParams,
     family: Family,
@@ -302,10 +296,10 @@ def _mu_h(
     if family is Family.STUDENT_T:
         assert dof is not None
         dof.require_mean()
-    r_ij = reliability(p, family, dof, config)
+    r_ij = reliability(p, family, dof)
     if r_ij <= 0.0:
         raise DomainError("R_ij = 0: mean of h_ij is undefined")
-    return _moment_integral(p, family, dof, config).value / r_ij
+    return p.mu_j + _pair_integral(_centred(p), family, dof, config, moment=True).value / r_ij
 
 
 def mu_H(
@@ -314,19 +308,17 @@ def mu_H(
     dof: DegreesOfFreedom | None = None,
     config: QuadratureConfig | None = None,
 ) -> float:
-    """Mean of the tilted density h_ij, by direct quadrature."""
+    """Mean of the tilted density h_ij: mu_j plus one centred moment integral over R_ij."""
     return _mu_h(p, family, dof, config)
 
 
 def gmd_quadrature(spec: ValidatedSpec, config: QuadratureConfig | None = None) -> GmdResult:
     """GMD assembled from the first-moment integral of each ordering.
 
-    Each pair is integrated about its own location, with X_j's mean moved
-    to 0: GMD does not depend on location, and a common offset would
-    otherwise put every abscissa at the offset's magnitude, where the
-    pair's scale is lost to rounding.  Agrees with the closed forms to
-    quadrature accuracy; diagnostics carry the accumulated per-pair
-    quadrature error estimates.
+    Each pair is integrated with X_j's mean moved to 0 (GMD does not
+    depend on location).  Agrees with the closed forms to quadrature
+    accuracy; diagnostics carry the accumulated per-pair quadrature error
+    estimates.
     """
     if spec.family is Family.STUDENT_T:
         assert spec.dof is not None
@@ -336,11 +328,10 @@ def gmd_quadrature(spec: ValidatedSpec, config: QuadratureConfig | None = None) 
     total_err = 0.0
     total_sub = 0
     for k, (i, j) in enumerate(pairs):
-        p = pair_params(spec, i, j)
-        local = PairParams(p.mu_i - p.mu_j, 0.0, p.sigma_i, p.sigma_j, p.rho_ij)
+        local = _centred(pair_params(spec, i, j))
         try:
-            ij = _moment_integral(local, spec.family, spec.dof, config)
-            ji = _moment_integral(local.swapped(), spec.family, spec.dof, config)
+            ij = _pair_integral(local, spec.family, spec.dof, config, moment=True)
+            ji = _pair_integral(local.swapped(), spec.family, spec.dof, config, moment=True)
         except NonconvergenceError as exc:
             raise NonconvergenceError(f"pair ({i},{j}): {exc}") from exc
         values[k] = 2.0 * (ij.value + ji.value) - local.mu_i - local.mu_j
@@ -400,15 +391,9 @@ def gmd_exchangeable_skew(spec: ValidatedSpec, config: QuadratureConfig | None =
     if spec.family is Family.STUDENT_T:
         assert spec.dof is not None
         spec.dof.require_mean()
-    sigma1 = spec.scale_sd(0)
     total = 0.0
     pairs = spec.pairs()
     for i, j in pairs:
-        p = pair_params(spec, i, j)
-        centered = PairParams(0.0, 0.0, sigma1, sigma1, p.rho_ij)
-        skew = _skewing(centered, spec.family, spec.dof)
-        res = _first_moment_integral(
-            skew.skew_density, 0.0, sigma1, spec.family, spec.dof, config
-        )
-        total += res.value
-    return 2.0 * total / len(pairs)
+        local = _centred(pair_params(spec, i, j))
+        total += _pair_integral(local, spec.family, spec.dof, config, moment=True).value
+    return 4.0 * total / len(pairs)

@@ -47,7 +47,7 @@ _WG[1::2] = [
     0.1294849661688697,
 ]
 
-_EPS = np.finfo(float).eps
+_EPS = float(np.finfo(float).eps)
 
 Integrand = Callable[[np.ndarray], np.ndarray]
 
@@ -122,6 +122,7 @@ def integrate_interval(
     if extra_edges is not None and len(extra_edges):
         inside = extra_edges[(extra_edges > a) & (extra_edges < b)]
         edges = np.unique(np.concatenate([edges, inside]))
+    edges = edges.tolist()
     heap: list[tuple[float, int, float, float, float, float]] = []
     counter = 0
     total = 0.0

@@ -43,6 +43,25 @@ def std_pair(rho=0.0):
     return PairParams(0.0, 0.0, 1.0, 1.0, rho)
 
 
+def family_and_dof(nu):
+    return (Family.NORMAL, None) if nu is None else (Family.STUDENT_T, DegreesOfFreedom(nu))
+
+
+@pytest.fixture
+def integral_calls(monkeypatch):
+    """One entry per real-line integral that general_ec starts, by either route."""
+    calls = []
+    for name in ("integrate_real_line", "integrate_real_line_split"):
+        original = getattr(general_ec, name)
+
+        def counted(*args, _original=original, **kwargs):
+            calls.append(1)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(general_ec, name, counted)
+    return calls
+
+
 class TestSkewingNormal:
     def test_exchangeable_center_is_half(self):
         skew = skewing_normal(PairParams(2.0, 2.0, 1.5, 1.5, 0.3))
@@ -158,16 +177,49 @@ class TestReliability:
             p = random_pair(rng)
             m = (p.mu_j - p.mu_i) / p.diff_sd()
             expected = student_t_cdf(m, DegreesOfFreedom(nu))
-            got = reliability(p, Family.STUDENT_T, DegreesOfFreedom(nu))
+            got = reliability_quadrature(p, Family.STUDENT_T, DegreesOfFreedom(nu)).value
             assert got == pytest.approx(expected, abs=1e-9)
 
     def test_complement_sums_to_one(self):
-        rng = np.random.default_rng(6)
-        for _ in range(10):
-            p = random_pair(rng)
-            r1 = reliability(p, Family.STUDENT_T, DegreesOfFreedom(4.0))
-            r2 = reliability(p.swapped(), Family.STUDENT_T, DegreesOfFreedom(4.0))
-            assert r1 + r2 == pytest.approx(1.0, abs=1e-9)
+        def by_quadrature(p, family, dof):
+            return reliability_quadrature(p, family, dof).value
+
+        for rel in (reliability, by_quadrature):
+            rng = np.random.default_rng(6)
+            for _ in range(10):
+                p = random_pair(rng)
+                r1 = rel(p, Family.STUDENT_T, DegreesOfFreedom(4.0))
+                r2 = rel(p.swapped(), Family.STUDENT_T, DegreesOfFreedom(4.0))
+                assert r1 + r2 == pytest.approx(1.0, abs=1e-9), rel
+
+    @pytest.mark.parametrize("nu", [None, 1.5, 4.0])
+    @pytest.mark.parametrize("offset", [1e4, 1e8, 1e12])
+    def test_translation_to_large_offsets(self, nu, offset):
+        # Every pair integral is taken about X_j's own mean, so a location
+        # offset reaches only the mean gap, which these offsets keep exact.
+        family, dof = family_and_dof(nu)
+
+        def pair(c):
+            return PairParams(c + 0.5, c, 1.1, 0.9, 0.25)
+
+        def skewing(p):
+            return skewing_normal(p) if nu is None else skewing_student(p, dof)
+
+        base, moved = pair(0.0), pair(offset)
+        assert reliability(moved, family, dof) == pytest.approx(
+            reliability(base, family, dof), abs=1e-12)
+        assert reliability_quadrature(moved, family, dof).value == pytest.approx(
+            reliability_quadrature(base, family, dof).value, abs=1e-12)
+        assert skewing(moved).skew_cdf(offset + 0.25) == pytest.approx(
+            skewing(base).skew_cdf(0.25), abs=1e-12)
+
+    def test_values_are_python_floats(self):
+        p = PairParams(0.3, -0.2, 1.1, 0.9, 0.25)
+        dof = DegreesOfFreedom(4.0)
+        res = reliability_quadrature(p, Family.STUDENT_T, dof)
+        assert type(res.value) is float and type(res.error) is float
+        assert type(reliability(p, Family.STUDENT_T, dof)) is float
+        assert type(mu_H(p, Family.STUDENT_T, dof)) is float
 
     def test_student_requires_dof(self):
         with pytest.raises(DomainError, match="degrees of freedom"):
@@ -262,12 +314,28 @@ class TestMuH:
             assert mu_H(p, Family.NORMAL) == pytest.approx(expected, rel=1e-9)
 
     def test_translation_shift(self):
+        # mu_H is X_j's mean plus an integral about it, so a shift costs at
+        # most a few ulp of the shifted value.
         p = PairParams(0.3, -0.2, 1.1, 0.9, 0.25)
-        k = 5.0
-        shifted = PairParams(p.mu_i + k, p.mu_j + k, p.sigma_i, p.sigma_j, p.rho_ij)
-        assert mu_H(shifted, Family.NORMAL) == pytest.approx(
-            mu_H(p, Family.NORMAL) + k, abs=1e-9
-        )
+        for nu in (None, 1.5, 4.0):
+            family, dof = family_and_dof(nu)
+            for k in (5.0, 1e4, 1e8, 1e12):
+                shifted = PairParams(p.mu_i + k, p.mu_j + k, p.sigma_i, p.sigma_j, p.rho_ij)
+                expected = mu_H(p, family, dof) + k
+                assert mu_H(shifted, family, dof) == pytest.approx(
+                    expected, abs=4 * math.ulp(expected)
+                ), (nu, k)
+
+    @pytest.mark.parametrize("nu", [1.5, 4.0])
+    def test_one_integral_and_none_for_the_reliability(self, integral_calls, nu):
+        p = PairParams(0.3, -0.2, 1.1, 0.9, 0.25)
+        dof = DegreesOfFreedom(nu)
+        mu_H(p, Family.STUDENT_T, dof)
+        assert len(integral_calls) == 1
+        integral_calls.clear()
+        reliability(p, Family.STUDENT_T, dof)
+        h_density(p, Family.STUDENT_T, np.linspace(-3.0, 3.0, 7), dof)
+        assert integral_calls == []
 
     def test_student_heavy_tail_against_moment_factor(self):
         # Exchangeable centered pair: 2 R mu_H equals half the pair GMD plus
@@ -325,22 +393,13 @@ class TestGmdQuadratureRoute:
             closed = normal_gmd(spec) if nu is None else student_gmd(spec)
             assert gmd_quadrature(spec).value == pytest.approx(closed.value, abs=tol), offset
 
-    def test_two_integrals_per_pair(self, monkeypatch):
+    def test_two_integrals_per_pair(self, integral_calls):
         # One first-moment integral per ordering and no reliability integral.
-        calls = []
-        for name in ("integrate_real_line", "integrate_real_line_split"):
-            original = getattr(general_ec, name)
-
-            def counted(*args, _original=original, **kwargs):
-                calls.append(1)
-                return _original(*args, **kwargs)
-
-            monkeypatch.setattr(general_ec, name, counted)
         for nu in (1.5, 4.0):
-            calls.clear()
+            integral_calls.clear()
             spec = random_student_spec(np.random.default_rng(17), nu, 3)
             gmd_quadrature(spec)
-            assert len(calls) == 2 * 3, nu
+            assert len(integral_calls) == 2 * 3, nu
 
     def test_exchangeable_consistency_with_skew_route(self):
         rng = np.random.default_rng(13)

@@ -48,6 +48,27 @@ class TestFiniteInterval:
                 QuadratureConfig(max_subdivisions=10),
             )
 
+    def test_nonconvergence_message_prints_plain_floats(self):
+        with pytest.raises(NonconvergenceError) as info:
+            integrate_interval(
+                lambda x: 1.0 / np.sqrt(np.abs(x) + 1e-310), 1e-300, 1.0,
+                QuadratureConfig(max_subdivisions=10),
+            )
+        assert "value ~ " in str(info.value)
+        assert "np.float64" not in str(info.value)
+
+    def test_results_are_python_floats(self):
+        edges = np.array([0.3, 0.7])
+        results = (
+            integrate_interval(lambda x: x * x, 0.0, 1.0),
+            integrate_interval(lambda x: x * x, 0.0, 1.0, extra_edges=edges),
+            integrate_real_line(phi, features=[(0.5, 0.1)]),
+            integrate_half_line_below(phi, 0.5),
+            integrate_real_line_split(lambda x: 1.0 / (1.0 + x * x) ** 1.5),
+        )
+        for res in results:
+            assert type(res.value) is float and type(res.error) is float
+
     def test_infinite_endpoint_rejected(self):
         with pytest.raises(DomainError):
             integrate_interval(lambda x: x, 0.0, math.inf)
