@@ -12,17 +12,13 @@ from .bounds import (
     build_bound_report,
     cp_bound,
     cp_constant,
-    cp_grid_minimum,
     exchangeable_rho_bound,
     second_moment_bound,
     second_moment_pair_bound,
 )
 from .closed_form import (
     QuantileFunction,
-    exchangeable_normal_gmd,
-    exchangeable_student_gmd,
     gini_index,
-    gini_index_from_skew_mean,
     normal_gmd,
     normal_pair_gmd,
     quantile_gmd,
@@ -38,12 +34,8 @@ from .errors import (
     ValidationError,
 )
 from .general_ec import (
-    SkewingFunction,
-    gmd_exchangeable_skew,
     gmd_quadrature,
     h_density,
-    max_pdf,
-    min_pdf,
     mu_H,
     reliability,
     reliability_quadrature,
@@ -60,17 +52,12 @@ from .model import (
     pair_params,
     spec_from_dict,
     spec_from_json,
-    spec_to_dict,
     validate,
 )
 from .monte_carlo import (
-    GmdEstimate,
     MonteCarloConfig,
     classic_empirical_gmd,
-    empirical_gmd,
     estimate_gmd,
-    sample_mvn,
-    sample_mvt,
 )
 from .quadrature import QuadratureConfig, QuadratureResult
 from .special import (

@@ -6,7 +6,10 @@ standard deviations before any bound is formed; with nu <= 2 the bounds
 simply do not exist and the report marks them inapplicable.  Spec-level
 bounds are formed for all pairs at once from the same arrays as the
 closed form (``model.pair_differences``, ``model.pair_correlations``);
-``second_moment_pair_bound`` is the one-pair form.
+``second_moment_pair_bound`` is the one-pair form.  The sqrt(1 - rho),
+sqrt(2) sigma and C_p bounds need a common mean and scale; the report
+judges that relative to the spec's own scales and means, so a spec and
+its scaled copies get the same bounds, each scaled.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from .model import (
     Family,
     PairParams,
     ValidatedSpec,
-    exchangeable_rho_average,
     pair_correlations,
     pair_differences,
 )
@@ -93,9 +95,16 @@ def exchangeable_rho_bound(sigma1: float, rhos: Sequence[float]) -> float:
     """sqrt(2)*sigma1 times the pair average of sqrt(1 - rho).
 
     Valid for vectors with common mean and common standard deviation
-    sigma1.  sqrt(1 - rho) is taken as 0 at rho = 1.
+    sigma1 > 0.  sqrt(1 - rho) is taken as 0 at rho = 1.
     """
-    return math.sqrt(2.0) * sigma1 * exchangeable_rho_average(sigma1, rhos)
+    if sigma1 <= 0:
+        raise DomainError(f"sigma1 must be > 0, got {sigma1}")
+    rhos = np.asarray(rhos, dtype=float)
+    if rhos.size == 0:
+        raise DomainError("empty pair correlation list")
+    if np.any(np.abs(rhos) > 1.0):
+        raise DomainError("correlations must lie in [-1, 1]")
+    return math.sqrt(2.0) * sigma1 * float(np.mean(np.sqrt(np.maximum(1.0 - rhos, 0.0))))
 
 
 def cp_constant(
@@ -119,26 +128,7 @@ def cp_bound(p: float, sigma1: float) -> float:
     return cp_constant(p) * sigma1
 
 
-def cp_grid_minimum(
-    lo: float = 1.0 + 1e-6,
-    hi: float = 2.0,
-    num: int = 2001,
-    lp_norm: Callable[[float], float] = lp_norm_std_normal,
-) -> tuple[float, float]:
-    """Smallest C_p on a grid of p values in (1, 2]; returns (p, C_p).
-
-    No analytic optimum is claimed; this is the advertised grid search.
-    """
-    if not (1.0 < lo < hi):
-        raise DomainError("grid requires 1 < lo < hi")
-    grid = np.linspace(lo, hi, num)
-    values = [cp_constant(float(p), lp_norm) for p in grid]
-    k = int(np.argmin(values))
-    return float(grid[k]), float(values[k])
-
-
-def _equal_within(values: np.ndarray, rtol: float = 1e-12) -> bool:
-    scale = max(float(np.max(np.abs(values))), 1.0)
+def _equal_within(values: np.ndarray, scale: float, rtol: float = 1e-12) -> bool:
     return float(np.max(values) - np.min(values)) <= rtol * scale
 
 
@@ -151,8 +141,12 @@ def build_bound_report(
     notes: list[str] = []
     sds = np.sqrt(np.diag(spec.sigma_mat))
     rhos = pair_correlations(spec)
-    equal_sigma = _equal_within(sds)
-    equal_mu = _equal_within(np.asarray(spec.mu))
+    # Common mean and scale, judged relative to the spec's own size so that
+    # a spec and its scaled copies get the same bounds: scales against the
+    # largest scale, means against the largest of |mu| and the scales.
+    max_sd = float(np.max(sds))
+    exchangeable = _equal_within(sds, max_sd) and _equal_within(
+        spec.mu, max(float(np.max(np.abs(spec.mu))), max_sd))
 
     try:
         factor = _sd_factor(spec)
@@ -163,20 +157,19 @@ def build_bound_report(
     second_moment = second_moment_bound(spec)
 
     sqrt_bound = None
-    if equal_sigma and equal_mu:
+    if exchangeable:
         sqrt_bound = exchangeable_rho_bound(factor * float(sds[0]), rhos)
     else:
         notes.append("sqrt(1-rho) bound needs common mean and variance")
 
     gmd2 = None
-    if spec.n == 2 and equal_sigma and equal_mu and abs(rhos[0]) <= 1e-12:
+    if spec.n == 2 and exchangeable and abs(rhos[0]) <= 1e-12:
         gmd2 = math.sqrt(2.0) * factor * float(sds[0])
 
     cp = None
     if (
         spec.family is Family.NORMAL
-        and equal_sigma
-        and equal_mu
+        and exchangeable
         and np.all(np.abs(rhos) <= 1e-12)
     ):
         cp = (cp_p, cp_bound(cp_p, float(sds[0])))

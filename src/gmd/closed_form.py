@@ -29,8 +29,8 @@ where for the Student-t the pdf carries the extra first-moment factor
 brackets.  Note the asymmetric denominators: D and c for the (i, j)
 bracket both standardize by sigma_i, the *other* coordinate's scale.
 
-Also here: the exchangeable specializations, the quantile-integral route
-for i.i.d. variables, and the Gini index.
+Also here: the quantile-integral route for i.i.d. variables and the
+Gini index.
 """
 
 from __future__ import annotations
@@ -49,20 +49,16 @@ from .model import (
     GmdResult,
     PairParams,
     ValidatedSpec,
-    exchangeable_rho_average,
     pair_differences,
 )
 from .quadrature import QuadratureConfig, integrate_interval
 from .special import (
     DegreesOfFreedom,
-    _student_t_log_norm,
     std_normal_cdf,
     std_normal_pdf,
     student_t_cdf,
     student_t_pdf,
 )
-
-_TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
 
 
 def _normal_bracket(mu_a: float, mu_b: float, sigma_a: float, sigma_b: float,
@@ -175,33 +171,6 @@ def student_gmd(spec: ValidatedSpec) -> GmdResult:
     return _folded_gmd(spec)
 
 
-def exchangeable_normal_gmd(sigma1: float, rhos: list[float]) -> float:
-    """(2/sqrt(pi)) * sigma1 * average of sqrt(1 - rho) over pairs.
-
-    Applies to normal vectors with common mean and common scale sigma1.
-    """
-    return _TWO_OVER_SQRT_PI * sigma1 * exchangeable_rho_average(sigma1, rhos)
-
-
-def student_gamma_factor(nu: float) -> float:
-    """sqrt(2 nu) Gamma((nu+1)/2) / ((nu-1) Gamma(nu/2)).
-
-    Decreases to 1 as nu -> inf.  The gamma ratio is sqrt(nu pi) times the
-    t density at 0, whose logarithm ``_student_t_log_norm`` forms without
-    the cancellation of a log-gamma difference (which loses 3.8e-11 of the
-    ratio at nu = 1e5).
-    """
-    return nu * math.sqrt(2.0 * math.pi) / (nu - 1.0) * math.exp(_student_t_log_norm(nu))
-
-
-def exchangeable_student_gmd(
-    sigma1: float, dof: DegreesOfFreedom, rhos: list[float]
-) -> float:
-    """Exchangeable Student-t GMD: the normal value times a gamma-ratio factor."""
-    dof.require_mean()
-    return exchangeable_normal_gmd(sigma1, rhos) * student_gamma_factor(dof.nu)
-
-
 @dataclass
 class QuantileFunction:
     """A quantile function u in (0,1) -> F^{-1}(u) with declared integrability."""
@@ -266,14 +235,3 @@ def gini_index(gmd_value: float, mu1: float) -> float:
             stacklevel=2,
         )
     return gmd_value / (2.0 * mu1)
-
-
-def gini_index_from_skew_mean(mu_g1: float, mu1: float) -> float:
-    """Gini index from the mean of the 2fF order-statistic law: mu_G1/mu1 - 1.
-
-    Equivalent to gini_index(2*(mu_g1 - mu1), mu1), e.g. the unit
-    exponential has mu_G1 = 3/2 and Gini index 1/2.
-    """
-    if mu1 == 0:
-        raise DomainError("gini_index is undefined for mu1 = 0")
-    return mu_g1 / mu1 - 1.0

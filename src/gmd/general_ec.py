@@ -10,16 +10,19 @@ diagonal:
 
 R_ij mu_H_ij is the first-moment integral I_ij of x f_{X_j}(x) pi_ij(x),
 so ``gmd_quadrature`` integrates that once per ordering and never forms
-a reliability; ``reliability``, ``h_density`` and ``mu_H`` expose the
-factors on their own.  ``reliability`` is the CDF of the difference law
-(normal, or t with the same nu).  All pair integrals are taken about
-X_j's own mean: each is one call of ``_pair_integral`` on a pair that
-``_centred`` has moved by its own location, so no abscissa carries a
-location offset.  They run on adaptive quadrature with the densities and
-CDFs of ``special``, which makes this module the numerical cross-check
-for every closed form in ``closed_form``.  Only the normal and Student-t
-conditional laws ship; the machinery takes the skewing function as data,
-so further families plug in without structural change.
+a reliability.  The pair quantities are public on their own: the
+conditional CDF pi_ij (``skewing_normal``, ``skewing_student``, plain
+functions of x), ``reliability`` (the CDF of the difference law, normal
+or t with the same nu) with its integral check
+``reliability_quadrature``, ``h_density`` and ``mu_H``.  All pair
+integrals are taken about X_j's own mean: each is one call of
+``_pair_integral`` on a pair that ``_centred`` has moved by its own
+location, so no abscissa carries a location offset.  They run on
+adaptive quadrature with the densities and CDFs of ``special``, which
+makes this module the numerical cross-check for every closed form in
+``closed_form``.  Only the normal and Student-t conditional laws ship;
+the integrals take the conditional CDF as a function, so further
+families plug in without structural change.
 
 Pairs with |rho| = 1 have a degenerate conditional law and are rejected
 here; the closed-form module owns the degenerate-pair convention.
@@ -28,7 +31,6 @@ here; the closed-form module owns the degenerate-pair convention.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -45,7 +47,6 @@ from .model import (
 from .quadrature import (
     QuadratureConfig,
     QuadratureResult,
-    integrate_half_line_below,
     integrate_real_line,
     integrate_real_line_split,
 )
@@ -58,13 +59,18 @@ from .special import (
 )
 
 
+def _t_dof(dof: DegreesOfFreedom | None) -> DegreesOfFreedom:
+    if dof is None:
+        raise DomainError("student-t pair requires degrees of freedom")
+    return dof
+
+
 def _marginal_pdf(x: np.ndarray, mu: float, sigma: float, family: Family,
                   dof: DegreesOfFreedom | None) -> np.ndarray:
     z = (np.asarray(x, dtype=float) - mu) / sigma
     if family is Family.NORMAL:
         return std_normal_pdf(z) / sigma
-    assert dof is not None
-    return student_t_pdf(z, dof) / sigma
+    return student_t_pdf(z, _t_dof(dof)) / sigma
 
 
 def _marginal_cdf(x: np.ndarray, mu: float, sigma: float, family: Family,
@@ -72,36 +78,7 @@ def _marginal_cdf(x: np.ndarray, mu: float, sigma: float, family: Family,
     z = (np.asarray(x, dtype=float) - mu) / sigma
     if family is Family.NORMAL:
         return std_normal_cdf(z)
-    if dof is None:
-        raise DomainError("student-t pair requires degrees of freedom")
-    return student_t_cdf(z, dof)
-
-
-@dataclass(frozen=True)
-class SkewingFunction:
-    """The conditional CDF x -> F_{X_i | X_j = x}(x) for one oriented pair.
-
-    Values lie in [0, 1]; when the pair is exchangeable and centered the
-    map satisfies pi(-x) = 1 - pi(x).  ``skew_density`` is the associated
-    (generally skew-symmetric) density 2 f_{X_j}(x) pi(x).
-    """
-
-    eval: Callable[[np.ndarray], np.ndarray]
-    family: Family
-    params: PairParams
-    dof: DegreesOfFreedom | None = None
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.eval(np.asarray(x, dtype=float))
-
-    def skew_density(self, x: np.ndarray) -> np.ndarray:
-        p = self.params
-        return 2.0 * _marginal_pdf(x, p.mu_j, p.sigma_j, self.family, self.dof) * self(x)
-
-    def skew_cdf(self, x: float, config: QuadratureConfig | None = None) -> float:
-        p = self.params
-        res = _pair_integral(_centred(p), self.family, self.dof, config, upper=x - p.mu_j)
-        return min(1.0, max(0.0, 2.0 * res.value))
+    return student_t_cdf(z, _t_dof(dof))
 
 
 def _require_nondegenerate(p: PairParams) -> None:
@@ -111,8 +88,12 @@ def _require_nondegenerate(p: PairParams) -> None:
         )
 
 
-def skewing_normal(p: PairParams) -> SkewingFunction:
-    """Conditional-CDF skewing function of a jointly normal pair."""
+def skewing_normal(p: PairParams) -> Callable[[np.ndarray], np.ndarray]:
+    """The conditional CDF x -> F_{X_i | X_j = x}(x) of a jointly normal pair.
+
+    Values lie in [0, 1]; for a centred exchangeable pair
+    pi(-x) = 1 - pi(x).
+    """
     _require_nondegenerate(p)
     root = math.sqrt(1.0 - p.rho_ij**2)
 
@@ -120,11 +101,13 @@ def skewing_normal(p: PairParams) -> SkewingFunction:
         arg = ((x - p.mu_i) / p.sigma_i - p.rho_ij * (x - p.mu_j) / p.sigma_j) / root
         return std_normal_cdf(arg)
 
-    return SkewingFunction(eval_, Family.NORMAL, p)
+    return eval_
 
 
-def skewing_student(p: PairParams, dof: DegreesOfFreedom) -> SkewingFunction:
-    """Conditional-CDF skewing function of a Student-t pair.
+def skewing_student(
+    p: PairParams, dof: DegreesOfFreedom
+) -> Callable[[np.ndarray], np.ndarray]:
+    """The conditional CDF x -> F_{X_i | X_j = x}(x) of a Student-t pair.
 
     The conditional law of X_i given X_j = x is t with nu+1 degrees of
     freedom and squared scale inflated by (nu + z_j^2)/(nu + 1), which is
@@ -143,15 +126,15 @@ def skewing_student(p: PairParams, dof: DegreesOfFreedom) -> SkewingFunction:
             pref = np.sqrt((nu + 1.0) / one_minus / (nu + zj * zj))
         return student_t_cdf(pref * ((x - p.mu_i) / p.sigma_i - p.rho_ij * zj), conditional)
 
-    return SkewingFunction(eval_, Family.STUDENT_T, p, dof)
+    return eval_
 
 
-def _skewing(p: PairParams, family: Family, dof: DegreesOfFreedom | None) -> SkewingFunction:
+def _skewing(
+    p: PairParams, family: Family, dof: DegreesOfFreedom | None
+) -> Callable[[np.ndarray], np.ndarray]:
     if family is Family.NORMAL:
         return skewing_normal(p)
-    if dof is None:
-        raise DomainError("student-t pair requires degrees of freedom")
-    return skewing_student(p, dof)
+    return skewing_student(p, _t_dof(dof))
 
 
 def _skew_transition(p: PairParams) -> list[tuple[float, float]]:
@@ -186,14 +169,12 @@ def _pair_integral(
     dof: DegreesOfFreedom | None,
     config: QuadratureConfig | None,
     moment: bool = False,
-    upper: float | None = None,
 ) -> QuadratureResult:
-    """Integral of f_{X_j}(x) pi_ij(x), times x if ``moment``, over x <= upper.
+    """Integral of f_{X_j}(x) pi_ij(x), times x if ``moment``, over the real line.
 
-    ``upper=None`` is the whole real line.  Student-t moments with nu in
-    (1, 2] decay like |x|^{-nu}, too slowly for the tangent substitution
-    to resolve at tight tolerances, so the domain is split at +/- 10 scale
-    units and the tails extrapolated.
+    Student-t moments with nu in (1, 2] decay like |x|^{-nu}, too slowly
+    for the tangent substitution to resolve at tight tolerances, so the
+    domain is split at +/- 10 scale units and the tails extrapolated.
     """
     skew = _skewing(p, family, dof)
 
@@ -201,8 +182,6 @@ def _pair_integral(
         weight = _marginal_pdf(x, p.mu_j, p.sigma_j, family, dof) * skew(x)
         return x * weight if moment else weight
 
-    if upper is not None:
-        return integrate_half_line_below(integrand, upper, config, scale=p.sigma_j)
     features = _skew_transition(p)
     if moment and family is Family.STUDENT_T and dof is not None and dof.nu <= 2.0:
         return integrate_real_line_split(integrand, config, center=p.mu_j, scale=p.sigma_j,
@@ -252,41 +231,6 @@ def h_density(
     return _marginal_pdf(x, p.mu_j, p.sigma_j, family, dof) * skew(x) / r_ij
 
 
-def max_pdf(
-    p: PairParams,
-    family: Family,
-    x: np.ndarray,
-    dof: DegreesOfFreedom | None = None,
-) -> np.ndarray:
-    """Density of max(X_i, X_j): f_i pi_ji + f_j pi_ij."""
-    skew_ij = _skewing(p, family, dof)
-    skew_ji = _skewing(p.swapped(), family, dof)
-    return (
-        _marginal_pdf(x, p.mu_i, p.sigma_i, family, dof) * skew_ji(x)
-        + _marginal_pdf(x, p.mu_j, p.sigma_j, family, dof) * skew_ij(x)
-    )
-
-
-def min_pdf(
-    p: PairParams,
-    family: Family,
-    x: np.ndarray,
-    dof: DegreesOfFreedom | None = None,
-) -> np.ndarray:
-    """Density of min(X_i, X_j): f_i (1 - pi_ji) + f_j (1 - pi_ij).
-
-    Built from the complementary skewing functions, so that the pointwise
-    identity min density = f_i + f_j - max density is a real consistency
-    check rather than a restatement.
-    """
-    skew_ij = _skewing(p, family, dof)
-    skew_ji = _skewing(p.swapped(), family, dof)
-    return (
-        _marginal_pdf(x, p.mu_i, p.sigma_i, family, dof) * (1.0 - skew_ji(x))
-        + _marginal_pdf(x, p.mu_j, p.sigma_j, family, dof) * (1.0 - skew_ij(x))
-    )
-
-
 def _mu_h(
     p: PairParams,
     family: Family,
@@ -294,8 +238,7 @@ def _mu_h(
     config: QuadratureConfig | None,
 ) -> float:
     if family is Family.STUDENT_T:
-        assert dof is not None
-        dof.require_mean()
+        _t_dof(dof).require_mean()
     r_ij = reliability(p, family, dof)
     if r_ij <= 0.0:
         raise DomainError("R_ij = 0: mean of h_ij is undefined")
@@ -341,59 +284,3 @@ def gmd_quadrature(spec: ValidatedSpec, config: QuadratureConfig | None = None) 
     result.diagnostics["abs_error_estimate"] = float(total_err) / values.size
     result.diagnostics["quadrature_subdivisions"] = total_sub
     return result
-
-
-def marginal_product_density(
-    p: PairParams,
-    family: Family,
-    dof: DegreesOfFreedom | None = None,
-) -> Callable[[np.ndarray], np.ndarray]:
-    """The density 2 f_{X_i}(x) F_{X_j}(x) built from the marginals alone.
-
-    This equals the skew density of the pair exactly when the coordinates
-    are independent; it is the classical order-statistic construction for
-    i.i.d. variables.
-    """
-
-    def density(x: np.ndarray) -> np.ndarray:
-        return (
-            2.0
-            * _marginal_pdf(x, p.mu_i, p.sigma_i, family, dof)
-            * _marginal_cdf(x, p.mu_j, p.sigma_j, family, dof)
-        )
-
-    return density
-
-
-def _is_pairwise_exchangeable(spec: ValidatedSpec, rtol: float = 1e-12) -> bool:
-    mus = np.asarray(spec.mu)
-    sds = np.array([spec.scale_sd(k) for k in range(spec.n)])
-    mu_scale = max(float(np.max(np.abs(mus))), 1.0)
-    sd_scale = float(np.max(sds))
-    return (
-        float(np.max(mus) - np.min(mus)) <= rtol * mu_scale
-        and float(np.max(sds) - np.min(sds)) <= rtol * sd_scale
-    )
-
-
-def gmd_exchangeable_skew(spec: ValidatedSpec, config: QuadratureConfig | None = None) -> float:
-    """GMD of an exchangeable spec through skew-symmetric pair means.
-
-    Each pair of an exchangeable vector has max-density 2 f(x) pi(x); after
-    centering, the pair's contribution is twice the mean of that density.
-    Under independence the skewing function collapses to the marginal CDF
-    and this is the classical 2 f F construction.
-    """
-    if not _is_pairwise_exchangeable(spec):
-        raise DomainError(
-            "gmd_exchangeable_skew requires equal means and equal scales"
-        )
-    if spec.family is Family.STUDENT_T:
-        assert spec.dof is not None
-        spec.dof.require_mean()
-    total = 0.0
-    pairs = spec.pairs()
-    for i, j in pairs:
-        local = _centred(pair_params(spec, i, j))
-        total += _pair_integral(local, spec.family, spec.dof, config, moment=True).value
-    return 4.0 * total / len(pairs)

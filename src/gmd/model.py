@@ -327,22 +327,6 @@ def pair_correlations(spec: ValidatedSpec) -> np.ndarray:
     return np.clip(rho, -1.0, 1.0)
 
 
-def exchangeable_rho_average(sigma1: float, rhos: Sequence[float]) -> float:
-    """Pair average of sqrt(1 - rho), taken as 0 at rho = 1.
-
-    The common factor of the exchangeable normal GMD and the sqrt(1 - rho)
-    bound, for vectors with common mean and common scale sigma1 > 0.
-    """
-    if sigma1 <= 0:
-        raise DomainError(f"sigma1 must be > 0, got {sigma1}")
-    rhos = np.asarray(rhos, dtype=float)
-    if rhos.size == 0:
-        raise DomainError("empty pair correlation list")
-    if np.any(np.abs(rhos) > 1.0):
-        raise DomainError("correlations must lie in [-1, 1]")
-    return float(np.mean(np.sqrt(np.maximum(1.0 - rhos, 0.0))))
-
-
 def pair_params(spec: ValidatedSpec, i: int, j: int) -> PairParams:
     """Extract the pairwise parameters for coordinates i < j (0-based)."""
     n = spec.n
@@ -388,14 +372,3 @@ def spec_from_json(text: str) -> DistributionSpec:
     except json.JSONDecodeError as exc:
         raise ValidationError([f"malformed JSON: {exc}"]) from exc
     return spec_from_dict(data)
-
-
-def spec_to_dict(spec: ValidatedSpec) -> dict[str, Any]:
-    out: dict[str, Any] = {
-        "family": spec.family.value,
-        "mu": [float(v) for v in spec.mu],
-        "sigma": [[float(v) for v in row] for row in spec.sigma_mat],
-    }
-    if spec.dof is not None:
-        out["nu"] = spec.dof.nu
-    return out

@@ -1,4 +1,8 @@
-"""Seeded samplers and empirical GMD estimators.
+"""Seeded sampling and the empirical GMD.
+
+``sample`` draws a spec's family (normal, or Student-t through a
+chi-square mixing variable); ``estimate_from_samples`` reduces draws to
+a ``GmdResult`` and ``estimate_gmd`` does both.
 
 Sampling uses the Philox counter-based generator: each chunk derives its
 own stream from (seed, chunk index) through numpy's SeedSequence spawning,
@@ -17,7 +21,8 @@ columns, and the differences |x_j - x_i| for j > i are formed row by row
 in one reused buffer.  Its row sums feed the pair means, which come out
 in ``pairs()`` order as one float64 array, and its column sums the
 per-draw statistic behind the standard error; no temporary is
-draws x n.
+draws x n.  ``classic_empirical_gmd`` is the U-statistic of a univariate
+sample.
 
 ``GMD_THREADS`` caps the worker count (default 1, i.e. sequential).
 """
@@ -58,13 +63,6 @@ class MonteCarloConfig:
             raise DomainError(f"chunks must be >= 1, got {self.chunks}")
 
 
-@dataclass(frozen=True)
-class GmdEstimate:
-    value: float
-    std_error: float
-    draws: int
-
-
 def thread_count() -> int:
     """Worker cap from GMD_THREADS; 1 (sequential) when unset or invalid."""
     raw = os.environ.get("GMD_THREADS", "")
@@ -84,7 +82,9 @@ def _chunk_rng(seed: int, chunk: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def _sample(spec: ValidatedSpec, cfg: MonteCarloConfig, student: bool) -> np.ndarray:
+def sample(spec: ValidatedSpec, cfg: MonteCarloConfig) -> np.ndarray:
+    """draws x n matrix of variates mu + L z, divided by sqrt(W/nu) for a t spec."""
+    student = spec.family is Family.STUDENT_T
     if student:
         assert spec.dof is not None
         nu = spec.dof.nu
@@ -109,24 +109,6 @@ def _sample(spec: ValidatedSpec, cfg: MonteCarloConfig, student: bool) -> np.nda
         for chunk in range(cfg.chunks):
             one_chunk(chunk)
     return out
-
-
-def sample_mvn(spec: ValidatedSpec, cfg: MonteCarloConfig) -> np.ndarray:
-    """draws x n matrix of multivariate normal variates mu + L z."""
-    if spec.family is not Family.NORMAL:
-        raise DomainError("sample_mvn requires a normal spec")
-    return _sample(spec, cfg, student=False)
-
-
-def sample_mvt(spec: ValidatedSpec, cfg: MonteCarloConfig) -> np.ndarray:
-    """draws x n matrix of multivariate Student-t variates mu + L z / sqrt(W/nu)."""
-    if spec.family is not Family.STUDENT_T:
-        raise DomainError("sample_mvt requires a student-t spec")
-    return _sample(spec, cfg, student=True)
-
-
-def sample(spec: ValidatedSpec, cfg: MonteCarloConfig) -> np.ndarray:
-    return _sample(spec, cfg, student=spec.family is Family.STUDENT_T)
 
 
 def _pair_stats(samples: np.ndarray) -> tuple[np.ndarray, float]:
@@ -161,13 +143,6 @@ def _pair_stats(samples: np.ndarray) -> tuple[np.ndarray, float]:
     per_draw /= pair_sums.size
     std_error = float(per_draw.std(ddof=1) / math.sqrt(m))
     return pair_sums / m, std_error
-
-
-def empirical_gmd(samples: np.ndarray) -> GmdEstimate:
-    """Pair-averaged mean absolute difference with its standard error, from
-    the reduction that ``estimate_from_samples`` reports."""
-    pair_means, std_error = _pair_stats(samples)
-    return GmdEstimate(float(pair_means.sum()) / pair_means.size, std_error, len(samples))
 
 
 def estimate_from_samples(samples: np.ndarray, cfg: MonteCarloConfig) -> GmdResult:

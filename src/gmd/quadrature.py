@@ -199,24 +199,6 @@ def integrate_real_line(
                               initial_panels=8, extra_edges=extra)
 
 
-def integrate_half_line_below(
-    f: Integrand,
-    b: float,
-    config: QuadratureConfig | None = None,
-    scale: float = 1.0,
-) -> QuadratureResult:
-    """Integrate f over (-inf, b] via x = b - scale*tan(t), t in [0, pi/2)."""
-    if not (math.isfinite(b) and math.isfinite(scale) and scale > 0):
-        raise DomainError("b must be finite and scale > 0")
-
-    def g(t: np.ndarray) -> np.ndarray:
-        tan_t = np.tan(t)
-        fx = np.asarray(f(b - scale * tan_t), dtype=float)
-        return np.where(fx == 0.0, 0.0, fx * scale * (1.0 + tan_t * tan_t))
-
-    return integrate_interval(g, 0.0, 0.5 * math.pi, config, initial_panels=6)
-
-
 def _geometric_tail(
     f: Integrand,
     start: float,

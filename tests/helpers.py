@@ -6,7 +6,19 @@ import math
 
 import numpy as np
 
-from gmd import DistributionSpec, PairParams, ValidatedSpec, validate
+from gmd import (
+    DegreesOfFreedom,
+    DistributionSpec,
+    Family,
+    PairParams,
+    ValidatedSpec,
+    pair_params,
+    skewing_normal,
+    skewing_student,
+    std_normal_pdf,
+    student_t_pdf,
+    validate,
+)
 
 
 def random_normal_spec(rng: np.random.Generator, n: int | None = None) -> ValidatedSpec:
@@ -82,6 +94,74 @@ def pair_diff_params(p: PairParams) -> tuple[float, float]:
     m = p.mu_i - p.mu_j
     s = np.sqrt(p.sigma_i**2 + p.sigma_j**2 - 2 * p.rho_ij * p.sigma_i * p.sigma_j)
     return m, float(s)
+
+
+# --- the paper's pair identities ----------------------------------------------
+# Built from the marginal densities of ``special`` and the public conditional
+# CDFs pi_ij = ``skewing_*``, never from the quadrature route they judge.
+
+def _marginal_pdf(x, mu: float, sigma: float, dof: DegreesOfFreedom | None):
+    z = (x - mu) / sigma
+    return (std_normal_pdf(z) if dof is None else student_t_pdf(z, dof)) / sigma
+
+
+def _skewing(p: PairParams, dof: DegreesOfFreedom | None):
+    return skewing_normal(p) if dof is None else skewing_student(p, dof)
+
+
+def max_pdf(p: PairParams, family: Family, x, dof: DegreesOfFreedom | None = None):
+    """Density of max(X_i, X_j): f_i pi_ji + f_j pi_ij."""
+    dof = None if family is Family.NORMAL else dof
+    return (_marginal_pdf(x, p.mu_i, p.sigma_i, dof) * _skewing(p.swapped(), dof)(x)
+            + _marginal_pdf(x, p.mu_j, p.sigma_j, dof) * _skewing(p, dof)(x))
+
+
+def min_pdf(p: PairParams, family: Family, x, dof: DegreesOfFreedom | None = None):
+    """Density of min(X_i, X_j): f_i (1 - pi_ji) + f_j (1 - pi_ij), from the
+    complements, so that min + max = f_i + f_j is a real check."""
+    dof = None if family is Family.NORMAL else dof
+    return (_marginal_pdf(x, p.mu_i, p.sigma_i, dof) * (1.0 - _skewing(p.swapped(), dof)(x))
+            + _marginal_pdf(x, p.mu_j, p.sigma_j, dof) * (1.0 - _skewing(p, dof)(x)))
+
+
+def exchangeable_skew_gmd(spec: ValidatedSpec) -> float:
+    """GMD of an exchangeable spec (common mean and scale) as the pair
+    average of 4 int x f(x) pi(x) dx, each pair centred at 0.
+
+    The max of an exchangeable pair has the skew-symmetric density
+    2 f pi, and E|X_i - X_j| = 2 (E max - mu).  scipy's QAGI integrates.
+    """
+    from scipy import integrate
+
+    terms = []
+    for i, j in spec.pairs():
+        p = pair_params(spec, i, j)
+        centred = PairParams(0.0, 0.0, p.sigma_i, p.sigma_j, p.rho_ij)
+        skew = _skewing(centred, spec.dof)
+        moment, _ = integrate.quad(
+            lambda x: x * _marginal_pdf(x, 0.0, p.sigma_j, spec.dof) * skew(x),
+            -np.inf, np.inf, epsabs=1e-13, epsrel=1e-13, limit=200)
+        terms.append(4.0 * moment)
+    return float(np.mean(terms))
+
+
+def exchangeable_normal_gmd(sigma1: float, rhos) -> float:
+    """(2/sqrt(pi)) sigma1 times the pair average of sqrt(1 - rho): normal
+    vectors with common mean and common scale sigma1."""
+    rhos = np.asarray(rhos, dtype=float)
+    return 2.0 / math.sqrt(math.pi) * sigma1 * float(np.mean(np.sqrt(np.maximum(1.0 - rhos, 0.0))))
+
+
+def student_gamma_factor(nu: float) -> float:
+    """sqrt(2 nu) Gamma((nu+1)/2) / ((nu-1) Gamma(nu/2)), which falls to 1
+    as nu grows; the gamma ratio is sqrt(nu pi) times the t density at 0."""
+    return nu * math.sqrt(2.0 * math.pi) / (nu - 1.0) * student_t_pdf(0.0, DegreesOfFreedom(nu))
+
+
+def exchangeable_student_gmd(sigma1: float, dof: DegreesOfFreedom, rhos) -> float:
+    """Exchangeable Student-t GMD: the normal value times the gamma factor."""
+    dof.require_mean()
+    return exchangeable_normal_gmd(sigma1, rhos) * student_gamma_factor(dof.nu)
 
 
 # --- reference report emitter ------------------------------------------------

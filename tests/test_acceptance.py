@@ -15,15 +15,14 @@ from scipy import integrate
 from scipy.special import ndtri
 
 import gmd
-from gmd.general_ec import _marginal_pdf, gmd_exchangeable_skew, gmd_quadrature, h_density, \
-    max_pdf, min_pdf, reliability
+from gmd.general_ec import _marginal_pdf, gmd_quadrature, h_density, reliability
 from gmd.model import DistributionSpec, Family, PairParams, validate
-from gmd.monte_carlo import MonteCarloConfig, classic_empirical_gmd, empirical_gmd, \
-    sample_mvn, sample_mvt
+from gmd.monte_carlo import MonteCarloConfig, classic_empirical_gmd, estimate_gmd
 from gmd.quadrature import integrate_real_line
 from gmd.special import DegreesOfFreedom
 
-from helpers import random_exchangeable_spec, random_normal_spec, random_pair, \
+from helpers import exchangeable_normal_gmd, exchangeable_skew_gmd, exchangeable_student_gmd, \
+    max_pdf, min_pdf, random_exchangeable_spec, random_normal_spec, random_pair, \
     random_student_spec
 
 TWO_OVER_SQRT_PI = 1.1283791670955126
@@ -65,8 +64,8 @@ class TestAcceptance:
             assert closed == pytest.approx(TWO_OVER_SQRT_PI, abs=1e-12)
 
             spec = validate(DistributionSpec("normal", [0, 0], np.eye(2)))
-            est = empirical_gmd(sample_mvn(spec, MonteCarloConfig(draws=10_000_000, seed=101)))
-            assert abs(est.value - closed) <= 3.0 * est.std_error
+            est = estimate_gmd(spec, MonteCarloConfig(draws=10_000_000, seed=101))
+            assert abs(est.value - closed) <= 3.0 * est.diagnostics["std_error"]
 
             brute = brute_force_pair_gmd_2d(0.0, 0.0)
             assert closed == pytest.approx(brute, abs=1e-8)
@@ -99,20 +98,18 @@ class TestAcceptance:
             for k in range(100):
                 spec = random_exchangeable_spec(rng, equicorrelated=(k % 2 == 0))
                 rhos = [spec.rho(i, j) for i, j in spec.pairs()]
-                exact = gmd.exchangeable_normal_gmd(spec.scale_sd(0), rhos)
+                exact = exchangeable_normal_gmd(spec.scale_sd(0), rhos)
                 assert gmd.normal_gmd(spec).value == pytest.approx(exact, abs=1e-12)
-                est = empirical_gmd(
-                    sample_mvn(spec, MonteCarloConfig(draws=1_000_000, seed=3000 + k))
-                )
-                assert abs(est.value - exact) <= 3.0 * est.std_error
+                est = estimate_gmd(spec, MonteCarloConfig(draws=1_000_000, seed=3000 + k))
+                assert abs(est.value - exact) <= 3.0 * est.diagnostics["std_error"]
 
     def test_criterion_4_exchangeable_student_nu2(self):
         with criterion(4, "exchangeable t at nu=2, sigma=1, rho=0 equals 2 exactly"):
-            value = gmd.exchangeable_student_gmd(1.0, DegreesOfFreedom(2.0), [0.0])
+            value = exchangeable_student_gmd(1.0, DegreesOfFreedom(2.0), [0.0])
             assert value == pytest.approx(2.0, abs=1e-12)
             spec = validate(DistributionSpec("student-t", [0, 0], np.eye(2), nu=2.0))
-            est = empirical_gmd(sample_mvt(spec, MonteCarloConfig(draws=10_000_000, seed=104)))
-            assert abs(est.value - 2.0) <= 3.0 * est.std_error
+            est = estimate_gmd(spec, MonteCarloConfig(draws=10_000_000, seed=104))
+            assert abs(est.value - 2.0) <= 3.0 * est.diagnostics["std_error"]
 
     def test_criterion_5_quadrature_route_consistency(self):
         start = time.monotonic()
@@ -252,9 +249,9 @@ class TestAcceptance:
                 assert route(scaled(base)) == pytest.approx(k * v, abs=1e-10)
 
         exch = random_exchangeable_spec(rng, "normal")
-        v = gmd_exchangeable_skew(exch)
-        assert gmd_exchangeable_skew(shifted(exch)) == pytest.approx(v, abs=1e-10)
-        assert gmd_exchangeable_skew(scaled(exch)) == pytest.approx(k * v, abs=1e-10)
+        v = exchangeable_skew_gmd(exch)
+        assert exchangeable_skew_gmd(shifted(exch)) == pytest.approx(v, abs=1e-10)
+        assert exchangeable_skew_gmd(scaled(exch)) == pytest.approx(k * v, abs=1e-10)
 
         # Quantile route: F^{-1} + shift and k * F^{-1}.
         v = gmd.quantile_gmd(gmd.QuantileFunction(ndtri))
@@ -268,10 +265,6 @@ class TestAcceptance:
         # Monte Carlo with a common seed: the draws transform with the spec.
         spec = random_normal_spec(rng, 2)
         cfg = MonteCarloConfig(draws=100_000, seed=909)
-        v = empirical_gmd(sample_mvn(spec, cfg)).value
-        assert empirical_gmd(sample_mvn(shifted(spec), cfg)).value == pytest.approx(
-            v, abs=1e-10
-        )
-        assert empirical_gmd(sample_mvn(scaled(spec), cfg)).value == pytest.approx(
-            k * v, abs=1e-10
-        )
+        v = estimate_gmd(spec, cfg).value
+        assert estimate_gmd(shifted(spec), cfg).value == pytest.approx(v, abs=1e-10)
+        assert estimate_gmd(scaled(spec), cfg).value == pytest.approx(k * v, abs=1e-10)

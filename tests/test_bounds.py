@@ -10,12 +10,11 @@ from gmd.bounds import (
     build_bound_report,
     cp_bound,
     cp_constant,
-    cp_grid_minimum,
     exchangeable_rho_bound,
     second_moment_bound,
     second_moment_pair_bound,
 )
-from gmd.closed_form import normal_gmd
+from gmd.closed_form import normal_gmd, student_gmd
 from gmd.errors import DomainError, MomentExistenceError
 from gmd.model import DistributionSpec, PairParams, validate
 
@@ -118,7 +117,9 @@ class TestCpConstant:
         assert cp_constant(1.5) == pytest.approx(assembled, abs=1e-10)
 
     def test_grid_minimum_beats_p2(self):
-        p_star, c_star = cp_grid_minimum(num=501)
+        grid = np.linspace(1.0 + 1e-6, 2.0, 501)
+        values = [cp_constant(float(p)) for p in grid]
+        p_star, c_star = float(grid[np.argmin(values)]), min(values)
         assert 1.0 < p_star <= 2.0
         assert c_star < TWO_OVER_SQRT3
 
@@ -177,6 +178,37 @@ class TestBoundReport:
             spec = random_normal_spec(rng)
             exact = normal_gmd(spec).value
             assert exact <= second_moment_bound(spec) + 1e-9
+
+    @pytest.mark.parametrize("k", [1e-13, 1.0, 1e13])
+    def test_scaled_copies_get_the_same_bounds(self, k):
+        # Whether a spec has a common mean and scale is judged against its
+        # own size: sds 1e-13 and 5e-13 are as unequal as 1 and 5, and no
+        # applicable bound falls below the exact GMD.
+        equi = 4.0 * (0.3 + 0.7 * np.eye(3))
+        bases = [
+            ("normal", [0.0, 0.0], np.diag([1.0, 25.0]), None),
+            ("normal", [0.0, 1.0], np.eye(2), None),
+            ("normal", [3.0, 3.0], np.eye(2), None),
+            ("normal", [0.5, 0.5, 0.5], equi, None),
+            ("student-t", [1.0, 1.0], 2.25 * np.eye(2), 5.0),
+        ]
+        for family, mu, sigma, nu in bases:
+            def report(scale):
+                spec = validate(DistributionSpec(family, scale * np.asarray(mu),
+                                                 scale * scale * sigma, nu=nu))
+                closed = normal_gmd(spec) if nu is None else student_gmd(spec)
+                return build_bound_report(spec, exact_gmd=closed.value).to_dict()
+
+            base, got = report(1.0), report(k)
+            assert got["notes"] == base["notes"], (mu, k)
+            for key in ("second_moment", "sqrt_one_minus_rho", "gmd2_sqrt2", "cp"):
+                if base[key] is None:
+                    assert got[key] is None, (key, mu, k)
+                    continue
+                value = got[key] if key != "cp" else got[key]["value"]
+                expected = base[key] if key != "cp" else base[key]["value"]
+                assert value == pytest.approx(k * expected, rel=1e-12), (key, mu, k)
+                assert value >= got["exact_gmd"], (key, mu, k)
 
     def test_to_dict(self):
         spec = validate(DistributionSpec("normal", [0, 0], np.eye(2)))

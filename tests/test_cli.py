@@ -9,12 +9,12 @@ import pytest
 from gmd import cli
 from gmd.bounds import build_bound_report
 from gmd.cli import main
-from gmd.closed_form import exchangeable_student_gmd, normal_gmd, student_gmd
+from gmd.closed_form import normal_gmd, student_gmd
 from gmd.model import GmdMethod, GmdResult, spec_from_dict, validate
 from gmd.monte_carlo import MonteCarloConfig, estimate_gmd
 from gmd.special import DegreesOfFreedom
 
-from helpers import reference_output
+from helpers import exchangeable_student_gmd, reference_output
 
 TWO_OVER_SQRT_PI = 1.1283791670955126
 

@@ -18,14 +18,10 @@ from scipy.special import ndtri
 
 from gmd.closed_form import (
     QuantileFunction,
-    exchangeable_normal_gmd,
-    exchangeable_student_gmd,
     gini_index,
-    gini_index_from_skew_mean,
     normal_gmd,
     normal_pair_gmd,
     quantile_gmd,
-    student_gamma_factor,
     student_gmd,
     student_pair_gmd,
 )
@@ -34,12 +30,15 @@ from gmd.model import DistributionSpec, PairParams, pair_params, validate
 from gmd.special import DegreesOfFreedom, gamma_fn, student_t_pdf
 
 from helpers import (
+    exchangeable_normal_gmd,
+    exchangeable_student_gmd,
     folded_normal_mean,
     mp_spec_gmd,
     pair_diff_params,
     random_exchangeable_spec,
     random_normal_spec,
     random_pair,
+    student_gamma_factor,
 )
 
 TWO_OVER_SQRT_PI = 1.1283791670955126
@@ -183,6 +182,8 @@ class TestNormalGmd:
 
 
 class TestExchangeableNormal:
+    """The exchangeable normal form of ``helpers``, the oracle of the kernel."""
+
     def test_uncorrelated(self):
         assert exchangeable_normal_gmd(1.0, [0.0]) == pytest.approx(TWO_OVER_SQRT_PI, abs=1e-15)
 
@@ -192,10 +193,6 @@ class TestExchangeableNormal:
     def test_half_correlation_scaled(self):
         # Frozen: (2/sqrt(pi)) * 2 * sqrt(0.5).
         assert exchangeable_normal_gmd(2.0, [0.5]) == pytest.approx(1.5957691216057307, rel=1e-14)
-
-    def test_empty_list(self):
-        with pytest.raises(DomainError):
-            exchangeable_normal_gmd(1.0, [])
 
 
 class TestStudentPair:
@@ -304,6 +301,8 @@ class TestStudentGmd:
 
 
 class TestExchangeableStudent:
+    """The exchangeable Student-t form of ``helpers``, the oracle of the kernel."""
+
     def test_nu2_standard_is_two(self):
         assert exchangeable_student_gmd(1.0, DegreesOfFreedom(2.0), [0.0]) == pytest.approx(
             2.0, abs=1e-12
@@ -387,13 +386,15 @@ class TestGiniIndex:
         with pytest.warns(UserWarning, match="nonnegative"):
             gini_index(1.0, -1.0)
 
+    # The skew-mean form: GMD = 2 (mu_G1 - mu1) with mu_G1 the mean of the
+    # 2fF order-statistic law, so the Gini index is mu_G1/mu1 - 1.
     def test_skew_mean_form_exponential(self):
         # Unit exponential: mean of 2fF is 3/2, so 3/2 - 1 = 1/2.
-        assert gini_index_from_skew_mean(1.5, 1.0) == pytest.approx(0.5, abs=1e-15)
+        assert gini_index(2.0 * (1.5 - 1.0), 1.0) == pytest.approx(0.5, abs=1e-15)
 
     def test_skew_mean_form_agrees_with_ratio_form(self):
         mu_g, mu = 0.8, 0.6
-        assert gini_index_from_skew_mean(mu_g, mu) == pytest.approx(
+        assert mu_g / mu - 1.0 == pytest.approx(
             gini_index(2.0 * (mu_g - mu), mu), rel=1e-14
         )
 

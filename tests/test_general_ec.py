@@ -5,10 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from gmd import general_ec
 from gmd.closed_form import (
-    exchangeable_student_gmd,
     normal_gmd,
     normal_pair_gmd,
     quantile_gmd,
@@ -17,12 +17,8 @@ from gmd.closed_form import (
 )
 from gmd.errors import DegeneratePairError, DomainError, NonconvergenceError
 from gmd.general_ec import (
-    gmd_exchangeable_skew,
     gmd_quadrature,
     h_density,
-    marginal_product_density,
-    max_pdf,
-    min_pdf,
     mu_H,
     reliability,
     reliability_quadrature,
@@ -33,7 +29,16 @@ from gmd.model import DistributionSpec, Family, PairParams, validate
 from gmd.quadrature import QuadratureConfig, integrate_real_line
 from gmd.special import DegreesOfFreedom, std_normal_cdf, std_normal_pdf, student_t_cdf
 
-from helpers import random_exchangeable_spec, random_normal_spec, random_pair, random_student_spec
+from helpers import (
+    exchangeable_skew_gmd,
+    exchangeable_student_gmd,
+    max_pdf,
+    min_pdf,
+    random_exchangeable_spec,
+    random_normal_spec,
+    random_pair,
+    random_student_spec,
+)
 
 INV_SQRT_PI = 0.5641895835477563  # mean of the 2*phi*Phi density
 T_CDF_4_AT_1 = 0.8130495168499706  # frozen t CDF, 4 dof, at 1
@@ -196,7 +201,8 @@ class TestReliability:
     @pytest.mark.parametrize("offset", [1e4, 1e8, 1e12])
     def test_translation_to_large_offsets(self, nu, offset):
         # Every pair integral is taken about X_j's own mean, so a location
-        # offset reaches only the mean gap, which these offsets keep exact.
+        # offset reaches only the mean gap, which these offsets keep exact;
+        # the conditional CDF moves with the pair.
         family, dof = family_and_dof(nu)
 
         def pair(c):
@@ -210,8 +216,8 @@ class TestReliability:
             reliability(base, family, dof), abs=1e-12)
         assert reliability_quadrature(moved, family, dof).value == pytest.approx(
             reliability_quadrature(base, family, dof).value, abs=1e-12)
-        assert skewing(moved).skew_cdf(offset + 0.25) == pytest.approx(
-            skewing(base).skew_cdf(0.25), abs=1e-12)
+        assert skewing(moved)(np.array([offset + 0.25]))[0] == pytest.approx(
+            skewing(base)(np.array([0.25]))[0], abs=1e-12)
 
     def test_values_are_python_floats(self):
         p = PairParams(0.3, -0.2, 1.1, 0.9, 0.25)
@@ -354,6 +360,13 @@ class TestMuH:
         with pytest.raises(MomentExistenceError):
             mu_H(std_pair(), Family.STUDENT_T, DegreesOfFreedom(1.0))
 
+    def test_student_requires_dof(self):
+        # Raised rather than asserted, so that it also holds under python -O.
+        with pytest.raises(DomainError, match="degrees of freedom"):
+            mu_H(std_pair(), Family.STUDENT_T)
+        with pytest.raises(DomainError, match="degrees of freedom"):
+            general_ec._marginal_pdf(np.array([0.0]), 0.0, 1.0, Family.STUDENT_T, None)
+
 
 class TestGmdQuadratureRoute:
     def test_normal_specs_match_closed_form(self):
@@ -405,7 +418,7 @@ class TestGmdQuadratureRoute:
         rng = np.random.default_rng(13)
         spec = random_exchangeable_spec(rng, "normal")
         assert gmd_quadrature(spec).value == pytest.approx(
-            gmd_exchangeable_skew(spec), abs=1e-8
+            exchangeable_skew_gmd(spec), abs=1e-8
         )
 
     def test_nonconvergence_names_the_pair(self):
@@ -419,44 +432,42 @@ class TestGmdQuadratureRoute:
 
 
 class TestExchangeableSkewRoute:
+    """The skew-symmetric form 4 int x f pi of an exchangeable spec, with pi
+    from ``skewing_*``, against the other routes."""
+
     def test_iid_standard_normal_n2(self):
         spec = validate(DistributionSpec("normal", [0, 0], np.eye(2)))
-        assert gmd_exchangeable_skew(spec) == pytest.approx(2.0 * INV_SQRT_PI, abs=1e-9)
+        assert exchangeable_skew_gmd(spec) == pytest.approx(2.0 * INV_SQRT_PI, abs=1e-9)
 
     def test_iid_equals_quantile_route(self):
         from scipy.special import ndtri
 
         spec = validate(DistributionSpec("normal", [0, 0], np.eye(2)))
-        v_skew = gmd_exchangeable_skew(spec)
+        v_skew = exchangeable_skew_gmd(spec)
         v_quantile = quantile_gmd(QuantileFunction(ndtri))
         assert v_skew == pytest.approx(v_quantile, abs=1e-8)
 
     def test_location_shift_invariance(self):
         base = validate(DistributionSpec("normal", [0, 0, 0], np.eye(3) * 2.0))
         moved = validate(DistributionSpec("normal", [7, 7, 7], np.eye(3) * 2.0))
-        assert gmd_exchangeable_skew(moved) == pytest.approx(
-            gmd_exchangeable_skew(base), abs=1e-10
+        assert exchangeable_skew_gmd(moved) == pytest.approx(
+            exchangeable_skew_gmd(base), abs=1e-10
         )
 
     def test_correlated_exchangeable_matches_closed_form(self):
         rng = np.random.default_rng(14)
         for _ in range(5):
             spec = random_exchangeable_spec(rng, "normal")
-            assert gmd_exchangeable_skew(spec) == pytest.approx(
+            assert exchangeable_skew_gmd(spec) == pytest.approx(
                 normal_gmd(spec).value, abs=1e-8
             )
 
     def test_student_family(self):
         rng = np.random.default_rng(15)
         spec = random_exchangeable_spec(rng, "student-t", nu=4.0)
-        assert gmd_exchangeable_skew(spec) == pytest.approx(
+        assert exchangeable_skew_gmd(spec) == pytest.approx(
             student_gmd(spec).value, abs=1e-7
         )
-
-    def test_non_exchangeable_rejected(self):
-        spec = validate(DistributionSpec("normal", [0, 1], np.eye(2)))
-        with pytest.raises(DomainError, match="equal means"):
-            gmd_exchangeable_skew(spec)
 
 
 class TestExtremeParameters:
@@ -518,21 +529,29 @@ class TestExtremeParameters:
 
 
 class TestSkewDensityEvaluables:
+    """The skew density 2 f_j pi_ij of the i.i.d. standard normal pair.
+
+    Independence makes pi_ij the marginal CDF, so this is the classical
+    marginal product 2 f F, the density of the pair's max; its CDF is G.
+    """
+
+    @staticmethod
+    def density(x):
+        return 2.0 * std_normal_pdf(x) * skewing_normal(std_pair())(x)
+
     def test_marginal_product_density_normalized(self):
-        density = marginal_product_density(std_pair(), Family.NORMAL)
-        res = integrate_real_line(density)
+        res = integrate_real_line(self.density)
         assert res.value == pytest.approx(1.0, abs=1e-10)
 
     def test_marginal_product_density_mean(self):
-        density = marginal_product_density(std_pair(), Family.NORMAL)
-        res = integrate_real_line(lambda x: x * density(x))
+        res = integrate_real_line(lambda x: x * self.density(x))
         assert res.value == pytest.approx(INV_SQRT_PI, abs=1e-10)
 
     def test_skew_cdf_at_center(self):
         # For the iid standard normal pair, G(0) = Phi(0)^2 = 1/4.
-        skew = skewing_normal(std_pair())
-        assert skew.skew_cdf(0.0) == pytest.approx(0.25, abs=1e-9)
+        value, _ = integrate.quad(self.density, -np.inf, 0.0, epsabs=1e-12)
+        assert value == pytest.approx(0.25, abs=1e-9)
 
     def test_skew_cdf_saturates(self):
-        skew = skewing_normal(std_pair())
-        assert skew.skew_cdf(12.0) == pytest.approx(1.0, abs=1e-9)
+        value, _ = integrate.quad(self.density, -np.inf, 12.0, epsabs=1e-12)
+        assert value == pytest.approx(1.0, abs=1e-9)

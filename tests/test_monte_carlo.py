@@ -6,26 +6,23 @@ import numpy as np
 import pytest
 from scipy.special import stdtrit
 
-from gmd.closed_form import exchangeable_student_gmd, normal_gmd
+from gmd.closed_form import normal_gmd
 from gmd.errors import DomainError
-from gmd.model import DistributionSpec, validate
+from gmd.model import DistributionSpec, GmdResult, validate
 from gmd.monte_carlo import (
     BLOCK_VALUES,
     NORMAL_METHOD,
     PRNG_NAME,
-    GmdEstimate,
     MonteCarloConfig,
     classic_empirical_gmd,
-    empirical_gmd,
     estimate_from_samples,
     estimate_gmd,
     sample,
-    sample_mvn,
-    sample_mvt,
 )
 from gmd.special import DegreesOfFreedom
 
 from helpers import (
+    exchangeable_student_gmd,
     random_normal_spec,
     random_student_spec,
     reference_pair_stats,
@@ -37,6 +34,11 @@ TWO_OVER_SQRT_PI = 1.1283791670955126
 
 def iid_normal_spec(n=2):
     return validate(DistributionSpec("normal", np.zeros(n), np.eye(n)))
+
+
+def empirical(samples):
+    """The empirical GMD of drawn samples, as ``estimate`` reports it."""
+    return estimate_from_samples(samples, MonteCarloConfig())
 
 
 class TestConfig:
@@ -59,31 +61,31 @@ class TestDeterminism:
     def test_same_seed_same_samples(self):
         spec = iid_normal_spec()
         cfg = MonteCarloConfig(draws=1000, seed=42)
-        np.testing.assert_array_equal(sample_mvn(spec, cfg), sample_mvn(spec, cfg))
+        np.testing.assert_array_equal(sample(spec, cfg), sample(spec, cfg))
 
     def test_different_seeds_differ(self):
         spec = iid_normal_spec()
-        a = sample_mvn(spec, MonteCarloConfig(draws=1000, seed=1))
-        b = sample_mvn(spec, MonteCarloConfig(draws=1000, seed=2))
+        a = sample(spec, MonteCarloConfig(draws=1000, seed=1))
+        b = sample(spec, MonteCarloConfig(draws=1000, seed=2))
         assert not np.array_equal(a, b)
 
     def test_chunked_run_is_reproducible(self):
         spec = iid_normal_spec()
         cfg = MonteCarloConfig(draws=10_000, seed=7, chunks=8)
-        np.testing.assert_array_equal(sample_mvn(spec, cfg), sample_mvn(spec, cfg))
+        np.testing.assert_array_equal(sample(spec, cfg), sample(spec, cfg))
 
     def test_threaded_equals_sequential(self, monkeypatch):
         spec = iid_normal_spec(3)
         cfg = MonteCarloConfig(draws=20_000, seed=3, chunks=4)
-        sequential = sample_mvn(spec, cfg)
+        sequential = sample(spec, cfg)
         monkeypatch.setenv("GMD_THREADS", "4")
-        threaded = sample_mvn(spec, cfg)
+        threaded = sample(spec, cfg)
         np.testing.assert_array_equal(sequential, threaded)
 
     def test_student_same_seed(self):
         spec = validate(DistributionSpec("student-t", [0, 0], np.eye(2), nu=3.0))
         cfg = MonteCarloConfig(draws=1000, seed=9)
-        np.testing.assert_array_equal(sample_mvt(spec, cfg), sample_mvt(spec, cfg))
+        np.testing.assert_array_equal(sample(spec, cfg), sample(spec, cfg))
 
 
 class TestSampleMoments:
@@ -91,7 +93,7 @@ class TestSampleMoments:
         rng = np.random.default_rng(20)
         spec = random_normal_spec(rng, 3)
         draws = 200_000
-        x = sample_mvn(spec, MonteCarloConfig(draws=draws, seed=11))
+        x = sample(spec, MonteCarloConfig(draws=draws, seed=11))
         sds = np.sqrt(np.diag(spec.sigma_mat))
         np.testing.assert_array_less(
             np.abs(x.mean(axis=0) - spec.mu), 4.0 * sds / math.sqrt(draws)
@@ -101,7 +103,7 @@ class TestSampleMoments:
         rng = np.random.default_rng(21)
         spec = random_normal_spec(rng, 3)
         draws = 200_000
-        x = sample_mvn(spec, MonteCarloConfig(draws=draws, seed=12))
+        x = sample(spec, MonteCarloConfig(draws=draws, seed=12))
         cov = np.cov(x, rowvar=False)
         tol = 5.0 * math.sqrt(2.0 / draws) * float(np.max(np.abs(spec.sigma_mat)))
         assert float(np.max(np.abs(cov - spec.sigma_mat))) < tol
@@ -112,8 +114,8 @@ class TestSampleMoments:
         n_spec = validate(DistributionSpec("normal", [1.0, -1.0],
                                            [[2.0, 0.5], [0.5, 1.0]]))
         draws = 100_000
-        xt = sample_mvt(t_spec, MonteCarloConfig(draws=draws, seed=13))
-        xn = sample_mvn(n_spec, MonteCarloConfig(draws=draws, seed=13))
+        xt = sample(t_spec, MonteCarloConfig(draws=draws, seed=13))
+        xn = sample(n_spec, MonteCarloConfig(draws=draws, seed=13))
         assert np.abs(xt.mean(axis=0) - xn.mean(axis=0)).max() < 0.02
         assert np.abs(np.cov(xt, rowvar=False) - np.cov(xn, rowvar=False)).max() < 0.05
 
@@ -123,51 +125,46 @@ class TestSampleMoments:
             DistributionSpec("student-t", [0.0, mu_j],
                              [[1.0, 0.0], [0.0, sd_j**2]], nu=nu)
         )
-        x = sample_mvt(spec, MonteCarloConfig(draws=400_000, seed=14))
+        x = sample(spec, MonteCarloConfig(draws=400_000, seed=14))
         for q in (0.05, 0.25, 0.5, 0.75, 0.95):
             expected = mu_j + sd_j * float(stdtrit(nu, q))
             got = float(np.quantile(x[:, 1], q))
             assert got == pytest.approx(expected, abs=0.03)
 
-    def test_family_mismatch_rejected(self):
-        spec = iid_normal_spec()
-        with pytest.raises(DomainError):
-            sample_mvt(spec, MonteCarloConfig(draws=1000, seed=0))
-
 
 class TestEmpiricalGmd:
     def test_constant_columns(self):
-        est = empirical_gmd(np.ones((5000, 2)))
+        est = empirical(np.ones((5000, 2)))
         assert est.value == 0.0
-        assert est.std_error == 0.0
+        assert est.diagnostics["std_error"] == 0.0
 
     def test_iid_normal_pair(self):
         spec = iid_normal_spec()
-        x = sample_mvn(spec, MonteCarloConfig(draws=1_000_000, seed=15))
-        est = empirical_gmd(x)
-        assert isinstance(est, GmdEstimate)
-        assert abs(est.value - TWO_OVER_SQRT_PI) < 3.0 * est.std_error
-        assert est.draws == 1_000_000
+        x = sample(spec, MonteCarloConfig(draws=1_000_000, seed=15))
+        est = empirical(x)
+        assert isinstance(est, GmdResult)
+        assert abs(est.value - TWO_OVER_SQRT_PI) < 3.0 * est.diagnostics["std_error"]
+        assert est.diagnostics["draws"] == 1_000_000
 
     def test_exchangeable_student_nu2(self):
         spec = validate(DistributionSpec("student-t", [0, 0], np.eye(2), nu=2.0))
-        x = sample_mvt(spec, MonteCarloConfig(draws=1_000_000, seed=16))
-        est = empirical_gmd(x)
+        x = sample(spec, MonteCarloConfig(draws=1_000_000, seed=16))
+        est = empirical(x)
         expected = exchangeable_student_gmd(1.0, DegreesOfFreedom(2.0), [0.0])
-        assert abs(est.value - expected) < 3.0 * est.std_error
+        assert abs(est.value - expected) < 3.0 * est.diagnostics["std_error"]
 
     def test_std_error_scales_inverse_sqrt(self):
         spec = iid_normal_spec()
-        small = empirical_gmd(sample_mvn(spec, MonteCarloConfig(draws=50_000, seed=17)))
-        large = empirical_gmd(sample_mvn(spec, MonteCarloConfig(draws=800_000, seed=17)))
-        ratio = small.std_error / large.std_error
+        small = empirical(sample(spec, MonteCarloConfig(draws=50_000, seed=17)))
+        large = empirical(sample(spec, MonteCarloConfig(draws=800_000, seed=17)))
+        ratio = small.diagnostics["std_error"] / large.diagnostics["std_error"]
         assert ratio == pytest.approx(4.0, rel=0.25)
 
     def test_input_validation(self):
         with pytest.raises(DomainError):
-            empirical_gmd(np.zeros((10, 1)))
+            empirical(np.zeros((10, 1)))
         with pytest.raises(DomainError):
-            empirical_gmd(np.zeros((1, 3)))
+            empirical(np.zeros((1, 3)))
 
     def test_estimator_consistency_many_specs(self):
         # 3 sigma with a binomial allowance: at most 2 exceedances in 50.
@@ -176,9 +173,9 @@ class TestEmpiricalGmd:
         for k in range(50):
             spec = random_normal_spec(rng)
             exact = normal_gmd(spec).value
-            x = sample_mvn(spec, MonteCarloConfig(draws=1_000_000, seed=1000 + k))
-            est = empirical_gmd(x)
-            if abs(est.value - exact) > 3.0 * est.std_error:
+            x = sample(spec, MonteCarloConfig(draws=1_000_000, seed=1000 + k))
+            est = empirical(x)
+            if abs(est.value - exact) > 3.0 * est.diagnostics["std_error"]:
                 exceedances += 1
         assert exceedances <= 2
 
@@ -202,9 +199,7 @@ class TestBlockedKernel:
         np.testing.assert_allclose(result.pair_values, ref_means, rtol=1e-13, atol=0)
         assert result.diagnostics["std_error"] == pytest.approx(ref_se, rel=1e-12, abs=0)
         assert result.value == pytest.approx(ref_means.mean(), rel=1e-13)
-        est = empirical_gmd(x)
-        assert (est.value, est.std_error, est.draws) == (
-            result.value, result.diagnostics["std_error"], draws)
+        assert result.diagnostics["draws"] == draws
 
     @pytest.mark.parametrize("threads", [None, "2"])
     @pytest.mark.parametrize("chunks", [1, 3])

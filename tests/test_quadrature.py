@@ -8,7 +8,6 @@ import pytest
 from gmd.errors import DomainError, NonconvergenceError
 from gmd.quadrature import (
     QuadratureConfig,
-    integrate_half_line_below,
     integrate_interval,
     integrate_real_line,
     integrate_real_line_split,
@@ -63,7 +62,6 @@ class TestFiniteInterval:
             integrate_interval(lambda x: x * x, 0.0, 1.0),
             integrate_interval(lambda x: x * x, 0.0, 1.0, extra_edges=edges),
             integrate_real_line(phi, features=[(0.5, 0.1)]),
-            integrate_half_line_below(phi, 0.5),
             integrate_real_line_split(lambda x: 1.0 / (1.0 + x * x) ** 1.5),
         )
         for res in results:
@@ -101,18 +99,6 @@ class TestRealLine:
     def test_bad_scale(self):
         with pytest.raises(DomainError):
             integrate_real_line(phi, scale=0.0)
-
-
-class TestHalfLine:
-    def test_gaussian_mass_below_zero(self):
-        res = integrate_half_line_below(phi, 0.0)
-        assert res.value == pytest.approx(0.5, abs=1e-11)
-
-    def test_gaussian_mass_below_one(self):
-        from scipy.special import ndtr
-
-        res = integrate_half_line_below(phi, 1.0)
-        assert res.value == pytest.approx(float(ndtr(1.0)), abs=1e-11)
 
 
 class TestSplitWithTails:
