@@ -12,13 +12,13 @@ verify comparison.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from pathlib import Path
 from typing import Any
 
 import numpy as np
-from scipy.special import ndtri, stdtrit
 
 from . import closed_form, general_ec, monte_carlo
 from .bounds import build_bound_report
@@ -249,6 +249,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_quantile(args: argparse.Namespace) -> int:
+    # The only command that needs scipy for a normal spec; the others stay
+    # free of its import time.
+    from scipy.special import ndtri, stdtrit
+
     spec = _load_spec(args, require_mean=True)
     mu1 = float(spec.mu[0])
     sd1 = spec.scale_sd(0)
@@ -272,7 +276,9 @@ def _cmd_quantile(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and reused after."""
     parser = argparse.ArgumentParser(
         prog="gmd",
         description="Gini mean difference of correlated normal / Student-t vectors.",

@@ -8,20 +8,39 @@ call.  All functions are total over their documented domains:
 out-of-domain input (any non-finite element) raises ``DomainError``
 instead of silently returning NaN.  Everything here is pure and
 reentrant.
+
+The normal functions need only the standard library and numpy.  Phi(x)
+is 0.5 erfc(-x/sqrt(2)), the formula scipy's ``ndtr`` uses, with
+``math.erfc`` mapped over the elements.  Rounding -x/sqrt(2) to a double
+moves Phi by up to x^2 eps relative in the lower tail, which is Phi's own
+conditioning there; against mpmath on [-37, 9] the relative error is
+within (x^2 + 4) eps at every point and at most 1.9e-13 (``ndtr``:
+2.3e-13).  The gamma function is ``math.gamma``.  Only the Student-t
+density (``betaln``) and CDF (``betainc``) load ``scipy.special``, on
+their first call, so a run on normal specs never imports it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import ArrayLike
-from scipy import special as sp
 
 from .errors import DomainError, MomentExistenceError
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+_SQRT_HALF = math.sqrt(0.5)
+
+
+@functools.cache
+def _scipy_special():
+    """``scipy.special``, imported on the first Student-t evaluation."""
+    from scipy import special
+
+    return special
 
 
 @dataclass(frozen=True)
@@ -78,7 +97,11 @@ def std_normal_pdf(x: ArrayLike) -> float | np.ndarray:
 
 def std_normal_cdf(x: ArrayLike) -> float | np.ndarray:
     """CDF of the standard normal, accurate into both tails."""
-    return _float_if_scalar(sp.ndtr(_finite_array(x)))
+    x = _finite_array(x)
+    args = (x * -_SQRT_HALF).ravel().tolist()
+    values = np.fromiter(map(math.erfc, args), dtype=float, count=len(args))
+    values *= 0.5
+    return _float_if_scalar(values.reshape(x.shape))
 
 
 def _student_t_log_norm(nu: float) -> float:
@@ -92,7 +115,7 @@ def _student_t_log_norm(nu: float) -> float:
     Bernoulli terms through x^-7 are kept; the next is below 1e-18.
     """
     if nu < 100.0:
-        return float(-sp.betaln(0.5, 0.5 * nu) - 0.5 * math.log(nu))
+        return float(-_scipy_special().betaln(0.5, 0.5 * nu) - 0.5 * math.log(nu))
     y = 1.0 / (0.5 * nu)
     y2 = y * y
     return -0.5 * math.log(2.0 * math.pi) + y * (
@@ -127,17 +150,25 @@ def student_t_cdf(x: ArrayLike, dof: DegreesOfFreedom) -> float | np.ndarray:
     one ``betainc`` call with per-element parameters.  Stable up to
     nu ~ 1e6; exactly 1/2 at x = 0.
     """
-    x = _finite_array(x)
-    nu = dof.nu
-    # An overflowed x*x is inf: the tail argument nu/(nu + x^2) is then 0.
-    with np.errstate(over="ignore"):
+    x = np.asarray(x, dtype=float)
+    # Below 1e154 no square overflows: one comparison checks that and that
+    # every element is finite (NaN compares false).
+    if np.abs(x).max(initial=0.0) < 1e154:
         x2 = x * x
+    else:
+        x = _finite_array(x)
+        # An overflowed x*x is inf: the tail argument nu/(nu + x^2) is then 0.
+        with np.errstate(over="ignore"):
+            x2 = x * x
+    nu = dof.nu
     centre = x2 < nu
     a = np.where(centre, 0.5, 0.5 * nu)
     b = np.where(centre, 0.5 * nu, 0.5)
-    mass = 0.5 * sp.betainc(a, b, np.where(centre, x2, nu) / (nu + x2))
-    below = np.where(centre, 0.5 - mass, mass)  # P(T < -|x|)
-    return _float_if_scalar(np.where(x < 0, below, 1.0 - below))
+    # min(x^2, nu) is x^2 in the centre and nu in the tails.
+    mass = _scipy_special().betainc(a, b, np.minimum(x2, nu) / (nu + x2)) * 0.5
+    below = np.where(centre, 0.5 - mass, mass)  # P(T < -|x|), an array even at 0-d
+    np.subtract(1.0, below, out=below, where=x >= 0)
+    return _float_if_scalar(below)
 
 
 def gamma_fn(x: float) -> float:
@@ -145,7 +176,7 @@ def gamma_fn(x: float) -> float:
     x = _check_finite(x)
     if x <= 0:
         raise DomainError(f"gamma_fn requires x > 0, got {x}")
-    return float(sp.gamma(x))
+    return math.gamma(x)
 
 
 def lp_norm_std_normal(p: float) -> float:

@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -371,3 +375,33 @@ class TestReportBytes:
         result = GmdResult(1.0, GmdMethod.CLOSED_FORM, values, {"degenerate_pairs": 0})
         cli._emit(cli._result_report(result), output)
         assert capsys.readouterr().out == reference_output(result.to_dict(), output)
+
+
+_SCIPY_FREE_RUN = """
+import contextlib, io, sys
+from gmd.cli import main
+
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        return main(list(argv))
+
+normal, student = sys.argv[1:]
+for argv in (["closed-form", normal], ["bound", normal],
+             ["verify", normal, "--draws", "2000"], ["estimate", normal, "--draws", "2000"]):
+    assert run(*argv) == 0, argv
+    loaded = sorted(name for name in sys.modules if name.startswith("scipy"))
+    assert not loaded, (argv, loaded[:5])
+for argv in (["closed-form", student], ["quantile-gmd", normal], ["quantile-gmd", student]):
+    assert run(*argv) == 0, argv
+assert "scipy.special" in sys.modules
+"""
+
+
+def test_normal_commands_never_import_scipy(tmp_path, iid_normal_spec, student_spec):
+    # A fresh interpreter: this one has scipy loaded by the test modules.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_FREE_RUN, iid_normal_spec, student_spec],
+                          env=env, cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]

@@ -6,6 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.special import betainc, ndtr
 
 from gmd.errors import DomainError, MomentExistenceError
 from gmd.special import (
@@ -75,6 +76,49 @@ class TestStdNormalCdf:
     def test_non_finite_rejected(self, bad):
         with pytest.raises(DomainError):
             std_normal_cdf(bad)
+
+
+class TestStdNormalCdfAccuracy:
+    """Phi against mpmath on [-37, 9] and near 0, scipy's ``ndtr`` the comparator.
+
+    Both evaluate 0.5 erfc(z) at z = -x/sqrt(2) rounded to a double.  The
+    rounding shifts Phi by up to about x^2 eps relative in the lower tail,
+    which is Phi's own conditioning there, and scipy's erfc error (up to
+    5.7e-14) at times cancels part of that shift and at times adds to it.
+    So each point compares the erfc evaluations against the exact 0.5 erfc
+    at the rounded argument, and Phi(x) is held to the conditioning bound
+    at every point and to scipy's worst case over the grid.
+    """
+
+    EPS = np.finfo(float).eps
+
+    @pytest.fixture(scope="class")
+    def grid(self):
+        mpmath.mp.dps = 30
+        near_zero = np.geomspace(1e-300, 1.0, 100)
+        x = np.concatenate([np.linspace(-37.0, 9.0, 4001), near_zero, -near_zero, [0.0]])
+        z = x * -math.sqrt(0.5)
+        phi = np.array([float(mpmath.ncdf(mpmath.mpf(float(v)))) for v in x])
+        at_z = np.array([float(mpmath.erfc(mpmath.mpf(float(v))) / 2) for v in z])
+        return x, phi, at_z, std_normal_cdf(x), ndtr(x)
+
+    def test_evaluation_no_worse_than_scipy_at_every_point(self, grid):
+        _, _, at_z, got, scipy_values = grid
+        excess = np.abs(got - at_z) - (np.abs(scipy_values - at_z) + 4 * self.EPS * at_z)
+        assert excess.max() <= 0.0
+
+    def test_conditioning_bound_at_every_point(self, grid):
+        x, phi, _, got, _ = grid
+        assert np.all(np.abs(got - phi) <= (x * x + 4.0) * self.EPS * phi)
+
+    def test_worst_case_no_worse_than_scipy(self, grid):
+        _, phi, _, got, scipy_values = grid
+        assert np.max(np.abs(got - phi) / phi) <= np.max(np.abs(scipy_values - phi) / phi)
+
+    def test_exact_values(self, grid):
+        x, _, _, got, _ = grid
+        assert np.all(got[np.abs(x) < 1e-17] == 0.5)
+        assert std_normal_cdf(-40.0) == 0.0 and std_normal_cdf(9.0) == 1.0
 
 
 class TestStudentTPdf:
@@ -256,3 +300,20 @@ class TestStudentTAccuracy:
             exact = mpmath.betainc(0.5, nu_ / 2, 0, x * x / (nu_ + x * x), regularized=True) / 2
             got = student_t_cdf(x, DegreesOfFreedom(nu)) - 0.5
             assert abs(got - float(exact)) <= 4 * np.finfo(float).eps
+
+    @pytest.mark.parametrize("nu", [0.5, 1.05, 2.0, 4.0, 30.0, 1e6])
+    def test_cdf_equals_the_branchwise_reference(self, nu):
+        # The same per-element arithmetic, written one np.where per choice:
+        # the same betainc arguments and reflection, so equal bits.
+        rng = np.random.default_rng(7)
+        x = np.concatenate([rng.standard_t(1.5, 2000) * 10.0 ** rng.integers(-8, 8, 2000),
+                            [0.0, -0.0, math.sqrt(nu), -math.sqrt(nu), 1e160, -1e200]])
+        with np.errstate(over="ignore"):
+            x2 = x * x
+        centre = x2 < nu
+        a = np.where(centre, 0.5, 0.5 * nu)
+        b = np.where(centre, 0.5 * nu, 0.5)
+        mass = 0.5 * betainc(a, b, np.where(centre, x2, nu) / (nu + x2))
+        below = np.where(centre, 0.5 - mass, mass)
+        expected = np.where(x < 0, below, 1.0 - below)
+        assert np.array_equal(student_t_cdf(x, DegreesOfFreedom(nu)), expected)
