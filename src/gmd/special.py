@@ -12,12 +12,13 @@ reentrant.
 The normal functions need only the standard library and numpy.  Phi(x)
 is 0.5 erfc(-x/sqrt(2)), the formula scipy's ``ndtr`` uses, with
 ``math.erfc`` mapped over the elements.  Rounding -x/sqrt(2) to a double
-moves Phi by up to x^2 eps relative in the lower tail, which is Phi's own
-conditioning there; against mpmath on [-37, 9] the relative error is
-within (x^2 + 4) eps at every point and at most 1.9e-13 (``ndtr``:
-2.3e-13).  The gamma function is ``math.gamma``.  Only the Student-t
-density (``betaln``) and CDF (``betainc``) load ``scipy.special``, on
-their first call, so a run on normal specs never imports it.
+moves Phi by up to x^2 eps relative in the lower tail, so below x = -1
+that shift is taken back to first order.  Against mpmath on 46,001
+points of [-37, 9] the relative error is at most 2.1 eps (``ndtr``:
+2.4e-13), and at every point within 4 eps of ``ndtr``'s own error.  The
+gamma function is ``math.gamma``.  Only the Student-t density
+(``betaln``) and CDF (``betainc``) load ``scipy.special``, on their
+first call, so a run on normal specs never imports it.
 """
 
 from __future__ import annotations
@@ -33,6 +34,12 @@ from .errors import DomainError, MomentExistenceError
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _SQRT_HALF = math.sqrt(0.5)
+_INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
+# 1/sqrt(2) = _HALF_ROOT_HI + _HALF_ROOT_LO to about 2^-77: the head has
+# 24 bits, so its product with a float32 is exact (and, being a float64
+# scalar, is computed in float64).
+_HALF_ROOT_HI = np.float64(np.float32(_SQRT_HALF))
+_HALF_ROOT_LO = 1.210161710447897e-08
 
 
 @functools.cache
@@ -98,10 +105,31 @@ def std_normal_pdf(x: ArrayLike) -> float | np.ndarray:
 def std_normal_cdf(x: ArrayLike) -> float | np.ndarray:
     """CDF of the standard normal, accurate into both tails."""
     x = _finite_array(x)
-    args = (x * -_SQRT_HALF).ravel().tolist()
+    flat = x.ravel()
+    args = (flat * -_SQRT_HALF).tolist()
     values = np.fromiter(map(math.erfc, args), dtype=float, count=len(args))
     values *= 0.5
+    (tail,) = (flat < -1.0).nonzero()
+    if tail.size:
+        values[tail] += _argument_rounding_correction(flat[tail])
     return _float_if_scalar(values.reshape(x.shape))
+
+
+def _argument_rounding_correction(x: np.ndarray) -> np.ndarray:
+    """Phi(x) - 0.5 erfc(z) to first order, z = -x/sqrt(2) rounded to a double.
+
+    The rounding leaves r = -x/sqrt(2) - z, which moves Phi by -r times
+    exp(-z^2)/sqrt(pi): up to x^2 eps relative in the lower tail, under
+    1.5 eps above x = -1.  -r is formed from the float32 head of x:
+    head * _HALF_ROOT_HI is exact and cancels z exactly, and the other
+    terms are about 2^-24 of z, so -r is good to about 2^-24 relative,
+    far more than the correction needs.
+    """
+    x = np.maximum(x, -40.0)  # Phi(-40) is 0 in doubles; keeps w^2 finite
+    w = x * _SQRT_HALF  # -z
+    head = x.astype(np.float32)
+    minus_r = (head * _HALF_ROOT_HI - w) + (x * _HALF_ROOT_LO + (x - head) * _HALF_ROOT_HI)
+    return minus_r * _INV_SQRT_PI * np.exp(w * -w)
 
 
 def _student_t_log_norm(nu: float) -> float:
@@ -150,16 +178,10 @@ def student_t_cdf(x: ArrayLike, dof: DegreesOfFreedom) -> float | np.ndarray:
     one ``betainc`` call with per-element parameters.  Stable up to
     nu ~ 1e6; exactly 1/2 at x = 0.
     """
-    x = np.asarray(x, dtype=float)
-    # Below 1e154 no square overflows: one comparison checks that and that
-    # every element is finite (NaN compares false).
-    if np.abs(x).max(initial=0.0) < 1e154:
+    x = _finite_array(x)
+    # An overflowed x*x is inf: the tail argument nu/(nu + x^2) is then 0.
+    with np.errstate(over="ignore"):
         x2 = x * x
-    else:
-        x = _finite_array(x)
-        # An overflowed x*x is inf: the tail argument nu/(nu + x^2) is then 0.
-        with np.errstate(over="ignore"):
-            x2 = x * x
     nu = dof.nu
     centre = x2 < nu
     a = np.where(centre, 0.5, 0.5 * nu)
@@ -176,7 +198,10 @@ def gamma_fn(x: float) -> float:
     x = _check_finite(x)
     if x <= 0:
         raise DomainError(f"gamma_fn requires x > 0, got {x}")
-    return math.gamma(x)
+    try:
+        return math.gamma(x)
+    except OverflowError:  # Gamma(x) exceeds the largest double from x ~ 171.62
+        return math.inf
 
 
 def lp_norm_std_normal(p: float) -> float:
