@@ -20,7 +20,11 @@ integrals are taken about X_j's own mean: each is one call of
 location, so no abscissa carries a location offset.  They run on
 adaptive quadrature with the densities and CDFs of ``special``, which
 makes this module the numerical cross-check for every closed form in
-``closed_form``.  Only the normal and Student-t conditional laws ship;
+``closed_form``.  Each is one tangent-map integral over the real line.
+A Student-t moment integrand decays only like |x|^-nu, since pi_ij tends
+to a constant on each side, so those two limits are subtracted first
+and their share comes back in closed form from the marginal's partial
+first moment.  Only the normal and Student-t conditional laws ship;
 the integrals take the conditional CDF as a function, so further
 families plug in without structural change.
 
@@ -30,6 +34,7 @@ here; the closed-form module owns the degenerate-pair convention.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from typing import Callable
 
@@ -48,7 +53,7 @@ from .quadrature import (
     QuadratureConfig,
     QuadratureResult,
     integrate_real_line,
-    integrate_real_line_split,
+    integrate_real_line_split,  # no route calls it; the benchmark's tracer wraps it
 )
 from .special import (
     DegreesOfFreedom,
@@ -163,6 +168,26 @@ def _centred(p: PairParams) -> PairParams:
     return PairParams(p.mu_i - p.mu_j, 0.0, p.sigma_i, p.sigma_j, p.rho_ij)
 
 
+def _student_asymptote(
+    p: PairParams, dof: DegreesOfFreedom
+) -> tuple[float, float, float]:
+    """pi_ij's limits c- at -inf and c+ at +inf, and the integral of
+    x f_{X_j}(x) c(x) with c = c+ above mu_j and c- below it.
+
+    The skewing argument tends to -k and +k with
+    k = sqrt((nu+1)/(1-rho^2)) (sigma_j/sigma_i - rho), so c+- = T_{nu+1}(+-k).
+    X_j's partial first moments above and below mu_j are
+    mu_j/2 +- sigma_j nu/(nu-1) f_nu(0).
+    """
+    nu = dof.nu
+    k = math.sqrt((nu + 1.0) / (1.0 - p.rho_ij**2)) * (p.sigma_j / p.sigma_i - p.rho_ij)
+    conditional = DegreesOfFreedom(nu + 1.0)
+    c_lo = student_t_cdf(-k, conditional)
+    c_hi = student_t_cdf(k, conditional)
+    half_moment = p.sigma_j * nu / (nu - 1.0) * student_t_pdf(0.0, dof)
+    return c_lo, c_hi, p.mu_j * 0.5 * (c_lo + c_hi) + (c_hi - c_lo) * half_moment
+
+
 def _pair_integral(
     p: PairParams,
     family: Family,
@@ -172,22 +197,28 @@ def _pair_integral(
 ) -> QuadratureResult:
     """Integral of f_{X_j}(x) pi_ij(x), times x if ``moment``, over the real line.
 
-    Student-t moments with nu in (1, 2] decay like |x|^{-nu}, too slowly
-    for the tangent substitution to resolve at tight tolerances, so the
-    domain is split at +/- 10 scale units and the tails extrapolated.
+    One tangent-map integral centred at mu_j, which puts a panel edge
+    there.  A Student-t moment integrand decays like |x|^-nu, too slowly
+    for the map as nu nears 1, so pi_ij's limits (c- below mu_j, c+
+    above) are subtracted from it; the remainder decays like |x|^-(nu+1),
+    and the subtracted part's integral is added in closed form.
     """
     skew = _skewing(p, family, dof)
+    share = 0.0
+    if moment and family is Family.STUDENT_T:
+        c_lo, c_hi, share = _student_asymptote(p, _t_dof(dof))
+        full_skew = skew
+
+        def skew(x: np.ndarray) -> np.ndarray:
+            return full_skew(x) - np.where(x > p.mu_j, c_hi, c_lo)
 
     def integrand(x: np.ndarray) -> np.ndarray:
         weight = _marginal_pdf(x, p.mu_j, p.sigma_j, family, dof) * skew(x)
         return x * weight if moment else weight
 
-    features = _skew_transition(p)
-    if moment and family is Family.STUDENT_T and dof is not None and dof.nu <= 2.0:
-        return integrate_real_line_split(integrand, config, center=p.mu_j, scale=p.sigma_j,
-                                         split=10.0, features=features)
-    return integrate_real_line(integrand, config, center=p.mu_j, scale=p.sigma_j,
-                               features=features)
+    result = integrate_real_line(integrand, config, center=p.mu_j, scale=p.sigma_j,
+                                 features=_skew_transition(p))
+    return dataclasses.replace(result, value=result.value + share)
 
 
 def reliability_quadrature(
@@ -261,7 +292,7 @@ def gmd_quadrature(spec: ValidatedSpec, config: QuadratureConfig | None = None) 
     Each pair is integrated with X_j's mean moved to 0 (GMD does not
     depend on location).  Agrees with the closed forms to quadrature
     accuracy; diagnostics carry the accumulated per-pair quadrature error
-    estimates.
+    estimates, the subdivisions and the GK15 panels evaluated.
     """
     if spec.family is Family.STUDENT_T:
         assert spec.dof is not None
@@ -270,6 +301,7 @@ def gmd_quadrature(spec: ValidatedSpec, config: QuadratureConfig | None = None) 
     values = np.empty(len(pairs))
     total_err = 0.0
     total_sub = 0
+    total_panels = 0
     for k, (i, j) in enumerate(pairs):
         local = _centred(pair_params(spec, i, j))
         try:
@@ -280,7 +312,9 @@ def gmd_quadrature(spec: ValidatedSpec, config: QuadratureConfig | None = None) 
         values[k] = 2.0 * (ij.value + ji.value) - local.mu_i - local.mu_j
         total_err += 2.0 * (ij.error + ji.error)
         total_sub += ij.subdivisions + ji.subdivisions
+        total_panels += ij.panels + ji.panels
     result = GmdResult(float(values.sum()) / values.size, GmdMethod.QUADRATURE, values)
     result.diagnostics["abs_error_estimate"] = float(total_err) / values.size
     result.diagnostics["quadrature_subdivisions"] = total_sub
+    result.diagnostics["quadrature_panels"] = total_panels
     return result

@@ -3,11 +3,13 @@
 The engine is a 15-point Kronrod rule with the embedded 7-point Gauss rule
 for error estimation, refined by bisecting the panel with the largest
 error until both tolerances are met.  Infinite domains go through the
-tangent substitution x = center + scale*tan(t).  For integrands with
-polynomial tails too heavy for the substitution (Student-t moments at
-small degrees of freedom) there is a split-domain route that integrates a
-central core and extrapolates the tails geometrically over doubling
-panels.
+tangent substitution x = center + scale*tan(t).  An integrand that decays
+like |x|^-p needs p > 1 there and converges slowly as p nears 1, so
+callers with heavy tails subtract the slow part first and add its
+integral in closed form (``general_ec`` does so for Student-t moments).
+``integrate_real_line_split``, a central core plus tails extrapolated
+over doubling panels, is the older route for such tails; no route in
+the package calls it.  Every result counts the GK15 panels it evaluated.
 
 Integrands must accept a numpy array of abscissae and return an array of
 values.
@@ -72,6 +74,7 @@ class QuadratureResult:
     value: float
     error: float
     subdivisions: int
+    panels: int  # GK15 panels evaluated, 15 integrand points each
 
 
 def _gk15(f: Integrand, a: float, b: float) -> tuple[float, float]:
@@ -116,7 +119,7 @@ def integrate_interval(
     if not (math.isfinite(a) and math.isfinite(b)):
         raise DomainError("integrate_interval requires finite endpoints")
     if a == b:
-        return QuadratureResult(0.0, 0.0, 0)
+        return QuadratureResult(0.0, 0.0, 0, 0)
 
     edges = np.linspace(a, b, initial_panels + 1)
     if extra_edges is not None and len(extra_edges):
@@ -134,6 +137,7 @@ def integrate_interval(
         total += val
         total_err += err
 
+    panels = len(edges) - 1
     subdivisions = 0
     while total_err > max(cfg.abs_tol, cfg.rel_tol * abs(total)):
         if subdivisions >= cfg.max_subdivisions:
@@ -156,9 +160,10 @@ def integrate_interval(
         heapq.heappush(heap, (-e1, counter, lo, mid, v1, e1))
         heapq.heappush(heap, (-e2, counter + 1, mid, hi, v2, e2))
         counter += 2
+        panels += 2
         subdivisions += 1
 
-    return QuadratureResult(total, total_err, subdivisions)
+    return QuadratureResult(total, total_err, subdivisions, panels)
 
 
 def feature_edges(features: Sequence[tuple[float, float]]) -> np.ndarray:
@@ -205,7 +210,7 @@ def _geometric_tail(
     positive: bool,
     tol: float,
     max_doublings: int = 900,
-) -> tuple[float, float]:
+) -> tuple[float, float, int]:
     """Sum f over [start, inf) (or (-inf, -start]) by doubling panels.
 
     Panel integrals of a polynomially decaying integrand form a geometric
@@ -216,14 +221,14 @@ def _geometric_tail(
     A panel that vanishes abruptly after slow decay means the integrand
     underflowed while real mass remained (decay exponents very close to
     the integrability boundary); that is reported as nonconvergence, never
-    as success.
+    as success.  Returns (value, error, panels evaluated).
     """
     total = 0.0
     err = 0.0
     prev_val: float | None = None
     prev_rem: float | None = None
     x = start
-    for _ in range(max_doublings):
+    for panels in range(1, max_doublings + 1):
         lo, hi = (x, 2.0 * x) if positive else (-2.0 * x, -x)
         val, e = _gk15(f, lo, hi)
         total += val
@@ -240,12 +245,12 @@ def _geometric_tail(
                     # still outstanding; pad the uncertainty generously.
                     total += prev_rem
                     err += 25.0 * abs(prev_rem)
-                    return total, err
+                    return total, err, panels
                 raise NonconvergenceError(
                     f"tail integrand vanished past {x} with ~{prev_rem!r} still "
                     "outstanding: mass at abscissae beyond float64 range"
                 )
-            return total, err
+            return total, err, panels
         if prev_val is not None and abs(prev_val) > 0.0:
             ratio = abs(val) / abs(prev_val)
             if ratio < 0.999:
@@ -253,7 +258,7 @@ def _geometric_tail(
                 if prev_rem is not None and abs(remainder - prev_rem) <= 0.5 * tol:
                     total += remainder
                     err += 2.0 * abs(remainder - prev_rem)
-                    return total, err
+                    return total, err, panels
                 prev_rem = remainder
         prev_val = val
         x *= 2.0
@@ -273,10 +278,10 @@ def integrate_real_line_split(
     """Core-plus-tails integration for heavy polynomial tails.
 
     Integrates [center - split*scale, center + split*scale] adaptively,
-    then each tail by geometric extrapolation over doubling panels.  Use
-    for Student-t first-moment integrands with nu in (1, 2], where the
-    tangent substitution leaves an endpoint singularity it cannot resolve
-    to tight tolerances.
+    then each tail by geometric extrapolation over doubling panels.  A
+    tail that decays too close to |x|^-1 keeps mass beyond float64 range
+    and is refused; subtracting the tail's asymptote and integrating the
+    rest with ``integrate_real_line`` has no such limit.
     """
     cfg = config or QuadratureConfig()
     if split <= 0:
@@ -289,10 +294,11 @@ def integrate_real_line_split(
     core = integrate_interval(f, -start_down, start_up, cfg, initial_panels=8,
                               extra_edges=extra)
     tail_tol = max(0.1 * cfg.abs_tol, 1e-300)
-    up_val, up_err = _geometric_tail(f, start_up, True, tail_tol)
-    down_val, down_err = _geometric_tail(f, start_down, False, tail_tol)
+    up_val, up_err, up_panels = _geometric_tail(f, start_up, True, tail_tol)
+    down_val, down_err, down_panels = _geometric_tail(f, start_down, False, tail_tol)
     return QuadratureResult(
         core.value + up_val + down_val,
         core.error + up_err + down_err,
         core.subdivisions,
+        core.panels + up_panels + down_panels,
     )

@@ -132,8 +132,12 @@ def _argument_rounding_correction(x: np.ndarray) -> np.ndarray:
     return minus_r * _INV_SQRT_PI * np.exp(w * -w)
 
 
+@functools.cache
 def _student_t_log_norm(nu: float) -> float:
     """log of Gamma((nu+1)/2) / (sqrt(nu pi) Gamma(nu/2)), the t density at 0.
+
+    Cached per nu: one spec evaluates the density at one nu, panel after
+    panel.
 
     Below nu = 100 from the log-beta function, 1/(sqrt(nu) B(1/2, nu/2));
     above, where log-beta and log-gamma differences lose digits to

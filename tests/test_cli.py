@@ -270,6 +270,25 @@ class TestQuantileCommand:
         report = json.loads(out)
         assert report["gini_index"] == pytest.approx(report["value"] / 20.0, rel=1e-12)
 
+    def test_negative_mean_notes_without_a_warning(self, tmp_path):
+        # The report's gini_note says what the library's UserWarning says;
+        # a fresh interpreter shows that nothing else reaches stderr.
+        spec = tmp_path / "neg.json"
+        spec.write_text(json.dumps({
+            "family": "normal", "mu": [-2.0, 1.0], "sigma": [[1.0, 0.0], [0.0, 1.0]],
+        }))
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-m", "gmd.cli", "quantile-gmd", str(spec)],
+                              env=env, cwd=tmp_path, capture_output=True, text=True,
+                              timeout=300)
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        report = json.loads(proc.stdout)
+        assert report["gini_note"] == "interpretation requires a nonnegative variable"
+        assert report["gini_index"] == pytest.approx(report["value"] / -4.0, rel=1e-12)
+
 
 class TestReportRoundTrip:
     def test_every_float_reparses_identically(self, capsys, iid_normal_spec):

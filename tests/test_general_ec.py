@@ -41,6 +41,8 @@ from helpers import (
 )
 
 INV_SQRT_PI = 0.5641895835477563  # mean of the 2*phi*Phi density
+MU_3D = np.array([0.0, 0.5, -1.0])
+SIGMA_3D = np.array([[1.0, 0.3, 0.1], [0.3, 2.0, 0.4], [0.1, 0.4, 1.5]])
 T_CDF_4_AT_1 = 0.8130495168499706  # frozen t CDF, 4 dof, at 1
 
 
@@ -392,6 +394,32 @@ class TestGmdQuadratureRoute:
         assert type(result.diagnostics["abs_error_estimate"]) is float
         assert type(result.diagnostics["quadrature_subdivisions"]) is int
         assert result.diagnostics["quadrature_subdivisions"] >= 0
+        assert type(result.diagnostics["quadrature_panels"]) is int
+        assert result.diagnostics["quadrature_panels"] > 0
+
+    @pytest.mark.parametrize("nu, most", [(1.05, 700), (2.0, 100), (4.0, 84)])
+    def test_panels_per_spec(self, nu, most):
+        # Every t moment has its limits subtracted, so the heavy tails at
+        # nu <= 2 cost a few hundred GK15 panels, not thousands.
+        for offset in (0.0, 1e8):
+            spec = validate(DistributionSpec("student-t", offset + MU_3D, SIGMA_3D,
+                                             nu=nu))
+            assert gmd_quadrature(spec).diagnostics["quadrature_panels"] <= most, offset
+
+    @pytest.mark.parametrize("nu", [None, 1.01, 1.05, 1.5, 2.0, 4.0, 30.0])
+    def test_error_estimate_bounds_the_error(self, nu):
+        family = "normal" if nu is None else "student-t"
+        for n in (2, 3, 4):
+            rng = np.random.default_rng(n)
+            a = rng.normal(size=(n, n))
+            sigma = a @ a.T + 0.5 * n * np.eye(n)
+            mu = rng.normal(0.0, 2.0, n)
+            for offset in (0.0, 1e4, 1e8, 1e12):
+                spec = validate(DistributionSpec(family, offset + mu, sigma, nu=nu))
+                result = gmd_quadrature(spec)
+                closed = normal_gmd(spec) if nu is None else student_gmd(spec)
+                assert abs(result.value - closed.value) <= result.diagnostics[
+                    "abs_error_estimate"], (n, offset)
 
     @pytest.mark.parametrize("nu", [None, 1.5, 4.0, 30.0])
     def test_translation_invariance(self, nu):
@@ -501,24 +529,29 @@ class TestExtremeParameters:
         )
 
     def test_nu_just_above_one(self):
-        # At nu = 1.05 a sliver of tail mass sits beyond float64 range; the
-        # value must still be close and the error estimate must cover the
-        # actual shortfall.
+        # At nu = 1.05 the moment integrand decays like |x|^-1.05; with its
+        # limits subtracted the rest decays like |x|^-2.05, and the error
+        # estimate covers what is left.
         spec = validate(DistributionSpec("student-t", [0.3, -0.1],
                                          np.array([[1.0, 0.4], [0.4, 2.0]]), nu=1.05))
         result = gmd_quadrature(spec)
         exact = student_gmd(spec).value
-        assert result.value == pytest.approx(exact, abs=1e-5)
+        assert result.value == pytest.approx(exact, rel=1e-12)
         assert abs(result.value - exact) <= float(result.diagnostics["abs_error_estimate"])
 
-    def test_nu_at_integrability_edge_refuses(self):
-        # Most of the first-moment mass lies beyond representable abscissae:
-        # an honest refusal beats a silently wrong number.
+    @pytest.mark.parametrize("nu", [1.003, 1.001, 1.0001])
+    def test_nu_at_integrability_edge(self, nu):
+        # Much of the first-moment mass lies beyond x = 1e154, where the
+        # densities underflow; the subtracted limits carry it in closed form.
         spec = validate(DistributionSpec("student-t", [0.3, -0.1],
-                                         np.array([[1.0, 0.4], [0.4, 2.0]]), nu=1.003))
-        assert student_gmd(spec).value > 300.0  # the closed form still works
-        with pytest.raises(NonconvergenceError, match="float64"):
-            gmd_quadrature(spec)
+                                         np.array([[1.0, 0.4], [0.4, 2.0]]), nu=nu))
+        exact = student_gmd(spec).value
+        assert exact > 300.0
+        assert gmd_quadrature(spec).value == pytest.approx(exact, rel=1e-12)
+
+    def test_three_dims_at_nu_1_01(self):
+        spec = validate(DistributionSpec("student-t", MU_3D, SIGMA_3D, nu=1.01))
+        assert gmd_quadrature(spec).value == pytest.approx(student_gmd(spec).value, rel=1e-12)
 
     def test_values_always_nonnegative(self):
         rng = np.random.default_rng(16)

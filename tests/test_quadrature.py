@@ -66,6 +66,14 @@ class TestFiniteInterval:
         )
         for res in results:
             assert type(res.value) is float and type(res.error) is float
+            assert type(res.panels) is int
+
+    def test_panels_counted(self):
+        # Four initial panels, then two per subdivision; none when empty.
+        res = integrate_interval(lambda x: np.sin(7 * x) ** 2, 0.0, math.pi)
+        assert res.subdivisions > 0
+        assert res.panels == 4 + 2 * res.subdivisions
+        assert integrate_interval(lambda x: x, 2.0, 2.0).panels == 0
 
     def test_infinite_endpoint_rejected(self):
         with pytest.raises(DomainError):
@@ -107,6 +115,8 @@ class TestSplitWithTails:
         res = integrate_real_line_split(lambda x: (np.abs(x) + 1.0) ** -2.5)
         assert res.value == pytest.approx(4.0 / 3.0, abs=1e-9)
         assert abs(res.value - 4.0 / 3.0) <= max(res.error, 1e-12)
+        # The core's panels plus at least one doubling panel per tail.
+        assert res.panels >= 8 + 2 * res.subdivisions + 2
 
     def test_heavier_power_law(self):
         # (|x|+1)^{-1.4}: slowest decay with a finite integral we care about.
