@@ -28,7 +28,7 @@ from .model import (
     pair_correlations,
     pair_differences,
 )
-from .special import lp_norm_std_normal
+from .special import lp_norm_std_normal, require_dof
 
 
 @dataclass
@@ -73,9 +73,9 @@ def second_moment_pair_bound(p: PairParams) -> float:
 def _sd_factor(spec: ValidatedSpec) -> float:
     """Scale-to-standard-deviation factor; requires finite variance."""
     if spec.family is Family.STUDENT_T:
-        assert spec.dof is not None
-        spec.dof.require_variance()
-        return math.sqrt(spec.dof.nu / (spec.dof.nu - 2.0))
+        dof = require_dof(spec.dof)
+        dof.require_variance()
+        return math.sqrt(dof.nu / (dof.nu - 2.0))
     return 1.0
 
 

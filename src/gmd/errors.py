@@ -32,4 +32,12 @@ class DegeneratePairError(GmdError):
 
 
 class NonconvergenceError(GmdError):
-    """Adaptive quadrature failed to reach the requested tolerances."""
+    """Adaptive quadrature failed to reach the requested tolerances.
+
+    ``integral`` is the index of the failing integral within a batch of
+    integrals run together, or None.
+    """
+
+    def __init__(self, message: str, integral: int | None = None):
+        super().__init__(message)
+        self.integral = integral

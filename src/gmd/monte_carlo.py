@@ -38,6 +38,7 @@ import numpy as np
 
 from .errors import DomainError
 from .model import Family, GmdMethod, GmdResult, ValidatedSpec
+from .special import require_dof
 
 PRNG_NAME = "philox4x64"
 NORMAL_METHOD = "ziggurat"
@@ -86,8 +87,7 @@ def sample(spec: ValidatedSpec, cfg: MonteCarloConfig) -> np.ndarray:
     """draws x n matrix of variates mu + L z, divided by sqrt(W/nu) for a t spec."""
     student = spec.family is Family.STUDENT_T
     if student:
-        assert spec.dof is not None
-        nu = spec.dof.nu
+        nu = require_dof(spec.dof).nu
     out = np.empty((cfg.draws, spec.n))
     starts = np.cumsum([0, *_chunk_sizes(cfg.draws, cfg.chunks)]).tolist()
 

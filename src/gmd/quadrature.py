@@ -2,17 +2,26 @@
 
 The engine is a 15-point Kronrod rule with the embedded 7-point Gauss rule
 for error estimation, refined by bisecting the panel with the largest
-error until both tolerances are met.  Infinite domains go through the
-tangent substitution x = center + scale*tan(t).  An integrand that decays
-like |x|^-p needs p > 1 there and converges slowly as p nears 1, so
-callers with heavy tails subtract the slow part first and add its
-integral in closed form (``general_ec`` does so for Student-t moments).
-``integrate_real_line_split``, a central core plus tails extrapolated
-over doubling panels, is the older route for such tails; no route in
-the package calls it.  Every result counts the GK15 panels it evaluated.
+error until both tolerances are met.  It runs a batch of integrals
+together: each keeps its own panel heap, tolerances and subdivision
+budget, and each refinement round evaluates the new panels of every
+unconverged integral in one integrand call, so a round costs one set of
+numpy calls whatever the batch size (the layout of ``scipy.integrate.
+quad_vec`` and of vectorized cubature, Berntsen, Espelid & Genz 1991).
+An integral takes the same steps in a batch as alone.
+``integrate_interval`` and ``integrate_real_line`` are the one-integral
+case; ``integrate_real_line_batch`` is the batch.  Infinite domains go
+through the tangent substitution x = center + scale*tan(t).  An
+integrand that decays like |x|^-p needs p > 1 there and converges
+slowly as p nears 1, so callers with heavy tails subtract the slow part
+first and add its integral in closed form (``general_ec`` does so for
+Student-t moments).  ``integrate_real_line_split``, a central core plus
+tails extrapolated over doubling panels, is the older route for such
+tails; no route in the package calls it.  Every result counts the GK15
+panels it evaluated.
 
 Integrands must accept a numpy array of abscissae and return an array of
-values.
+values; a batch integrand also gets each abscissa's integral index.
 """
 
 from __future__ import annotations
@@ -52,6 +61,8 @@ _WG[1::2] = [
 _EPS = float(np.finfo(float).eps)
 
 Integrand = Callable[[np.ndarray], np.ndarray]
+# f(x, owner): owner[m] is the index of the integral that abscissa x[m] belongs to.
+BatchIntegrand = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -77,27 +88,132 @@ class QuadratureResult:
     panels: int  # GK15 panels evaluated, 15 integrand points each
 
 
-def _gk15(f: Integrand, a: float, b: float) -> tuple[float, float]:
-    """One Kronrod panel on [a, b]; returns (integral, error estimate)."""
+def _gk15(
+    f: Callable[..., np.ndarray],
+    a: np.ndarray,
+    b: np.ndarray,
+    owner: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Kronrod panels [a[k], b[k]] in one integrand call.
+
+    f gets the 15 abscissae of every panel as one flat array and, when
+    ``owner`` is given, also the owning integral of each abscissa.
+    Returns the panel integrals and their error estimates.
+    """
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    y = np.asarray(f(mid + half * _XK), dtype=float)
-    if not np.isfinite(y).all():
+    x = (mid[:, None] + half[:, None] * _XK).ravel()
+    y = f(x) if owner is None else f(x, np.repeat(owner, _XK.size))
+    y = np.asarray(y, dtype=float).reshape(-1, _XK.size)
+    finite = np.isfinite(y).all(axis=1)
+    if not finite.all():
+        k = int(np.argmin(finite))
         raise NonconvergenceError(
-            f"integrand returned non-finite values on [{a}, {b}]"
+            f"integrand returned non-finite values on [{float(a[k])}, {float(b[k])}]",
+            integral=None if owner is None else int(owner[k]),
         )
-    sk = float(_WK @ y)
-    sg = float(_WG @ y)
-    integral = sk * half
-    raw = abs(sk - sg) * abs(half)
+    width = np.abs(half)
+    sk = (y * _WK).sum(axis=1)
+    sg = (y * _WG).sum(axis=1)
+    raw = np.abs(sk - sg) * width
     # QUADPACK-style scaling of the raw Gauss/Kronrod gap.
-    resasc = float(_WK @ np.abs(y - 0.5 * sk)) * abs(half)
-    if resasc != 0.0 and raw != 0.0:
-        err = resasc * min(1.0, (200.0 * raw / resasc) ** 1.5)
-    else:
-        err = raw
-    resabs = float(_WK @ np.abs(y)) * abs(half)
-    return integral, max(err, 50.0 * _EPS * resabs)
+    resasc = (np.abs(y - 0.5 * sk[:, None]) * _WK).sum(axis=1) * width
+    err = raw.copy()
+    scaled = (resasc != 0.0) & (raw != 0.0)
+    err[scaled] = resasc[scaled] * np.minimum(
+        1.0, (200.0 * raw[scaled] / resasc[scaled]) ** 1.5)
+    resabs = (np.abs(y) * _WK).sum(axis=1) * width
+    return sk * half, np.maximum(err, 50.0 * _EPS * resabs)
+
+
+def _adaptive(
+    f: BatchIntegrand,
+    edges: Sequence[np.ndarray],
+    config: QuadratureConfig | None,
+) -> tuple[list[QuadratureResult], int]:
+    """Adaptive GK15 quadrature of a batch of integrals, one round at a time.
+
+    Integral k starts from the panels between ``edges[k]`` and keeps its
+    own heap, tolerances and subdivision budget.  In each round every
+    unconverged integral bisects its worst panel; all new panels of the
+    round, like all initial panels of the first, go to ``_gk15`` in one
+    call.  Each integral takes the same steps as it would alone.  Returns
+    the results and the rounds (``_gk15`` calls).
+    """
+    cfg = config or QuadratureConfig()
+    owner = np.repeat(np.arange(len(edges)), [len(e) - 1 for e in edges])
+    lo_all = np.concatenate([e[:-1] for e in edges])
+    hi_all = np.concatenate([e[1:] for e in edges])
+    vals, errs = _gk15(f, lo_all, hi_all, owner)
+    rounds = 1
+
+    heaps: list[list[tuple[float, int, float, float, float, float]]] = [[] for _ in edges]
+    totals = [0.0] * len(edges)
+    total_errs = [0.0] * len(edges)
+    panels = [len(e) - 1 for e in edges]
+    subdivisions = [0] * len(edges)
+    counter = 0
+    for k, lo, hi, val, err in zip(owner.tolist(), lo_all.tolist(), hi_all.tolist(),
+                                   vals.tolist(), errs.tolist()):
+        heapq.heappush(heaps[k], (-err, counter, lo, hi, val, err))
+        counter += 1
+        totals[k] += val
+        total_errs[k] += err
+
+    def unconverged(ks: Sequence[int]) -> list[int]:
+        return [k for k in ks
+                if total_errs[k] > max(cfg.abs_tol, cfg.rel_tol * abs(totals[k]))]
+
+    active = unconverged(range(len(edges)))
+    while active:
+        split = []
+        for k in active:
+            if subdivisions[k] >= cfg.max_subdivisions:
+                raise NonconvergenceError(
+                    f"quadrature did not converge after {subdivisions[k]} subdivisions "
+                    f"(value ~ {totals[k]!r}, error estimate {total_errs[k]!r})",
+                    integral=k,
+                )
+            _, _, lo, hi, val, err = heapq.heappop(heaps[k])
+            mid = 0.5 * (lo + hi)
+            subdivisions[k] += 1
+            if mid <= lo or mid >= hi:
+                # Interval no longer splittable in float64: accept its estimate.
+                heapq.heappush(heaps[k], (0.0, counter, lo, hi, val, err))
+                counter += 1
+            else:
+                split.append((k, lo, mid, hi, val, err))
+        if split:
+            vals, errs = _gk15(
+                f,
+                np.array([x for _, lo, mid, _, _, _ in split for x in (lo, mid)]),
+                np.array([x for _, _, mid, hi, _, _ in split for x in (mid, hi)]),
+                np.repeat([s[0] for s in split], 2),
+            )
+            rounds += 1
+            vals, errs = vals.tolist(), errs.tolist()
+            for n, (k, lo, mid, hi, val, err) in enumerate(split):
+                v1, v2 = vals[2 * n], vals[2 * n + 1]
+                e1, e2 = errs[2 * n], errs[2 * n + 1]
+                totals[k] += v1 + v2 - val
+                total_errs[k] += e1 + e2 - err
+                heapq.heappush(heaps[k], (-e1, counter, lo, mid, v1, e1))
+                heapq.heappush(heaps[k], (-e2, counter + 1, mid, hi, v2, e2))
+                counter += 2
+                panels[k] += 2
+        active = unconverged(active)
+
+    results = [QuadratureResult(*state) for state in
+               zip(totals, total_errs, subdivisions, panels)]
+    return results, rounds
+
+
+def _initial_edges(a: float, b: float, panels: int, extra: np.ndarray | None) -> np.ndarray:
+    edges = np.linspace(a, b, panels + 1)
+    if extra is not None and len(extra):
+        inside = extra[(extra > a) & (extra < b)]
+        edges = np.unique(np.concatenate([edges, inside]))
+    return edges
 
 
 def integrate_interval(
@@ -115,55 +231,13 @@ def integrate_interval(
     trace in the error estimate; callers that know where such features live
     should bracket them with edges.
     """
-    cfg = config or QuadratureConfig()
     if not (math.isfinite(a) and math.isfinite(b)):
         raise DomainError("integrate_interval requires finite endpoints")
     if a == b:
         return QuadratureResult(0.0, 0.0, 0, 0)
-
-    edges = np.linspace(a, b, initial_panels + 1)
-    if extra_edges is not None and len(extra_edges):
-        inside = extra_edges[(extra_edges > a) & (extra_edges < b)]
-        edges = np.unique(np.concatenate([edges, inside]))
-    edges = edges.tolist()
-    heap: list[tuple[float, int, float, float, float, float]] = []
-    counter = 0
-    total = 0.0
-    total_err = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        val, err = _gk15(f, lo, hi)
-        heapq.heappush(heap, (-err, counter, lo, hi, val, err))
-        counter += 1
-        total += val
-        total_err += err
-
-    panels = len(edges) - 1
-    subdivisions = 0
-    while total_err > max(cfg.abs_tol, cfg.rel_tol * abs(total)):
-        if subdivisions >= cfg.max_subdivisions:
-            raise NonconvergenceError(
-                f"quadrature did not converge after {subdivisions} subdivisions "
-                f"(value ~ {total!r}, error estimate {total_err!r})"
-            )
-        neg_err, _, lo, hi, val, err = heapq.heappop(heap)
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            # Interval no longer splittable in float64: accept its estimate.
-            heapq.heappush(heap, (0.0, counter, lo, hi, val, err))
-            counter += 1
-            subdivisions += 1
-            continue
-        v1, e1 = _gk15(f, lo, mid)
-        v2, e2 = _gk15(f, mid, hi)
-        total += v1 + v2 - val
-        total_err += e1 + e2 - err
-        heapq.heappush(heap, (-e1, counter, lo, mid, v1, e1))
-        heapq.heappush(heap, (-e2, counter + 1, mid, hi, v2, e2))
-        counter += 2
-        panels += 2
-        subdivisions += 1
-
-    return QuadratureResult(total, total_err, subdivisions, panels)
+    edges = _initial_edges(a, b, initial_panels, extra_edges)
+    results, _ = _adaptive(lambda x, _owner: f(x), [edges], config)
+    return results[0]
 
 
 def feature_edges(features: Sequence[tuple[float, float]]) -> np.ndarray:
@@ -174,6 +248,42 @@ def feature_edges(features: Sequence[tuple[float, float]]) -> np.ndarray:
             continue
         edges.extend(x0 + w * k for k in (-8.0, -2.0, -0.5, 0.5, 2.0, 8.0))
     return np.asarray(edges)
+
+
+def integrate_real_line_batch(
+    f: BatchIntegrand,
+    centers: Sequence[float],
+    scales: Sequence[float],
+    features: Sequence[Sequence[tuple[float, float]]],
+    config: QuadratureConfig | None = None,
+) -> tuple[list[QuadratureResult], int]:
+    """Integrate a batch of integrands over (-inf, inf) together.
+
+    Integral k maps x = centers[k] + scales[k]*tan(t) and brackets its own
+    ``features[k]``, as ``integrate_real_line`` does for one.  f(x, owner)
+    evaluates every integral's integrand at once: owner[m] is the index of
+    the integral that abscissa x[m] belongs to.  Returns one result per
+    integral and the refinement rounds, each one call of f.  A
+    ``NonconvergenceError`` names its integral in ``integral``.
+    """
+    center = np.asarray(centers, dtype=float)
+    scale = np.asarray(scales, dtype=float)
+    if not (np.isfinite(center).all() and np.isfinite(scale).all() and (scale > 0).all()):
+        raise DomainError("center must be finite and scale > 0")
+
+    def g(t: np.ndarray, owner: np.ndarray) -> np.ndarray:
+        tan_t = np.tan(t)
+        s = scale[owner]
+        fx = np.asarray(f(center[owner] + s * tan_t, owner), dtype=float)
+        # 0 * huge jacobian := 0 so that underflowed densities stay zero.
+        return np.where(fx == 0.0, 0.0, fx * s * (1.0 + tan_t * tan_t))
+
+    edges = [
+        _initial_edges(-0.5 * math.pi, 0.5 * math.pi, 8,
+                       np.arctan((feature_edges(feats) - c) / s) if feats else None)
+        for c, s, feats in zip(center.tolist(), scale.tolist(), features)
+    ]
+    return _adaptive(g, edges, config)
 
 
 def integrate_real_line(
@@ -190,18 +300,9 @@ def integrate_real_line(
     pairs of transitions much narrower than scale, which get bracketed by
     initial panel edges so the adaptive refinement cannot overlook them.
     """
-    if not (math.isfinite(center) and math.isfinite(scale) and scale > 0):
-        raise DomainError("center must be finite and scale > 0")
-
-    def g(t: np.ndarray) -> np.ndarray:
-        tan_t = np.tan(t)
-        fx = np.asarray(f(center + scale * tan_t), dtype=float)
-        # 0 * huge jacobian := 0 so that underflowed densities stay zero.
-        return np.where(fx == 0.0, 0.0, fx * scale * (1.0 + tan_t * tan_t))
-
-    extra = np.arctan((feature_edges(features) - center) / scale) if features else None
-    return integrate_interval(g, -0.5 * math.pi, 0.5 * math.pi, config,
-                              initial_panels=8, extra_edges=extra)
+    results, _ = integrate_real_line_batch(lambda x, _owner: f(x), [center], [scale],
+                                           [features], config)
+    return results[0]
 
 
 def _geometric_tail(
@@ -230,7 +331,8 @@ def _geometric_tail(
     x = start
     for panels in range(1, max_doublings + 1):
         lo, hi = (x, 2.0 * x) if positive else (-2.0 * x, -x)
-        val, e = _gk15(f, lo, hi)
+        vals, errs = _gk15(f, np.array([lo]), np.array([hi]))
+        val, e = float(vals[0]), float(errs[0])
         total += val
         err += e
         if abs(val) <= 0.01 * tol:

@@ -75,6 +75,16 @@ class DegreesOfFreedom:
             )
 
 
+def require_dof(dof: DegreesOfFreedom | None) -> DegreesOfFreedom:
+    """dof itself; a Student-t law without degrees of freedom is a DomainError.
+
+    Raised rather than asserted, so that ``python -O`` keeps the check.
+    """
+    if dof is None:
+        raise DomainError("a Student-t law requires degrees of freedom")
+    return dof
+
+
 def _check_finite(x: float, name: str = "x") -> float:
     x = float(x)
     if not math.isfinite(x):

@@ -14,6 +14,8 @@ from pathlib import Path
 import pytest
 
 from gmd import cli
+from gmd.general_ec import gmd_quadrature
+from gmd.model import spec_from_json, validate
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 # Layers the exact path runs through; none of their wrapped calls may be absent.
@@ -95,7 +97,8 @@ def test_estimate_path_enters_the_traced_calls(tracing, tmp_path, capsys):
 
 def test_verify_path_enters_the_traced_calls(tracing, tmp_path, capsys):
     # verify-quad's per-layer metrics read the quadrature route by these
-    # names: the route once per spec, the GK15 panel once per panel.
+    # names: the route once per spec, the GK15 rule once per refinement
+    # round of the spec's batch of integrals.
     data = {"family": "student-t", "nu": 4.0, "mu": [0.0, 0.5],
             "sigma": [[1.0, 0.3], [0.3, 2.0]]}
     path = tmp_path / "spec.json"
@@ -110,6 +113,7 @@ def test_verify_path_enters_the_traced_calls(tracing, tmp_path, capsys):
         tracer.uninstall()
     capsys.readouterr()
     assert calls.get("general_ec.gmd_quadrature", 0) == 1
-    assert calls.get("quadrature._gk15", 0) > 1
+    quad = gmd_quadrature(validate(spec_from_json(path.read_text())))
+    assert calls.get("quadrature._gk15", 0) == quad.diagnostics["quadrature_rounds"]
     assert [name for name in tracer.absent
             if name.split(".")[0] in ("general_ec", "quadrature")] == []

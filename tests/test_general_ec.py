@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from gmd import general_ec
+from gmd import general_ec, quadrature
 from gmd.closed_form import (
     normal_gmd,
     normal_pair_gmd,
@@ -25,7 +25,7 @@ from gmd.general_ec import (
     skewing_normal,
     skewing_student,
 )
-from gmd.model import DistributionSpec, Family, PairParams, validate
+from gmd.model import DistributionSpec, Family, PairParams, pair_params, validate
 from gmd.quadrature import QuadratureConfig, integrate_real_line
 from gmd.special import DegreesOfFreedom, std_normal_cdf, std_normal_pdf, student_t_cdf
 
@@ -56,16 +56,15 @@ def family_and_dof(nu):
 
 @pytest.fixture
 def integral_calls(monkeypatch):
-    """One entry per real-line integral that general_ec starts, by either route."""
+    """One entry per integral handed to the quadrature engine, alone or in a batch."""
     calls = []
-    for name in ("integrate_real_line", "integrate_real_line_split"):
-        original = getattr(general_ec, name)
+    original = quadrature._adaptive
 
-        def counted(*args, _original=original, **kwargs):
-            calls.append(1)
-            return _original(*args, **kwargs)
+    def counted(f, edges, config):
+        calls.extend([1] * len(edges))
+        return original(f, edges, config)
 
-        monkeypatch.setattr(general_ec, name, counted)
+    monkeypatch.setattr(quadrature, "_adaptive", counted)
     return calls
 
 
@@ -396,6 +395,12 @@ class TestGmdQuadratureRoute:
         assert result.diagnostics["quadrature_subdivisions"] >= 0
         assert type(result.diagnostics["quadrature_panels"]) is int
         assert result.diagnostics["quadrature_panels"] > 0
+        # Both orderings of the one pair; the initial round, then at most
+        # one round per subdivision.
+        assert result.diagnostics["quadrature_integrals"] == 2
+        rounds = result.diagnostics["quadrature_rounds"]
+        assert type(rounds) is int
+        assert 1 <= rounds <= 1 + result.diagnostics["quadrature_subdivisions"]
 
     @pytest.mark.parametrize("nu, most", [(1.05, 700), (2.0, 100), (4.0, 84)])
     def test_panels_per_spec(self, nu, most):
@@ -420,6 +425,31 @@ class TestGmdQuadratureRoute:
                 closed = normal_gmd(spec) if nu is None else student_gmd(spec)
                 assert abs(result.value - closed.value) <= result.diagnostics[
                     "abs_error_estimate"], (n, offset)
+
+    @pytest.mark.parametrize("nu", [None, 1.01, 1.05, 1.5, 2.0, 4.0, 30.0])
+    def test_batch_matches_one_integral_at_a_time(self, nu):
+        # The batched route takes each integral through the steps it takes
+        # alone: the same panels, and the GMD of ``_pair_integral`` per ordering.
+        family, dof = family_and_dof(nu)
+        for n in (2, 3, 4, 5):
+            rng = np.random.default_rng(100 + n)
+            a = rng.normal(size=(n, n))
+            sigma = a @ a.T + 0.5 * n * np.eye(n)
+            mu = rng.normal(0.0, 2.0, n)
+            for offset in (0.0, 1e4, 1e8, 1e12):
+                spec = validate(DistributionSpec(family.value, offset + mu, sigma, nu=nu))
+                batched = gmd_quadrature(spec)
+                values, panels = [], 0
+                for i, j in spec.pairs():
+                    local = general_ec._centred(pair_params(spec, i, j))
+                    ij = general_ec._pair_integral(local, family, dof, None, moment=True)
+                    ji = general_ec._pair_integral(local.swapped(), family, dof, None,
+                                                   moment=True)
+                    values.append(2.0 * (ij.value + ji.value) - local.mu_i - local.mu_j)
+                    panels += ij.panels + ji.panels
+                assert batched.diagnostics["quadrature_panels"] == panels, (n, offset)
+                assert batched.value == pytest.approx(sum(values) / len(values),
+                                                      rel=1e-15, abs=0.0), (n, offset)
 
     @pytest.mark.parametrize("nu", [None, 1.5, 4.0, 30.0])
     def test_translation_invariance(self, nu):

@@ -1,10 +1,12 @@
 """Validation, pair extraction, results, and the JSON wire format."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from gmd.bounds import second_moment_bound
 from gmd.closed_form import normal_gmd, student_gmd
 from gmd.errors import DomainError, ValidationError
 from gmd.general_ec import gmd_quadrature, reliability
@@ -22,6 +24,7 @@ from gmd.model import (
     spec_from_json,
     validate,
 )
+from gmd.monte_carlo import MonteCarloConfig, sample
 from gmd.special import DegreesOfFreedom
 
 from helpers import random_normal_spec, random_pair, random_student_spec
@@ -95,6 +98,20 @@ class TestValidate:
         v = validate(identity_spec())
         with pytest.raises(ValueError):
             v.mu[0] = 1.0
+
+
+    @pytest.mark.parametrize(
+        "route",
+        [gmd_quadrature, second_moment_bound,
+         lambda spec: sample(spec, MonteCarloConfig(draws=1000))],
+        ids=["gmd_quadrature", "second_moment_bound", "sample"],
+    )
+    def test_student_spec_without_dof_raises(self, route):
+        # Validation gives every t spec its dof; the routes still check it
+        # by raising, not asserting, so that python -O keeps the check.
+        t_spec = validate(DistributionSpec("student-t", [0.0, 0.5], np.eye(2), nu=4.0))
+        with pytest.raises(DomainError, match="degrees of freedom"):
+            route(dataclasses.replace(t_spec, dof=None))
 
 
 class TestPairParams:

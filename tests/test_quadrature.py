@@ -10,6 +10,7 @@ from gmd.quadrature import (
     QuadratureConfig,
     integrate_interval,
     integrate_real_line,
+    integrate_real_line_batch,
     integrate_real_line_split,
 )
 
@@ -27,6 +28,14 @@ class TestFiniteInterval:
 
     def test_empty_interval(self):
         assert integrate_interval(lambda x: x, 2.0, 2.0).value == 0.0
+
+    def test_flat_integrands(self):
+        # A zero Gauss/Kronrod gap or a zero spread about the mean skips the
+        # QUADPACK scaling; tier-1 turns a RuntimeWarning from it into an error.
+        assert integrate_interval(lambda x: np.zeros_like(x), 0.0, 1.0).value == 0.0
+        res = integrate_interval(lambda x: np.full_like(x, 3.0), 0.0, 1.0)
+        assert res.value == pytest.approx(3.0, rel=1e-15)
+        assert res.subdivisions == 0
 
     def test_error_estimate_covers_true_error(self):
         res = integrate_interval(lambda x: np.sin(7 * x) ** 2, 0.0, math.pi)
@@ -107,6 +116,60 @@ class TestRealLine:
     def test_bad_scale(self):
         with pytest.raises(DomainError):
             integrate_real_line(phi, scale=0.0)
+
+
+class TestBatch:
+    CENTERS = np.array([0.0, 50.0, -3.0, 1e8])
+    SCALES = np.array([1.0, 0.1, 4.0, 2.0])
+    # The third density has a kink 0.01 wide at x = 1, bracketed by edges.
+    FEATURES = [(), (), [(1.0, 0.01)], ()]
+
+    def density(self, x, k):
+        c, s = self.CENTERS[k], self.SCALES[k]
+        kink = np.where(k == 2, np.abs(np.tanh((x - 1.0) / 0.01)), 1.0)
+        return phi((x - c) / s) / s * kink
+
+    def test_each_integral_as_if_alone(self):
+        calls = []
+
+        def f(x, owner):
+            calls.append(x.size)
+            return self.density(x, owner)
+
+        results, rounds = integrate_real_line_batch(f, self.CENTERS, self.SCALES,
+                                                    self.FEATURES)
+        assert rounds == len(calls) >= 1
+        assert sum(calls) == 15 * sum(r.panels for r in results)
+        for k, res in enumerate(results):
+            alone = integrate_real_line(lambda x: self.density(x, k), center=self.CENTERS[k],
+                                        scale=self.SCALES[k], features=self.FEATURES[k])
+            assert res == alone, k
+            assert type(res.value) is float and type(res.panels) is int
+
+    def test_nonconvergence_names_the_integral(self):
+        def f(x, owner):
+            # Integral 1 has an integrable singularity at 0.3; it needs more
+            # than ten subdivisions.
+            return np.where(owner == 1, np.exp(-x * x) / np.sqrt(np.abs(x - 0.3) + 1e-300),
+                            phi(x))
+
+        with pytest.raises(NonconvergenceError, match="converge") as info:
+            integrate_real_line_batch(f, [0.0, 0.0], [1.0, 1.0], [(), ()],
+                                      QuadratureConfig(max_subdivisions=10))
+        assert info.value.integral == 1
+
+    def test_non_finite_values_name_the_integral(self):
+        def f(x, owner):
+            return np.where(owner == 2, np.nan, phi(x))
+
+        with pytest.raises(NonconvergenceError, match="non-finite") as info:
+            integrate_real_line_batch(f, [0.0] * 3, [1.0] * 3, [()] * 3)
+        assert info.value.integral == 2
+
+    def test_bad_scale(self):
+        with pytest.raises(DomainError):
+            integrate_real_line_batch(lambda x, owner: phi(x), [0.0, 0.0], [1.0, 0.0],
+                                      [(), ()])
 
 
 class TestSplitWithTails:
