@@ -9,14 +9,15 @@ closed form (``model.pair_differences``, ``model.pair_correlations``);
 ``second_moment_pair_bound`` is the one-pair form.  The sqrt(1 - rho),
 sqrt(2) sigma and C_p bounds need a common mean and scale; the report
 judges that relative to the spec's own scales and means, so a spec and
-its scaled copies get the same bounds, each scaled.
+its scaled copies get the same bounds, each scaled.  C_p is the constant
+of i.i.d. normal coordinates, and the report gives it at p = 2.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -107,18 +108,11 @@ def exchangeable_rho_bound(sigma1: float, rhos: Sequence[float]) -> float:
     return math.sqrt(2.0) * sigma1 * float(np.mean(np.sqrt(np.maximum(1.0 - rhos, 0.0))))
 
 
-def cp_constant(
-    p: float,
-    lp_norm: Callable[[float], float] = lp_norm_std_normal,
-) -> float:
-    """C_p = 2 ||Z||_p ((p-1)/(2p-1))^((p-1)/p) for the given L^p-norm provider.
-
-    The shipped provider is the standard normal; other laws plug in
-    through ``lp_norm`` without an API change.
-    """
+def cp_constant(p: float) -> float:
+    """C_p = 2 ||Z||_p ((p-1)/(2p-1))^((p-1)/p), Z standard normal."""
     if p <= 1:
         raise DomainError(f"cp_constant requires p > 1, got {p}")
-    return 2.0 * lp_norm(p) * ((p - 1.0) / (2.0 * p - 1.0)) ** ((p - 1.0) / p)
+    return 2.0 * lp_norm_std_normal(p) * ((p - 1.0) / (2.0 * p - 1.0)) ** ((p - 1.0) / p)
 
 
 def cp_bound(p: float, sigma1: float) -> float:
@@ -132,12 +126,8 @@ def _equal_within(values: np.ndarray, scale: float, rtol: float = 1e-12) -> bool
     return float(np.max(values) - np.min(values)) <= rtol * scale
 
 
-def build_bound_report(
-    spec: ValidatedSpec,
-    exact_gmd: float | None = None,
-    cp_p: float = 2.0,
-) -> BoundReport:
-    """Assemble every bound whose assumptions the spec satisfies."""
+def build_bound_report(spec: ValidatedSpec, exact_gmd: float | None = None) -> BoundReport:
+    """Assemble every bound whose assumptions the spec satisfies; C_p at p = 2."""
     notes: list[str] = []
     sds = np.sqrt(np.diag(spec.sigma_mat))
     rhos = pair_correlations(spec)
@@ -172,7 +162,7 @@ def build_bound_report(
         and exchangeable
         and np.all(np.abs(rhos) <= 1e-12)
     ):
-        cp = (cp_p, cp_bound(cp_p, float(sds[0])))
+        cp = (2.0, cp_bound(2.0, float(sds[0])))
     else:
         notes.append("C_p bound needs i.i.d. normal coordinates")
 

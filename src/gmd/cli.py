@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import json
 import math
 import sys
 import warnings
@@ -82,8 +83,7 @@ def _to_json(obj: Any, indent: int = 0) -> str:
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if isinstance(obj, str):
-        escaped = obj.replace("\\", "\\\\").replace('"', '\\"')
-        return f'"{escaped}"'
+        return json.dumps(obj, ensure_ascii=False)
     if isinstance(obj, int):
         return str(obj)
     if isinstance(obj, float):
@@ -108,23 +108,19 @@ def _to_json(obj: Any, indent: int = 0) -> str:
 def _to_text(obj: Any, prefix: str = "") -> list[str]:
     if isinstance(obj, np.ndarray):
         return _pairs_text(obj, prefix)
-    lines: list[str] = []
     if isinstance(obj, dict):
-        for k, v in obj.items():
-            key = f"{prefix}{k}"
-            if isinstance(v, (dict, list, tuple, np.ndarray)):
-                lines.extend(_to_text(v, key + "."))
-            else:
-                lines.append(f"{key} = {_scalar_text(v)}")
+        items = obj.items()
     elif isinstance(obj, (list, tuple)):
-        for idx, v in enumerate(obj):
-            key = f"{prefix}{idx}"
-            if isinstance(v, (dict, list, tuple)):
-                lines.extend(_to_text(v, key + "."))
-            else:
-                lines.append(f"{key} = {_scalar_text(v)}")
+        items = enumerate(obj)
     else:
-        lines.append(f"{prefix.rstrip('.')} = {_scalar_text(obj)}")
+        return [f"{prefix.rstrip('.')} = {_scalar_text(obj)}"]
+    lines: list[str] = []
+    for k, v in items:
+        key = f"{prefix}{k}"
+        if isinstance(v, (dict, list, tuple, np.ndarray)):
+            lines.extend(_to_text(v, key + "."))
+        else:
+            lines.append(f"{key} = {_scalar_text(v)}")
     return lines
 
 
@@ -148,8 +144,8 @@ def _emit_errors(messages: list[str], output: str) -> None:
 def _load_spec(args: argparse.Namespace, require_mean: bool) -> ValidatedSpec:
     path = Path(args.spec)
     try:
-        text = path.read_text()
-    except OSError as exc:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError([f"cannot read spec file {path}: {exc}"]) from exc
     raw = spec_from_json(text)
     if args.nu is not None:
@@ -193,7 +189,10 @@ def _cmd_bound(args: argparse.Namespace) -> int:
 
 def _dump_csv(samples: np.ndarray, path: str) -> None:
     header = ",".join(f"x{k + 1}" for k in range(samples.shape[1]))
-    np.savetxt(path, samples, fmt="%.17g", delimiter=",", header=header, comments="")
+    try:
+        np.savetxt(path, samples, fmt="%.17g", delimiter=",", header=header, comments="")
+    except OSError as exc:
+        raise ValidationError([f"cannot write samples to {path}: {exc}"]) from exc
 
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
@@ -256,7 +255,7 @@ def _cmd_quantile(args: argparse.Namespace) -> int:
 
     spec = _load_spec(args, require_mean=True)
     mu1 = float(spec.mu[0])
-    sd1 = spec.scale_sd(0)
+    sd1 = math.sqrt(spec.sigma_mat[0, 0])
     # The location integrates to zero against 2u - 1, and left in it would
     # bury the scale term under rounding at large offsets.
     if spec.family is Family.NORMAL:

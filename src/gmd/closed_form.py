@@ -180,12 +180,11 @@ class QuantileFunction:
 
 
 _QUANTILE_EPS = 1e-12
+# Twice the default subdivision budget, for F^{-1}'s endpoint singularities.
+_QUANTILE_CONFIG = QuadratureConfig(max_subdivisions=4000)
 
 
-def quantile_gmd(
-    q: QuantileFunction,
-    config: QuadratureConfig | None = None,
-) -> float:
+def quantile_gmd(q: QuantileFunction) -> float:
     """Classical i.i.d. GMD: twice the integral of (2u - 1) F^{-1}(u) over (0,1).
 
     E|X - Y| = 2 * (mean of the 2fF order-statistic density minus the
@@ -199,7 +198,6 @@ def quantile_gmd(
     """
     if not q.mean_exists:
         raise MomentExistenceError("quantile_gmd requires an existing mean")
-    cfg = config or QuadratureConfig(max_subdivisions=4000)
 
     grid = np.linspace(_QUANTILE_EPS, 1.0 - _QUANTILE_EPS, 1000)
     values = np.asarray(q.eval(grid), dtype=float)
@@ -214,8 +212,8 @@ def quantile_gmd(
         return (2.0 * u - 1.0) * np.asarray(q.eval(u), dtype=float)
 
     try:
-        res = integrate_interval(integrand, _QUANTILE_EPS, 1.0 - _QUANTILE_EPS, cfg,
-                                 initial_panels=8)
+        res = integrate_interval(integrand, _QUANTILE_EPS, 1.0 - _QUANTILE_EPS,
+                                 _QUANTILE_CONFIG)
     except NonconvergenceError as exc:
         raise NonconvergenceError(
             f"quantile integral did not converge (divergent mean?): {exc}"

@@ -15,17 +15,19 @@ conditional CDF pi_ij (``skewing_normal``, ``skewing_student``, plain
 functions of x), ``reliability`` (the CDF of the difference law, normal
 or t with the same nu) with its integral check
 ``reliability_quadrature``, ``h_density`` and ``mu_H``.  All pair
-integrals are taken about X_j's own mean, on pairs that ``_centred`` has
-moved by their own location, so no abscissa carries a location offset.
+integrals are taken about X_j's own mean, on pairs moved by their own
+location (``_centred``), so no abscissa carries a location offset.
 They run on adaptive quadrature with the densities and CDFs of
 ``special``, which makes this module the numerical cross-check for every
 closed form in ``closed_form``.  Each is one tangent-map integral over
 the real line.  ``_pair_batch`` builds the integrands of any number of
-pairs from per-pair parameter arrays and one conditional-CDF formula,
-``_conditional_cdf``, which the public ``skewing_*`` functions share:
-``gmd_quadrature`` hands both orderings of every pair to the quadrature
-engine as one batch, so each refinement round of a spec is one
-integrand call, and ``_pair_integral`` runs one pair's integral alone.
+pairs from a (mu_i, mu_j, sigma_i, sigma_j, rho) row per pair and one
+conditional-CDF formula, ``_conditional_cdf``, which the public
+``skewing_*`` functions share.  ``gmd_quadrature`` builds those rows for
+both orderings of every pair straight from the spec's means, scales and
+correlations, and hands them to the quadrature engine as one batch, so
+each refinement round of a spec is one integrand call; ``_pair_integral``
+runs one ``PairParams``' integral alone.
 A Student-t moment integrand decays only like |x|^-nu, since pi_ij tends
 to a constant on each side, so those two limits are subtracted first
 and their share comes back in closed form from the marginal's partial
@@ -39,19 +41,12 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .errors import DegeneratePairError, DomainError, NonconvergenceError
-from .model import (
-    Family,
-    GmdMethod,
-    GmdResult,
-    PairParams,
-    ValidatedSpec,
-    pair_params,
-)
+from .model import Family, GmdMethod, GmdResult, PairParams, ValidatedSpec, pair_correlations
 from .quadrature import (
     BatchIntegrand,
     QuadratureConfig,
@@ -86,11 +81,9 @@ def _marginal_cdf(x: np.ndarray, mu: float, sigma: float, family: Family,
     return student_t_cdf(z, require_dof(dof))
 
 
-def _require_nondegenerate(p: PairParams) -> None:
-    if abs(p.rho_ij) == 1.0:
-        raise DegeneratePairError(
-            f"conditional law is degenerate at rho = {p.rho_ij}"
-        )
+def _require_nondegenerate(rho: float) -> None:
+    if abs(rho) == 1.0:
+        raise DegeneratePairError(f"conditional law is degenerate at rho = {rho}")
 
 
 def _conditional_cdf(x, mu_i, mu_j, sigma_i, sigma_j, rho,
@@ -117,7 +110,7 @@ def _conditional_cdf(x, mu_i, mu_j, sigma_i, sigma_j, rho,
 def _skewing(
     p: PairParams, family: Family, dof: DegreesOfFreedom | None
 ) -> Callable[[np.ndarray], np.ndarray]:
-    _require_nondegenerate(p)
+    _require_nondegenerate(p.rho_ij)
     law = None if family is Family.NORMAL else require_dof(dof)
 
     def eval_(x: np.ndarray) -> np.ndarray:
@@ -146,18 +139,19 @@ def skewing_student(
     return _skewing(p, Family.STUDENT_T, dof)
 
 
-def _skew_transition(p: PairParams) -> list[tuple[float, float]]:
+def _skew_transition(mu_i: float, mu_j: float, sigma_i: float, sigma_j: float,
+                     rho: float) -> list[tuple[float, float]]:
     """Location and width of the conditional-CDF transition.
 
     When the pair scales are badly mismatched this transition is far
     narrower than the marginal density and needs explicit panel edges; a
     zero slope means the skewing argument never crosses zero.
     """
-    slope = 1.0 / p.sigma_i - p.rho_ij / p.sigma_j
+    slope = 1.0 / sigma_i - rho / sigma_j
     if slope == 0.0:
         return []
-    x_star = (p.mu_i / p.sigma_i - p.rho_ij * p.mu_j / p.sigma_j) / slope
-    width = math.sqrt(1.0 - p.rho_ij**2) / abs(slope)
+    x_star = (mu_i / sigma_i - rho * mu_j / sigma_j) / slope
+    width = math.sqrt(1.0 - rho**2) / abs(slope)
     return [(x_star, width)]
 
 
@@ -194,28 +188,27 @@ def _student_asymptote(
 
 
 def _pair_batch(
-    pairs: Sequence[PairParams],
+    params: np.ndarray,
     family: Family,
     dof: DegreesOfFreedom | None,
     moment: bool,
-) -> tuple[BatchIntegrand, list[float]]:
+) -> tuple[BatchIntegrand, np.ndarray]:
     """The integrands of f_{X_j}(x) pi_ij(x), times x if ``moment``, for a batch of pairs.
 
-    Returns f(x, owner), which evaluates pair owner[m]'s integrand at x[m]
-    from per-pair parameter arrays, and the share each pair's integral
-    gets back in closed form.  A Student-t moment integrand decays like
-    |x|^-nu, too slowly for the tangent map as nu nears 1, so pi_ij's
-    limits (c- below mu_j, c+ above) are subtracted from it; the
-    remainder decays like |x|^-(nu+1), and the subtracted part is the
-    share.
+    Row k of ``params`` is pair k's (mu_i, mu_j, sigma_i, sigma_j, rho).
+    Returns f(x, owner), which evaluates pair owner[m]'s integrand at x[m],
+    and the share each pair's integral gets back in closed form.  A
+    Student-t moment integrand decays like |x|^-nu, too slowly for the
+    tangent map as nu nears 1, so pi_ij's limits (c- below mu_j, c+ above)
+    are subtracted from it; the remainder decays like |x|^-(nu+1), and the
+    subtracted part is the share.
     """
-    for p in pairs:
-        _require_nondegenerate(p)
+    mu_i, mu_j, sigma_i, sigma_j, rho = params.T
+    for r in rho.tolist():
+        _require_nondegenerate(r)
     law = None if family is Family.NORMAL else require_dof(dof)
-    mu_i, mu_j, sigma_i, sigma_j, rho = np.array(
-        [(p.mu_i, p.mu_j, p.sigma_i, p.sigma_j, p.rho_ij) for p in pairs]).T
     subtract = moment and law is not None
-    share = np.zeros(len(pairs))
+    share = np.zeros(len(params))
     if subtract:
         c_lo, c_hi, share = _student_asymptote(mu_j, sigma_i, sigma_j, rho, law)
 
@@ -227,14 +220,13 @@ def _pair_batch(
         weight = _marginal_pdf(x, m_j, s_j, family, law) * skew
         return x * weight if moment else weight
 
-    return integrand, share.tolist()
+    return integrand, share
 
 
 def _pair_integral(
     p: PairParams,
     family: Family,
     dof: DegreesOfFreedom | None,
-    config: QuadratureConfig | None,
     moment: bool = False,
 ) -> QuadratureResult:
     """Integral of f_{X_j}(x) pi_ij(x), times x if ``moment``, over the real line.
@@ -242,20 +234,17 @@ def _pair_integral(
     One tangent-map integral centred at mu_j, which puts a panel edge
     there, of ``_pair_batch``'s integrand for the single pair.
     """
-    integrand, share = _pair_batch([p], family, dof, moment)
-    result = integrate_real_line(lambda x: integrand(x, 0), config, center=p.mu_j,
-                                 scale=p.sigma_j, features=_skew_transition(p))
-    return dataclasses.replace(result, value=result.value + share[0])
+    row = (p.mu_i, p.mu_j, p.sigma_i, p.sigma_j, p.rho_ij)
+    integrand, share = _pair_batch(np.array([row]), family, dof, moment)
+    result = integrate_real_line(lambda x: integrand(x, 0), center=p.mu_j,
+                                 scale=p.sigma_j, features=_skew_transition(*row))
+    return dataclasses.replace(result, value=result.value + float(share[0]))
 
 
-def reliability_quadrature(
-    p: PairParams,
-    family: Family,
-    dof: DegreesOfFreedom | None = None,
-    config: QuadratureConfig | None = None,
-) -> QuadratureResult:
+def reliability_quadrature(p: PairParams, family: Family,
+                           dof: DegreesOfFreedom | None = None) -> QuadratureResult:
     """R_ij = E[pi_ij(X_j)] by quadrature; the independent check of ``reliability``."""
-    return _pair_integral(_centred(p), family, dof, config)
+    return _pair_integral(_centred(p), family, dof)
 
 
 def reliability(
@@ -271,7 +260,7 @@ def reliability(
     check: it integrates E[pi_ij(X_j)], like every pair integral here,
     about X_j's own mean.
     """
-    _require_nondegenerate(p)
+    _require_nondegenerate(p.rho_ij)
     return _marginal_cdf(p.mu_j, p.mu_i, p.diff_sd(), family, dof)
 
 
@@ -289,28 +278,18 @@ def h_density(
     return _marginal_pdf(x, p.mu_j, p.sigma_j, family, dof) * skew(x) / r_ij
 
 
-def _mu_h(
-    p: PairParams,
-    family: Family,
-    dof: DegreesOfFreedom | None,
-    config: QuadratureConfig | None,
-) -> float:
+def _mu_h(p: PairParams, family: Family, dof: DegreesOfFreedom | None) -> float:
     if family is Family.STUDENT_T:
         require_dof(dof).require_mean()
     r_ij = reliability(p, family, dof)
     if r_ij <= 0.0:
         raise DomainError("R_ij = 0: mean of h_ij is undefined")
-    return p.mu_j + _pair_integral(_centred(p), family, dof, config, moment=True).value / r_ij
+    return p.mu_j + _pair_integral(_centred(p), family, dof, moment=True).value / r_ij
 
 
-def mu_H(
-    p: PairParams,
-    family: Family,
-    dof: DegreesOfFreedom | None = None,
-    config: QuadratureConfig | None = None,
-) -> float:
+def mu_H(p: PairParams, family: Family, dof: DegreesOfFreedom | None = None) -> float:
     """Mean of the tilted density h_ij: mu_j plus one centred moment integral over R_ij."""
-    return _mu_h(p, family, dof, config)
+    return _mu_h(p, family, dof)
 
 
 def gmd_quadrature(spec: ValidatedSpec, config: QuadratureConfig | None = None) -> GmdResult:
@@ -327,26 +306,32 @@ def gmd_quadrature(spec: ValidatedSpec, config: QuadratureConfig | None = None) 
     """
     if spec.family is Family.STUDENT_T:
         require_dof(spec.dof).require_mean()
-    pairs = spec.pairs()
-    local = [_centred(pair_params(spec, i, j)) for i, j in pairs]
-    orderings = [q for p in local for q in (p, p.swapped())]
-    integrand, share = _pair_batch(orderings, spec.family, spec.dof, moment=True)
+    rows, cols = spec.pair_index
+    sd = np.sqrt(np.diag(spec.sigma_mat))
+    rho = pair_correlations(spec)
+    gap = spec.mu[rows] - spec.mu[cols]
+    zero = np.zeros_like(gap)
+    # Row 2k is pair k's ordering (i, j) moved so that mu_j = 0, as
+    # ``_centred`` moves it; row 2k + 1 is the same pair swapped, (j, i).
+    params = np.stack([
+        np.column_stack([gap, zero, sd[rows], sd[cols], rho]),
+        np.column_stack([zero, gap, sd[cols], sd[rows], rho]),
+    ], axis=1).reshape(-1, 5)
+    integrand, share = _pair_batch(params, spec.family, spec.dof, moment=True)
     try:
         results, rounds = integrate_real_line_batch(
-            integrand, [q.mu_j for q in orderings], [q.sigma_j for q in orderings],
-            [_skew_transition(q) for q in orderings], config)
+            integrand, params[:, 1], params[:, 3],
+            [_skew_transition(*row) for row in params.tolist()], config)
     except NonconvergenceError as exc:
-        i, j = pairs[exc.integral // 2]
-        raise NonconvergenceError(f"pair ({i},{j}): {exc}", exc.integral) from exc
-    results = [dataclasses.replace(r, value=r.value + s) for r, s in zip(results, share)]
-    values = np.empty(len(pairs))
+        k = exc.integral // 2
+        raise NonconvergenceError(f"pair ({rows[k]},{cols[k]}): {exc}", exc.integral) from exc
+    moments = np.array([r.value for r in results]) + share
+    values = 2.0 * (moments[0::2] + moments[1::2]) - gap
     total_err = 0.0
-    for k, p in enumerate(local):
-        ij, ji = results[2 * k], results[2 * k + 1]
-        values[k] = 2.0 * (ij.value + ji.value) - p.mu_i - p.mu_j
+    for ij, ji in zip(results[0::2], results[1::2]):
         total_err += 2.0 * (ij.error + ji.error)
     result = GmdResult(float(values.sum()) / values.size, GmdMethod.QUADRATURE, values)
-    result.diagnostics["abs_error_estimate"] = float(total_err) / values.size
+    result.diagnostics["abs_error_estimate"] = total_err / values.size
     result.diagnostics["quadrature_subdivisions"] = sum(r.subdivisions for r in results)
     result.diagnostics["quadrature_panels"] = sum(r.panels for r in results)
     result.diagnostics["quadrature_integrals"] = len(results)

@@ -4,12 +4,14 @@ A ``DistributionSpec`` describes a location-scale family (multivariate
 normal or Student-t) through a location vector mu and a positive-definite
 scale matrix sigma.  ``validate`` turns it into an immutable
 ``ValidatedSpec`` with a cached Cholesky factor, or raises with the full
-list of violated invariants.  ``pair_differences`` and
-``pair_correlations`` give the law of X_i - X_j and rho_ij for every pair
-at once, as arrays in ``ValidatedSpec.pairs()`` order, for the closed
-form and the bounds; pairwise slices (``PairParams``) feed the per-pair
-quadrature route and the paper's per-pair formulas.  ``GmdResult``
-carries every route's value with its pair breakdown.
+list of violated invariants.  A validated spec holds arrays, and every
+route reads all its pairs from them at once, in
+``ValidatedSpec.pair_index`` order: ``pair_differences`` gives the law
+of X_i - X_j for the closed form and the bounds, ``pair_correlations``
+gives rho_ij for the bounds and the quadrature route.  A pairwise slice
+(``PairParams``, from ``pair_params``) feeds the paper's per-pair
+formulas and the public pair quantities.  ``GmdResult`` carries every
+route's value with its pair breakdown.
 """
 
 from __future__ import annotations
@@ -72,21 +74,10 @@ class ValidatedSpec:
     def n(self) -> int:
         return self.mu.shape[0]
 
-    def scale_sd(self, k: int) -> float:
-        """Marginal scale sqrt(sigma_kk)."""
-        return float(math.sqrt(self.sigma_mat[k, k]))
-
-    def rho(self, i: int, j: int) -> float:
-        r = float(self.sigma_mat[i, j] / (self.scale_sd(i) * self.scale_sd(j)))
-        if abs(r) > 1.0:
-            if abs(r) - 1.0 > RHO_CLAMP:
-                raise ValidationError([f"correlation ({i},{j}) = {r} outside [-1, 1]"])
-            r = math.copysign(1.0, r)
-        return r
-
     def pairs(self) -> list[tuple[int, int]]:
-        n = self.n
-        return [(i, j) for i in range(n) for j in range(i + 1, n)]
+        """The pairs i < j as tuples, in ``pair_index`` order."""
+        rows, cols = self.pair_index
+        return list(zip(rows.tolist(), cols.tolist()))
 
     @cached_property
     def pair_index(self) -> tuple[np.ndarray, np.ndarray]:
@@ -161,18 +152,14 @@ class GmdResult:
         }
 
 
-def validate(
-    spec: DistributionSpec | ValidatedSpec,
-    require_mean: bool = False,
-    require_variance: bool = False,
-) -> ValidatedSpec:
+def validate(spec: DistributionSpec | ValidatedSpec, require_mean: bool = False) -> ValidatedSpec:
     """Check every invariant of a spec and cache its Cholesky factor.
 
     Raises ``ValidationError`` carrying the complete list of violations.
     Validating an already-validated spec returns it unchanged.
     """
     if isinstance(spec, ValidatedSpec):
-        _check_moments(spec.family, spec.dof, require_mean, require_variance)
+        _check_moments(spec.family, spec.dof, require_mean)
         return spec
 
     problems: list[str] = []
@@ -236,7 +223,7 @@ def validate(
                         )
 
     try:
-        _check_moments(family, dof, require_mean, require_variance)
+        _check_moments(family, dof, require_mean)
     except ValidationError as exc:
         problems.extend(exc.violations)
 
@@ -251,27 +238,12 @@ def validate(
     return ValidatedSpec(family, mu, sigma, chol, dof)
 
 
-def _check_moments(
-    family: Family,
-    dof: DegreesOfFreedom | None,
-    require_mean: bool,
-    require_variance: bool,
-) -> None:
-    if family is not Family.STUDENT_T or dof is None:
-        return
-    problems = []
-    if require_mean and dof.nu <= 1:
-        problems.append(
+def _check_moments(family: Family, dof: DegreesOfFreedom | None, require_mean: bool) -> None:
+    if require_mean and family is Family.STUDENT_T and dof is not None and dof.nu <= 1:
+        raise ValidationError([
             f"mean-requiring operation declared but nu = {dof.nu} <= 1 "
             "(mean-existence check)"
-        )
-    if require_variance and dof.nu <= 2:
-        problems.append(
-            f"variance-requiring operation declared but nu = {dof.nu} <= 2 "
-            "(variance-existence check)"
-        )
-    if problems:
-        raise ValidationError(problems)
+        ])
 
 
 def pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -315,7 +287,7 @@ def pair_differences(spec: ValidatedSpec) -> PairDifferences:
 
 
 def pair_correlations(spec: ValidatedSpec) -> np.ndarray:
-    """``spec.rho(i, j)`` for every pair i < j, in ``pairs()`` order."""
+    """rho_ij = S_ij / sqrt(S_ii S_jj) for every pair i < j, in ``pairs()`` order."""
     rows, cols = spec.pair_index
     sd = np.sqrt(np.diag(spec.sigma_mat))
     rho = spec.sigma_mat[rows, cols] / (sd[rows] * sd[cols])
@@ -334,13 +306,11 @@ def pair_params(spec: ValidatedSpec, i: int, j: int) -> PairParams:
         raise DomainError(f"pair indices ({i},{j}) out of range for n = {n}")
     if i == j:
         raise DomainError("pair indices must differ")
-    return PairParams(
-        mu_i=float(spec.mu[i]),
-        mu_j=float(spec.mu[j]),
-        sigma_i=spec.scale_sd(i),
-        sigma_j=spec.scale_sd(j),
-        rho_ij=spec.rho(i, j),
-    )
+    s = spec.sigma_mat
+    sd_i, sd_j = math.sqrt(s[i, i]), math.sqrt(s[j, j])
+    # PairParams clamps a rounded |rho| just above 1, as pair_correlations does.
+    return PairParams(float(spec.mu[i]), float(spec.mu[j]), sd_i, sd_j,
+                      float(s[i, j] / (sd_i * sd_j)))
 
 
 # --- JSON wire format -------------------------------------------------------

@@ -208,8 +208,9 @@ def _adaptive(
     return results, rounds
 
 
-def _initial_edges(a: float, b: float, panels: int, extra: np.ndarray | None) -> np.ndarray:
-    edges = np.linspace(a, b, panels + 1)
+def _initial_edges(a: float, b: float, extra: np.ndarray | None) -> np.ndarray:
+    """8 equal panels on [a, b], split further at the ``extra`` edges inside it."""
+    edges = np.linspace(a, b, 9)
     if extra is not None and len(extra):
         inside = extra[(extra > a) & (extra < b)]
         edges = np.unique(np.concatenate([edges, inside]))
@@ -221,21 +222,20 @@ def integrate_interval(
     a: float,
     b: float,
     config: QuadratureConfig | None = None,
-    initial_panels: int = 4,
     extra_edges: np.ndarray | None = None,
 ) -> QuadratureResult:
     """Adaptive integration of f over the finite interval [a, b].
 
-    extra_edges seeds additional panel boundaries.  A feature much narrower
-    than a panel can otherwise fall between the rule's nodes and leave no
-    trace in the error estimate; callers that know where such features live
-    should bracket them with edges.
+    Starts from 8 equal panels; extra_edges seeds additional boundaries.
+    A feature much narrower than a panel can otherwise fall between the
+    rule's nodes and leave no trace in the error estimate; callers that
+    know where such features live should bracket them with edges.
     """
     if not (math.isfinite(a) and math.isfinite(b)):
         raise DomainError("integrate_interval requires finite endpoints")
     if a == b:
         return QuadratureResult(0.0, 0.0, 0, 0)
-    edges = _initial_edges(a, b, initial_panels, extra_edges)
+    edges = _initial_edges(a, b, extra_edges)
     results, _ = _adaptive(lambda x, _owner: f(x), [edges], config)
     return results[0]
 
@@ -279,7 +279,7 @@ def integrate_real_line_batch(
         return np.where(fx == 0.0, 0.0, fx * s * (1.0 + tan_t * tan_t))
 
     edges = [
-        _initial_edges(-0.5 * math.pi, 0.5 * math.pi, 8,
+        _initial_edges(-0.5 * math.pi, 0.5 * math.pi,
                        np.arctan((feature_edges(feats) - c) / s) if feats else None)
         for c, s, feats in zip(center.tolist(), scale.tolist(), features)
     ]
@@ -393,8 +393,7 @@ def integrate_real_line_split(
     start_up = max(center + split * scale, scale)
     start_down = max(-(center - split * scale), scale)
     extra = feature_edges(features) if features else None
-    core = integrate_interval(f, -start_down, start_up, cfg, initial_panels=8,
-                              extra_edges=extra)
+    core = integrate_interval(f, -start_down, start_up, cfg, extra_edges=extra)
     tail_tol = max(0.1 * cfg.abs_tol, 1e-300)
     up_val, up_err, up_panels = _geometric_tail(f, start_up, True, tail_tol)
     down_val, down_err, down_panels = _geometric_tail(f, start_down, False, tail_tol)

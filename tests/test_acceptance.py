@@ -16,7 +16,7 @@ from scipy.special import ndtri
 
 import gmd
 from gmd.general_ec import _marginal_pdf, gmd_quadrature, h_density, reliability
-from gmd.model import DistributionSpec, Family, PairParams, validate
+from gmd.model import DistributionSpec, Family, PairParams, pair_correlations, validate
 from gmd.monte_carlo import MonteCarloConfig, classic_empirical_gmd, estimate_gmd
 from gmd.quadrature import integrate_real_line
 from gmd.special import DegreesOfFreedom
@@ -97,8 +97,8 @@ class TestAcceptance:
             rng = np.random.default_rng(33)
             for k in range(100):
                 spec = random_exchangeable_spec(rng, equicorrelated=(k % 2 == 0))
-                rhos = [spec.rho(i, j) for i, j in spec.pairs()]
-                exact = exchangeable_normal_gmd(spec.scale_sd(0), rhos)
+                sd = math.sqrt(spec.sigma_mat[0, 0])
+                exact = exchangeable_normal_gmd(sd, pair_correlations(spec))
                 assert gmd.normal_gmd(spec).value == pytest.approx(exact, abs=1e-12)
                 est = estimate_gmd(spec, MonteCarloConfig(draws=1_000_000, seed=3000 + k))
                 assert abs(est.value - exact) <= 3.0 * est.diagnostics["std_error"]
@@ -154,9 +154,9 @@ class TestAcceptance:
                 assert exact <= gmd.second_moment_bound(spec) + 1e-9
             for _ in range(50):
                 spec = random_exchangeable_spec(rng)
-                rhos = [spec.rho(i, j) for i, j in spec.pairs()]
                 exact = gmd.normal_gmd(spec).value
-                bound = gmd.exchangeable_rho_bound(spec.scale_sd(0), rhos)
+                bound = gmd.exchangeable_rho_bound(math.sqrt(spec.sigma_mat[0, 0]),
+                                                   pair_correlations(spec))
                 assert exact / bound == pytest.approx(SQRT_2_OVER_PI, abs=1e-9)
 
     def test_criterion_8_quantile_formula(self):

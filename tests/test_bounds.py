@@ -127,12 +127,6 @@ class TestCpConstant:
         with pytest.raises(DomainError):
             cp_constant(1.0)
 
-    def test_custom_norm_provider(self):
-        # A flat provider isolates the (p-1)/(2p-1) factor.
-        assert cp_constant(2.0, lp_norm=lambda p: 1.0) == pytest.approx(
-            2.0 / math.sqrt(3.0), rel=1e-14
-        )
-
 
 class TestCpBound:
     def test_scaling(self):

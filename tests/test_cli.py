@@ -82,6 +82,19 @@ class TestClosedFormCommand:
         assert code == 1
         assert "cannot read" in json.loads(out)["errors"][0]
 
+    def test_control_characters_in_a_path_stay_valid_json(self, capsys, tmp_path):
+        path = str(tmp_path / "no\tsuch\nfile\x01.json")
+        code, out = run(capsys, "closed-form", path)
+        assert code == 1
+        assert path in json.loads(out)["errors"][0]
+
+    def test_spec_not_utf8(self, capsys, tmp_path):
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes(b'{"family": "normal", "mu": [0, 0], "sigma": [[1, 0], [0, 1]]}\xff')
+        code, out = run(capsys, "closed-form", str(bad))
+        assert code == 1
+        assert "cannot read" in json.loads(out)["errors"][0]
+
     def test_malformed_json(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{nope")
@@ -175,6 +188,14 @@ class TestEstimateCommand:
         assert len(lines) == 1001
         first = [float(v) for v in lines[1].split(",")]
         assert len(first) == 2 and all(math.isfinite(v) for v in first)
+
+    def test_dump_into_a_missing_directory(self, capsys, iid_normal_spec, tmp_path):
+        dump = tmp_path / "missing" / "samples.csv"
+        code, out = run(capsys, "estimate", iid_normal_spec,
+                        "--draws", "1000", "--seed", "1", "--dump", str(dump))
+        assert code == 1
+        assert "cannot write samples" in json.loads(out)["errors"][0]
+        assert not dump.exists()
 
     @pytest.mark.parametrize("output", ["json", "text"])
     def test_seed_above_2_53_is_reported_exactly(self, capsys, iid_normal_spec, output):

@@ -26,7 +26,7 @@ from gmd.closed_form import (
     student_pair_gmd,
 )
 from gmd.errors import DomainError, MomentExistenceError
-from gmd.model import DistributionSpec, PairParams, pair_params, validate
+from gmd.model import DistributionSpec, PairParams, pair_correlations, pair_params, validate
 from gmd.special import DegreesOfFreedom, gamma_fn, student_t_pdf
 
 from helpers import (
@@ -162,9 +162,9 @@ class TestNormalGmd:
         rng = np.random.default_rng(3)
         for _ in range(20):
             spec = random_exchangeable_spec(rng, equicorrelated=bool(rng.integers(2)))
-            rhos = [spec.rho(i, j) for i, j in spec.pairs()]
+            sd = math.sqrt(spec.sigma_mat[0, 0])
             assert normal_gmd(spec).value == pytest.approx(
-                exchangeable_normal_gmd(spec.scale_sd(0), rhos), abs=1e-12
+                exchangeable_normal_gmd(sd, pair_correlations(spec)), abs=1e-12
             )
 
     def test_value_is_average_of_contributions(self):
@@ -277,9 +277,9 @@ class TestStudentGmd:
         rng = np.random.default_rng(7)
         for nu in (1.5, 2.0, 6.0):
             spec = random_exchangeable_spec(rng, "student-t", nu=nu)
-            rhos = [spec.rho(i, j) for i, j in spec.pairs()]
+            sd = math.sqrt(spec.sigma_mat[0, 0])
             assert student_gmd(spec).value == pytest.approx(
-                exchangeable_student_gmd(spec.scale_sd(0), spec.dof, rhos), abs=1e-12
+                exchangeable_student_gmd(sd, spec.dof, pair_correlations(spec)), abs=1e-12
             )
 
     def test_nu_sweep_approaches_normal(self):

@@ -442,9 +442,8 @@ class TestGmdQuadratureRoute:
                 values, panels = [], 0
                 for i, j in spec.pairs():
                     local = general_ec._centred(pair_params(spec, i, j))
-                    ij = general_ec._pair_integral(local, family, dof, None, moment=True)
-                    ji = general_ec._pair_integral(local.swapped(), family, dof, None,
-                                                   moment=True)
+                    ij = general_ec._pair_integral(local, family, dof, moment=True)
+                    ji = general_ec._pair_integral(local.swapped(), family, dof, moment=True)
                     values.append(2.0 * (ij.value + ji.value) - local.mu_i - local.mu_j)
                     panels += ij.panels + ji.panels
                 assert batched.diagnostics["quadrature_panels"] == panels, (n, offset)

@@ -216,7 +216,7 @@ class TestPairArrays:
             assert m[k] == p.mu_i - p.mu_j
             assert math.sqrt(v[k]) == pytest.approx(p.diff_sd(), rel=1e-13)
             assert var_sum[k] == spec.sigma_mat[i, i] + spec.sigma_mat[j, j]
-            assert rhos[k] == spec.rho(i, j)
+            assert rhos[k] == p.rho_ij
 
 
 class TestJsonSchema:

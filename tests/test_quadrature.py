@@ -78,10 +78,10 @@ class TestFiniteInterval:
             assert type(res.panels) is int
 
     def test_panels_counted(self):
-        # Four initial panels, then two per subdivision; none when empty.
-        res = integrate_interval(lambda x: np.sin(7 * x) ** 2, 0.0, math.pi)
+        # Eight initial panels, then two per subdivision; none when empty.
+        res = integrate_interval(lambda x: np.sin(30 * x) ** 2, 0.0, math.pi)
         assert res.subdivisions > 0
-        assert res.panels == 4 + 2 * res.subdivisions
+        assert res.panels == 8 + 2 * res.subdivisions
         assert integrate_interval(lambda x: x, 2.0, 2.0).panels == 0
 
     def test_infinite_endpoint_rejected(self):
