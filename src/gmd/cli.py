@@ -127,6 +127,10 @@ def _to_text(obj: Any, prefix: str = "") -> list[str]:
 def _scalar_text(v: Any) -> str:
     if isinstance(v, float):
         return _fmt(v) if math.isfinite(v) else "nan"
+    if isinstance(v, str):
+        # Escaped as in the JSON report, without the quotes, so that a
+        # newline in a value cannot start a line of its own.
+        return json.dumps(v, ensure_ascii=False)[1:-1]
     return str(v)
 
 
@@ -201,9 +205,14 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     samples = monte_carlo.sample(spec, cfg)
     if args.dump:
         _dump_csv(samples, args.dump)
-    result = monte_carlo.estimate_from_samples(samples, cfg)
+    result = monte_carlo.estimate_from_samples(samples, cfg, monte_carlo.finite_variance(spec))
     _emit(_result_report(result), args.output)
     return EXIT_OK
+
+
+# Why verify's Monte Carlo check does not apply to a spec without a variance.
+_MC_CHECK_REASON = ("E|X_i - X_j|^2 is infinite for nu <= 2, so the standard "
+                    "error estimates nothing")
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -214,11 +223,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     mc_cfg = monte_carlo.MonteCarloConfig(draws=args.draws, seed=args.seed, chunks=args.chunks)
     mc = monte_carlo.estimate_gmd(spec, mc_cfg)
     se = float(mc.diagnostics["std_error"])
+    mc_applies = bool(mc.diagnostics["std_error_valid"])
     quad_diff = abs(closed.value - quad.value)
     mc_diff = abs(closed.value - mc.value)
     mc_diff_se = mc_diff / se if se > 0 else (0.0 if mc_diff == 0 else math.inf)
     # A Python bool: numpy's comparison result does not serialize.
-    ok = bool(quad_diff <= args.quad_tol and mc_diff_se <= args.mc_se)
+    ok = bool(quad_diff <= args.quad_tol and (not mc_applies or mc_diff_se <= args.mc_se))
     report = {
         "closed_form": closed.value,
         "quadrature": quad.value,
@@ -228,24 +238,36 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         "quad_tol": args.quad_tol,
         "mc_diff_in_se": mc_diff_se,
         "mc_se_tol": args.mc_se,
+        "mc_check": "applied" if mc_applies else "n/a",
+        "mc_check_reason": None if mc_applies else _MC_CHECK_REASON,
+        "decided_by": ["quadrature", "monte-carlo"] if mc_applies else ["quadrature"],
         "pass": ok,
     }
     if args.output == "text":
         width = max(len(_fmt(v)) for v in (closed.value, quad.value, mc.value))
+        mc_verdict = (f"{mc_diff_se:.3f} SE (tol {args.mc_se:g} SE)" if mc_applies
+                      else f"n/a: {_MC_CHECK_REASON}")
         print(f"{'route':<14}{'value':<{width + 2}}discrepancy")
         print(f"{'closed-form':<14}{_fmt(closed.value):<{width + 2}}-")
         print(
             f"{'quadrature':<14}{_fmt(quad.value):<{width + 2}}"
             f"{quad_diff:.3e} abs (tol {args.quad_tol:g})"
         )
-        print(
-            f"{'monte-carlo':<14}{_fmt(mc.value):<{width + 2}}"
-            f"{mc_diff_se:.3f} SE (tol {args.mc_se:g} SE)"
-        )
+        print(f"{'monte-carlo':<14}{_fmt(mc.value):<{width + 2}}{mc_verdict}")
         print(f"pass = {str(ok).lower()}")
     else:
         _emit(report, args.output)
     return EXIT_OK if ok else EXIT_NUMERICAL
+
+
+def _student_t_quantile_tail(nu: float) -> tuple[float, float]:
+    """(K, 1/nu) with F^{-1}(u) ~ K (1 - u)^(-1/nu) as u -> 1 for the standard t.
+
+    The tail 1 - F(x) ~ c nu^((nu - 1)/2) x^-nu, c the density at 0
+    (Hill, Algorithm 396, CACM 1970), inverts to K = (c nu^((nu - 1)/2))^(1/nu).
+    """
+    log_c = math.lgamma(0.5 * (nu + 1.0)) - math.lgamma(0.5 * nu) - 0.5 * math.log(nu * math.pi)
+    return math.exp((log_c + 0.5 * (nu - 1.0) * math.log(nu)) / nu), 1.0 / nu
 
 
 def _cmd_quantile(args: argparse.Namespace) -> int:
@@ -256,14 +278,16 @@ def _cmd_quantile(args: argparse.Namespace) -> int:
     spec = _load_spec(args, require_mean=True)
     mu1 = float(spec.mu[0])
     sd1 = math.sqrt(spec.sigma_mat[0, 0])
-    # The location integrates to zero against 2u - 1, and left in it would
-    # bury the scale term under rounding at large offsets.
+    # The unit quantile is integrated and scaled afterwards, so the value is
+    # scale-equivariant; the location integrates to zero against 2u - 1, and
+    # left in it would bury the scale term under rounding at large offsets.
     if spec.family is Family.NORMAL:
-        q = closed_form.QuantileFunction(lambda u: sd1 * ndtri(u))
+        q = closed_form.QuantileFunction(ndtri)
     else:
         nu = spec.dof.nu
-        q = closed_form.QuantileFunction(lambda u: sd1 * stdtrit(nu, u))
-    value = closed_form.quantile_gmd(q)
+        q = closed_form.QuantileFunction(lambda u: stdtrit(nu, u),
+                                         tail=_student_t_quantile_tail(nu))
+    value = sd1 * closed_form.quantile_gmd(q)
     with warnings.catch_warnings():
         # gini_index warns on a negative mean; the report says so in gini_note.
         warnings.simplefilter("ignore", UserWarning)

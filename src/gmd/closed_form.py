@@ -147,7 +147,7 @@ def _folded_gmd(spec: ValidatedSpec) -> GmdResult:
     eps = np.finfo(float).eps
     # A degenerate pair's true scale may be anything below sqrt(eps * var_sum).
     pair_errors = np.where(
-        degenerate, np.sqrt(eps * var_sum), eps * (np.abs(m) + values * var_sum / v_safe)
+        degenerate, np.sqrt(eps * var_sum), eps * (np.abs(m) + values * (var_sum / v_safe))
     )
     count = values.size
     result = GmdResult(float(values.sum()) / count, GmdMethod.CLOSED_FORM, values)
@@ -173,15 +173,31 @@ def student_gmd(spec: ValidatedSpec) -> GmdResult:
 
 @dataclass
 class QuantileFunction:
-    """A quantile function u in (0,1) -> F^{-1}(u) with declared integrability."""
+    """A quantile function u in (0,1) -> F^{-1}(u) with declared integrability.
+
+    ``tail``, if given, is a pair (K, a) with 0 < a < 1 such that
+    F^{-1}(u) ~ K (1 - u)^-a as u -> 1 and ~ -K u^-a as u -> 0: the two
+    tails of a law with P(|X| > x) falling like x^(-1/a), such as the
+    Student-t with a = 1/nu.
+    """
 
     eval: Callable[[np.ndarray], np.ndarray]
     mean_exists: bool = True
+    tail: tuple[float, float] | None = None
 
 
 _QUANTILE_EPS = 1e-12
 # Twice the default subdivision budget, for F^{-1}'s endpoint singularities.
 _QUANTILE_CONFIG = QuadratureConfig(max_subdivisions=4000)
+
+
+def _power_tail(tail: tuple[float, float]) -> tuple[float, float]:
+    k, a = (float(t) for t in tail)
+    if not (math.isfinite(k) and k > 0 and math.isfinite(a) and a > 0):
+        raise DomainError(f"tail (K, a) needs finite K > 0 and a > 0, got {tail}")
+    if a >= 1:
+        raise MomentExistenceError(f"a tail index a = {a} >= 1 has no mean")
+    return k, a
 
 
 def quantile_gmd(q: QuantileFunction) -> float:
@@ -190,14 +206,24 @@ def quantile_gmd(q: QuantileFunction) -> float:
     E|X - Y| = 2 * (mean of the 2fF order-statistic density minus the
     mean), and substituting u = F(x) turns that into this integral; the
     factor two is what makes the uniform come out 1/3 and the unit
-    exponential 1.  Integrates on (eps, 1-eps) with eps = 1e-12; the
-    adaptive engine bisects geometrically toward the endpoints, where
-    F^{-1} may diverge slowly while the integral converges.  A quantile
-    that is decreasing on a 1000-point grid is rejected, as is one whose
+    exponential 1.
+
+    Without a declared tail the integral runs over (eps, 1-eps) with
+    eps = 1e-12; the adaptive engine bisects geometrically toward the
+    endpoints, where F^{-1} may diverge slowly while the integral
+    converges, and the mass beyond the cut is dropped (a normal quantile
+    loses below 1e-22 there).  With a declared tail (K, a) the asymptote
+    A(u) = K [(1 - u)^-a - u^-a] is subtracted, the bounded remainder
+    (2u - 1) (F^{-1}(u) - A(u)) is integrated over all of [0, 1], and
+    the asymptote's share, the integral of (2u - 1) A(u), is added in
+    closed form: 2 a K / ((1 - a) (2 - a)).  Nothing is cut, so heavy
+    tails (a near 1) lose no mass and take few panels.  A quantile that
+    is decreasing on a 1000-point grid is rejected, as is one whose
     declared mean does not exist.
     """
     if not q.mean_exists:
         raise MomentExistenceError("quantile_gmd requires an existing mean")
+    tail = None if q.tail is None else _power_tail(q.tail)
 
     grid = np.linspace(_QUANTILE_EPS, 1.0 - _QUANTILE_EPS, 1000)
     values = np.asarray(q.eval(grid), dtype=float)
@@ -208,17 +234,26 @@ def quantile_gmd(q: QuantileFunction) -> float:
     if np.any(diffs < -tol):
         raise DomainError("quantile function is not nondecreasing on (0,1)")
 
-    def integrand(u: np.ndarray) -> np.ndarray:
-        return (2.0 * u - 1.0) * np.asarray(q.eval(u), dtype=float)
+    if tail is None:
+        lo, hi, asymptote_share = _QUANTILE_EPS, 1.0 - _QUANTILE_EPS, 0.0
+
+        def integrand(u: np.ndarray) -> np.ndarray:
+            return (2.0 * u - 1.0) * np.asarray(q.eval(u), dtype=float)
+    else:
+        k, a = tail
+        lo, hi, asymptote_share = 0.0, 1.0, 2.0 * a * k / ((1.0 - a) * (2.0 - a))
+
+        def integrand(u: np.ndarray) -> np.ndarray:
+            asymptote = k * ((1.0 - u) ** -a - u ** -a)
+            return (2.0 * u - 1.0) * (np.asarray(q.eval(u), dtype=float) - asymptote)
 
     try:
-        res = integrate_interval(integrand, _QUANTILE_EPS, 1.0 - _QUANTILE_EPS,
-                                 _QUANTILE_CONFIG)
+        res = integrate_interval(integrand, lo, hi, _QUANTILE_CONFIG)
     except NonconvergenceError as exc:
         raise NonconvergenceError(
             f"quantile integral did not converge (divergent mean?): {exc}"
         ) from exc
-    return max(0.0, 2.0 * res.value)
+    return max(0.0, 2.0 * (res.value + asymptote_share))
 
 
 def gini_index(gmd_value: float, mu1: float) -> float:

@@ -127,13 +127,13 @@ class GmdResult:
     array in ``ValidatedSpec.pairs()`` order; ``pair_contributions`` pairs
     each value with its indices.  Diagnostics are numeric (error
     estimates, sample counts, subdivision counts) plus the algorithm-name
-    constants recorded by the sampler.
+    constants and the ``std_error_valid`` flag recorded by the sampler.
     """
 
     value: float
     method: GmdMethod
     pair_values: np.ndarray
-    diagnostics: dict[str, float | int | str] = field(default_factory=dict)
+    diagnostics: dict[str, float | int | bool | str] = field(default_factory=dict)
 
     @property
     def pair_contributions(self) -> list[tuple[tuple[int, int], float]]:
@@ -155,8 +155,10 @@ class GmdResult:
 def validate(spec: DistributionSpec | ValidatedSpec, require_mean: bool = False) -> ValidatedSpec:
     """Check every invariant of a spec and cache its Cholesky factor.
 
-    Raises ``ValidationError`` carrying the complete list of violations.
-    Validating an already-validated spec returns it unchanged.
+    Raises ``ValidationError`` carrying the complete list of violations,
+    among them mean differences or difference scales S_ii + S_jj - 2 S_ij
+    that overflow, which no route could use.  Validating an
+    already-validated spec returns it unchanged.
     """
     if isinstance(spec, ValidatedSpec):
         _check_moments(spec.family, spec.dof, require_mean)
@@ -184,6 +186,8 @@ def validate(spec: DistributionSpec | ValidatedSpec, require_mean: bool = False)
         problems.append(f"sigma must be {n}x{n}, got shape {sigma.shape}")
     if not np.all(np.isfinite(mu)):
         problems.append("mu contains non-finite entries")
+    elif n and not math.isfinite(float(np.max(mu)) - float(np.min(mu))):
+        problems.append("mean differences mu_i - mu_j overflow")
     if not np.all(np.isfinite(sigma)):
         problems.append("sigma contains non-finite entries")
 
@@ -202,10 +206,14 @@ def validate(spec: DistributionSpec | ValidatedSpec, require_mean: bool = False)
     chol = None
     if not problems:
         scale = float(np.max(np.abs(sigma))) or 1.0
-        if np.max(np.abs(sigma - sigma.T)) > SYMMETRY_RTOL * scale:
+        with np.errstate(over="ignore"):  # an overflowed gap is inf: asymmetric
+            asymmetry = np.max(np.abs(sigma - sigma.T))
+        if asymmetry > SYMMETRY_RTOL * scale:
             problems.append("sigma is not symmetric (relative tolerance 1e-12)")
         else:
-            sigma = 0.5 * (sigma + sigma.T)
+            # Halved before the sum, which cannot overflow; the same bits
+            # as 0.5 * (S + S^T) wherever the entries are normal numbers.
+            sigma = 0.5 * sigma + 0.5 * sigma.T
             if np.any(np.diag(sigma) <= 0):
                 problems.append("sigma has non-positive diagonal entries")
             else:
@@ -221,6 +229,10 @@ def validate(spec: DistributionSpec | ValidatedSpec, require_mean: bool = False)
                             "sigma is numerically singular (Cholesky pivot below "
                             "1e-12 of max diagonal)"
                         )
+                    elif _difference_scales_overflow(sigma):
+                        chol = None
+                        problems.append(
+                            "difference scales S_ii + S_jj - 2 S_ij overflow")
 
     try:
         _check_moments(family, dof, require_mean)
@@ -236,6 +248,22 @@ def validate(spec: DistributionSpec | ValidatedSpec, require_mean: bool = False)
     for arr in (mu, sigma, chol):
         arr.setflags(write=False)
     return ValidatedSpec(family, mu, sigma, chol, dof)
+
+
+def _difference_scales_overflow(sigma: np.ndarray) -> bool:
+    """Whether S_ii + S_jj - 2 S_ij, formed as ``pair_differences`` forms it,
+    overflows for some pair of a positive-definite S.
+
+    |S_ij| <= max S_ii there, so a finite 4 max S_ii bounds every term and
+    settles the common case in O(n); only beyond it are the pairs formed.
+    """
+    diag = np.diag(sigma)
+    if math.isfinite(4.0 * float(np.max(diag))):
+        return False
+    rows, cols = pair_indices(diag.size)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is nan
+        v = diag[rows] + diag[cols] - 2.0 * sigma[rows, cols]
+    return not np.isfinite(v).all()
 
 
 def _check_moments(family: Family, dof: DegreesOfFreedom | None, require_mean: bool) -> None:

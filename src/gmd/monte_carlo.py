@@ -21,8 +21,10 @@ columns, and the differences |x_j - x_i| for j > i are formed row by row
 in one reused buffer.  Its row sums feed the pair means, which come out
 in ``pairs()`` order as one float64 array, and its column sums the
 per-draw statistic behind the standard error; no temporary is
-draws x n.  ``classic_empirical_gmd`` is the U-statistic of a univariate
-sample.
+draws x n.  The standard error estimates the error only when
+E|X_i - X_j|^2 is finite (``finite_variance``: not for a t with
+nu <= 2); the result says so in ``std_error_valid``.
+``classic_empirical_gmd`` is the U-statistic of a univariate sample.
 
 ``GMD_THREADS`` caps the worker count (default 1, i.e. sequential).
 """
@@ -145,8 +147,20 @@ def _pair_stats(samples: np.ndarray) -> tuple[np.ndarray, float]:
     return pair_sums / m, std_error
 
 
-def estimate_from_samples(samples: np.ndarray, cfg: MonteCarloConfig) -> GmdResult:
-    """Package the empirical GMD of already-drawn samples as a GmdResult."""
+def finite_variance(spec: ValidatedSpec) -> bool:
+    """Whether E|X_i - X_j|^2 is finite, so that ``std_error`` estimates the
+    error: always for the normal, for the Student-t only when nu > 2."""
+    return spec.family is Family.NORMAL or require_dof(spec.dof).nu > 2
+
+
+def estimate_from_samples(samples: np.ndarray, cfg: MonteCarloConfig,
+                          std_error_valid: bool = True) -> GmdResult:
+    """Package the empirical GMD of already-drawn samples as a GmdResult.
+
+    ``std_error_valid`` is recorded as a diagnostic: pass
+    ``finite_variance(spec)``, since without a finite variance the standard
+    error is still computed but estimates nothing.
+    """
     pair_means, std_error = _pair_stats(samples)
     value = float(pair_means.sum()) / pair_means.size
     return GmdResult(
@@ -155,6 +169,7 @@ def estimate_from_samples(samples: np.ndarray, cfg: MonteCarloConfig) -> GmdResu
         pair_means,
         {
             "std_error": std_error,
+            "std_error_valid": std_error_valid,
             "draws": len(samples),
             "chunks": cfg.chunks,
             "seed": cfg.seed,
@@ -166,7 +181,7 @@ def estimate_from_samples(samples: np.ndarray, cfg: MonteCarloConfig) -> GmdResu
 
 def estimate_gmd(spec: ValidatedSpec, cfg: MonteCarloConfig) -> GmdResult:
     """Sample the spec and package the empirical GMD as a GmdResult."""
-    return estimate_from_samples(sample(spec, cfg), cfg)
+    return estimate_from_samples(sample(spec, cfg), cfg, finite_variance(spec))
 
 
 def classic_empirical_gmd(x: np.ndarray) -> float:

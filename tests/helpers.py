@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -227,6 +228,8 @@ def reference_to_text(obj, prefix: str = "") -> list[str]:
 def _scalar_text(v) -> str:
     if isinstance(v, float):
         return _fmt(v) if math.isfinite(v) else "nan"
+    if isinstance(v, str):  # JSON escapes, without the quotes
+        return json.dumps(v, ensure_ascii=False)[1:-1]
     return str(v)
 
 

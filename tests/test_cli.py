@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -87,6 +88,15 @@ class TestClosedFormCommand:
         code, out = run(capsys, "closed-form", path)
         assert code == 1
         assert path in json.loads(out)["errors"][0]
+
+    def test_control_characters_in_a_path_stay_one_line_of_text(self, capsys, tmp_path):
+        path = str(tmp_path / "no\tsuch\nfile.json")
+        code, out = run(capsys, "closed-form", path, "--output", "text")
+        assert code == 1
+        lines = out.splitlines()
+        assert len(lines) == 1
+        assert all(re.fullmatch(r"[\w.]+ = \S.*", line) for line in lines)
+        assert "no\\tsuch\\nfile.json" in lines[0]
 
     def test_spec_not_utf8(self, capsys, tmp_path):
         bad = tmp_path / "latin1.json"
@@ -173,6 +183,17 @@ class TestEstimateCommand:
         se = report["diagnostics"]["std_error"]
         assert abs(report["value"] - TWO_OVER_SQRT_PI) < 4 * se
 
+    @pytest.mark.parametrize("nu, valid", [(1.5, False), (2.0, False), (4.0, True)])
+    def test_std_error_flagged_without_a_variance(self, capsys, tmp_path, nu, valid):
+        spec = tmp_path / "t.json"
+        spec.write_text(json.dumps({"family": "student-t", "nu": nu, "mu": [0.0, 0.5],
+                                    "sigma": [[1.0, 0.3], [0.3, 1.0]]}))
+        code, out = run(capsys, "estimate", str(spec), "--draws", "2000", "--seed", "1")
+        diagnostics = json.loads(out)["diagnostics"]
+        assert code == 0
+        assert diagnostics["std_error_valid"] is valid
+        assert isinstance(diagnostics["std_error"], float) and diagnostics["std_error"] > 0
+
     def test_draw_floor_enforced(self, capsys, iid_normal_spec):
         code, out = run(capsys, "estimate", iid_normal_spec, "--draws", "999")
         assert code == 1
@@ -247,6 +268,46 @@ class TestVerifyCommand:
                         "--draws", "50000", "--seed", "2", "--output", "text")
         assert code == 0
         assert "closed-form" in out and "quadrature" in out and "monte-carlo" in out
+
+    HEAVY = {"family": "student-t", "mu": [0.0, 0.5], "sigma": [[1.0, 0.3], [0.3, 1.0]]}
+
+    def _heavy_spec(self, tmp_path, nu):
+        spec = tmp_path / "heavy.json"
+        spec.write_text(json.dumps({**self.HEAVY, "nu": nu}))
+        return str(spec)
+
+    def test_no_variance_passes_on_quadrature_alone(self, capsys, tmp_path):
+        # At nu = 1.5, E|D|^2 is infinite; seed 21 puts the estimate 7 of
+        # its (meaningless) standard errors from the closed form.
+        code, out = run(capsys, "verify", self._heavy_spec(tmp_path, 1.5),
+                        "--draws", "2000", "--seed", "21")
+        report = json.loads(out)
+        assert report["mc_diff_in_se"] > 3.0
+        assert code == 0 and report["pass"] is True
+        assert report["mc_check"] == "n/a"
+        assert "nu <= 2" in report["mc_check_reason"]
+        assert report["decided_by"] == ["quadrature"]
+        assert isinstance(report["mc_std_error"], float)
+
+    def test_no_variance_still_gates_on_quadrature(self, capsys, tmp_path):
+        code, out = run(capsys, "verify", self._heavy_spec(tmp_path, 1.5), "--draws", "2000",
+                        "--abs-tol", "1e-4", "--rel-tol", "1e-4", "--quad-tol", "1e-15")
+        assert code == 2 and json.loads(out)["pass"] is False
+
+    def test_finite_variance_gates_on_monte_carlo(self, capsys, tmp_path):
+        code, out = run(capsys, "verify", self._heavy_spec(tmp_path, 4.0),
+                        "--draws", "2000", "--seed", "21", "--mc-se", "1e-12")
+        report = json.loads(out)
+        assert code == 2 and report["pass"] is False
+        assert report["abs_diff_quadrature"] <= report["quad_tol"]
+        assert report["mc_check"] == "applied" and report["mc_check_reason"] is None
+        assert report["decided_by"] == ["quadrature", "monte-carlo"]
+
+    def test_text_table_says_n_a(self, capsys, tmp_path):
+        code, out = run(capsys, "verify", self._heavy_spec(tmp_path, 1.5),
+                        "--draws", "2000", "--seed", "21", "--output", "text")
+        mc_row = next(line for line in out.splitlines() if line.startswith("monte-carlo"))
+        assert code == 0 and "n/a" in mc_row and "SE" not in mc_row
 
     def test_nonconvergence_exit_code(self, capsys, iid_normal_spec):
         # Tolerances beyond float64 exhaust the subdivision budget.
@@ -374,6 +435,40 @@ def _spec_file(tmp_path, name, family, nu, n, seed):
     path = tmp_path / name
     path.write_text(json.dumps(data))
     return str(path), validate(spec_from_dict(data))
+
+
+class TestQuantileScale:
+    """quantile-gmd integrates the unit quantile and scales the result."""
+
+    def _value(self, capsys, tmp_path, family, nu, var):
+        data = {"family": family, "mu": [0.0, 0.0], "sigma": [[var, 0.0], [0.0, var]]}
+        if nu is not None:
+            data["nu"] = nu
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(data))
+        code, out = run(capsys, "quantile-gmd", str(spec))
+        assert code == 0, out
+        return json.loads(out)["value"]
+
+    @pytest.mark.parametrize("family, nu", [("normal", None), ("student-t", 3.0),
+                                            ("student-t", 1.05)])
+    def test_equivariant(self, capsys, tmp_path, family, nu):
+        unit = self._value(capsys, tmp_path, family, nu, 1.0)
+        # sd 2^-30 is exact, and so is the product.
+        assert self._value(capsys, tmp_path, family, nu, 2.0**-60) == unit * 2.0**-30
+        assert self._value(capsys, tmp_path, family, nu, 1e-18) == pytest.approx(
+            unit * 1e-9, rel=1e-12)
+
+    @pytest.mark.parametrize("nu", [1.05, 1.5, 30.0])
+    def test_student_t_against_mpmath(self, capsys, tmp_path, nu):
+        import mpmath as mp
+
+        with mp.workdps(40):
+            x, half = mp.mpf(nu), mp.mpf(1) / 2
+            exact = float(2 * 4 * mp.sqrt(x) * mp.beta(half, x - half)
+                          / ((x - 1) * mp.beta(half, x / 2) ** 2))
+        assert self._value(capsys, tmp_path, "student-t", nu, 4.0) == pytest.approx(
+            exact, rel=1e-10)
 
 
 class TestReportBytes:

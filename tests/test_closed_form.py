@@ -339,6 +339,24 @@ class TestExchangeableStudent:
             exchangeable_student_gmd(1.0, DegreesOfFreedom(1.0), [0.0])
 
 
+class TestErrorEstimateAtHugeScale:
+    def test_finite_and_bounds_the_error(self):
+        # values * var_sum would overflow at S = 1e300 I (a RuntimeWarning,
+        # an error in this suite) and report an infinite estimate.
+        import mpmath as mp
+
+        spec = validate(DistributionSpec("normal", [0.0, 0.0, 1e149], 1e300 * np.eye(3)))
+        result = normal_gmd(spec)
+        estimate = result.diagnostics["abs_error_estimate"]
+        with mp.workdps(40):
+            m, s = mp.mpf(1e149), mp.sqrt(mp.mpf(2e300))
+            z = m / s
+            folded = s * mp.sqrt(2 / mp.pi) * mp.exp(-z * z / 2) + m * mp.erf(z / mp.sqrt(2))
+            exact = float((s * mp.sqrt(2 / mp.pi) + 2 * folded) / 3)  # pairs 01, 02, 12
+        assert math.isfinite(estimate)
+        assert abs(result.value - exact) <= estimate <= 1e-13 * exact
+
+
 class TestQuantileGmd:
     def test_uniform(self):
         assert quantile_gmd(QuantileFunction(lambda u: u)) == pytest.approx(
@@ -364,6 +382,77 @@ class TestQuantileGmd:
 
     def test_declared_divergence_rejected(self):
         q = QuantileFunction(lambda u: np.tan(math.pi * (u - 0.5)), mean_exists=False)
+        with pytest.raises(MomentExistenceError):
+            quantile_gmd(q)
+
+
+def _mp_student_quantile_gmd(nu):
+    """2 int (2u - 1) F^{-1}(u) du of the standard t, at 40 digits:
+    4 sqrt(nu) B(1/2, nu - 1/2) / ((nu - 1) B(1/2, nu/2)^2)."""
+    import mpmath as mp
+
+    with mp.workdps(40):
+        x, half = mp.mpf(nu), mp.mpf(1) / 2
+        return float(4 * mp.sqrt(x) * mp.beta(half, x - half)
+                     / ((x - 1) * mp.beta(half, x / 2) ** 2))
+
+
+def _mp_student_tail(nu):
+    """(K, 1/nu) of F^{-1}(u) ~ K (1 - u)^(-1/nu), K = (c nu^((nu - 1)/2))^(1/nu)
+    with c the t density at 0, at 40 digits."""
+    import mpmath as mp
+
+    with mp.workdps(40):
+        x = mp.mpf(nu)
+        c = mp.gamma((x + 1) / 2) / (mp.sqrt(x * mp.pi) * mp.gamma(x / 2))
+        return float((c * x ** ((x - 1) / 2)) ** (1 / x)), 1.0 / nu
+
+
+class TestQuantileGmdWithTail:
+    """The t quantile with its declared power tail, against mpmath."""
+
+    @pytest.fixture
+    def panels(self, monkeypatch):
+        import gmd.closed_form as cf
+
+        counted = []
+        inner = cf.integrate_interval
+
+        def counting(*args, **kwargs):
+            result = inner(*args, **kwargs)
+            counted.append(result.panels)
+            return result
+
+        monkeypatch.setattr(cf, "integrate_interval", counting)
+        return counted
+
+    @pytest.mark.parametrize("nu", [1.01, 1.05, 1.2, 1.5, 2.0, 3.0, 4.0, 30.0, 1e3])
+    def test_student_t_matches_mpmath(self, nu, panels):
+        from scipy.special import stdtrit
+
+        q = QuantileFunction(lambda u: stdtrit(nu, u), tail=_mp_student_tail(nu))
+        assert quantile_gmd(q) == pytest.approx(_mp_student_quantile_gmd(nu), rel=1e-10)
+        if nu == 1.05:
+            (count,) = panels
+            assert count <= 100  # 3,688 when the integral is cut at 1e-12 instead
+
+    def test_heavy_tail_needs_the_declaration(self):
+        # Without the tail the integral is cut at 1e-12 from each end, which
+        # at nu = 1.05 drops over a quarter of the value.
+        from scipy.special import stdtrit
+
+        cut = quantile_gmd(QuantileFunction(lambda u: stdtrit(1.05, u)))
+        assert cut < 0.75 * _mp_student_quantile_gmd(1.05)
+
+    @pytest.mark.parametrize("tail", [(0.0, 0.5), (-1.0, 0.5), (1.0, 0.0), (math.inf, 0.5),
+                                      (1.0, math.nan)])
+    def test_bad_tail_rejected(self, tail):
+        with pytest.raises(DomainError, match="tail"):
+            quantile_gmd(QuantileFunction(ndtri, tail=tail))
+
+    def test_tail_without_a_mean_rejected(self):
+        # The Cauchy quantile tan(pi (u - 1/2)) has K = 1/pi and a = 1.
+        q = QuantileFunction(lambda u: np.tan(math.pi * (u - 0.5)), tail=(1.0 / math.pi, 1.0))
         with pytest.raises(MomentExistenceError):
             quantile_gmd(q)
 

@@ -90,6 +90,25 @@ class TestValidate:
         with pytest.raises(ValidationError):
             validate(DistributionSpec("normal", [0, 0], sigma))
 
+    def test_overflowing_mean_difference_rejected(self):
+        with pytest.raises(ValidationError, match="mu_i - mu_j overflow"):
+            validate(DistributionSpec("normal", [1.7e308, -1.7e308], np.eye(2)))
+
+    @pytest.mark.parametrize("sigma", [
+        [[1.7e308, -1.6e308], [-1.6e308, 1.7e308]],  # S_ii + S_jj - 2 S_ij > max double
+        [[1e308, 0.99e308], [0.99e308, 1e308]],  # S_ii + S_jj alone overflows
+    ])
+    def test_overflowing_difference_scale_rejected(self, sigma):
+        with pytest.raises(ValidationError, match="S_ii \\+ S_jj - 2 S_ij overflow"):
+            validate(DistributionSpec("normal", [0.0, 0.0], sigma))
+
+    @pytest.mark.parametrize("diag", [(1e300, 1e300), (1e308, 1e297)])
+    def test_huge_finite_difference_scales_accepted(self, diag):
+        # (1e308, 1e297) passes the pairwise check, past the 4 max S_ii bound.
+        spec = validate(DistributionSpec("normal", [1e307, -1e307], np.diag(diag)))
+        m, v, var_sum = pair_differences(spec)
+        assert np.isfinite(m).all() and np.isfinite(v).all() and np.isfinite(var_sum).all()
+
     def test_idempotent(self):
         v = validate(identity_spec())
         assert validate(v) is v

@@ -92,7 +92,7 @@ PARAMETERS = {
     "PairParams": ["mu_i", "mu_j", "sigma_i", "sigma_j", "rho_ij"],
     "QuadratureConfig": ["abs_tol", "rel_tol", "max_subdivisions"],
     "QuadratureResult": ["value", "error", "subdivisions", "panels"],
-    "QuantileFunction": ["eval", "mean_exists"],
+    "QuantileFunction": ["eval", "mean_exists", "tail"],
     "ValidatedSpec": ["family", "mu", "sigma_mat", "chol", "dof"],
     "ValidationError": ["violations"],
     "build_bound_report": ["spec", "exact_gmd"],
