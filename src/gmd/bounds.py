@@ -2,8 +2,8 @@
 
 All bounds here require finite second moments.  For the Student-t family
 the scale entries of the spec are inflated by sqrt(nu/(nu-2)) to obtain
-standard deviations before any bound is formed; with nu <= 2 the bounds
-simply do not exist and the report marks them inapplicable.  Spec-level
+standard deviations before any bound is formed; without a variance the
+bounds simply do not exist and the report marks them inapplicable.  Spec-level
 bounds are formed for all pairs at once from the same arrays as the
 closed form (``model.pair_differences``, ``model.pair_correlations``);
 ``second_moment_pair_bound`` is the one-pair form.  The sqrt(1 - rho),
@@ -29,7 +29,7 @@ from .model import (
     pair_correlations,
     pair_differences,
 )
-from .special import lp_norm_std_normal, require_dof
+from .special import NO_VARIANCE, lp_norm_std_normal, require_dof
 
 
 @dataclass
@@ -141,7 +141,7 @@ def build_bound_report(spec: ValidatedSpec, exact_gmd: float | None = None) -> B
     try:
         factor = _sd_factor(spec)
     except MomentExistenceError:
-        notes.append("variance does not exist (nu <= 2): all bounds inapplicable")
+        notes.append(f"variance does not exist ({NO_VARIANCE}): all bounds inapplicable")
         return BoundReport(None, None, None, None, exact_gmd, notes)
 
     second_moment = second_moment_bound(spec)

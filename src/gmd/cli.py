@@ -24,7 +24,7 @@ import numpy as np
 
 from . import closed_form, general_ec, monte_carlo
 from .bounds import build_bound_report
-from .errors import GmdError, NonconvergenceError, ValidationError
+from .errors import GmdError, MomentExistenceError, NonconvergenceError, ValidationError
 from .model import (
     Family,
     GmdResult,
@@ -35,6 +35,7 @@ from .model import (
     validate,
 )
 from .quadrature import QuadratureConfig
+from .special import NO_VARIANCE
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -45,7 +46,7 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-# A float64 array in a report is a pair breakdown in ``pairs()`` order.
+# A float64 array in a report is a pair breakdown in ``pair_index`` order.
 # It is written as the list of {"pair": [i, j], "value": v} objects that
 # ``GmdResult.to_dict`` gives, with one line template per pair, since a
 # breakdown can hold n (n - 1) / 2 = 124 750 pairs at n = 500.
@@ -145,7 +146,7 @@ def _emit_errors(messages: list[str], output: str) -> None:
     _emit({"errors": messages}, output)
 
 
-def _load_spec(args: argparse.Namespace, require_mean: bool) -> ValidatedSpec:
+def _load_spec(args: argparse.Namespace) -> ValidatedSpec:
     path = Path(args.spec)
     try:
         text = path.read_text(encoding="utf-8")
@@ -156,7 +157,7 @@ def _load_spec(args: argparse.Namespace, require_mean: bool) -> ValidatedSpec:
         if raw.family != Family.STUDENT_T.value:
             raise ValidationError(["--nu override requires a student-t spec"])
         raw.nu = args.nu
-    return validate(raw, require_mean=require_mean)
+    return validate(raw)
 
 
 def _closed_result(spec: ValidatedSpec):
@@ -176,16 +177,17 @@ def _result_report(result: GmdResult) -> dict[str, Any]:
 
 
 def _cmd_closed_form(args: argparse.Namespace) -> int:
-    spec = _load_spec(args, require_mean=True)
+    spec = _load_spec(args)
     _emit(_result_report(_closed_result(spec)), args.output)
     return EXIT_OK
 
 
 def _cmd_bound(args: argparse.Namespace) -> int:
-    spec = _load_spec(args, require_mean=False)
-    exact = None
-    if spec.family is Family.NORMAL or (spec.dof is not None and spec.dof.nu > 1):
+    spec = _load_spec(args)
+    try:
         exact = _closed_result(spec).value
+    except MomentExistenceError:  # a t law without a mean: bounds only
+        exact = None
     report = build_bound_report(spec, exact_gmd=exact)
     _emit(report.to_dict(), args.output)
     return EXIT_OK
@@ -200,7 +202,7 @@ def _dump_csv(samples: np.ndarray, path: str) -> None:
 
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
-    spec = _load_spec(args, require_mean=True)
+    spec = _load_spec(args)
     cfg = monte_carlo.MonteCarloConfig(draws=args.draws, seed=args.seed, chunks=args.chunks)
     samples = monte_carlo.sample(spec, cfg)
     if args.dump:
@@ -211,12 +213,12 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 
 
 # Why verify's Monte Carlo check does not apply to a spec without a variance.
-_MC_CHECK_REASON = ("E|X_i - X_j|^2 is infinite for nu <= 2, so the standard "
+_MC_CHECK_REASON = (f"E|X_i - X_j|^2 is infinite for {NO_VARIANCE}, so the standard "
                     "error estimates nothing")
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    spec = _load_spec(args, require_mean=True)
+    spec = _load_spec(args)
     qcfg = QuadratureConfig(abs_tol=args.abs_tol, rel_tol=args.rel_tol)
     closed = _closed_result(spec)
     quad = general_ec.gmd_quadrature(spec, qcfg)
@@ -275,7 +277,7 @@ def _cmd_quantile(args: argparse.Namespace) -> int:
     # free of its import time.
     from scipy.special import ndtri, stdtrit
 
-    spec = _load_spec(args, require_mean=True)
+    spec = _load_spec(args)
     mu1 = float(spec.mu[0])
     sd1 = math.sqrt(spec.sigma_mat[0, 0])
     # The unit quantile is integrated and scaled afterwards, so the value is

@@ -74,11 +74,6 @@ class ValidatedSpec:
     def n(self) -> int:
         return self.mu.shape[0]
 
-    def pairs(self) -> list[tuple[int, int]]:
-        """The pairs i < j as tuples, in ``pair_index`` order."""
-        rows, cols = self.pair_index
-        return list(zip(rows.tolist(), cols.tolist()))
-
     @cached_property
     def pair_index(self) -> tuple[np.ndarray, np.ndarray]:
         """``pair_indices(n)``, kept with the spec: every array route reads it."""
@@ -110,9 +105,6 @@ class PairParams:
         if problems:
             raise ValidationError(problems)
 
-    def swapped(self) -> "PairParams":
-        return PairParams(self.mu_j, self.mu_i, self.sigma_j, self.sigma_i, self.rho_ij)
-
     def diff_sd(self) -> float:
         """Standard deviation (in scale units) of X_i - X_j."""
         v = self.sigma_i**2 + self.sigma_j**2 - 2.0 * self.rho_ij * self.sigma_i * self.sigma_j
@@ -124,7 +116,7 @@ class GmdResult:
     """A GMD value with its provenance and per-pair breakdown.
 
     ``pair_values`` holds the term of every pair i < j as one float64
-    array in ``ValidatedSpec.pairs()`` order; ``pair_contributions`` pairs
+    array in ``ValidatedSpec.pair_index`` order; ``pair_contributions`` pairs
     each value with its indices.  Diagnostics are numeric (error
     estimates, sample counts, subdivision counts) plus the algorithm-name
     constants and the ``std_error_valid`` flag recorded by the sampler.
@@ -137,7 +129,7 @@ class GmdResult:
 
     @property
     def pair_contributions(self) -> list[tuple[tuple[int, int], float]]:
-        """((i, j), value) for every pair, in ``pairs()`` order."""
+        """((i, j), value) for every pair, in ``pair_index`` order."""
         rows, cols = pair_indices(dimension_of_pairs(self.pair_values.size))
         return list(zip(zip(rows.tolist(), cols.tolist()), self.pair_values.tolist()))
 
@@ -152,16 +144,20 @@ class GmdResult:
         }
 
 
-def validate(spec: DistributionSpec | ValidatedSpec, require_mean: bool = False) -> ValidatedSpec:
+def validate(spec: DistributionSpec | ValidatedSpec) -> ValidatedSpec:
     """Check every invariant of a spec and cache its Cholesky factor.
 
     Raises ``ValidationError`` carrying the complete list of violations,
     among them mean differences or difference scales S_ii + S_jj - 2 S_ij
     that overflow, which no route could use.  Validating an
     already-validated spec returns it unchanged.
+
+    A Student-t spec is valid for every positive nu.  Whether it has the
+    mean or the variance a route needs is the route's question: each asks
+    ``DegreesOfFreedom`` and raises ``MomentExistenceError``, before it
+    computes anything, where the mean does not exist.
     """
     if isinstance(spec, ValidatedSpec):
-        _check_moments(spec.family, spec.dof, require_mean)
         return spec
 
     problems: list[str] = []
@@ -234,11 +230,6 @@ def validate(spec: DistributionSpec | ValidatedSpec, require_mean: bool = False)
                         problems.append(
                             "difference scales S_ii + S_jj - 2 S_ij overflow")
 
-    try:
-        _check_moments(family, dof, require_mean)
-    except ValidationError as exc:
-        problems.extend(exc.violations)
-
     if problems:
         raise ValidationError(problems)
 
@@ -266,16 +257,9 @@ def _difference_scales_overflow(sigma: np.ndarray) -> bool:
     return not np.isfinite(v).all()
 
 
-def _check_moments(family: Family, dof: DegreesOfFreedom | None, require_mean: bool) -> None:
-    if require_mean and family is Family.STUDENT_T and dof is not None and dof.nu <= 1:
-        raise ValidationError([
-            f"mean-requiring operation declared but nu = {dof.nu} <= 1 "
-            "(mean-existence check)"
-        ])
-
-
 def pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rows i and columns j of the pairs i < j, in ``ValidatedSpec.pairs()`` order."""
+    """Rows i and columns j of the pairs i < j, row by row: the order of every
+    pair breakdown."""
     return np.triu_indices(n, 1)
 
 
@@ -288,7 +272,7 @@ def dimension_of_pairs(count: int) -> int:
 
 
 class PairDifferences(NamedTuple):
-    """The law of D = X_i - X_j for every pair i < j, in ``pairs()`` order.
+    """The law of D = X_i - X_j for every pair i < j, in ``pair_index`` order.
 
     D is normal, or Student-t with the spec's nu, because elliptical laws
     are closed under linear maps.
@@ -315,7 +299,7 @@ def pair_differences(spec: ValidatedSpec) -> PairDifferences:
 
 
 def pair_correlations(spec: ValidatedSpec) -> np.ndarray:
-    """rho_ij = S_ij / sqrt(S_ii S_jj) for every pair i < j, in ``pairs()`` order."""
+    """rho_ij = S_ij / sqrt(S_ii S_jj) for every pair i < j, in ``pair_index`` order."""
     rows, cols = spec.pair_index
     sd = np.sqrt(np.diag(spec.sigma_mat))
     rho = spec.sigma_mat[rows, cols] / (sd[rows] * sd[cols])

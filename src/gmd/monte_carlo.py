@@ -2,7 +2,8 @@
 
 ``sample`` draws a spec's family (normal, or Student-t through a
 chi-square mixing variable); ``estimate_from_samples`` reduces draws to
-a ``GmdResult`` and ``estimate_gmd`` does both.
+a ``GmdResult`` and ``estimate_gmd`` does both.  ``sample`` refuses a
+t spec without a mean, whose draws would estimate nothing.
 
 Sampling uses the Philox counter-based generator: each chunk derives its
 own stream from (seed, chunk index) through numpy's SeedSequence spawning,
@@ -19,11 +20,13 @@ The empirical GMD is one reduction: draws are taken in blocks of
 ``BLOCK_VALUES // n``, each block is transposed once to n contiguous
 columns, and the differences |x_j - x_i| for j > i are formed row by row
 in one reused buffer.  Its row sums feed the pair means, which come out
-in ``pairs()`` order as one float64 array, and its column sums the
+in ``pair_index`` order as one float64 array, and its column sums the
 per-draw statistic behind the standard error; no temporary is
-draws x n.  The standard error estimates the error only when
-E|X_i - X_j|^2 is finite (``finite_variance``: not for a t with
-nu <= 2); the result says so in ``std_error_valid``.
+draws x n.  The standard error is taken on the statistic divided by a
+power of two near its largest value, so it does not overflow at scales
+near 1e154.  It estimates the error only when E|X_i - X_j|^2 is finite
+(``finite_variance``: not for a t without a variance); the result says
+so in ``std_error_valid``.
 ``classic_empirical_gmd`` is the U-statistic of a univariate sample.
 
 ``GMD_THREADS`` caps the worker count (default 1, i.e. sequential).
@@ -86,10 +89,14 @@ def _chunk_rng(seed: int, chunk: int) -> np.random.Generator:
 
 
 def sample(spec: ValidatedSpec, cfg: MonteCarloConfig) -> np.ndarray:
-    """draws x n matrix of variates mu + L z, divided by sqrt(W/nu) for a t spec."""
+    """draws x n matrix of variates mu + L z, divided by sqrt(W/nu) for a t spec.
+
+    A t spec without a mean raises ``MomentExistenceError`` before any draw."""
     student = spec.family is Family.STUDENT_T
     if student:
-        nu = require_dof(spec.dof).nu
+        dof = require_dof(spec.dof)
+        dof.require_mean()
+        nu = dof.nu
     out = np.empty((cfg.draws, spec.n))
     starts = np.cumsum([0, *_chunk_sizes(cfg.draws, cfg.chunks)]).tolist()
 
@@ -114,7 +121,7 @@ def sample(spec: ValidatedSpec, cfg: MonteCarloConfig) -> np.ndarray:
 
 
 def _pair_stats(samples: np.ndarray) -> tuple[np.ndarray, float]:
-    """Pair means |x_i - x_j| in ``pairs()`` order and the standard error.
+    """Pair means |x_i - x_j| in ``pair_index`` order and the standard error.
 
     The standard error comes from the per-draw statistic
     s_d = average over pairs of |x_di - x_dj|, so correlated pairs are not
@@ -143,14 +150,17 @@ def _pair_stats(samples: np.ndarray) -> tuple[np.ndarray, float]:
             stat += diffs.sum(axis=0)
             k += n - 1 - i
     per_draw /= pair_sums.size
-    std_error = float(per_draw.std(ddof=1) / math.sqrt(m))
+    # Dividing by a power of two is exact, so the squares inside std cannot
+    # overflow and every result that did not overflow keeps its bits.
+    scale = math.ldexp(1.0, math.frexp(float(per_draw.max()))[1] - 1)
+    std_error = float((per_draw / scale).std(ddof=1) * scale / math.sqrt(m))
     return pair_sums / m, std_error
 
 
 def finite_variance(spec: ValidatedSpec) -> bool:
     """Whether E|X_i - X_j|^2 is finite, so that ``std_error`` estimates the
-    error: always for the normal, for the Student-t only when nu > 2."""
-    return spec.family is Family.NORMAL or require_dof(spec.dof).nu > 2
+    error: always for the normal, for the Student-t when it has a variance."""
+    return spec.family is Family.NORMAL or require_dof(spec.dof).has_variance
 
 
 def estimate_from_samples(samples: np.ndarray, cfg: MonteCarloConfig,

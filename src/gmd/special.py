@@ -50,9 +50,15 @@ def _scipy_special():
     return special
 
 
+# How reports name a t law without a variance (``require_variance``).
+NO_VARIANCE = "nu <= 2"
+
+
 @dataclass(frozen=True)
 class DegreesOfFreedom:
-    """Degrees of freedom of a Student-t law; must be strictly positive."""
+    """Degrees of freedom of a Student-t law; must be strictly positive.
+
+    The one place that decides which moments exist: each route asks."""
 
     nu: float
 
@@ -67,9 +73,14 @@ class DegreesOfFreedom:
                 f"mean requires nu > 1, got nu = {self.nu} (mean-existence check)"
             )
 
+    @property
+    def has_variance(self) -> bool:
+        """Whether the variance exists (nu > 2)."""
+        return self.nu > 2
+
     def require_variance(self) -> None:
-        """Raise unless the variance exists (nu > 2)."""
-        if self.nu <= 2:
+        """Raise unless the variance exists."""
+        if not self.has_variance:
             raise MomentExistenceError(
                 f"variance requires nu > 2, got nu = {self.nu} (variance-existence check)"
             )
@@ -109,7 +120,9 @@ def _float_if_scalar(values: np.ndarray) -> float | np.ndarray:
 def std_normal_pdf(x: ArrayLike) -> float | np.ndarray:
     """Density of the standard normal: exp(-x^2/2)/sqrt(2*pi)."""
     x = _finite_array(x)
-    return _float_if_scalar(np.exp(-0.5 * x * x) / _SQRT_2PI)
+    # x*x overflows beyond |x| ~ 1.3e154, where the density is a clean zero.
+    with np.errstate(over="ignore"):
+        return _float_if_scalar(np.exp(-0.5 * x * x) / _SQRT_2PI)
 
 
 def std_normal_cdf(x: ArrayLike) -> float | np.ndarray:

@@ -22,6 +22,17 @@ from gmd import (
 )
 
 
+def swapped(p: PairParams) -> PairParams:
+    """The pair with its coordinates exchanged: (j, i) for (i, j)."""
+    return PairParams(p.mu_j, p.mu_i, p.sigma_j, p.sigma_i, p.rho_ij)
+
+
+def spec_pairs(spec: ValidatedSpec) -> list[tuple[int, int]]:
+    """The pairs i < j of a spec as tuples, in ``pair_index`` order."""
+    rows, cols = spec.pair_index
+    return list(zip(rows.tolist(), cols.tolist()))
+
+
 def random_normal_spec(rng: np.random.Generator, n: int | None = None) -> ValidatedSpec:
     """A well-conditioned random normal spec with dimension n in {2,3,4}."""
     n = n or int(rng.integers(2, 5))
@@ -113,7 +124,7 @@ def _skewing(p: PairParams, dof: DegreesOfFreedom | None):
 def max_pdf(p: PairParams, family: Family, x, dof: DegreesOfFreedom | None = None):
     """Density of max(X_i, X_j): f_i pi_ji + f_j pi_ij."""
     dof = None if family is Family.NORMAL else dof
-    return (_marginal_pdf(x, p.mu_i, p.sigma_i, dof) * _skewing(p.swapped(), dof)(x)
+    return (_marginal_pdf(x, p.mu_i, p.sigma_i, dof) * _skewing(swapped(p), dof)(x)
             + _marginal_pdf(x, p.mu_j, p.sigma_j, dof) * _skewing(p, dof)(x))
 
 
@@ -121,7 +132,7 @@ def min_pdf(p: PairParams, family: Family, x, dof: DegreesOfFreedom | None = Non
     """Density of min(X_i, X_j): f_i (1 - pi_ji) + f_j (1 - pi_ij), from the
     complements, so that min + max = f_i + f_j is a real check."""
     dof = None if family is Family.NORMAL else dof
-    return (_marginal_pdf(x, p.mu_i, p.sigma_i, dof) * (1.0 - _skewing(p.swapped(), dof)(x))
+    return (_marginal_pdf(x, p.mu_i, p.sigma_i, dof) * (1.0 - _skewing(swapped(p), dof)(x))
             + _marginal_pdf(x, p.mu_j, p.sigma_j, dof) * (1.0 - _skewing(p, dof)(x)))
 
 
@@ -135,7 +146,7 @@ def exchangeable_skew_gmd(spec: ValidatedSpec) -> float:
     from scipy import integrate
 
     terms = []
-    for i, j in spec.pairs():
+    for i, j in spec_pairs(spec):
         p = pair_params(spec, i, j)
         centred = PairParams(0.0, 0.0, p.sigma_i, p.sigma_j, p.rho_ij)
         skew = _skewing(centred, spec.dof)
@@ -274,7 +285,7 @@ def mp_spec_gmd(spec: ValidatedSpec) -> float:
             mp_folded_mean(mu[i] - mu[j],
                            mp.mpf(sigma[i, i]) + mp.mpf(sigma[j, j]) - 2 * mp.mpf(sigma[i, j]),
                            nu)
-            for i, j in spec.pairs()
+            for i, j in spec_pairs(spec)
         ]
         return float(mp.fsum(terms) / len(terms))
 
@@ -302,7 +313,7 @@ def reference_sample(spec: ValidatedSpec, draws: int, seed: int, chunks: int) ->
 
 
 def reference_pair_stats(samples: np.ndarray) -> tuple[np.ndarray, float]:
-    """Mean |x_i - x_j| per pair in ``pairs()`` order, and the standard error
+    """Mean |x_i - x_j| per pair in ``pair_index`` order, and the standard error
     of the pair-averaged per-draw statistic."""
     m, n = samples.shape
     pair_means = []

@@ -18,7 +18,7 @@ from gmd.closed_form import normal_gmd, student_gmd
 from gmd.errors import DomainError, MomentExistenceError
 from gmd.model import DistributionSpec, PairParams, validate
 
-from helpers import random_normal_spec, random_pair
+from helpers import random_normal_spec, random_pair, spec_pairs, swapped
 
 TWO_OVER_SQRT3 = 2.0 / math.sqrt(3.0)
 # [Gamma(1/4)]^(2/3) / (sqrt(2) * cbrt(pi)), frozen with mpmath.
@@ -43,7 +43,7 @@ class TestSecondMomentPairBound:
         rng = np.random.default_rng(17)
         for _ in range(100):
             p = random_pair(rng, max_abs_rho=1.0)
-            a, b = second_moment_pair_bound(p), second_moment_pair_bound(p.swapped())
+            a, b = second_moment_pair_bound(p), second_moment_pair_bound(swapped(p))
             assert a == pytest.approx(b, rel=1e-12)
 
 
@@ -63,7 +63,7 @@ class TestSecondMomentBound:
         spec = random_normal_spec(rng, 3)
         from gmd.model import pair_params
 
-        pairs = [second_moment_pair_bound(pair_params(spec, i, j)) for i, j in spec.pairs()]
+        pairs = [second_moment_pair_bound(pair_params(spec, i, j)) for i, j in spec_pairs(spec)]
         assert second_moment_bound(spec) == pytest.approx(sum(pairs) / 3.0, rel=1e-14)
 
     def test_student_uses_standard_deviation(self):

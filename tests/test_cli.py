@@ -164,6 +164,51 @@ class TestBoundCommand:
         assert report["exact_gmd"] is not None  # the GMD itself needs only nu > 1
 
 
+class TestWithoutAMean:
+    """A t spec with nu <= 1 is valid, but has no mean: the commands that
+    need one exit 1 naming it, before writing anything, and ``bound`` gives
+    its report without the exact value."""
+
+    @staticmethod
+    def _spec(tmp_path, nu):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "family": "student-t", "nu": nu, "mu": [0, 0], "sigma": [[1, 0], [0, 1]],
+        }))
+        return str(spec)
+
+    @pytest.mark.parametrize("nu", [1.0, 0.5])
+    @pytest.mark.parametrize("command",
+                             ["closed-form", "estimate", "verify", "quantile-gmd", "bound"])
+    def test_contract(self, capsys, tmp_path, command, nu):
+        dump = tmp_path / "samples.csv"
+        extra = {"estimate": ["--draws", "2000", "--dump", str(dump)],
+                 "verify": ["--draws", "2000"]}.get(command, [])
+        code, out = run(capsys, command, self._spec(tmp_path, nu), *extra)
+        report = json.loads(out)
+        if command == "bound":
+            assert code == 0
+            assert report["exact_gmd"] is None
+        else:
+            assert code == 1
+            assert any("mean" in e for e in report["errors"]), report
+        assert not dump.exists()
+
+    def test_checks_are_raised_not_asserted(self, tmp_path):
+        # Under python -O every assert is gone; the estimate must still refuse.
+        dump = tmp_path / "samples.csv"
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "gmd.cli", "estimate", self._spec(tmp_path, 0.5),
+             "--draws", "2000", "--dump", str(dump)],
+            env=env, cwd=tmp_path, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 1, proc.stderr[-2000:]
+        assert any("mean" in e for e in json.loads(proc.stdout)["errors"])
+        assert not dump.exists()
+
+
 class TestEstimateCommand:
     def test_deterministic(self, capsys, iid_normal_spec):
         code1, out1 = run(capsys, "estimate", iid_normal_spec,

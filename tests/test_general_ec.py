@@ -38,6 +38,8 @@ from helpers import (
     random_normal_spec,
     random_pair,
     random_student_spec,
+    spec_pairs,
+    swapped,
 )
 
 INV_SQRT_PI = 0.5641895835477563  # mean of the 2*phi*Phi density
@@ -195,7 +197,7 @@ class TestReliability:
             for _ in range(10):
                 p = random_pair(rng)
                 r1 = rel(p, Family.STUDENT_T, DegreesOfFreedom(4.0))
-                r2 = rel(p.swapped(), Family.STUDENT_T, DegreesOfFreedom(4.0))
+                r2 = rel(swapped(p), Family.STUDENT_T, DegreesOfFreedom(4.0))
                 assert r1 + r2 == pytest.approx(1.0, abs=1e-9), rel
 
     @pytest.mark.parametrize("nu", [None, 1.5, 4.0])
@@ -440,10 +442,10 @@ class TestGmdQuadratureRoute:
                 spec = validate(DistributionSpec(family.value, offset + mu, sigma, nu=nu))
                 batched = gmd_quadrature(spec)
                 values, panels = [], 0
-                for i, j in spec.pairs():
+                for i, j in spec_pairs(spec):
                     local = general_ec._centred(pair_params(spec, i, j))
                     ij = general_ec._pair_integral(local, family, dof, moment=True)
-                    ji = general_ec._pair_integral(local.swapped(), family, dof, moment=True)
+                    ji = general_ec._pair_integral(swapped(local), family, dof, moment=True)
                     values.append(2.0 * (ij.value + ji.value) - local.mu_i - local.mu_j)
                     panels += ij.panels + ji.panels
                 assert batched.diagnostics["quadrature_panels"] == panels, (n, offset)

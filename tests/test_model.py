@@ -8,7 +8,7 @@ import pytest
 
 from gmd.bounds import second_moment_bound
 from gmd.closed_form import normal_gmd, student_gmd
-from gmd.errors import DomainError, ValidationError
+from gmd.errors import DomainError, MomentExistenceError, ValidationError
 from gmd.general_ec import gmd_quadrature, reliability
 from gmd.model import (
     DistributionSpec,
@@ -24,10 +24,10 @@ from gmd.model import (
     spec_from_json,
     validate,
 )
-from gmd.monte_carlo import MonteCarloConfig, sample
+from gmd.monte_carlo import MonteCarloConfig, estimate_gmd, sample
 from gmd.special import DegreesOfFreedom
 
-from helpers import random_normal_spec, random_pair, random_student_spec
+from helpers import random_normal_spec, random_pair, random_student_spec, spec_pairs, swapped
 
 
 def identity_spec(n=2):
@@ -44,12 +44,22 @@ class TestValidate:
         with pytest.raises(ValidationError, match="positive definite"):
             validate(DistributionSpec("normal", [0, 0], [[1, 2], [2, 1]]))
 
-    def test_student_nu1_with_mean_intent(self):
-        spec = DistributionSpec("student-t", [0, 0], np.eye(2), nu=1.0)
-        with pytest.raises(ValidationError, match="mean"):
-            validate(spec, require_mean=True)
-        # Without the declared intent the spec itself is fine.
-        assert validate(spec).dof == DegreesOfFreedom(1.0)
+    @pytest.mark.parametrize("nu", [1.0, 0.5])
+    def test_student_without_mean_is_valid_and_routes_refuse_it(self, nu):
+        # A spec is valid or not; whether its mean exists is the routes' question.
+        spec = validate(DistributionSpec("student-t", [0, 0], np.eye(2), nu=nu))
+        assert spec.dof == DegreesOfFreedom(nu)
+        routes = (student_gmd, gmd_quadrature,
+                  lambda s: estimate_gmd(s, MonteCarloConfig(draws=2000, seed=1)))
+        for route in routes:
+            with pytest.raises(MomentExistenceError, match="mean"):
+                route(spec)
+
+    def test_every_route_answers_just_above_one(self):
+        spec = validate(DistributionSpec("student-t", [0, 0.5], [[1, 0.3], [0.3, 2]], nu=1.05))
+        exact = student_gmd(spec).value
+        assert gmd_quadrature(spec).value == pytest.approx(exact, rel=1e-9)
+        assert math.isfinite(estimate_gmd(spec, MonteCarloConfig(draws=2000, seed=1)).value)
 
     def test_asymmetric_rejected(self):
         with pytest.raises(ValidationError, match="symmetric"):
@@ -154,7 +164,7 @@ class TestPairParams:
         q = pair_params(spec, 1, 0)
         assert (q.mu_i, q.mu_j, q.sigma_i, q.sigma_j) == (p.mu_j, p.mu_i, p.sigma_j, p.sigma_i)
         assert q.rho_ij == p.rho_ij
-        assert q == p.swapped()
+        assert q == swapped(p)
 
     def test_index_errors(self):
         spec = validate(identity_spec())
@@ -189,7 +199,7 @@ class TestPairDerived:
         for _ in range(10):
             p = random_pair(rng)
             r_ij = reliability(p, Family.NORMAL)
-            r_ji = reliability(p.swapped(), Family.NORMAL)
+            r_ji = reliability(swapped(p), Family.NORMAL)
             assert r_ij + r_ji == pytest.approx(1.0, abs=1e-9)
 
 
@@ -230,7 +240,7 @@ class TestPairArrays:
         spec = random_normal_spec(np.random.default_rng(32), 6)
         m, v, var_sum = pair_differences(spec)
         rhos = pair_correlations(spec)
-        for k, (i, j) in enumerate(spec.pairs()):
+        for k, (i, j) in enumerate(spec_pairs(spec)):
             p = pair_params(spec, i, j)
             assert m[k] == p.mu_i - p.mu_j
             assert math.sqrt(v[k]) == pytest.approx(p.diff_sd(), rel=1e-13)

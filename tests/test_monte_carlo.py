@@ -7,7 +7,7 @@ import pytest
 from scipy.special import stdtrit
 
 from gmd.closed_form import normal_gmd
-from gmd.errors import DomainError
+from gmd.errors import DomainError, MomentExistenceError
 from gmd.model import DistributionSpec, GmdResult, validate
 from gmd.monte_carlo import (
     BLOCK_VALUES,
@@ -238,6 +238,36 @@ class TestEstimateGmd:
         result = estimate_gmd(spec, MonteCarloConfig(draws=10_000, seed=19))
         avg = sum(v for _, v in result.pair_contributions) / 3.0
         assert result.value == pytest.approx(avg, abs=1e-12)
+
+    @pytest.mark.parametrize("nu", [1.0, 0.5])
+    def test_student_without_mean_raises_before_drawing(self, nu):
+        spec = validate(DistributionSpec("student-t", [0, 0], np.eye(2), nu=nu))
+        with pytest.raises(MomentExistenceError, match="mean"):
+            sample(spec, MonteCarloConfig(draws=1000, seed=1))
+        with pytest.raises(MomentExistenceError, match="mean"):
+            estimate_gmd(spec, MonteCarloConfig(draws=1000, seed=1))
+
+
+class TestStandardErrorAtHugeScale:
+    """The squares inside the standard deviation overflow from about 1e154."""
+
+    def test_finite(self):
+        spec = validate(DistributionSpec("normal", [0.0, 0.0], np.diag([1e308, 1e297])))
+        std_error = estimate_gmd(spec, MonteCarloConfig(draws=1000, seed=1)).diagnostics[
+            "std_error"]
+        assert math.isfinite(std_error) and std_error > 0
+
+    @pytest.mark.parametrize("family,nu", [("normal", None), ("student-t", 4.0)])
+    def test_power_of_two_scale_is_exact(self, family, nu):
+        # 2^1020 S and 2^510 mu scale every draw by exactly 2^510.
+        mu = np.array([0.5, -1.0, 2.0])
+        sigma = np.array([[1.0, 0.3, -0.2], [0.3, 2.0, 0.5], [-0.2, 0.5, 1.5]])
+        cfg = MonteCarloConfig(draws=2000, seed=3)
+        small = estimate_gmd(validate(DistributionSpec(family, mu, sigma, nu=nu)), cfg)
+        big = estimate_gmd(
+            validate(DistributionSpec(family, mu * 2.0**510, sigma * 2.0**1020, nu=nu)), cfg)
+        assert big.value == small.value * 2.0**510
+        assert big.diagnostics["std_error"] == small.diagnostics["std_error"] * 2.0**510
 
 
 class TestClassicEstimator:

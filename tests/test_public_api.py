@@ -92,7 +92,7 @@ PARAMETERS = {
     "PairParams": ["mu_i", "mu_j", "sigma_i", "sigma_j", "rho_ij"],
     "QuadratureConfig": ["abs_tol", "rel_tol", "max_subdivisions"],
     "QuadratureResult": ["value", "error", "subdivisions", "panels"],
-    "QuantileFunction": ["eval", "mean_exists", "tail"],
+    "QuantileFunction": ["eval", "tail"],
     "ValidatedSpec": ["family", "mu", "sigma_mat", "chol", "dof"],
     "ValidationError": ["violations"],
     "build_bound_report": ["spec", "exact_gmd"],
@@ -125,13 +125,13 @@ PARAMETERS = {
     "student_pair_gmd": ["p", "dof"],
     "student_t_cdf": ["x", "dof"],
     "student_t_pdf": ["x", "dof"],
-    "validate": ["spec", "require_mean"],
+    "validate": ["spec"],
 }
 
 # Public attributes (fields, properties and methods) of the types every route passes.
 ATTRIBUTES = {
-    "ValidatedSpec": ["chol", "dof", "family", "mu", "n", "pair_index", "pairs", "sigma_mat"],
-    "PairParams": ["diff_sd", "mu_i", "mu_j", "rho_ij", "sigma_i", "sigma_j", "swapped"],
+    "ValidatedSpec": ["chol", "dof", "family", "mu", "n", "pair_index", "sigma_mat"],
+    "PairParams": ["diff_sd", "mu_i", "mu_j", "rho_ij", "sigma_i", "sigma_j"],
     "GmdResult": ["diagnostics", "method", "pair_contributions", "pair_values", "to_dict",
                   "value"],
 }
