@@ -12,13 +12,15 @@ verify comparison.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
 import sys
 import warnings
+from collections.abc import Iterator
 from pathlib import Path
-from typing import Any
+from typing import Any, TextIO
 
 import numpy as np
 
@@ -46,33 +48,56 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _format_rows(row: str, sep: str, count: int, fields: list) -> str:
+    """``count`` copies of the ``%`` template ``row`` joined by ``sep``, filled
+    in order from ``fields``.  One ``%`` over the repeated template is the
+    fastest way to print many numbers with 17 significant digits."""
+    return sep.join([row] * count) % tuple(fields)
+
+
+def _interleave(*columns: list) -> list:
+    """The entries of equally long ``columns`` row by row, as one flat list."""
+    fields: list = [None] * (len(columns) * len(columns[0]))
+    for k, column in enumerate(columns):
+        fields[k :: len(columns)] = column
+    return fields
+
+
 # A float64 array in a report is a pair breakdown in ``pair_index`` order.
 # It is written as the list of {"pair": [i, j], "value": v} objects that
-# ``GmdResult.to_dict`` gives, with one line template per pair, since a
+# ``GmdResult.to_dict`` gives, with one template per pair, since a
 # breakdown can hold n (n - 1) / 2 = 124 750 pairs at n = 500.
 
-def _pair_rows(values: np.ndarray, non_finite: str):
-    """(i, j, value text) per pair.  Formats inline, as ``_fmt`` does, since
-    formatting is most of the time an n = 500 breakdown takes to write."""
+def _pair_columns(values: np.ndarray, non_finite: str) -> tuple[list, list, str, list]:
+    """Row indices, column indices, the value's ``%`` conversion and the values.
+
+    Finite values are converted by ``%.17g``; a breakdown with a non-finite
+    value is formatted value by value instead, so that those print as
+    ``non_finite``."""
     rows, cols = pair_indices(dimension_of_pairs(values.size))
-    texts = [f"{v:.17g}" if math.isfinite(v) else non_finite for v in values.tolist()]
-    return zip(rows.tolist(), cols.tolist(), texts)
+    if np.isfinite(values).all():
+        conversion, texts = "%.17g", values.tolist()
+    else:
+        conversion = "%s"
+        texts = [_fmt(v) if math.isfinite(v) else non_finite for v in values.tolist()]
+    return rows.tolist(), cols.tolist(), conversion, texts
 
 
 def _pairs_json(values: np.ndarray, indent: int) -> str:
     p1, p2, p3 = ("  " * (indent + k) for k in (1, 2, 3))
-    body = ",\n".join([
-        f'{p1}{{\n{p2}"pair": [\n{p3}{i},\n{p3}{j}\n{p2}],\n{p2}"value": {v}\n{p1}}}'
-        for i, j, v in _pair_rows(values, "null")
-    ])
+    rows, cols, conversion, texts = _pair_columns(values, "null")
+    row = f'{p1}{{\n{p2}"pair": [\n{p3}%d,\n{p3}%d\n{p2}],\n{p2}"value": {conversion}\n{p1}}}'
+    body = _format_rows(row, ",\n", len(texts), _interleave(rows, cols, texts))
     return f"[\n{body}\n{'  ' * indent}]"
 
 
 def _pairs_text(values: np.ndarray, prefix: str) -> list[str]:
-    return [
-        f"{prefix}{k}.pair.0 = {i}\n{prefix}{k}.pair.1 = {j}\n{prefix}{k}.value = {v}"
-        for k, (i, j, v) in enumerate(_pair_rows(values, "nan"))
-    ]
+    rows, cols, conversion, texts = _pair_columns(values, "nan")
+    row = (f"{prefix}%d.pair.0 = %d\n{prefix}%d.pair.1 = %d\n"
+           f"{prefix}%d.value = {conversion}")
+    index = list(range(len(texts)))
+    fields = _interleave(index, rows, index, cols, index, texts)
+    return [_format_rows(row, "\n", len(texts), fields)]
 
 
 def _to_json(obj: Any, indent: int = 0) -> str:
@@ -193,12 +218,43 @@ def _cmd_bound(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _dump_csv(samples: np.ndarray, path: str) -> None:
-    header = ",".join(f"x{k + 1}" for k in range(samples.shape[1]))
+def _dump_csv(blocks: Iterator[np.ndarray], path: str, n: int) -> Iterator[np.ndarray]:
+    """The stream ``blocks`` of n-column samples, each block written to
+    ``path`` as CSV as it passes.
+
+    The file is created here, before the first block is drawn, so that a
+    path that cannot be written fails before any draw, and removed if the
+    stream is closed or fails before its last block.  The bytes are those
+    of ``np.savetxt`` with ``fmt="%.17g"``, ``delimiter=","``,
+    ``header="x1,...,xn"`` and ``comments=""``.
+    """
     try:
-        np.savetxt(path, samples, fmt="%.17g", delimiter=",", header=header, comments="")
+        out = open(path, "w", encoding="ascii")
     except OSError as exc:
         raise ValidationError([f"cannot write samples to {path}: {exc}"]) from exc
+    return _write_csv(blocks, out, path, n)
+
+
+def _write_csv(blocks: Iterator[np.ndarray], out: TextIO, path: str, n: int
+               ) -> Iterator[np.ndarray]:
+    row = ",".join(["%.17g"] * n) + "\n"
+
+    def write(text: str) -> None:
+        try:
+            out.write(text)
+        except OSError as exc:
+            raise ValidationError([f"cannot write samples to {path}: {exc}"]) from exc
+
+    try:
+        with out:
+            write(",".join(f"x{k + 1}" for k in range(n)) + "\n")
+            for block in blocks:
+                write(_format_rows(row, "", len(block), block.ravel().tolist()))
+                yield block
+    except BaseException:
+        # A partial dump would still read as a valid, shorter sample.
+        Path(path).unlink(missing_ok=True)
+        raise
 
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
@@ -206,8 +262,11 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     cfg = monte_carlo.MonteCarloConfig(draws=args.draws, seed=args.seed, chunks=args.chunks)
     samples = monte_carlo.sample(spec, cfg)
     if args.dump:
-        _dump_csv(samples, args.dump)
-    result = monte_carlo.estimate_from_samples(samples, cfg, monte_carlo.finite_variance(spec))
+        samples = _dump_csv(samples, args.dump, spec.n)
+    # Closing the stream when the reduction fails removes a partial dump.
+    with contextlib.closing(samples):
+        result = monte_carlo.estimate_from_samples(samples, cfg,
+                                                   monte_carlo.finite_variance(spec))
     _emit(_result_report(result), args.output)
     return EXIT_OK
 
@@ -312,8 +371,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gmd",
         description="Gini mean difference of correlated normal / Student-t vectors.",
-        epilog="GMD_THREADS caps sampling parallelism (default 1); results are "
-               "bit-identical either way for a fixed (draws, seed, chunks).",
+        epilog="GMD_THREADS above 1 (default 1) draws the next block of samples on a "
+               "second thread; results are bit-identical either way for a fixed "
+               "(draws, seed, chunks).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -1,41 +1,56 @@
-"""Seeded sampling and the empirical GMD.
+"""Seeded sampling and the empirical GMD, streamed block by block.
 
-``sample`` draws a spec's family (normal, or Student-t through a
-chi-square mixing variable); ``estimate_from_samples`` reduces draws to
-a ``GmdResult`` and ``estimate_gmd`` does both.  ``sample`` refuses a
-t spec without a mean, whose draws would estimate nothing.
+``sample`` returns a lazy stream of blocks of draws from a spec's family
+(normal, or Student-t through a chi-square mixing variable);
+``estimate_from_samples`` reduces a stream, or an already-drawn matrix,
+to a ``GmdResult`` and ``estimate_gmd`` does both.  ``sample`` refuses a
+t spec without a mean, whose draws would estimate nothing, before it
+draws anything.
 
-Sampling uses the Philox counter-based generator: each chunk derives its
-own stream from (seed, chunk index) through numpy's SeedSequence spawning,
-so an estimate is bit-for-bit reproducible for a fixed (draws, seed,
-chunks) triple, whether chunks run sequentially or on a thread pool.
-Standard normal variates come from numpy's ziggurat; within a chunk the
-normals are drawn before the chi-square mixing variables.  Both algorithm
+The stream.  The draws are split into ``chunks`` chunks, the first
+``draws % chunks`` of them one row longer.  Each chunk has its own
+Philox stream, derived from (seed, chunk index) through numpy's
+SeedSequence spawning, and draws ``BLOCK_VALUES // n`` rows at a time:
+the block's standard normals (numpy's ziggurat), then, for a t spec, its
+chi-square mixing variables, then mu + L z, divided by sqrt(W/nu) for a
+t.  The stream is every chunk's blocks in chunk order.  Blocking does
+not change a chunk's normals, which are drawn in the same order
+whatever the block; a t chunk longer than one block interleaves normals
+and chi-squares block by block.  An estimate is bit-for-bit
+reproducible for a fixed (draws, seed, chunks) triple.  Both algorithm
 names are recorded in diagnostics since they pin the bit-level output.
-Every chunk writes its rows straight into one preallocated draws x n
-matrix (product, scaling and location in place), so the samples are
-built once, in the same stream order as a chunk-by-chunk concatenation.
 
-The empirical GMD is one reduction: draws are taken in blocks of
-``BLOCK_VALUES // n``, each block is transposed once to n contiguous
-columns, and the differences |x_j - x_i| for j > i are formed row by row
-in one reused buffer.  Its row sums feed the pair means, which come out
-in ``pair_index`` order as one float64 array, and its column sums the
-per-draw statistic behind the standard error; no temporary is
-draws x n.  The standard error is taken on the statistic divided by a
-power of two near its largest value, so it does not overflow at scales
-near 1e154.  It estimates the error only when E|X_i - X_j|^2 is finite
-(``finite_variance``: not for a t without a variance); the result says
-so in ``std_error_valid``.
+Memory.  The stream draws every block into the same buffers, so a
+consumer uses or copies a block before it asks for the next one.  The
+reduction keeps per-pair sums and three numbers for the standard error.
+Nothing is draws long or draws x n, so memory does not grow with the
+number of draws: at most 2 MB of sampling buffers (4 MB with threads),
+less when every chunk is shorter than a block, and 2 MB of reduction
+buffers at any n.
+
+The empirical GMD is one reduction: each block is transposed once to n
+contiguous columns, and the differences |x_j - x_i| for j > i are formed
+row by row in one reused buffer.  Its row sums feed the pair means,
+which come out in ``pair_index`` order as one float64 array, and its
+column sums the per-draw statistic s_d behind the standard error.  Each
+block's (count, mean, M2) of s_d is merged into the running one in
+stream order (Chan, Golub & LeVeque 1979).  s_d is taken in one power of
+two unit, set by the first block's largest s_d, so the squares do not
+overflow at scales near 1e154, and a stream of one block gives the
+two-pass standard deviation bit for bit.  The standard error estimates
+the error only when E|X_i - X_j|^2 is finite (``finite_variance``: not
+for a t without a variance); the result says so in ``std_error_valid``.
 ``classic_empirical_gmd`` is the U-statistic of a univariate sample.
 
-``GMD_THREADS`` caps the worker count (default 1, i.e. sequential).
+``GMD_THREADS`` above 1 (default 1) draws the next block on a second
+thread while the current one is consumed; the numbers are the same.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from collections.abc import Iterable, Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -47,10 +62,10 @@ from .special import require_dof
 
 PRNG_NAME = "philox4x64"
 NORMAL_METHOD = "ziggurat"
-# Values per block of the pair reduction: BLOCK_VALUES // n draws, so that
-# a block's transposed samples and its difference buffer (1 MB each) fit
-# a 2 MB L2 cache.  At n = 50 this is within noise of the fastest
-# fixed block tried (2048 draws); at n <= 10 it is 1.3-1.6x faster.
+# Values per block, of the stream and of the pair reduction: BLOCK_VALUES // n
+# draws, so that a block's transposed samples and its difference buffer
+# (1 MB each) fit a 2 MB L2 cache.  At n = 50 this is within noise of the
+# fastest fixed block tried (2048 draws); at n <= 10 it is 1.3-1.6x faster.
 BLOCK_VALUES = 2**17
 
 
@@ -67,6 +82,9 @@ class MonteCarloConfig:
             raise DomainError("seed must fit in an unsigned 64-bit integer")
         if self.chunks < 1:
             raise DomainError(f"chunks must be >= 1, got {self.chunks}")
+        if self.chunks > self.draws:
+            raise DomainError(
+                f"chunks must be <= draws, got {self.chunks} chunks for {self.draws} draws")
 
 
 def thread_count() -> int:
@@ -78,83 +96,128 @@ def thread_count() -> int:
         return 1
 
 
-def _chunk_sizes(draws: int, chunks: int) -> list[int]:
-    base, extra = divmod(draws, chunks)
-    return [base + (1 if c < extra else 0) for c in range(chunks)]
-
-
 def _chunk_rng(seed: int, chunk: int) -> np.random.Generator:
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(chunk,))
     return np.random.Generator(np.random.Philox(ss))
 
 
-def sample(spec: ValidatedSpec, cfg: MonteCarloConfig) -> np.ndarray:
-    """draws x n matrix of variates mu + L z, divided by sqrt(W/nu) for a t spec.
+def _block_plan(cfg: MonteCarloConfig, block: int) -> Iterator[tuple[np.random.Generator, int]]:
+    """(chunk generator, rows) of every block, in stream order."""
+    base, extra = divmod(cfg.draws, cfg.chunks)
+    for chunk in range(cfg.chunks):
+        rng = _chunk_rng(cfg.seed, chunk)
+        size = base + (1 if chunk < extra else 0)
+        for start in range(0, size, block):
+            yield rng, min(block, size - start)
 
-    A t spec without a mean raises ``MomentExistenceError`` before any draw."""
-    student = spec.family is Family.STUDENT_T
-    if student:
+
+def sample(spec: ValidatedSpec, cfg: MonteCarloConfig) -> Iterator[np.ndarray]:
+    """The stream of blocks of variates mu + L z, divided by sqrt(W/nu) for a
+    t spec: rows x n arrays, in stream order, that share their buffers.
+
+    A t spec without a mean raises ``MomentExistenceError`` here, before
+    any draw; the draws happen as the stream is consumed."""
+    nu = None
+    if spec.family is Family.STUDENT_T:
         dof = require_dof(spec.dof)
         dof.require_mean()
         nu = dof.nu
-    out = np.empty((cfg.draws, spec.n))
-    starts = np.cumsum([0, *_chunk_sizes(cfg.draws, cfg.chunks)]).tolist()
+    return _stream(spec, cfg, nu)
 
-    def one_chunk(chunk: int) -> None:
-        a, b = starts[chunk], starts[chunk + 1]
-        rng = _chunk_rng(cfg.seed, chunk)
-        z = rng.standard_normal((b - a, spec.n))
-        x = np.matmul(z, spec.chol.T, out=out[a:b])
-        if student:
-            w = rng.chisquare(nu, b - a)
-            x /= np.sqrt(w / nu)[:, None]
+
+def _stream(spec: ValidatedSpec, cfg: MonteCarloConfig, nu: float | None
+            ) -> Iterator[np.ndarray]:
+    # No longer than the longest chunk, so that a short run (a 2000-draw
+    # verify) does not touch buffers it never fills.  Every chunk that fits
+    # in a block stays one block, so the samples are the same.
+    block = min(BLOCK_VALUES // spec.n, -(-cfg.draws // cfg.chunks))
+    chol_t = spec.chol.T
+
+    def draw(rng: np.random.Generator, rows: int, z: np.ndarray, x: np.ndarray) -> np.ndarray:
+        z = rng.standard_normal(out=z[:rows])
+        x = np.matmul(z, chol_t, out=x[:rows])
+        if nu is not None:
+            x /= np.sqrt(rng.chisquare(nu, rows) / nu)[:, None]
         x += spec.mu
+        return x
 
-    workers = min(thread_count(), cfg.chunks)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(one_chunk, range(cfg.chunks)))
-    else:
-        for chunk in range(cfg.chunks):
-            one_chunk(chunk)
-    return out
+    plan = _block_plan(cfg, block)
+    if thread_count() == 1:
+        z, x = np.empty((2, block, spec.n))
+        for rng, rows in plan:
+            yield draw(rng, rows, z, x)
+        return
+    # Block k + 1 is drawn on the pool's one thread, into the other pair of
+    # buffers, while the consumer works on block k.  One thread keeps each
+    # chunk's draws in order.
+    buffers = np.empty((2, 2, block, spec.n))
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        pending = None
+        for k, (rng, rows) in enumerate(plan):
+            future = pool.submit(draw, rng, rows, *buffers[k % 2])
+            if pending is not None:
+                yield pending.result()
+            pending = future
+        yield pending.result()
 
 
-def _pair_stats(samples: np.ndarray) -> tuple[np.ndarray, float]:
-    """Pair means |x_i - x_j| in ``pair_index`` order and the standard error.
+def _pair_stats(blocks: Iterable[np.ndarray]) -> tuple[np.ndarray, float, int]:
+    """Pair means |x_i - x_j| in ``pair_index`` order, the standard error and
+    the number of draws.
 
     The standard error comes from the per-draw statistic
     s_d = average over pairs of |x_di - x_dj|, so correlated pairs are not
     treated as independent.
     """
-    samples = np.asarray(samples, dtype=float)
-    if samples.ndim != 2 or samples.shape[1] < 2:
+    pair_sums = None
+    count, mean, m2, unit = 0, 0.0, 0.0, 1.0
+    for x in blocks:
+        x = np.asarray(x, dtype=float)
+        if x.ndim != 2 or x.shape[1] < 2 or (pair_sums is not None and x.shape[1] != n):
+            raise DomainError("samples must be a draws x n matrix with n >= 2")
+        if pair_sums is None:
+            n = x.shape[1]
+            step = BLOCK_VALUES // n
+            pair_sums = np.zeros(n * (n - 1) // 2)
+            buf = np.empty((n - 1, step))
+            stat_buf = np.empty(step)
+        for a in range(0, len(x), step):
+            cols = np.ascontiguousarray(x[a : a + step].T)
+            rows = cols.shape[1]
+            stat = stat_buf[:rows]
+            stat.fill(0.0)
+            k = 0
+            for i in range(n - 1):
+                diffs = buf[: n - 1 - i, :rows]
+                np.subtract(cols[i + 1 :], cols[i], out=diffs)
+                np.abs(diffs, out=diffs)
+                pair_sums[k : k + n - 1 - i] += diffs.sum(axis=1)
+                stat += diffs.sum(axis=0)
+                k += n - 1 - i
+            stat /= pair_sums.size
+            if count == 0:
+                # Dividing by a power of two is exact, so the squares cannot
+                # overflow and every result that did not overflow keeps its bits.
+                unit = math.ldexp(1.0, math.frexp(float(stat.max()))[1] - 1)
+            stat /= unit
+            block_mean = float(stat.sum()) / rows
+            stat -= block_mean
+            np.square(stat, out=stat)
+            block_m2 = float(stat.sum())
+            if count == 0:
+                count, mean, m2 = rows, block_mean, block_m2
+            else:
+                total = count + rows
+                delta = block_mean - mean
+                mean += delta * rows / total
+                m2 += block_m2 + delta * delta * (count * rows / total)
+                count = total
+    if pair_sums is None:
         raise DomainError("samples must be a draws x n matrix with n >= 2")
-    m, n = samples.shape
-    if m < 2:
+    if count < 2:
         raise DomainError("need at least 2 draws")
-    pair_sums = np.zeros(n * (n - 1) // 2)
-    per_draw = np.zeros(m)
-    block = BLOCK_VALUES // n
-    buf = np.empty((n - 1, min(m, block)))
-    for a in range(0, m, block):
-        b = min(a + block, m)
-        cols = np.ascontiguousarray(samples[a:b].T)
-        stat = per_draw[a:b]
-        k = 0
-        for i in range(n - 1):
-            diffs = buf[: n - 1 - i, : b - a]
-            np.subtract(cols[i + 1 :], cols[i], out=diffs)
-            np.abs(diffs, out=diffs)
-            pair_sums[k : k + n - 1 - i] += diffs.sum(axis=1)
-            stat += diffs.sum(axis=0)
-            k += n - 1 - i
-    per_draw /= pair_sums.size
-    # Dividing by a power of two is exact, so the squares inside std cannot
-    # overflow and every result that did not overflow keeps its bits.
-    scale = math.ldexp(1.0, math.frexp(float(per_draw.max()))[1] - 1)
-    std_error = float((per_draw / scale).std(ddof=1) * scale / math.sqrt(m))
-    return pair_sums / m, std_error
+    std_error = math.sqrt(m2 / (count - 1)) * unit / math.sqrt(count)
+    return pair_sums / count, std_error, count
 
 
 def finite_variance(spec: ValidatedSpec) -> bool:
@@ -163,15 +226,17 @@ def finite_variance(spec: ValidatedSpec) -> bool:
     return spec.family is Family.NORMAL or require_dof(spec.dof).has_variance
 
 
-def estimate_from_samples(samples: np.ndarray, cfg: MonteCarloConfig,
+def estimate_from_samples(samples: Iterator[np.ndarray] | np.ndarray, cfg: MonteCarloConfig,
                           std_error_valid: bool = True) -> GmdResult:
-    """Package the empirical GMD of already-drawn samples as a GmdResult.
+    """Package the empirical GMD of a stream of blocks (an iterator, as
+    ``sample`` returns), or of a draws x n matrix, as a GmdResult.
 
     ``std_error_valid`` is recorded as a diagnostic: pass
     ``finite_variance(spec)``, since without a finite variance the standard
     error is still computed but estimates nothing.
     """
-    pair_means, std_error = _pair_stats(samples)
+    blocks = samples if isinstance(samples, Iterator) else [samples]
+    pair_means, std_error, draws = _pair_stats(blocks)
     value = float(pair_means.sum()) / pair_means.size
     return GmdResult(
         value,
@@ -180,7 +245,7 @@ def estimate_from_samples(samples: np.ndarray, cfg: MonteCarloConfig,
         {
             "std_error": std_error,
             "std_error_valid": std_error_valid,
-            "draws": len(samples),
+            "draws": draws,
             "chunks": cfg.chunks,
             "seed": cfg.seed,
             "prng": PRNG_NAME,

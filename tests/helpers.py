@@ -20,6 +20,7 @@ from gmd import (
     student_t_pdf,
     validate,
 )
+from gmd.monte_carlo import BLOCK_VALUES
 
 
 def swapped(p: PairParams) -> PairParams:
@@ -291,12 +292,16 @@ def mp_spec_gmd(spec: ValidatedSpec) -> float:
 
 
 # --- Monte Carlo reference oracles --------------------------------------------
-# The sampler and the pair reduction as first written: one chunk at a time,
-# concatenated, and one full-length pass per pair.  The blocked kernels in
-# ``gmd.monte_carlo`` must give the same samples and the same statistics.
+# The sampler and the pair reduction written plainly: one chunk at a time,
+# one block of a chunk at a time, concatenated, and one full-length pass
+# per pair.  The streamed kernels in ``gmd.monte_carlo`` must give the same
+# samples and the same statistics.
 
 def reference_sample(spec: ValidatedSpec, draws: int, seed: int, chunks: int) -> np.ndarray:
-    """mu + L z (/ sqrt(W/nu)) per chunk from its own Philox stream, stacked."""
+    """mu + L z (/ sqrt(W/nu)) per block of BLOCK_VALUES // n rows of each
+    chunk, each chunk from its own Philox stream, stacked.  A t block draws
+    its normals, then its chi-squares."""
+    block = BLOCK_VALUES // spec.n
     base, extra = divmod(draws, chunks)
     parts = []
     for chunk in range(chunks):
@@ -304,12 +309,20 @@ def reference_sample(spec: ValidatedSpec, draws: int, seed: int, chunks: int) ->
         rng = np.random.Generator(
             np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(chunk,)))
         )
-        x = rng.standard_normal((size, spec.n)) @ spec.chol.T
-        if spec.dof is not None:
-            nu = spec.dof.nu
-            x /= np.sqrt(rng.chisquare(nu, size) / nu)[:, None]
-        parts.append(spec.mu + x)
+        for start in range(0, size, block):
+            rows = min(block, size - start)
+            x = rng.standard_normal((rows, spec.n)) @ spec.chol.T
+            if spec.dof is not None:
+                nu = spec.dof.nu
+                x /= np.sqrt(rng.chisquare(nu, rows) / nu)[:, None]
+            parts.append(spec.mu + x)
     return np.vstack(parts)
+
+
+def stacked(blocks) -> np.ndarray:
+    """The draws x n matrix of a stream of blocks.  Each block is copied,
+    since a stream may draw every block into the same buffer."""
+    return np.vstack([block.copy() for block in blocks])
 
 
 def reference_pair_stats(samples: np.ndarray) -> tuple[np.ndarray, float]:

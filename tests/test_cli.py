@@ -11,15 +11,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gmd import cli
+from gmd import cli, monte_carlo
 from gmd.bounds import build_bound_report
 from gmd.cli import main
 from gmd.closed_form import normal_gmd, student_gmd
 from gmd.model import GmdMethod, GmdResult, spec_from_dict, validate
-from gmd.monte_carlo import MonteCarloConfig, estimate_gmd
+from gmd.monte_carlo import MonteCarloConfig, estimate_gmd, sample
 from gmd.special import DegreesOfFreedom
 
-from helpers import exchangeable_student_gmd, reference_output
+from helpers import exchangeable_student_gmd, reference_output, stacked
 
 TWO_OVER_SQRT_PI = 1.1283791670955126
 
@@ -255,12 +255,30 @@ class TestEstimateCommand:
         first = [float(v) for v in lines[1].split(",")]
         assert len(first) == 2 and all(math.isfinite(v) for v in first)
 
-    def test_dump_into_a_missing_directory(self, capsys, iid_normal_spec, tmp_path):
+    def test_dump_into_a_missing_directory(self, capsys, monkeypatch, iid_normal_spec, tmp_path):
+        def no_draws(*args):
+            raise AssertionError("drew samples for a dump that cannot be written")
+
+        monkeypatch.setattr(monte_carlo, "_chunk_rng", no_draws)
         dump = tmp_path / "missing" / "samples.csv"
         code, out = run(capsys, "estimate", iid_normal_spec,
                         "--draws", "1000", "--seed", "1", "--dump", str(dump))
         assert code == 1
         assert "cannot write samples" in json.loads(out)["errors"][0]
+        assert not dump.exists()
+
+    @pytest.mark.parametrize("error", [KeyboardInterrupt, MemoryError])
+    def test_failed_reduction_leaves_no_dump(self, capsys, monkeypatch, iid_normal_spec,
+                                             tmp_path, error):
+        def fails_after_one_block(blocks, *args):
+            next(blocks)
+            raise error
+
+        monkeypatch.setattr(monte_carlo, "estimate_from_samples", fails_after_one_block)
+        dump = tmp_path / "samples.csv"
+        # 200 000 draws at n = 2 span four blocks of the stream.
+        with pytest.raises(error):
+            main(["estimate", iid_normal_spec, "--draws", "200000", "--dump", str(dump)])
         assert not dump.exists()
 
     @pytest.mark.parametrize("output", ["json", "text"])
@@ -277,6 +295,44 @@ class TestEstimateCommand:
             lines = out.splitlines()
             assert f"diagnostics.seed = {seed}" in lines
             assert "diagnostics.draws = 1000" in lines
+
+    @pytest.mark.parametrize("family, nu, offset, chunks",
+                             [("normal", None, 0.0, 3), ("student-t", 4.0, 1e12, 1)])
+    def test_dump_equals_savetxt(self, capsys, tmp_path, family, nu, offset, chunks):
+        # 100 000 draws of n = 3 span three blocks of the stream.
+        path, spec = _spec_file(tmp_path, "spec.json", family, nu, 3, 11)
+        if offset:
+            data = json.loads(Path(path).read_text())
+            data["mu"] = [offset + m for m in data["mu"]]
+            Path(path).write_text(json.dumps(data))
+            spec = validate(spec_from_dict(data))
+        dump, ref = tmp_path / "samples.csv", tmp_path / "ref.csv"
+        code, _ = run(capsys, "estimate", path, "--draws", "100000", "--seed", "4",
+                      "--chunks", str(chunks), "--dump", str(dump))
+        assert code == 0
+        samples = stacked(sample(spec, MonteCarloConfig(draws=100_000, seed=4, chunks=chunks)))
+        np.savetxt(ref, samples, fmt="%.17g", delimiter=",", header="x1,x2,x3", comments="")
+        assert dump.read_bytes() == ref.read_bytes()
+
+    def test_threads_change_neither_report_nor_dump(self, capsys, monkeypatch, tmp_path):
+        # Two chunks of 50 000 draws, each longer than one block at n = 3.
+        path, _ = _spec_file(tmp_path, "spec.json", "student-t", 4.0, 3, 12)
+        runs = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("GMD_THREADS", threads)
+            dump = tmp_path / f"samples{threads}.csv"
+            code, out = run(capsys, "estimate", path, "--draws", "100000", "--seed", "6",
+                            "--chunks", "2", "--dump", str(dump))
+            runs.append((code, out, dump.read_bytes()))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == 0
+
+    @pytest.mark.parametrize("command", ["estimate", "verify"])
+    def test_more_chunks_than_draws_rejected(self, capsys, iid_normal_spec, command):
+        code, out = run(capsys, command, iid_normal_spec, "--draws", "1000", "--chunks", "3000")
+        assert code == 1
+        assert json.loads(out)["errors"] == [
+            "chunks must be <= draws, got 3000 chunks for 1000 draws"]
 
     def test_chunked_estimate_matches_known_layout(self, capsys, iid_normal_spec):
         _, out1 = run(capsys, "estimate", iid_normal_spec,

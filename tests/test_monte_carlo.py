@@ -1,6 +1,8 @@
 """Samplers and empirical estimators: determinism, moments, consistency."""
 
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +29,7 @@ from helpers import (
     random_student_spec,
     reference_pair_stats,
     reference_sample,
+    stacked,
 )
 
 TWO_OVER_SQRT_PI = 1.1283791670955126
@@ -41,6 +44,11 @@ def empirical(samples):
     return estimate_from_samples(samples, MonteCarloConfig())
 
 
+def drawn(spec, cfg):
+    """The draws x n matrix of the spec's stream."""
+    return stacked(sample(spec, cfg))
+
+
 class TestConfig:
     def test_draw_floor(self):
         with pytest.raises(DomainError):
@@ -49,6 +57,11 @@ class TestConfig:
     def test_chunks_floor(self):
         with pytest.raises(DomainError):
             MonteCarloConfig(chunks=0)
+
+    def test_chunks_at_most_draws(self):
+        assert MonteCarloConfig(draws=1000, chunks=1000).chunks == 1000
+        with pytest.raises(DomainError, match="chunks must be <= draws"):
+            MonteCarloConfig(draws=1000, chunks=3000)
 
     def test_seed_range(self):
         with pytest.raises(DomainError):
@@ -61,31 +74,31 @@ class TestDeterminism:
     def test_same_seed_same_samples(self):
         spec = iid_normal_spec()
         cfg = MonteCarloConfig(draws=1000, seed=42)
-        np.testing.assert_array_equal(sample(spec, cfg), sample(spec, cfg))
+        np.testing.assert_array_equal(drawn(spec, cfg), drawn(spec, cfg))
 
     def test_different_seeds_differ(self):
         spec = iid_normal_spec()
-        a = sample(spec, MonteCarloConfig(draws=1000, seed=1))
-        b = sample(spec, MonteCarloConfig(draws=1000, seed=2))
+        a = drawn(spec, MonteCarloConfig(draws=1000, seed=1))
+        b = drawn(spec, MonteCarloConfig(draws=1000, seed=2))
         assert not np.array_equal(a, b)
 
     def test_chunked_run_is_reproducible(self):
         spec = iid_normal_spec()
         cfg = MonteCarloConfig(draws=10_000, seed=7, chunks=8)
-        np.testing.assert_array_equal(sample(spec, cfg), sample(spec, cfg))
+        np.testing.assert_array_equal(drawn(spec, cfg), drawn(spec, cfg))
 
     def test_threaded_equals_sequential(self, monkeypatch):
         spec = iid_normal_spec(3)
         cfg = MonteCarloConfig(draws=20_000, seed=3, chunks=4)
-        sequential = sample(spec, cfg)
+        sequential = drawn(spec, cfg)
         monkeypatch.setenv("GMD_THREADS", "4")
-        threaded = sample(spec, cfg)
+        threaded = drawn(spec, cfg)
         np.testing.assert_array_equal(sequential, threaded)
 
     def test_student_same_seed(self):
         spec = validate(DistributionSpec("student-t", [0, 0], np.eye(2), nu=3.0))
         cfg = MonteCarloConfig(draws=1000, seed=9)
-        np.testing.assert_array_equal(sample(spec, cfg), sample(spec, cfg))
+        np.testing.assert_array_equal(drawn(spec, cfg), drawn(spec, cfg))
 
 
 class TestSampleMoments:
@@ -93,7 +106,7 @@ class TestSampleMoments:
         rng = np.random.default_rng(20)
         spec = random_normal_spec(rng, 3)
         draws = 200_000
-        x = sample(spec, MonteCarloConfig(draws=draws, seed=11))
+        x = drawn(spec, MonteCarloConfig(draws=draws, seed=11))
         sds = np.sqrt(np.diag(spec.sigma_mat))
         np.testing.assert_array_less(
             np.abs(x.mean(axis=0) - spec.mu), 4.0 * sds / math.sqrt(draws)
@@ -103,7 +116,7 @@ class TestSampleMoments:
         rng = np.random.default_rng(21)
         spec = random_normal_spec(rng, 3)
         draws = 200_000
-        x = sample(spec, MonteCarloConfig(draws=draws, seed=12))
+        x = drawn(spec, MonteCarloConfig(draws=draws, seed=12))
         cov = np.cov(x, rowvar=False)
         tol = 5.0 * math.sqrt(2.0 / draws) * float(np.max(np.abs(spec.sigma_mat)))
         assert float(np.max(np.abs(cov - spec.sigma_mat))) < tol
@@ -114,8 +127,8 @@ class TestSampleMoments:
         n_spec = validate(DistributionSpec("normal", [1.0, -1.0],
                                            [[2.0, 0.5], [0.5, 1.0]]))
         draws = 100_000
-        xt = sample(t_spec, MonteCarloConfig(draws=draws, seed=13))
-        xn = sample(n_spec, MonteCarloConfig(draws=draws, seed=13))
+        xt = drawn(t_spec, MonteCarloConfig(draws=draws, seed=13))
+        xn = drawn(n_spec, MonteCarloConfig(draws=draws, seed=13))
         assert np.abs(xt.mean(axis=0) - xn.mean(axis=0)).max() < 0.02
         assert np.abs(np.cov(xt, rowvar=False) - np.cov(xn, rowvar=False)).max() < 0.05
 
@@ -125,7 +138,7 @@ class TestSampleMoments:
             DistributionSpec("student-t", [0.0, mu_j],
                              [[1.0, 0.0], [0.0, sd_j**2]], nu=nu)
         )
-        x = sample(spec, MonteCarloConfig(draws=400_000, seed=14))
+        x = drawn(spec, MonteCarloConfig(draws=400_000, seed=14))
         for q in (0.05, 0.25, 0.5, 0.75, 0.95):
             expected = mu_j + sd_j * float(stdtrit(nu, q))
             got = float(np.quantile(x[:, 1], q))
@@ -140,16 +153,14 @@ class TestEmpiricalGmd:
 
     def test_iid_normal_pair(self):
         spec = iid_normal_spec()
-        x = sample(spec, MonteCarloConfig(draws=1_000_000, seed=15))
-        est = empirical(x)
+        est = empirical(sample(spec, MonteCarloConfig(draws=1_000_000, seed=15)))
         assert isinstance(est, GmdResult)
         assert abs(est.value - TWO_OVER_SQRT_PI) < 3.0 * est.diagnostics["std_error"]
         assert est.diagnostics["draws"] == 1_000_000
 
     def test_exchangeable_student_nu2(self):
         spec = validate(DistributionSpec("student-t", [0, 0], np.eye(2), nu=2.0))
-        x = sample(spec, MonteCarloConfig(draws=1_000_000, seed=16))
-        est = empirical(x)
+        est = empirical(sample(spec, MonteCarloConfig(draws=1_000_000, seed=16)))
         expected = exchangeable_student_gmd(1.0, DegreesOfFreedom(2.0), [0.0])
         assert abs(est.value - expected) < 3.0 * est.diagnostics["std_error"]
 
@@ -173,15 +184,14 @@ class TestEmpiricalGmd:
         for k in range(50):
             spec = random_normal_spec(rng)
             exact = normal_gmd(spec).value
-            x = sample(spec, MonteCarloConfig(draws=1_000_000, seed=1000 + k))
-            est = empirical(x)
+            est = empirical(sample(spec, MonteCarloConfig(draws=1_000_000, seed=1000 + k)))
             if abs(est.value - exact) > 3.0 * est.diagnostics["std_error"]:
                 exceedances += 1
         assert exceedances <= 2
 
 
 class TestBlockedKernel:
-    """The blocked sampler and reduction against the chunk-by-chunk oracles."""
+    """The streamed sampler and reduction against the plain oracles."""
 
     # Fixed draw counts, and one either side of the n-th block edge.
     @pytest.mark.parametrize(
@@ -193,13 +203,18 @@ class TestBlockedKernel:
             draws += BLOCK_VALUES // n
         rng = np.random.default_rng(100 * n + draws)
         spec = random_student_spec(rng, 4.0, n) if n % 2 else random_normal_spec(rng, n)
-        x = sample(spec, MonteCarloConfig(draws=draws, seed=n))
+        cfg = MonteCarloConfig(draws=draws, seed=n)
+        x = drawn(spec, cfg)
         ref_means, ref_se = reference_pair_stats(x)
-        result = estimate_from_samples(x, MonteCarloConfig(draws=draws, seed=n))
+        result = estimate_from_samples(sample(spec, cfg), cfg)
         np.testing.assert_allclose(result.pair_values, ref_means, rtol=1e-13, atol=0)
         assert result.diagnostics["std_error"] == pytest.approx(ref_se, rel=1e-12, abs=0)
         assert result.value == pytest.approx(ref_means.mean(), rel=1e-13)
         assert result.diagnostics["draws"] == draws
+        # One chunk: the matrix is reduced over the same blocks as the stream.
+        from_matrix = estimate_from_samples(x, cfg)
+        assert from_matrix.value == result.value
+        assert from_matrix.diagnostics == result.diagnostics
 
     @pytest.mark.parametrize("threads", [None, "2"])
     @pytest.mark.parametrize("chunks", [1, 3])
@@ -210,11 +225,65 @@ class TestBlockedKernel:
         else:
             monkeypatch.setenv("GMD_THREADS", threads)
         rng = np.random.default_rng(31)
-        for n in (2, 7, 10):
+        # 5001 draws fit one block; 3 blocks and 7 rows give chunks longer
+        # than a block at both chunk counts.
+        cases = [(2, 5001), (7, 5001), (10, 5001),
+                 (10, 3 * (BLOCK_VALUES // 10) + 7), (50, 3 * (BLOCK_VALUES // 50) + 7)]
+        for n, draws in cases:
             spec = random_normal_spec(rng, n) if family == "normal" else \
                 random_student_spec(rng, 3.0, n)
-            cfg = MonteCarloConfig(draws=5001, seed=2**63 + n, chunks=chunks)
-            assert np.array_equal(sample(spec, cfg), reference_sample(spec, 5001, cfg.seed, chunks))
+            cfg = MonteCarloConfig(draws=draws, seed=2**63 + n, chunks=chunks)
+            assert np.array_equal(drawn(spec, cfg),
+                                  reference_sample(spec, draws, cfg.seed, chunks)), (n, draws)
+
+    def test_threaded_reduction_equals_sequential_under_fast_switching(self, monkeypatch):
+        # 23 blocks at n = 50: the consumer reduces each block while the next
+        # is drawn into the other buffers; a block overwritten too early
+        # would change the estimate.
+        spec = random_student_spec(np.random.default_rng(7), 5.0, 50)
+        cfg = MonteCarloConfig(draws=60_000, seed=4, chunks=3)
+        monkeypatch.delenv("GMD_THREADS", raising=False)
+        sequential = estimate_gmd(spec, cfg)
+        monkeypatch.setenv("GMD_THREADS", "4")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = estimate_gmd(spec, cfg)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded.value == sequential.value
+        assert threaded.diagnostics == sequential.diagnostics
+        np.testing.assert_array_equal(threaded.pair_values, sequential.pair_values)
+
+    def test_memory_does_not_grow_with_draws(self):
+        spec = random_normal_spec(np.random.default_rng(5), 10)
+        peaks = []
+        for draws in (100_000, 1_000_000):
+            tracemalloc.start()
+            try:
+                estimate_gmd(spec, MonteCarloConfig(draws=draws, seed=1))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) < 2**20, peaks
+
+    @pytest.mark.parametrize("family, nu, value, std_error, pairs", [
+        ("normal", None, 2.2284827573057022, 0.0046244723232674294,
+         [1.7790067417593254, 1.8621947303249953, 3.0442467998327865]),
+        ("student-t", 4.0, 2.4843196831638097, 0.006655699411533943,
+         [2.0512036036025365, 2.1766883393474004, 3.2250671065414935]),
+    ])
+    def test_one_block_keeps_the_two_pass_bits(self, family, nu, value, std_error, pairs):
+        # Pinned from the sampler that drew the whole matrix and took the
+        # standard error by the two-pass formula: a stream of one block
+        # must give the same draws, pair means and standard error.
+        mu = np.array([0.5, -1.0, 2.0])
+        sigma = np.array([[1.0, 0.3, -0.2], [0.3, 2.0, 0.5], [-0.2, 0.5, 1.5]])
+        result = estimate_gmd(validate(DistributionSpec(family, mu, sigma, nu=nu)),
+                              MonteCarloConfig(draws=40_000, seed=5))
+        assert result.value == value
+        assert result.diagnostics["std_error"] == std_error
+        assert result.pair_values.tolist() == pairs
 
 
 class TestEstimateGmd:
