@@ -371,9 +371,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gmd",
         description="Gini mean difference of correlated normal / Student-t vectors.",
-        epilog="GMD_THREADS above 1 (default 1) draws the next block of samples on a "
-               "second thread; results are bit-identical either way for a fixed "
-               "(draws, seed, chunks).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -2,10 +2,9 @@
 
 ``sample`` returns a lazy stream of blocks of draws from a spec's family
 (normal, or Student-t through a chi-square mixing variable);
-``estimate_from_samples`` reduces a stream, or an already-drawn matrix,
-to a ``GmdResult`` and ``estimate_gmd`` does both.  ``sample`` refuses a
-t spec without a mean, whose draws would estimate nothing, before it
-draws anything.
+``estimate_from_samples`` reduces a stream to a ``GmdResult`` and
+``estimate_gmd`` does both.  ``sample`` refuses a t spec without a mean,
+whose draws would estimate nothing, before it draws anything.
 
 The stream.  The draws are split into ``chunks`` chunks, the first
 ``draws % chunks`` of them one row longer.  Each chunk has its own
@@ -24,9 +23,8 @@ Memory.  The stream draws every block into the same buffers, so a
 consumer uses or copies a block before it asks for the next one.  The
 reduction keeps per-pair sums and three numbers for the standard error.
 Nothing is draws long or draws x n, so memory does not grow with the
-number of draws: at most 2 MB of sampling buffers (4 MB with threads),
-less when every chunk is shorter than a block, and 2 MB of reduction
-buffers at any n.
+number of draws: at most 2 MB of sampling buffers, less when every
+chunk is shorter than a block, and 2 MB of reduction buffers at any n.
 
 The empirical GMD is one reduction: each block is transposed once to n
 contiguous columns, and the differences |x_j - x_i| for j > i are formed
@@ -41,17 +39,13 @@ two-pass standard deviation bit for bit.  The standard error estimates
 the error only when E|X_i - X_j|^2 is finite (``finite_variance``: not
 for a t without a variance); the result says so in ``std_error_valid``.
 ``classic_empirical_gmd`` is the U-statistic of a univariate sample.
-
-``GMD_THREADS`` above 1 (default 1) draws the next block on a second
-thread while the current one is consumed; the numbers are the same.
 """
 
 from __future__ import annotations
 
 import math
-import os
+import operator
 from collections.abc import Iterable, Iterator
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,6 +70,12 @@ class MonteCarloConfig:
     chunks: int = 1
 
     def __post_init__(self) -> None:
+        # Stored as Python ints: a float fails mid-run, a bool or numpy int reaches the report.
+        for name in ("draws", "seed", "chunks"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not hasattr(value, "__index__"):
+                raise DomainError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, operator.index(value))
         if self.draws < 1000:
             raise DomainError(f"draws must be >= 1000, got {self.draws}")
         if not 0 <= self.seed < 2**64:
@@ -87,28 +87,9 @@ class MonteCarloConfig:
                 f"chunks must be <= draws, got {self.chunks} chunks for {self.draws} draws")
 
 
-def thread_count() -> int:
-    """Worker cap from GMD_THREADS; 1 (sequential) when unset or invalid."""
-    raw = os.environ.get("GMD_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _chunk_rng(seed: int, chunk: int) -> np.random.Generator:
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(chunk,))
     return np.random.Generator(np.random.Philox(ss))
-
-
-def _block_plan(cfg: MonteCarloConfig, block: int) -> Iterator[tuple[np.random.Generator, int]]:
-    """(chunk generator, rows) of every block, in stream order."""
-    base, extra = divmod(cfg.draws, cfg.chunks)
-    for chunk in range(cfg.chunks):
-        rng = _chunk_rng(cfg.seed, chunk)
-        size = base + (1 if chunk < extra else 0)
-        for start in range(0, size, block):
-            yield rng, min(block, size - start)
 
 
 def sample(spec: ValidatedSpec, cfg: MonteCarloConfig) -> Iterator[np.ndarray]:
@@ -132,33 +113,19 @@ def _stream(spec: ValidatedSpec, cfg: MonteCarloConfig, nu: float | None
     # in a block stays one block, so the samples are the same.
     block = min(BLOCK_VALUES // spec.n, -(-cfg.draws // cfg.chunks))
     chol_t = spec.chol.T
-
-    def draw(rng: np.random.Generator, rows: int, z: np.ndarray, x: np.ndarray) -> np.ndarray:
-        z = rng.standard_normal(out=z[:rows])
-        x = np.matmul(z, chol_t, out=x[:rows])
-        if nu is not None:
-            x /= np.sqrt(rng.chisquare(nu, rows) / nu)[:, None]
-        x += spec.mu
-        return x
-
-    plan = _block_plan(cfg, block)
-    if thread_count() == 1:
-        z, x = np.empty((2, block, spec.n))
-        for rng, rows in plan:
-            yield draw(rng, rows, z, x)
-        return
-    # Block k + 1 is drawn on the pool's one thread, into the other pair of
-    # buffers, while the consumer works on block k.  One thread keeps each
-    # chunk's draws in order.
-    buffers = np.empty((2, 2, block, spec.n))
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        pending = None
-        for k, (rng, rows) in enumerate(plan):
-            future = pool.submit(draw, rng, rows, *buffers[k % 2])
-            if pending is not None:
-                yield pending.result()
-            pending = future
-        yield pending.result()
+    z_buf, x_buf = np.empty((2, block, spec.n))
+    base, extra = divmod(cfg.draws, cfg.chunks)
+    for chunk in range(cfg.chunks):
+        rng = _chunk_rng(cfg.seed, chunk)
+        size = base + (1 if chunk < extra else 0)
+        for start in range(0, size, block):
+            rows = min(block, size - start)
+            z = rng.standard_normal(out=z_buf[:rows])
+            x = np.matmul(z, chol_t, out=x_buf[:rows])
+            if nu is not None:
+                x /= np.sqrt(rng.chisquare(nu, rows) / nu)[:, None]
+            x += spec.mu
+            yield x
 
 
 def _pair_stats(blocks: Iterable[np.ndarray]) -> tuple[np.ndarray, float, int]:
@@ -174,7 +141,7 @@ def _pair_stats(blocks: Iterable[np.ndarray]) -> tuple[np.ndarray, float, int]:
     for x in blocks:
         x = np.asarray(x, dtype=float)
         if x.ndim != 2 or x.shape[1] < 2 or (pair_sums is not None and x.shape[1] != n):
-            raise DomainError("samples must be a draws x n matrix with n >= 2")
+            raise DomainError("samples must be a stream of rows x n blocks with n >= 2")
         if pair_sums is None:
             n = x.shape[1]
             step = BLOCK_VALUES // n
@@ -213,7 +180,7 @@ def _pair_stats(blocks: Iterable[np.ndarray]) -> tuple[np.ndarray, float, int]:
                 m2 += block_m2 + delta * delta * (count * rows / total)
                 count = total
     if pair_sums is None:
-        raise DomainError("samples must be a draws x n matrix with n >= 2")
+        raise DomainError("samples must be a stream of rows x n blocks with n >= 2")
     if count < 2:
         raise DomainError("need at least 2 draws")
     std_error = math.sqrt(m2 / (count - 1)) * unit / math.sqrt(count)
@@ -226,17 +193,16 @@ def finite_variance(spec: ValidatedSpec) -> bool:
     return spec.family is Family.NORMAL or require_dof(spec.dof).has_variance
 
 
-def estimate_from_samples(samples: Iterator[np.ndarray] | np.ndarray, cfg: MonteCarloConfig,
+def estimate_from_samples(samples: Iterator[np.ndarray], cfg: MonteCarloConfig,
                           std_error_valid: bool = True) -> GmdResult:
-    """Package the empirical GMD of a stream of blocks (an iterator, as
-    ``sample`` returns), or of a draws x n matrix, as a GmdResult.
+    """Package the empirical GMD of a stream of rows x n blocks, as
+    ``sample`` returns it, as a GmdResult.
 
     ``std_error_valid`` is recorded as a diagnostic: pass
     ``finite_variance(spec)``, since without a finite variance the standard
     error is still computed but estimates nothing.
     """
-    blocks = samples if isinstance(samples, Iterator) else [samples]
-    pair_means, std_error, draws = _pair_stats(blocks)
+    pair_means, std_error, draws = _pair_stats(samples)
     value = float(pair_means.sum()) / pair_means.size
     return GmdResult(
         value,

@@ -72,8 +72,8 @@ def test_exact_path_enters_the_traced_calls(tracing, tmp_path, capsys, family, n
 
 
 def test_estimate_path_enters_the_traced_calls(tracing, tmp_path, capsys):
-    # The benchmark splits Monte Carlo time into sampling and reduction by
-    # these three names; each must be entered once per `estimate --dump`.
+    # The tracer reads the Monte Carlo route by these three names; each
+    # must be entered once per `estimate --dump`.
     data = {"family": "student-t", "nu": 5.0, "mu": [0.0, 0.5, -1.0],
             "sigma": [[1.0, 0.3, 0.1], [0.3, 2.0, -0.4], [0.1, -0.4, 1.5]]}
     path = tmp_path / "spec.json"

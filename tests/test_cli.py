@@ -314,19 +314,6 @@ class TestEstimateCommand:
         np.savetxt(ref, samples, fmt="%.17g", delimiter=",", header="x1,x2,x3", comments="")
         assert dump.read_bytes() == ref.read_bytes()
 
-    def test_threads_change_neither_report_nor_dump(self, capsys, monkeypatch, tmp_path):
-        # Two chunks of 50 000 draws, each longer than one block at n = 3.
-        path, _ = _spec_file(tmp_path, "spec.json", "student-t", 4.0, 3, 12)
-        runs = []
-        for threads in ("1", "2"):
-            monkeypatch.setenv("GMD_THREADS", threads)
-            dump = tmp_path / f"samples{threads}.csv"
-            code, out = run(capsys, "estimate", path, "--draws", "100000", "--seed", "6",
-                            "--chunks", "2", "--dump", str(dump))
-            runs.append((code, out, dump.read_bytes()))
-        assert runs[0] == runs[1]
-        assert runs[0][0] == 0
-
     @pytest.mark.parametrize("command", ["estimate", "verify"])
     def test_more_chunks_than_draws_rejected(self, capsys, iid_normal_spec, command):
         code, out = run(capsys, command, iid_normal_spec, "--draws", "1000", "--chunks", "3000")
@@ -627,6 +614,7 @@ for argv in (["closed-form", normal], ["bound", normal],
     assert run(*argv) == 0, argv
     loaded = sorted(name for name in sys.modules if name.startswith("scipy"))
     assert not loaded, (argv, loaded[:5])
+assert "concurrent.futures" not in sys.modules
 for argv in (["closed-form", student], ["quantile-gmd", normal], ["quantile-gmd", student]):
     assert run(*argv) == 0, argv
 assert "scipy.special" in sys.modules
