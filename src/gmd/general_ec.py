@@ -27,7 +27,11 @@ conditional-CDF formula, ``_conditional_cdf``, which the public
 both orderings of every pair straight from the spec's means, scales and
 correlations, and hands them to the quadrature engine as one batch, so
 each refinement round of a spec is one integrand call; ``_pair_integral``
-runs one ``PairParams``' integral alone.
+runs one ``PairParams``' integral alone.  Both integrate each row in
+units of a power of two at or below its sigma_j (``_pair_rows``), so a
+spec scaled by 2^k takes the same panels and its values differ by
+exactly 2^k, and both refuse a row whose mean gap float64 cannot
+resolve at its scale.
 A Student-t moment integrand decays only like |x|^-nu, since pi_ij tends
 to a constant on each side, so those two limits are subtracted first
 and their share comes back in closed form from the marginal's partial
@@ -48,6 +52,7 @@ import numpy as np
 from .errors import DegeneratePairError, DomainError, NonconvergenceError
 from .model import Family, GmdMethod, GmdResult, PairParams, ValidatedSpec, pair_correlations
 from .quadrature import (
+    _EPS,
     BatchIntegrand,
     QuadratureConfig,
     QuadratureResult,
@@ -187,6 +192,37 @@ def _student_asymptote(
     return c_lo, c_hi, mu_j * 0.5 * (c_lo + c_hi) + (c_hi - c_lo) * half_moment
 
 
+def _pair_rows(params: np.ndarray, moment: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pair rows in units of a power of two at or below each row's sigma_j.
+
+    Returns the rows in those units, the units, and per row the error
+    that rounding the abscissae x = mu_j + sigma_j tan(t) can add to its
+    integral, in the same units.  Dividing by a power of two is exact, so
+    two rows that differ by such a factor become one row: they take the
+    same panels, and their values differ by exactly that factor.  The
+    absolute tolerance then applies on the row's own scale.  Each x
+    carries a rounding of up to eps |mu_j|, which moves the integrand
+    f_{X_j} pi_ij by about that times its slope, so the integral by about
+    eps |mu_j| / sigma_j, and the moment integral, which also carries the
+    factor x, by eps mu_j^2 / sigma_j.  Each pair is moved so that one
+    of its means is 0, so |mu_j| is 0 or the pair's mean gap.  A row
+    with |mu_j| eps > 1e-8 sigma_j is refused with
+    ``NonconvergenceError``: that bound is then about half a sigma_j,
+    and beyond it the scale is lost to rounding altogether.
+    """
+    unit = np.ldexp(0.5, np.frexp(params[:, 3])[1])
+    rows = params.copy()
+    rows[:, :4] /= unit[:, None]
+    centre, scale = np.abs(rows[:, 1]), rows[:, 3]
+    far = centre * _EPS > 1e-8 * scale
+    if far.any():
+        k = int(np.argmax(far))
+        raise NonconvergenceError(
+            f"mean gap {float(params[k, 1])!r} is beyond what float64 resolves at "
+            f"scale {float(params[k, 3])!r}", integral=k)
+    return rows, unit, _EPS * centre * (centre if moment else 1.0) / scale
+
+
 def _pair_batch(
     params: np.ndarray,
     family: Family,
@@ -232,13 +268,18 @@ def _pair_integral(
     """Integral of f_{X_j}(x) pi_ij(x), times x if ``moment``, over the real line.
 
     One tangent-map integral centred at mu_j, which puts a panel edge
-    there, of ``_pair_batch``'s integrand for the single pair.
+    there, of ``_pair_batch``'s integrand for the single pair, in the
+    units of ``_pair_rows``.
     """
-    row = (p.mu_i, p.mu_j, p.sigma_i, p.sigma_j, p.rho_ij)
-    integrand, share = _pair_batch(np.array([row]), family, dof, moment)
-    result = integrate_real_line(lambda x: integrand(x, 0), center=p.mu_j,
-                                 scale=p.sigma_j, features=_skew_transition(*row))
-    return dataclasses.replace(result, value=result.value + float(share[0]))
+    row = np.array([(p.mu_i, p.mu_j, p.sigma_i, p.sigma_j, p.rho_ij)])
+    rows, unit, rounding = _pair_rows(row, moment)
+    integrand, share = _pair_batch(rows, family, dof, moment)
+    local = rows[0].tolist()
+    result = integrate_real_line(lambda x: integrand(x, 0), center=local[1], scale=local[3],
+                                 features=_skew_transition(*local))
+    back = float(unit[0]) if moment else 1.0
+    return dataclasses.replace(result, value=(result.value + float(share[0])) * back,
+                               error=(result.error + float(rounding[0])) * back)
 
 
 def reliability_quadrature(p: PairParams, family: Family,
@@ -317,19 +358,21 @@ def gmd_quadrature(spec: ValidatedSpec, config: QuadratureConfig | None = None) 
         np.column_stack([gap, zero, sd[rows], sd[cols], rho]),
         np.column_stack([zero, gap, sd[cols], sd[rows], rho]),
     ], axis=1).reshape(-1, 5)
-    integrand, share = _pair_batch(params, spec.family, spec.dof, moment=True)
     try:
+        local, unit, rounding = _pair_rows(params, moment=True)
+        integrand, share = _pair_batch(local, spec.family, spec.dof, moment=True)
         results, rounds = integrate_real_line_batch(
-            integrand, params[:, 1], params[:, 3],
-            [_skew_transition(*row) for row in params.tolist()], config)
+            integrand, local[:, 1], local[:, 3],
+            [_skew_transition(*row) for row in local.tolist()], config)
     except NonconvergenceError as exc:
         k = exc.integral // 2
         raise NonconvergenceError(f"pair ({rows[k]},{cols[k]}): {exc}", exc.integral) from exc
-    moments = np.array([r.value for r in results]) + share
+    moments = (np.array([r.value for r in results]) + share) * unit
     values = 2.0 * (moments[0::2] + moments[1::2]) - gap
+    errors = ((np.array([r.error for r in results]) + rounding) * unit).tolist()
     total_err = 0.0
-    for ij, ji in zip(results[0::2], results[1::2]):
-        total_err += 2.0 * (ij.error + ji.error)
+    for ij, ji in zip(errors[0::2], errors[1::2]):
+        total_err += 2.0 * (ij + ji)
     result = GmdResult(float(values.sum()) / values.size, GmdMethod.QUADRATURE, values)
     result.diagnostics["abs_error_estimate"] = total_err / values.size
     result.diagnostics["quadrature_subdivisions"] = sum(r.subdivisions for r in results)

@@ -1,8 +1,14 @@
 """Adaptive Gauss-Kronrod quadrature over finite intervals and the real line.
 
 The engine is a 15-point Kronrod rule with the embedded 7-point Gauss rule
-for error estimation, refined by bisecting the panel with the largest
-error until both tolerances are met.  It runs a batch of integrals
+for error estimation, refined by splitting the panel with the largest
+error until both tolerances are met.  A split is one bisection, except
+at an end of the integral's domain that has shown itself singular: an
+end panel whose bisection left more than 1/4 of its error in the child
+at the end.  That end's panel is then bisected 12 times toward the end
+in one round, a mesh graded geometrically toward the singularity
+(Piessens et al., QUADPACK, 1983, section 2.2), and each bisection
+counts against the subdivision budget.  It runs a batch of integrals
 together: each keeps its own panel heap, tolerances and subdivision
 budget, and each refinement round evaluates the new panels of every
 unconverged integral in one integrand call, so a round costs one set of
@@ -126,36 +132,70 @@ def _gk15(
     return sk * half, np.maximum(err, 50.0 * _EPS * resabs)
 
 
+# An end panel whose bisection leaves more than this share of its error in
+# the child at the domain end marks that end singular.  A smooth
+# integrand's GK15 error falls by about 2^-20 per bisection; an end
+# behaviour (end - t)^a keeps 2^-(1+a) of it, more than 1/4 for a < 1.
+_END_RATIO = 0.25
+# Bisections a singular end's panel takes in one round, each halving the
+# part at the end: m + 1 panels, graded geometrically toward the end.
+_END_SPLITS = 12
+
+
+def _split_edges(lo: float, hi: float, toward_hi: bool, m: int) -> list[float]:
+    """Edges of m successive bisections of [lo, hi], each of the half at
+    ``hi`` (or ``lo``): m = 1 is the midpoint.  Stops early where float64
+    runs out; [lo, hi] alone means the panel cannot be split."""
+    cuts: list[float] = []
+    inner, end = (lo, hi) if toward_hi else (hi, lo)
+    for _ in range(m):
+        p = 0.5 * (inner + end)
+        if p == inner or p == end:
+            break
+        cuts.append(p)
+        inner = p
+    return [lo, *cuts, hi] if toward_hi else [lo, *reversed(cuts), hi]
+
+
 def _adaptive(
     f: BatchIntegrand,
-    edges: Sequence[np.ndarray],
+    lo: np.ndarray,
+    hi: np.ndarray,
+    owner: np.ndarray,
     config: QuadratureConfig | None,
 ) -> tuple[list[QuadratureResult], int]:
     """Adaptive GK15 quadrature of a batch of integrals, one round at a time.
 
-    Integral k starts from the panels between ``edges[k]`` and keeps its
-    own heap, tolerances and subdivision budget.  In each round every
-    unconverged integral bisects its worst panel; all new panels of the
+    Integral k starts from the panels [lo[m], hi[m]] with owner[m] = k,
+    given in order and grouped by integral, and keeps its own heap,
+    tolerances and subdivision budget.  In each round every unconverged
+    integral splits its worst panel: it bisects it, or, when the panel
+    lies at an end of the integral's domain that ``_END_RATIO`` has found
+    singular, bisects it ``_END_SPLITS`` times toward that end.  Every
+    bisection counts against ``max_subdivisions``.  All new panels of the
     round, like all initial panels of the first, go to ``_gk15`` in one
-    call.  Each integral takes the same steps as it would alone.  Returns
-    the results and the rounds (``_gk15`` calls).
+    call.  Each decision reads only the integral's own state, so it takes
+    the same steps as it would alone.  Returns the results and the
+    rounds (``_gk15`` calls).
     """
     cfg = config or QuadratureConfig()
-    owner = np.repeat(np.arange(len(edges)), [len(e) - 1 for e in edges])
-    lo_all = np.concatenate([e[:-1] for e in edges])
-    hi_all = np.concatenate([e[1:] for e in edges])
-    vals, errs = _gk15(f, lo_all, hi_all, owner)
+    count = int(owner[-1]) + 1
+    starts = np.searchsorted(owner, np.arange(count + 1))
+    domain_lo = lo[starts[:-1]].tolist()
+    domain_hi = hi[starts[1:] - 1].tolist()
+    vals, errs = _gk15(f, lo, hi, owner)
     rounds = 1
 
-    heaps: list[list[tuple[float, int, float, float, float, float]]] = [[] for _ in edges]
-    totals = [0.0] * len(edges)
-    total_errs = [0.0] * len(edges)
-    panels = [len(e) - 1 for e in edges]
-    subdivisions = [0] * len(edges)
+    heaps: list[list[tuple[float, int, float, float, float, float]]] = [[] for _ in range(count)]
+    totals = [0.0] * count
+    total_errs = [0.0] * count
+    panels = np.diff(starts).tolist()
+    subdivisions = [0] * count
+    singular: set[tuple[int, bool]] = set()  # (integral, end is the upper one)
     counter = 0
-    for k, lo, hi, val, err in zip(owner.tolist(), lo_all.tolist(), hi_all.tolist(),
-                                   vals.tolist(), errs.tolist()):
-        heapq.heappush(heaps[k], (-err, counter, lo, hi, val, err))
+    for k, a, b, val, err in zip(owner.tolist(), lo.tolist(), hi.tolist(),
+                                 vals.tolist(), errs.tolist()):
+        heapq.heappush(heaps[k], (-err, counter, a, b, val, err))
         counter += 1
         totals[k] += val
         total_errs[k] += err
@@ -164,9 +204,12 @@ def _adaptive(
         return [k for k in ks
                 if total_errs[k] > max(cfg.abs_tol, cfg.rel_tol * abs(totals[k]))]
 
-    active = unconverged(range(len(edges)))
+    active = unconverged(range(count))
     while active:
-        split = []
+        splits = []
+        new_lo: list[float] = []
+        new_hi: list[float] = []
+        new_owner: list[int] = []
         for k in active:
             if subdivisions[k] >= cfg.max_subdivisions:
                 raise NonconvergenceError(
@@ -174,33 +217,41 @@ def _adaptive(
                     f"(value ~ {totals[k]!r}, error estimate {total_errs[k]!r})",
                     integral=k,
                 )
-            _, _, lo, hi, val, err = heapq.heappop(heaps[k])
-            mid = 0.5 * (lo + hi)
-            subdivisions[k] += 1
-            if mid <= lo or mid >= hi:
-                # Interval no longer splittable in float64: accept its estimate.
-                heapq.heappush(heaps[k], (0.0, counter, lo, hi, val, err))
+            _, _, a, b, val, err = heapq.heappop(heaps[k])
+            # True at the domain's upper end, False at its lower end, None inside.
+            end = True if b == domain_hi[k] else False if a == domain_lo[k] else None
+            m = 1
+            if (k, end) in singular:
+                m = min(_END_SPLITS, cfg.max_subdivisions - subdivisions[k])
+            edges = _split_edges(a, b, end is True, m)
+            if len(edges) == 2:
+                # Panel no longer splittable in float64: accept its estimate.
+                subdivisions[k] += 1
+                heapq.heappush(heaps[k], (0.0, counter, a, b, val, err))
                 counter += 1
-            else:
-                split.append((k, lo, mid, hi, val, err))
-        if split:
-            vals, errs = _gk15(
-                f,
-                np.array([x for _, lo, mid, _, _, _ in split for x in (lo, mid)]),
-                np.array([x for _, _, mid, hi, _, _ in split for x in (mid, hi)]),
-                np.repeat([s[0] for s in split], 2),
-            )
+                continue
+            subdivisions[k] += len(edges) - 2
+            splits.append((k, end, len(edges) - 1, val, err))
+            new_lo += edges[:-1]
+            new_hi += edges[1:]
+            new_owner += [k] * (len(edges) - 1)
+        if splits:
+            vals, errs = _gk15(f, np.array(new_lo), np.array(new_hi), np.array(new_owner))
             rounds += 1
             vals, errs = vals.tolist(), errs.tolist()
-            for n, (k, lo, mid, hi, val, err) in enumerate(split):
-                v1, v2 = vals[2 * n], vals[2 * n + 1]
-                e1, e2 = errs[2 * n], errs[2 * n + 1]
-                totals[k] += v1 + v2 - val
-                total_errs[k] += e1 + e2 - err
-                heapq.heappush(heaps[k], (-e1, counter, lo, mid, v1, e1))
-                heapq.heappush(heaps[k], (-e2, counter + 1, mid, hi, v2, e2))
-                counter += 2
-                panels[k] += 2
+            at = 0
+            for k, end, n, val, err in splits:
+                v, e = vals[at:at + n], errs[at:at + n]
+                totals[k] += sum(v) - val
+                total_errs[k] += sum(e) - err
+                for i in range(at, at + n):
+                    heapq.heappush(heaps[k], (-errs[i], counter, new_lo[i], new_hi[i],
+                                              vals[i], errs[i]))
+                    counter += 1
+                if n == 2 and end is not None and e[1 if end else 0] > _END_RATIO * err:
+                    singular.add((k, end))
+                at += n
+                panels[k] += n
         active = unconverged(active)
 
     results = [QuadratureResult(*state) for state in
@@ -208,13 +259,29 @@ def _adaptive(
     return results, rounds
 
 
-def _initial_edges(a: float, b: float, extra: np.ndarray | None) -> np.ndarray:
-    """8 equal panels on [a, b], split further at the ``extra`` edges inside it."""
-    edges = np.linspace(a, b, 9)
-    if extra is not None and len(extra):
-        inside = extra[(extra > a) & (extra < b)]
-        edges = np.unique(np.concatenate([edges, inside]))
-    return edges
+# Initial edges around a feature at x0 of width w: x0 + w * _BRACKET.
+_BRACKET = np.array([-8.0, -2.0, -0.5, 0.5, 2.0, 8.0])
+
+
+def _initial_panels(
+    a: float, b: float, count: int, extra: np.ndarray, extra_owner: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The first panels of ``count`` integrals on [a, b], in one pass.
+
+    Each integral gets 8 equal panels, split further at the ``extra``
+    edges inside [a, b] that ``extra_owner`` assigns to it.  Returns lo,
+    hi and owner of every panel, grouped by integral and in order.
+    """
+    inside = (extra > a) & (extra < b)
+    edges = np.concatenate([np.tile(np.linspace(a, b, 9), count), extra[inside]])
+    owner = np.concatenate([np.repeat(np.arange(count), 9), extra_owner[inside]])
+    order = np.lexsort((edges, owner))
+    edges, owner = edges[order], owner[order]
+    keep = np.ones(edges.size, dtype=bool)
+    keep[1:] = (edges[1:] != edges[:-1]) | (owner[1:] != owner[:-1])
+    edges, owner = edges[keep], owner[keep]
+    same = owner[1:] == owner[:-1]
+    return edges[:-1][same], edges[1:][same], owner[:-1][same]
 
 
 def integrate_interval(
@@ -235,19 +302,27 @@ def integrate_interval(
         raise DomainError("integrate_interval requires finite endpoints")
     if a == b:
         return QuadratureResult(0.0, 0.0, 0, 0)
-    edges = _initial_edges(a, b, extra_edges)
-    results, _ = _adaptive(lambda x, _owner: f(x), [edges], config)
+    extra = np.asarray([] if extra_edges is None else extra_edges, dtype=float)
+    panels = _initial_panels(a, b, 1, extra, np.zeros(extra.size, dtype=int))
+    results, _ = _adaptive(lambda x, _owner: f(x), *panels, config)
     return results[0]
+
+
+def _brackets(
+    features: Sequence[Sequence[tuple[float, float]]],
+) -> tuple[np.ndarray, np.ndarray]:
+    """``feature_edges`` of every integral's features in one pass: the
+    x-edges and the integral each belongs to."""
+    owner = np.repeat(np.arange(len(features)), [len(feats) for feats in features])
+    loc_w = np.array([lw for feats in features for lw in feats], dtype=float).reshape(-1, 2)
+    ok = np.isfinite(loc_w).all(axis=1) & (loc_w[:, 1] > 0)
+    edges = loc_w[ok, :1] + loc_w[ok, 1:] * _BRACKET
+    return edges.ravel(), np.repeat(owner[ok], _BRACKET.size)
 
 
 def feature_edges(features: Sequence[tuple[float, float]]) -> np.ndarray:
     """Bracketing x-edges around sharp features given as (location, width)."""
-    edges = []
-    for x0, w in features:
-        if not (math.isfinite(x0) and math.isfinite(w) and w > 0):
-            continue
-        edges.extend(x0 + w * k for k in (-8.0, -2.0, -0.5, 0.5, 2.0, 8.0))
-    return np.asarray(edges)
+    return _brackets([features])[0]
 
 
 def integrate_real_line_batch(
@@ -278,12 +353,10 @@ def integrate_real_line_batch(
         # 0 * huge jacobian := 0 so that underflowed densities stay zero.
         return np.where(fx == 0.0, 0.0, fx * s * (1.0 + tan_t * tan_t))
 
-    edges = [
-        _initial_edges(-0.5 * math.pi, 0.5 * math.pi,
-                       np.arctan((feature_edges(feats) - c) / s) if feats else None)
-        for c, s, feats in zip(center.tolist(), scale.tolist(), features)
-    ]
-    return _adaptive(g, edges, config)
+    x, k = _brackets(features)
+    panels = _initial_panels(-0.5 * math.pi, 0.5 * math.pi, center.size,
+                             np.arctan((x - center[k]) / scale[k]), k)
+    return _adaptive(g, *panels, config)
 
 
 def integrate_real_line(

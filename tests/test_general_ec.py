@@ -15,7 +15,7 @@ from gmd.closed_form import (
     QuantileFunction,
     student_gmd,
 )
-from gmd.errors import DegeneratePairError, DomainError, NonconvergenceError
+from gmd.errors import DegeneratePairError, DomainError, GmdError, NonconvergenceError
 from gmd.general_ec import (
     gmd_quadrature,
     h_density,
@@ -62,9 +62,9 @@ def integral_calls(monkeypatch):
     calls = []
     original = quadrature._adaptive
 
-    def counted(f, edges, config):
-        calls.extend([1] * len(edges))
-        return original(f, edges, config)
+    def counted(f, lo, hi, owner, config):
+        calls.extend([1] * (int(owner[-1]) + 1))
+        return original(f, lo, hi, owner, config)
 
     monkeypatch.setattr(quadrature, "_adaptive", counted)
     return calls
@@ -488,6 +488,68 @@ class TestGmdQuadratureRoute:
         tiny = QuadratureConfig(abs_tol=1e-13, rel_tol=1e-13, max_subdivisions=10)
         with pytest.raises(NonconvergenceError, match=r"pair \(0,1\)"):
             gmd_quadrature(spec, tiny)
+
+    @pytest.mark.parametrize("nu, most", [(1.05, 15), (1.5, 12)])
+    def test_heavy_tail_rounds(self, nu, most):
+        # The moment remainder behaves like (pi/2 - t)^(nu - 1) at the ends of
+        # the tangent map; panels graded toward a singular end resolve it in a
+        # few rounds (one bisection per round takes 45 at nu 1.05 and 31 at 1.5).
+        spec = validate(DistributionSpec("student-t", MU_3D, SIGMA_3D, nu=nu))
+        result = gmd_quadrature(spec)
+        assert result.diagnostics["quadrature_rounds"] <= most
+        assert abs(result.value - student_gmd(spec).value) <= result.diagnostics[
+            "abs_error_estimate"]
+
+    @pytest.mark.parametrize("nu, panels", [(None, 114), (2.0, 84), (4.0, 84), (30.0, 92)])
+    def test_smooth_ends_keep_their_panels(self, nu, panels):
+        # At nu >= 2 the ends are smooth, so no end is graded: the panels
+        # of one bisection per round.
+        family = "normal" if nu is None else "student-t"
+        spec = validate(DistributionSpec(family, MU_3D, SIGMA_3D, nu=nu))
+        assert gmd_quadrature(spec).diagnostics["quadrature_panels"] == panels
+
+    @pytest.mark.parametrize("nu", [None, 1.05, 1.5, 4.0])
+    @pytest.mark.parametrize("power", [300, -300])
+    def test_power_of_two_scale_is_exact(self, nu, power):
+        # Each pair is integrated in units of a power of two, so a copy of
+        # the spec scaled by 2^k takes the same panels, and every value and
+        # error estimate is the original's times 2^k, bit for bit.
+        family = "normal" if nu is None else "student-t"
+        c = math.ldexp(1.0, power)
+        base = gmd_quadrature(validate(DistributionSpec(family, MU_3D, SIGMA_3D, nu=nu)))
+        scaled = gmd_quadrature(validate(DistributionSpec(family, c * MU_3D, c * c * SIGMA_3D,
+                                                          nu=nu)))
+        assert scaled.diagnostics["quadrature_panels"] == base.diagnostics["quadrature_panels"]
+        assert scaled.value == c * base.value
+        assert scaled.pair_values.tolist() == (c * base.pair_values).tolist()
+        assert scaled.diagnostics["abs_error_estimate"] == c * base.diagnostics[
+            "abs_error_estimate"]
+
+    @pytest.mark.parametrize("c", [1e-8, 1e-5, 1e8])
+    def test_small_and_large_scales_keep_their_digits(self, c):
+        # The absolute tolerance applies in each pair's own units, so a small
+        # spec does not meet it at once with a few panels.
+        spec = validate(DistributionSpec("student-t", c * MU_3D, c * c * SIGMA_3D, nu=1.5))
+        assert gmd_quadrature(spec).value == pytest.approx(student_gmd(spec).value,
+                                                           rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("gap", [1e8, 1e16, 1e17, 1e20, 1e200])
+    def test_unresolvable_mean_gap_refused(self, gap):
+        # Each ordering is integrated about X_j's mean; past a gap float64
+        # cannot resolve at the pair's scale, the abscissae there are noise.
+        spec = validate(DistributionSpec("normal", [gap, 0.0], np.eye(2)))
+        with pytest.raises(NonconvergenceError, match=r"pair \(0,1\): mean gap") as info:
+            gmd_quadrature(spec)
+        assert isinstance(info.value, GmdError)
+
+    @pytest.mark.parametrize("gap", [0.5, 10.0, 1e4, 1e5, 1e6, 1e7])
+    def test_resolvable_mean_gap_within_estimate(self, gap):
+        # The rounding of abscissae near the mean gap is part of the error
+        # estimate; from 1e5 on it is most of the estimate.
+        spec = validate(DistributionSpec("normal", [gap, 0.0], np.eye(2)))
+        result = gmd_quadrature(spec)
+        assert abs(result.value - normal_gmd(spec).value) <= result.diagnostics[
+            "abs_error_estimate"]
 
 
 class TestExchangeableSkewRoute:

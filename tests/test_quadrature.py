@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from gmd import quadrature
 from gmd.errors import DomainError, NonconvergenceError
 from gmd.quadrature import (
     QuadratureConfig,
@@ -84,6 +85,18 @@ class TestFiniteInterval:
         assert res.panels == 8 + 2 * res.subdivisions
         assert integrate_interval(lambda x: x, 2.0, 2.0).panels == 0
 
+    def test_budget_counts_every_graded_bisection(self):
+        # x^-1/2 makes the end at 0 singular, so its end panel is bisected
+        # several times in one round; each bisection counts against the
+        # budget, and the budget is never overrun.
+        with pytest.raises(NonconvergenceError, match="after 10 subdivisions"):
+            integrate_interval(lambda x: 1.0 / np.sqrt(x), 1e-300, 1.0,
+                               QuadratureConfig(max_subdivisions=10))
+
+    def test_singular_end_at_the_domain_edge(self):
+        res = integrate_interval(lambda x: 1.0 / np.sqrt(x), 0.0, 1.0)
+        assert abs(res.value - 2.0) <= res.error <= 1e-10
+
     def test_infinite_endpoint_rejected(self):
         with pytest.raises(DomainError):
             integrate_interval(lambda x: x, 0.0, math.inf)
@@ -145,6 +158,62 @@ class TestBatch:
                                         scale=self.SCALES[k], features=self.FEATURES[k])
             assert res == alone, k
             assert type(res.value) is float and type(res.panels) is int
+
+    def test_graded_end_as_if_alone(self):
+        # (1 + x^2)^-5/4 maps to cos(t)^1/2, singular like (pi/2 - |t|)^1/2 at
+        # both ends of the tangent map; its end panels are graded there, and
+        # it takes the same steps beside a smooth integral as alone.
+        def f(x, owner):
+            return np.where(owner == 1, (1.0 + x * x) ** -1.25, phi(x))
+
+        results, _ = integrate_real_line_batch(f, [0.0, 0.0], [1.0, 1.0], [(), ()])
+        exact = math.gamma(0.5) * math.gamma(0.75) / math.gamma(1.25)
+        assert abs(results[1].value - exact) <= results[1].error
+        (alone,), rounds = integrate_real_line_batch(
+            lambda x, _owner: (1.0 + x * x) ** -1.25, [0.0], [1.0], [()])
+        assert results[1] == alone
+        assert rounds <= 10  # one bisection per round takes 35
+
+    def test_panels_counted_with_graded_ends(self):
+        # A split of one panel into p adds p panels for p - 1 bisections, and
+        # a lone integral splits one panel per round after the first: so
+        # panels = initial + subdivisions + splits, splits = rounds - 1.
+        # Plain bisection is p = 2, where this is 8 + 2 * subdivisions.
+        for f in (lambda x, _owner: (1.0 + x * x) ** -1.25, lambda x, _owner: phi(x)):
+            (res,), rounds = integrate_real_line_batch(f, [0.0], [1.0], [()])
+            assert res.panels == 8 + res.subdivisions + (rounds - 1)
+
+    def test_initial_panels_as_built_one_integral_at_a_time(self, monkeypatch):
+        # The batch builds every integral's first edges in one pass; they are
+        # the edges of 8 equal panels in t merged with the mapped feature
+        # brackets, as ``np.unique`` merged them for each integral alone.
+        rng = np.random.default_rng(3)
+        centers = rng.normal(0.0, 5.0, 12)
+        scales = np.exp(rng.uniform(-3.0, 3.0, 12))
+        features = [[(float(rng.normal(0.0, 10.0)), float(np.exp(rng.uniform(-8.0, 1.0))))
+                     for _ in range(k % 3)] for k in range(12)]
+        features[4] = [(math.inf, 1.0), (0.0, -1.0)]  # no bracket: not finite, width <= 0
+        features[5] = [(1e300, 1.0), (centers[5], 0.0), (1.0, 1.0), (1.0, 1.0)]
+        seen = []
+
+        def first_round(f, a, b, owner=None):
+            seen.append((a, b, owner))
+            raise NonconvergenceError("stop")
+
+        monkeypatch.setattr(quadrature, "_gk15", first_round)
+        with pytest.raises(NonconvergenceError, match="stop"):
+            integrate_real_line_batch(lambda x, owner: x, centers, scales, features)
+        a, b, owner = seen[0]
+        for k, (c, s, feats) in enumerate(zip(centers.tolist(), scales.tolist(), features)):
+            edges = np.linspace(-0.5 * math.pi, 0.5 * math.pi, 9)
+            brackets = [x0 + w * m for x0, w in feats
+                        if math.isfinite(x0) and math.isfinite(w) and w > 0
+                        for m in (-8.0, -2.0, -0.5, 0.5, 2.0, 8.0)]
+            extra = np.arctan((np.asarray(brackets) - c) / s)
+            inside = extra[(extra > edges[0]) & (extra < edges[-1])]
+            edges = np.unique(np.concatenate([edges, inside]))
+            assert a[owner == k].tolist() == edges[:-1].tolist(), k
+            assert b[owner == k].tolist() == edges[1:].tolist(), k
 
     def test_nonconvergence_names_the_integral(self):
         def f(x, owner):
