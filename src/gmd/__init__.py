@@ -14,16 +14,13 @@ from .bounds import (
     cp_constant,
     exchangeable_rho_bound,
     second_moment_bound,
-    second_moment_pair_bound,
 )
 from .closed_form import (
     QuantileFunction,
     gini_index,
     normal_gmd,
-    normal_pair_gmd,
     quantile_gmd,
     student_gmd,
-    student_pair_gmd,
 )
 from .errors import (
     DegeneratePairError,

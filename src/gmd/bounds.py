@@ -3,14 +3,14 @@
 All bounds here require finite second moments.  For the Student-t family
 the scale entries of the spec are inflated by sqrt(nu/(nu-2)) to obtain
 standard deviations before any bound is formed; without a variance the
-bounds simply do not exist and the report marks them inapplicable.  Spec-level
+bounds simply do not exist and the report marks them inapplicable.  The
 bounds are formed for all pairs at once from the same arrays as the
-closed form (``model.pair_differences``, ``model.pair_correlations``);
-``second_moment_pair_bound`` is the one-pair form.  The sqrt(1 - rho),
-sqrt(2) sigma and C_p bounds need a common mean and scale; the report
-judges that relative to the spec's own scales and means, so a spec and
-its scaled copies get the same bounds, each scaled.  C_p is the constant
-of i.i.d. normal coordinates, and the report gives it at p = 2.
+closed form (``model.pair_differences``, ``model.pair_correlations``).
+The sqrt(1 - rho), sqrt(2) sigma and C_p bounds need a common mean and
+scale; the report judges that relative to the spec's own scales and
+means, so a spec and its scaled copies get the same bounds, each scaled.
+C_p is the constant of i.i.d. normal coordinates, and the report gives
+it at p = 2.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ import numpy as np
 from .errors import DomainError, MomentExistenceError
 from .model import (
     Family,
-    PairParams,
     ValidatedSpec,
     pair_correlations,
     pair_differences,
@@ -58,19 +57,6 @@ class BoundReport:
         }
 
 
-def second_moment_pair_bound(p: PairParams) -> float:
-    """sqrt((sigma_i - sigma_j*rho)^2 + sigma_j^2 (1 - rho^2)) + |mu_i - mu_j|.
-
-    The radicand equals Var(X_i - X_j) when the sigma fields are standard
-    deviations, so the bound is symmetric in (i, j) and never needs a
-    division; rho = +/-1 is fine.
-    """
-    radicand = (p.sigma_i - p.sigma_j * p.rho_ij) ** 2 + p.sigma_j**2 * (
-        1.0 - p.rho_ij**2
-    )
-    return math.sqrt(max(radicand, 0.0)) + abs(p.mu_i - p.mu_j)
-
-
 def _sd_factor(spec: ValidatedSpec) -> float:
     """Scale-to-standard-deviation factor; requires finite variance."""
     if spec.family is Family.STUDENT_T:
@@ -83,9 +69,9 @@ def _sd_factor(spec: ValidatedSpec) -> float:
 def second_moment_bound(spec: ValidatedSpec) -> float:
     """Average of the pairwise second-moment bounds over all pairs.
 
-    A pair's bound is sd(X_i - X_j) + |mu_i - mu_j|, the value of
-    ``second_moment_pair_bound`` at standard deviations, formed for every
-    pair at once from the law of the difference.
+    A pair's bound is sd(X_i - X_j) + |mu_i - mu_j|, since
+    E|D| <= sqrt(E D^2) = sqrt(Var D + (E D)^2) <= sd(D) + |E D|; it is
+    formed for every pair at once from the law of the difference.
     """
     factor = _sd_factor(spec)
     m, v, _ = pair_differences(spec)

@@ -37,7 +37,7 @@ from .model import (
     validate,
 )
 from .quadrature import QuadratureConfig
-from .special import NO_VARIANCE
+from .special import NO_VARIANCE, DegreesOfFreedom, student_t_pdf
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -321,13 +321,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if ok else EXIT_NUMERICAL
 
 
-def _student_t_quantile_tail(nu: float) -> tuple[float, float]:
+def _student_t_quantile_tail(dof: DegreesOfFreedom) -> tuple[float, float]:
     """(K, 1/nu) with F^{-1}(u) ~ K (1 - u)^(-1/nu) as u -> 1 for the standard t.
 
     The tail 1 - F(x) ~ c nu^((nu - 1)/2) x^-nu, c the density at 0
     (Hill, Algorithm 396, CACM 1970), inverts to K = (c nu^((nu - 1)/2))^(1/nu).
     """
-    log_c = math.lgamma(0.5 * (nu + 1.0)) - math.lgamma(0.5 * nu) - 0.5 * math.log(nu * math.pi)
+    nu = dof.nu
+    log_c = math.log(student_t_pdf(0.0, dof))
     return math.exp((log_c + 0.5 * (nu - 1.0) * math.log(nu)) / nu), 1.0 / nu
 
 
@@ -347,7 +348,7 @@ def _cmd_quantile(args: argparse.Namespace) -> int:
     else:
         nu = spec.dof.nu
         q = closed_form.QuantileFunction(lambda u: stdtrit(nu, u),
-                                         tail=_student_t_quantile_tail(nu))
+                                         tail=_student_t_quantile_tail(spec.dof))
     value = sd1 * closed_form.quantile_gmd(q)
     with warnings.catch_warnings():
         # gini_index warns on a negative mean; the report says so in gini_note.

@@ -14,20 +14,8 @@ standard t with the first-moment factor k = (nu + z^2)/(nu - 1).  Both
 terms are nonnegative, so nothing cancels, and m is differenced directly,
 so the value does not depend on a common location offset.
 ``normal_gmd``/``student_gmd`` evaluate it for every pair of a spec in a
-handful of array calls.
-
-The paper's per-pair form is kept as ``normal_pair_gmd`` and
-``student_pair_gmd``, the reference the tests hold the kernel to.  It is
-built from two ordered "brackets", one per orientation of the pair.  For
-the (i, j) orientation the bracket is
-
-    (sigma_j/c) (sigma_j/sigma_i - rho) w(D/c) + mu_j K(D/c) - mu_j/2
-
-with D = (mu_j - mu_i)/sigma_i, c = sqrt(1 - rho^2 + (sigma_j/sigma_i - rho)^2),
-where for the Student-t the pdf carries the extra first-moment factor
-(nu/(nu-1)) (1 + D^2/(nu c^2)).  The pair GMD is twice the sum of the two
-brackets.  Note the asymmetric denominators: D and c for the (i, j)
-bracket both standardize by sigma_i, the *other* coordinate's scale.
+handful of array calls.  The paper writes the same value as two ordered
+brackets per pair; the test suite keeps that form as the kernel's oracle.
 
 Also here: the quantile-integral route for i.i.d. variables and the
 Gini index.
@@ -47,52 +35,16 @@ from .model import (
     Family,
     GmdMethod,
     GmdResult,
-    PairParams,
     ValidatedSpec,
     pair_differences,
 )
 from .quadrature import QuadratureConfig, integrate_interval
 from .special import (
-    DegreesOfFreedom,
     std_normal_cdf,
     std_normal_pdf,
     student_t_cdf,
     student_t_pdf,
 )
-
-
-def _bracket(mu_a: float, mu_b: float, sigma_a: float, sigma_b: float, rho: float,
-             dof: DegreesOfFreedom | None) -> float:
-    """The (a, b) bracket: normal for ``dof`` None, else Student-t."""
-    c = math.sqrt(max(1.0 - rho**2 + (sigma_b / sigma_a - rho) ** 2, 0.0))
-    d = (mu_b - mu_a) / sigma_a
-    if dof is None:
-        moment_factor, w, k = 1.0, std_normal_pdf(d / c), std_normal_cdf(d / c)
-    else:
-        nu = dof.nu
-        moment_factor = (nu / (nu - 1.0)) * (1.0 + d * d / (nu * c * c))
-        w, k = student_t_pdf(d / c, dof), student_t_cdf(d / c, dof)
-    return (sigma_b / c) * (sigma_b / sigma_a - rho) * moment_factor * w + mu_b * k - 0.5 * mu_b
-
-
-def _pair_gmd(p: PairParams, dof: DegreesOfFreedom | None) -> float:
-    # c_ij = 0 iff rho = 1 and sigma_i = sigma_j; the difference is then
-    # the constant mu_i - mu_j and the brackets would divide by zero.
-    if p.rho_ij == 1.0 and p.sigma_i == p.sigma_j:
-        return abs(p.mu_i - p.mu_j)
-    return 2.0 * (_bracket(p.mu_i, p.mu_j, p.sigma_i, p.sigma_j, p.rho_ij, dof)
-                  + _bracket(p.mu_j, p.mu_i, p.sigma_j, p.sigma_i, p.rho_ij, dof))
-
-
-def normal_pair_gmd(p: PairParams) -> float:
-    """E|X_i - X_j| for one jointly normal pair."""
-    return _pair_gmd(p, None)
-
-
-def student_pair_gmd(p: PairParams, dof: DegreesOfFreedom) -> float:
-    """E|X_i - X_j| for one pair of a multivariate Student-t; needs its mean."""
-    dof.require_mean()
-    return _pair_gmd(p, dof)
 
 
 # Multiple of eps * (|m| + E|D| var_sum / v) that bounds the rounding
@@ -206,9 +158,13 @@ def quantile_gmd(q: QuantileFunction) -> float:
     (2u - 1) (F^{-1}(u) - A(u)) is integrated over all of [0, 1], and
     the asymptote's share, the integral of (2u - 1) A(u), is added in
     closed form: 2 a K / ((1 - a) (2 - a)).  Nothing is cut, so heavy
-    tails (a near 1) lose no mass and take few panels.  A quantile that
-    is decreasing on a 1000-point grid is rejected, as is a declared tail
-    with a >= 1, whose law has no mean (``MomentExistenceError``).
+    tails (a near 1) lose no mass and take few panels.  The integral is
+    taken in units of a power of two at or below the quantile's
+    interquartile spread on the grid, so the tolerances apply on the law's
+    own scale and a quantile scaled by 2^k gives 2^k times the value; the
+    normal and every t with a mean have a spread in [1, 2), unit 1.  A
+    quantile that is decreasing on a 1000-point grid is rejected, as is a
+    declared tail with a >= 1, whose law has no mean (``MomentExistenceError``).
     """
     tail = None if q.tail is None else _power_tail(q.tail)
 
@@ -220,19 +176,22 @@ def quantile_gmd(q: QuantileFunction) -> float:
     tol = 1e-9 * max(1.0, float(np.max(np.abs(values))))
     if np.any(diffs < -tol):
         raise DomainError("quantile function is not nondecreasing on (0,1)")
+    # grid[250] and grid[749] lie 2.5e-4 inside the quartiles, symmetrically.
+    spread = float(values[749] - values[250])
+    unit = math.ldexp(0.5, math.frexp(spread)[1]) if spread > 0 else 1.0
 
     if tail is None:
         lo, hi, asymptote_share = _QUANTILE_EPS, 1.0 - _QUANTILE_EPS, 0.0
 
         def integrand(u: np.ndarray) -> np.ndarray:
-            return (2.0 * u - 1.0) * np.asarray(q.eval(u), dtype=float)
+            return (2.0 * u - 1.0) * np.asarray(q.eval(u), dtype=float) / unit
     else:
         k, a = tail
         lo, hi, asymptote_share = 0.0, 1.0, 2.0 * a * k / ((1.0 - a) * (2.0 - a))
 
         def integrand(u: np.ndarray) -> np.ndarray:
             asymptote = k * ((1.0 - u) ** -a - u ** -a)
-            return (2.0 * u - 1.0) * (np.asarray(q.eval(u), dtype=float) - asymptote)
+            return (2.0 * u - 1.0) * (np.asarray(q.eval(u), dtype=float) - asymptote) / unit
 
     try:
         res = integrate_interval(integrand, lo, hi, _QUANTILE_CONFIG)
@@ -240,7 +199,7 @@ def quantile_gmd(q: QuantileFunction) -> float:
         raise NonconvergenceError(
             f"quantile integral did not converge (divergent mean?): {exc}"
         ) from exc
-    return max(0.0, 2.0 * (res.value + asymptote_share))
+    return max(0.0, 2.0 * (res.value * unit + asymptote_share))
 
 
 def gini_index(gmd_value: float, mu1: float) -> float:

@@ -146,18 +146,26 @@ def skewing_student(
 
 def _skew_transition(mu_i: float, mu_j: float, sigma_i: float, sigma_j: float,
                      rho: float) -> list[tuple[float, float]]:
-    """Location and width of the conditional-CDF transition.
+    """Location and widths of the conditional-CDF transition.
 
     When the pair scales are badly mismatched this transition is far
     narrower than the marginal density and needs explicit panel edges; a
-    zero slope means the skewing argument never crosses zero.
+    zero slope means the skewing argument never crosses zero.  The
+    transition is returned at its width w and again at w 16^k for every
+    k >= 1 with w 16^k < sigma_j: a Student-t pi_ij approaches its limits
+    c+- like a power of the distance, over every decade between w and
+    sigma_j, and a few wide panels across those decades can agree with
+    themselves while missing the curve.
     """
     slope = 1.0 / sigma_i - rho / sigma_j
     if slope == 0.0:
         return []
     x_star = (mu_i / sigma_i - rho * mu_j / sigma_j) / slope
     width = math.sqrt(1.0 - rho**2) / abs(slope)
-    return [(x_star, width)]
+    features = [(x_star, width)]
+    while (width := 16.0 * width) < sigma_j:
+        features.append((x_star, width))
+    return features
 
 
 def _centred(p: PairParams) -> PairParams:
@@ -370,9 +378,13 @@ def gmd_quadrature(spec: ValidatedSpec, config: QuadratureConfig | None = None) 
     moments = (np.array([r.value for r in results]) + share) * unit
     values = 2.0 * (moments[0::2] + moments[1::2]) - gap
     errors = ((np.array([r.error for r in results]) + rounding) * unit).tolist()
+    # Forming 2 (I_ij + I_ji) - gap rounds each term by up to about eps of
+    # its size, which a quadrature estimate far below eps does not cover.
+    assembly = (2.0 * _EPS * (2.0 * (np.abs(moments[0::2]) + np.abs(moments[1::2]))
+                              + np.abs(gap))).tolist()
     total_err = 0.0
-    for ij, ji in zip(errors[0::2], errors[1::2]):
-        total_err += 2.0 * (ij + ji)
+    for ij, ji, floor in zip(errors[0::2], errors[1::2], assembly):
+        total_err += 2.0 * (ij + ji) + floor
     result = GmdResult(float(values.sum()) / values.size, GmdMethod.QUADRATURE, values)
     result.diagnostics["abs_error_estimate"] = total_err / values.size
     result.diagnostics["quadrature_subdivisions"] = sum(r.subdivisions for r in results)

@@ -9,9 +9,9 @@ route reads all its pairs from them at once, in
 ``ValidatedSpec.pair_index`` order: ``pair_differences`` gives the law
 of X_i - X_j for the closed form and the bounds, ``pair_correlations``
 gives rho_ij for the bounds and the quadrature route.  A pairwise slice
-(``PairParams``, from ``pair_params``) feeds the paper's per-pair
-formulas and the public pair quantities.  ``GmdResult`` carries every
-route's value with its pair breakdown.
+(``PairParams``, from ``pair_params``) feeds the public pair quantities
+of ``general_ec`` (pi_ij, R_ij, h_ij, mu_H).  ``GmdResult`` carries
+every route's value with its pair breakdown.
 """
 
 from __future__ import annotations

@@ -308,7 +308,7 @@ def integrate_interval(
     return results[0]
 
 
-def _brackets(
+def _edges_around(
     features: Sequence[Sequence[tuple[float, float]]],
 ) -> tuple[np.ndarray, np.ndarray]:
     """``feature_edges`` of every integral's features in one pass: the
@@ -322,7 +322,7 @@ def _brackets(
 
 def feature_edges(features: Sequence[tuple[float, float]]) -> np.ndarray:
     """Bracketing x-edges around sharp features given as (location, width)."""
-    return _brackets([features])[0]
+    return _edges_around([features])[0]
 
 
 def integrate_real_line_batch(
@@ -353,7 +353,7 @@ def integrate_real_line_batch(
         # 0 * huge jacobian := 0 so that underflowed densities stay zero.
         return np.where(fx == 0.0, 0.0, fx * s * (1.0 + tan_t * tan_t))
 
-    x, k = _brackets(features)
+    x, k = _edges_around(features)
     panels = _initial_panels(-0.5 * math.pi, 0.5 * math.pi, center.size,
                              np.arctan((x - center[k]) / scale[k]), k)
     return _adaptive(g, *panels, config)

@@ -16,7 +16,9 @@ from gmd import (
     pair_params,
     skewing_normal,
     skewing_student,
+    std_normal_cdf,
     std_normal_pdf,
+    student_t_cdf,
     student_t_pdf,
     validate,
 )
@@ -82,6 +84,19 @@ def random_exchangeable_spec(
     )
 
 
+def pair_spec(mu_i: float, mu_j: float, sigma_i: float, sigma_j: float, rho: float,
+              nu: float | None = None) -> ValidatedSpec:
+    """The validated 2-d spec of one pair: normal for ``nu`` None, else Student-t.
+
+    Its scale matrix is [[sigma_i^2, rho sigma_i sigma_j], [., sigma_j^2]],
+    so the package's routes run on the pair as they run on any spec.
+    """
+    cov = rho * sigma_i * sigma_j
+    family = "normal" if nu is None else "student-t"
+    return validate(DistributionSpec(family, [mu_i, mu_j],
+                                     [[sigma_i**2, cov], [cov, sigma_j**2]], nu=nu))
+
+
 def random_pair(rng: np.random.Generator, max_abs_rho: float = 0.98) -> PairParams:
     return PairParams(
         mu_i=float(rng.normal(0.0, 3.0)),
@@ -107,6 +122,59 @@ def pair_diff_params(p: PairParams) -> tuple[float, float]:
     m = p.mu_i - p.mu_j
     s = np.sqrt(p.sigma_i**2 + p.sigma_j**2 - 2 * p.rho_ij * p.sigma_i * p.sigma_j)
     return m, float(s)
+
+
+# --- the paper's pair formulas --------------------------------------------------
+# Per-pair scalar forms, written as the paper states them.  They share no code
+# with the package's all-pairs kernels, which the tests hold to them.
+
+def _bracket(mu_a: float, mu_b: float, sigma_a: float, sigma_b: float, rho: float,
+             dof: DegreesOfFreedom | None) -> float:
+    """The (a, b) bracket: normal for ``dof`` None, else Student-t."""
+    c = math.sqrt(1.0 - rho**2 + (sigma_b / sigma_a - rho) ** 2)
+    d = (mu_b - mu_a) / sigma_a
+    if dof is None:
+        moment_factor, w, k = 1.0, std_normal_pdf(d / c), std_normal_cdf(d / c)
+    else:
+        nu = dof.nu
+        moment_factor = (nu / (nu - 1.0)) * (1.0 + d * d / (nu * c * c))
+        w, k = student_t_pdf(d / c, dof), student_t_cdf(d / c, dof)
+    return (sigma_b / c) * (sigma_b / sigma_a - rho) * moment_factor * w + mu_b * k - 0.5 * mu_b
+
+
+def bracket_pair_gmd(p: PairParams, dof: DegreesOfFreedom | None = None) -> float:
+    """E|X_i - X_j| of one normal (``dof`` None) or Student-t pair, as the sum
+    of the paper's two ordered brackets.
+
+    E|X_i - X_j| = 2 I_ij + 2 I_ji - mu_i - mu_j with I_ij = E[X_j; X_i <= X_j].
+    X_j - X_i has scale sigma_i c, c = sqrt(1 - rho^2 + (sigma_j/sigma_i - rho)^2),
+    and standardized mean gap D/c with D = (mu_j - mu_i)/sigma_i; regressing
+    X_j on it gives
+
+        I_ij = (sigma_j/c) (sigma_j/sigma_i - rho) w(D/c) + mu_j K(D/c),
+
+    (w, K) the standard normal pdf and cdf.  For the Student-t the pdf term
+    carries the first-moment factor (nu/(nu-1)) (1 + D^2/(nu c^2)) and (w, K)
+    are the t's.  The (i, j) bracket is I_ij - mu_j/2, so the pair GMD is
+    twice the sum of the two brackets.  D and c of the (i, j) bracket both
+    standardize by sigma_i, the other coordinate's scale.  Needs c > 0,
+    which every pair with |rho| < 1 has.
+    """
+    if dof is not None:
+        dof.require_mean()
+    return 2.0 * (_bracket(p.mu_i, p.mu_j, p.sigma_i, p.sigma_j, p.rho_ij, dof)
+                  + _bracket(p.mu_j, p.mu_i, p.sigma_j, p.sigma_i, p.rho_ij, dof))
+
+
+def second_moment_pair_bound(p: PairParams) -> float:
+    """sqrt((sigma_i - sigma_j rho)^2 + sigma_j^2 (1 - rho^2)) + |mu_i - mu_j|.
+
+    With D = X_i - X_j, E|D| <= sqrt(E D^2) = sqrt(Var D + (E D)^2)
+    <= sd(D) + |E D|, and the radicand is Var D = sigma_i^2 + sigma_j^2
+    - 2 rho sigma_i sigma_j when the sigma fields are standard deviations.
+    """
+    radicand = (p.sigma_i - p.sigma_j * p.rho_ij) ** 2 + p.sigma_j**2 * (1.0 - p.rho_ij**2)
+    return math.sqrt(max(radicand, 0.0)) + abs(p.mu_i - p.mu_j)
 
 
 # --- the paper's pair identities ----------------------------------------------
@@ -142,7 +210,9 @@ def exchangeable_skew_gmd(spec: ValidatedSpec) -> float:
     average of 4 int x f(x) pi(x) dx, each pair centred at 0.
 
     The max of an exchangeable pair has the skew-symmetric density
-    2 f pi, and E|X_i - X_j| = 2 (E max - mu).  scipy's QAGI integrates.
+    2 f pi, and E|X_i - X_j| = 2 (E max - mu).  scipy's QAGI integrates,
+    in X_j's units (x = sigma_j y), so that its absolute tolerance does not
+    depend on the spec's scale.
     """
     from scipy import integrate
 
@@ -152,9 +222,9 @@ def exchangeable_skew_gmd(spec: ValidatedSpec) -> float:
         centred = PairParams(0.0, 0.0, p.sigma_i, p.sigma_j, p.rho_ij)
         skew = _skewing(centred, spec.dof)
         moment, _ = integrate.quad(
-            lambda x: x * _marginal_pdf(x, 0.0, p.sigma_j, spec.dof) * skew(x),
+            lambda y: y * _marginal_pdf(y, 0.0, 1.0, spec.dof) * skew(p.sigma_j * y),
             -np.inf, np.inf, epsabs=1e-13, epsrel=1e-13, limit=200)
-        terms.append(4.0 * moment)
+        terms.append(4.0 * p.sigma_j * moment)
     return float(np.mean(terms))
 
 

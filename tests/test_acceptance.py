@@ -16,7 +16,7 @@ from scipy.special import ndtri
 
 import gmd
 from gmd.general_ec import _marginal_pdf, gmd_quadrature, h_density, reliability
-from gmd.model import DistributionSpec, Family, PairParams, pair_correlations, validate
+from gmd.model import DistributionSpec, Family, pair_correlations, validate
 from gmd.monte_carlo import MonteCarloConfig, classic_empirical_gmd, estimate_gmd
 from gmd.quadrature import integrate_real_line
 from gmd.special import DegreesOfFreedom
@@ -68,11 +68,10 @@ class TestAcceptance:
     def test_criterion_1_independent_normal_pair(self):
         start = time.monotonic()
         with criterion(1, "independent normal pair equals 2/sqrt(pi) along all routes"):
-            p = PairParams(0.0, 0.0, 1.0, 1.0, 0.0)
-            closed = gmd.normal_pair_gmd(p)
+            spec = validate(DistributionSpec("normal", [0, 0], np.eye(2)))
+            closed = gmd.normal_gmd(spec).value
             assert closed == pytest.approx(TWO_OVER_SQRT_PI, abs=1e-12)
 
-            spec = validate(DistributionSpec("normal", [0, 0], np.eye(2)))
             est = estimate_gmd(spec, MonteCarloConfig(draws=10_000_000, seed=101))
             assert abs(est.value - closed) <= 3.0 * est.diagnostics["std_error"]
 
@@ -231,8 +230,10 @@ class TestAcceptance:
 
     @staticmethod
     def _invariances(rng):
-        """Translation invariance and scale equivariance of every route, 1e-10."""
-        shift, k = 3.0, 2.0
+        """Translation invariance (1e-10) and scale equivariance (relative
+        1e-12, over factors from 2^-100 to 2^100) of every route."""
+        shift = 3.0
+        factors = (2.0**-100, 1e-9, 2.0, 3.0, 1e9, 2.0**100)
 
         def shifted(spec):
             return validate(DistributionSpec(
@@ -240,11 +241,16 @@ class TestAcceptance:
                 None if spec.dof is None else spec.dof.nu,
             ))
 
-        def scaled(spec):
+        def scaled(spec, k):
             return validate(DistributionSpec(
                 spec.family, k * np.asarray(spec.mu), k * k * np.asarray(spec.sigma_mat),
                 None if spec.dof is None else spec.dof.nu,
             ))
+
+        def equivariant(route, spec):
+            v = route(spec)
+            for k in factors:
+                assert route(scaled(spec, k)) == pytest.approx(k * v, rel=1e-12), k
 
         for base in (random_normal_spec(rng, 3), random_student_spec(rng, 5.0, 3)):
             routes = [
@@ -253,27 +259,27 @@ class TestAcceptance:
                 lambda s: gmd_quadrature(s).value,
             ]
             for route in routes:
-                v = route(base)
-                assert route(shifted(base)) == pytest.approx(v, abs=1e-10)
-                assert route(scaled(base)) == pytest.approx(k * v, abs=1e-10)
+                assert route(shifted(base)) == pytest.approx(route(base), abs=1e-10)
+                equivariant(route, base)
 
         exch = random_exchangeable_spec(rng, "normal")
-        v = exchangeable_skew_gmd(exch)
-        assert exchangeable_skew_gmd(shifted(exch)) == pytest.approx(v, abs=1e-10)
-        assert exchangeable_skew_gmd(scaled(exch)) == pytest.approx(k * v, abs=1e-10)
+        assert exchangeable_skew_gmd(shifted(exch)) == pytest.approx(
+            exchangeable_skew_gmd(exch), abs=1e-10)
+        equivariant(exchangeable_skew_gmd, exch)
 
         # Quantile route: F^{-1} + shift and k * F^{-1}.
         v = gmd.quantile_gmd(gmd.QuantileFunction(ndtri))
         assert gmd.quantile_gmd(
             gmd.QuantileFunction(lambda u: ndtri(u) + shift)
         ) == pytest.approx(v, abs=1e-10)
-        assert gmd.quantile_gmd(
-            gmd.QuantileFunction(lambda u: k * ndtri(u))
-        ) == pytest.approx(k * v, abs=1e-10)
+        for k in factors:
+            assert gmd.quantile_gmd(
+                gmd.QuantileFunction(lambda u: k * ndtri(u))
+            ) == pytest.approx(k * v, rel=1e-12), k
 
         # Monte Carlo with a common seed: the draws transform with the spec.
         spec = random_normal_spec(rng, 2)
         cfg = MonteCarloConfig(draws=100_000, seed=909)
-        v = estimate_gmd(spec, cfg).value
-        assert estimate_gmd(shifted(spec), cfg).value == pytest.approx(v, abs=1e-10)
-        assert estimate_gmd(scaled(spec), cfg).value == pytest.approx(k * v, abs=1e-10)
+        assert estimate_gmd(shifted(spec), cfg).value == pytest.approx(
+            estimate_gmd(spec, cfg).value, abs=1e-10)
+        equivariant(lambda s: estimate_gmd(s, cfg).value, spec)

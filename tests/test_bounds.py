@@ -1,6 +1,11 @@
-"""The second-moment upper bounds and the C_p family."""
+"""The second-moment upper bounds and the C_p family.
+
+The one-pair second-moment bound is the oracle ``helpers.second_moment_pair_bound``;
+the spec-level bound, formed for all pairs at once, is held to it.
+"""
 
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -12,13 +17,19 @@ from gmd.bounds import (
     cp_constant,
     exchangeable_rho_bound,
     second_moment_bound,
-    second_moment_pair_bound,
 )
 from gmd.closed_form import normal_gmd, student_gmd
 from gmd.errors import DomainError, MomentExistenceError
-from gmd.model import DistributionSpec, PairParams, validate
+from gmd.model import DistributionSpec, PairParams, pair_params, validate
 
-from helpers import random_normal_spec, random_pair, spec_pairs, swapped
+from helpers import (
+    pair_spec,
+    random_normal_spec,
+    random_pair,
+    second_moment_pair_bound,
+    spec_pairs,
+    swapped,
+)
 
 TWO_OVER_SQRT3 = 2.0 / math.sqrt(3.0)
 # [Gamma(1/4)]^(2/3) / (sqrt(2) * cbrt(pi)), frozen with mpmath.
@@ -26,24 +37,23 @@ C_THREE_HALVES = 1.1394337907428044
 
 
 class TestSecondMomentPairBound:
-    def test_standard_uncorrelated(self):
-        p = PairParams(0, 0, 1, 1, 0.0)
-        assert second_moment_pair_bound(p) == pytest.approx(math.sqrt(2.0), abs=1e-15)
+    """The bound of one pair, each pair as a 2-d spec."""
 
-    def test_perfect_positive_correlation(self):
-        p = PairParams(0, 0, 1, 1, 1.0)
-        assert second_moment_pair_bound(p) == 0.0
+    def test_standard_uncorrelated(self):
+        assert second_moment_bound(pair_spec(0, 0, 1, 1, 0.0)) == pytest.approx(
+            math.sqrt(2.0), abs=1e-15)
 
     def test_mixed_case(self):
         # Var(X_i - X_j) = 4 + 1 - 2*2*0.5 = 3, plus the mean gap of 3.
-        p = PairParams(3.0, 0.0, 2.0, 1.0, 0.5)
-        assert second_moment_pair_bound(p) == pytest.approx(math.sqrt(3.0) + 3.0, rel=1e-15)
+        assert second_moment_bound(pair_spec(3.0, 0.0, 2.0, 1.0, 0.5)) == pytest.approx(
+            math.sqrt(3.0) + 3.0, rel=1e-15)
 
     def test_swap_invariance(self):
         rng = np.random.default_rng(17)
         for _ in range(100):
             p = random_pair(rng, max_abs_rho=1.0)
-            a, b = second_moment_pair_bound(p), second_moment_pair_bound(swapped(p))
+            a = second_moment_bound(pair_spec(*astuple(p)))
+            b = second_moment_bound(pair_spec(*astuple(swapped(p))))
             assert a == pytest.approx(b, rel=1e-12)
 
 
@@ -61,8 +71,6 @@ class TestSecondMomentBound:
     def test_n3_is_average_of_pairs(self):
         rng = np.random.default_rng(23)
         spec = random_normal_spec(rng, 3)
-        from gmd.model import pair_params
-
         pairs = [second_moment_pair_bound(pair_params(spec, i, j)) for i, j in spec_pairs(spec)]
         assert second_moment_bound(spec) == pytest.approx(sum(pairs) / 3.0, rel=1e-14)
 

@@ -3,11 +3,14 @@
 The main oracle for the normal family is classical: X_i - X_j is itself
 normal, so E|X_i - X_j| is the folded-normal mean.  For the Student-t
 family the difference is again t (same degrees of freedom), giving a
-one-dimensional quadrature oracle.  Neither route shares anything with
-the bracket formulas under test.
+one-dimensional quadrature oracle.  Neither shares anything with the
+all-pairs kernel under test, and nor does the paper's per-pair bracket
+form (``helpers.bracket_pair_gmd``), the third oracle.  Pair properties
+run on the kernel, each pair as a 2-d spec.
 """
 
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -20,27 +23,27 @@ from gmd.closed_form import (
     QuantileFunction,
     gini_index,
     normal_gmd,
-    normal_pair_gmd,
     quantile_gmd,
     student_gmd,
-    student_pair_gmd,
 )
+from gmd.bounds import second_moment_bound
 from gmd.errors import DomainError, MomentExistenceError
 from gmd.model import DistributionSpec, PairParams, pair_correlations, pair_params, validate
 from gmd.special import DegreesOfFreedom, gamma_fn, student_t_pdf
 
 from helpers import (
+    bracket_pair_gmd,
     exchangeable_normal_gmd,
     exchangeable_student_gmd,
     folded_normal_mean,
     mp_spec_gmd,
     pair_diff_params,
+    pair_spec,
     random_exchangeable_spec,
     random_normal_spec,
     random_pair,
     spec_pairs,
     student_gamma_factor,
-    swapped,
 )
 
 TWO_OVER_SQRT_PI = 1.1283791670955126
@@ -58,10 +61,16 @@ def t_difference_oracle(p: PairParams, nu: float) -> float:
     return val
 
 
+def _pair_gmd(*params, nu=None) -> float:
+    """The kernel's E|X_i - X_j| for the pair (mu_i, mu_j, sigma_i, sigma_j, rho)."""
+    return _gmd(pair_spec(*params, nu=nu)).value
+
+
 class TestNormalPair:
+    """Pair properties of the normal kernel, each pair as a 2-d spec."""
+
     def test_standard_independent_pair(self):
-        p = PairParams(0, 0, 1, 1, 0.0)
-        assert normal_pair_gmd(p) == pytest.approx(TWO_OVER_SQRT_PI, abs=1e-15)
+        assert _pair_gmd(0, 0, 1, 1, 0.0) == pytest.approx(TWO_OVER_SQRT_PI, abs=1e-15)
 
     def test_exchangeable_reduction(self):
         rng = np.random.default_rng(1)
@@ -69,13 +78,11 @@ class TestNormalPair:
             s = float(rng.uniform(0.2, 4))
             rho = float(rng.uniform(-0.99, 0.99))
             mu = float(rng.normal())
-            p = PairParams(mu, mu, s, s, rho)
             expected = 2.0 * s * math.sqrt(1 - rho) / math.sqrt(math.pi)
-            assert normal_pair_gmd(p) == pytest.approx(expected, rel=1e-12)
+            assert _pair_gmd(mu, mu, s, s, rho) == pytest.approx(expected, rel=1e-12)
 
     def test_mean_dominated_pair(self):
-        p = PairParams(0.0, 5.0, 1.0, 1.0, 0.0)
-        value = normal_pair_gmd(p)
+        value = _pair_gmd(0.0, 5.0, 1.0, 1.0, 0.0)
         assert value == pytest.approx(folded_normal_mean(-5.0, math.sqrt(2.0)), rel=1e-12)
         assert value >= 5.0
         assert value == pytest.approx(5.0, abs=1e-3)
@@ -85,7 +92,7 @@ class TestNormalPair:
         for _ in range(500):
             p = random_pair(rng)
             m, s = pair_diff_params(p)
-            assert normal_pair_gmd(p) == pytest.approx(
+            assert _pair_gmd(*astuple(p)) == pytest.approx(
                 folded_normal_mean(m, s), rel=1e-12, abs=1e-12
             )
 
@@ -99,45 +106,32 @@ class TestNormalPair:
             return v * math.exp(-0.5 * x * x) / math.sqrt(2 * math.pi)
 
         brute, _ = integrate.quad(inner, -9.0, 9.0, limit=200)
-        p = PairParams(0.0, 1.0, 1.0, 1.0, 0.0)
-        assert normal_pair_gmd(p) == pytest.approx(brute, abs=1e-8)
-
-    def test_degenerate_equal_pair_is_zero(self):
-        assert normal_pair_gmd(PairParams(1.0, 1.0, 2.0, 2.0, 1.0)) == 0.0
-
-    def test_degenerate_shifted_pair(self):
-        assert normal_pair_gmd(PairParams(3.0, 1.0, 2.0, 2.0, 1.0)) == 2.0
-
-    def test_rho_one_unequal_scales_still_continuous(self):
-        p = PairParams(0.0, 0.0, 2.0, 1.0, 1.0)
-        assert normal_pair_gmd(p) == pytest.approx(folded_normal_mean(0.0, 1.0), rel=1e-12)
-
-    def test_rho_minus_one(self):
-        p = PairParams(0.5, -0.5, 1.0, 2.0, -1.0)
-        m, s = pair_diff_params(p)
-        assert normal_pair_gmd(p) == pytest.approx(folded_normal_mean(m, s), rel=1e-12)
+        assert _pair_gmd(0.0, 1.0, 1.0, 1.0, 0.0) == pytest.approx(brute, abs=1e-8)
 
     @given(
         st.floats(-3, 3), st.floats(-3, 3),
         st.floats(0.1, 4), st.floats(0.1, 4),
-        st.floats(-0.99, 0.99), st.floats(-5, 5),
+        st.floats(-0.99, 0.99), st.floats(-1e15, 1e15),
     )
     @settings(max_examples=150, deadline=None)
     def test_translation_invariance(self, mu_i, mu_j, s_i, s_j, rho, shift):
-        base = normal_pair_gmd(PairParams(mu_i, mu_j, s_i, s_j, rho))
-        moved = normal_pair_gmd(PairParams(mu_i + shift, mu_j + shift, s_i, s_j, rho))
-        assert moved == pytest.approx(base, rel=1e-10, abs=1e-10)
+        # A shift rounds the means, so the moved pair is judged at the gap the
+        # kernel sees: within its error estimate of the exact folded law there.
+        moved = pair_spec(mu_i + shift, mu_j + shift, s_i, s_j, rho)
+        result = _gmd(moved)
+        assert abs(result.value - mp_spec_gmd(moved)) <= result.diagnostics["abs_error_estimate"]
 
     @given(
         st.floats(-3, 3), st.floats(-3, 3),
         st.floats(0.1, 4), st.floats(0.1, 4),
-        st.floats(-0.99, 0.99), st.floats(0.01, 20),
+        st.floats(-0.99, 0.99), st.floats(0.5, 2.0), st.integers(-300, 300),
     )
     @settings(max_examples=150, deadline=None)
-    def test_scale_equivariance(self, mu_i, mu_j, s_i, s_j, rho, k):
-        base = normal_pair_gmd(PairParams(mu_i, mu_j, s_i, s_j, rho))
-        scaled = normal_pair_gmd(PairParams(k * mu_i, k * mu_j, k * s_i, k * s_j, rho))
-        assert scaled == pytest.approx(k * base, rel=1e-10, abs=1e-10)
+    def test_scale_equivariance(self, mu_i, mu_j, s_i, s_j, rho, mantissa, exponent):
+        k = math.ldexp(mantissa, exponent)
+        base = _pair_gmd(mu_i, mu_j, s_i, s_j, rho)
+        scaled = _pair_gmd(k * mu_i, k * mu_j, k * s_i, k * s_j, rho)
+        assert scaled == pytest.approx(k * base, rel=1e-13)
 
     @given(
         st.floats(-3, 3), st.floats(-3, 3),
@@ -146,9 +140,8 @@ class TestNormalPair:
     )
     @settings(max_examples=150, deadline=None)
     def test_swap_symmetry(self, mu_i, mu_j, s_i, s_j, rho):
-        p = PairParams(mu_i, mu_j, s_i, s_j, rho)
-        assert normal_pair_gmd(p) == pytest.approx(
-            normal_pair_gmd(swapped(p)), rel=1e-10, abs=1e-12
+        assert _pair_gmd(mu_i, mu_j, s_i, s_j, rho) == pytest.approx(
+            _pair_gmd(mu_j, mu_i, s_j, s_i, rho), rel=1e-10, abs=1e-12
         )
 
 
@@ -157,7 +150,7 @@ class TestNormalGmd:
         # The kernel and the bracket form round differently: a few ulp apart.
         spec = validate(DistributionSpec("normal", [0.0, 1.0], [[4.0, 1.0], [1.0, 1.0]]))
         result = normal_gmd(spec)
-        assert result.value == pytest.approx(normal_pair_gmd(pair_params(spec, 0, 1)), rel=1e-14)
+        assert result.value == pytest.approx(bracket_pair_gmd(pair_params(spec, 0, 1)), rel=1e-14)
         assert result.method.value == "ClosedForm"
 
     def test_exchangeable_consistency(self):
@@ -198,41 +191,37 @@ class TestExchangeableNormal:
 
 
 class TestStudentPair:
+    """Pair properties of the Student-t kernel, each pair as a 2-d spec."""
+
     def test_nu2_exchangeable_reduction(self):
         rng = np.random.default_rng(5)
-        dof = DegreesOfFreedom(2.0)
         for _ in range(25):
             s = float(rng.uniform(0.2, 4))
             rho = float(rng.uniform(-0.99, 0.99))
-            p = PairParams(0.7, 0.7, s, s, rho)
-            assert student_pair_gmd(p, dof) == pytest.approx(
+            assert _pair_gmd(0.7, 0.7, s, s, rho, nu=2.0) == pytest.approx(
                 2.0 * s * math.sqrt(1 - rho), rel=1e-12
             )
 
     def test_normal_limit(self):
         rng = np.random.default_rng(6)
-        dof = DegreesOfFreedom(1e6)
         for _ in range(20):
-            p = random_pair(rng)
-            assert student_pair_gmd(p, dof) == pytest.approx(
-                normal_pair_gmd(p), abs=1e-4
-            )
+            p = astuple(random_pair(rng))
+            assert _pair_gmd(*p, nu=1e6) == pytest.approx(_pair_gmd(*p), abs=1e-4)
 
     @pytest.mark.parametrize("nu", [1.3, 2.0, 3.0, 8.0, 50.0])
     def test_against_difference_t_oracle(self, nu):
         rng = np.random.default_rng(int(nu * 10))
         for _ in range(5):
             p = random_pair(rng, max_abs_rho=0.95)
-            assert student_pair_gmd(p, DegreesOfFreedom(nu)) == pytest.approx(
+            assert _pair_gmd(*astuple(p), nu=nu) == pytest.approx(
                 t_difference_oracle(p, nu), rel=1e-9, abs=1e-9
             )
 
     def test_standard_pair_nu3(self):
         # E|T - T'| for the uncorrelated standardized pair: the difference is
         # t_3 with scale sqrt(2), so sqrt(2) * E|T_3|.
-        p = PairParams(0, 0, 1, 1, 0.0)
         e_abs_t3 = 1.102657790843584  # 2*sqrt(3)*Gamma(2)/(sqrt(pi)*2*Gamma(1.5))
-        assert student_pair_gmd(p, DegreesOfFreedom(3.0)) == pytest.approx(
+        assert _pair_gmd(0, 0, 1, 1, 0.0, nu=3.0) == pytest.approx(
             math.sqrt(2.0) * e_abs_t3, rel=1e-12
         )
 
@@ -258,20 +247,12 @@ class TestStudentPair:
 
         brute, _ = integrate.quad(inner, -200.0, 200.0, limit=400,
                                   epsabs=1e-11, epsrel=1e-11)
-        p = PairParams(0, 0, 1, 1, 0.0)
-        assert student_pair_gmd(p, DegreesOfFreedom(nu)) == pytest.approx(brute, abs=1e-6)
+        assert _pair_gmd(0, 0, 1, 1, 0.0, nu=nu) == pytest.approx(brute, abs=1e-6)
 
     def test_mean_existence_enforced(self):
-        p = PairParams(0, 0, 1, 1, 0.0)
-        with pytest.raises(MomentExistenceError):
-            student_pair_gmd(p, DegreesOfFreedom(1.0))
-        with pytest.raises(MomentExistenceError):
-            student_pair_gmd(p, DegreesOfFreedom(0.8))
-
-    def test_degenerate_pair(self):
-        dof = DegreesOfFreedom(4.0)
-        assert student_pair_gmd(PairParams(1, 1, 2, 2, 1.0), dof) == 0.0
-        assert student_pair_gmd(PairParams(4, 1, 2, 2, 1.0), dof) == 3.0
+        for nu in (1.0, 0.8):
+            with pytest.raises(MomentExistenceError):
+                _pair_gmd(0, 0, 1, 1, 0.0, nu=nu)
 
 
 class TestStudentGmd:
@@ -404,6 +385,20 @@ class TestQuantileGmd:
         with pytest.raises(DomainError, match="nondecreasing"):
             quantile_gmd(QuantileFunction(lambda u: -u))
 
+    @pytest.mark.parametrize("k", [2.0**-300, 1e-9, 3.0, 1e9, 2.0**300])
+    def test_scale_equivariance(self, k):
+        # The tolerances apply on the quantile's own scale: with them in its
+        # units, the copy scaled by 1e-9 came out 1.8e-4 relative off.
+        from scipy.special import stdtrit
+
+        value = quantile_gmd(QuantileFunction(ndtri))
+        assert quantile_gmd(QuantileFunction(lambda u: k * ndtri(u))) == pytest.approx(
+            k * value, rel=1e-12)
+        tail_k, a = _mp_student_tail(1.5)
+        value = quantile_gmd(QuantileFunction(lambda u: stdtrit(1.5, u), tail=(tail_k, a)))
+        scaled = QuantileFunction(lambda u: k * stdtrit(1.5, u), tail=(k * tail_k, a))
+        assert quantile_gmd(scaled) == pytest.approx(k * value, rel=1e-12)
+
 
 
 def _mp_student_quantile_gmd(nu):
@@ -529,8 +524,7 @@ def _gmd(spec):
 
 
 def _bracket(spec, i, j):
-    p = pair_params(spec, i, j)
-    return normal_pair_gmd(p) if spec.dof is None else student_pair_gmd(p, spec.dof)
+    return bracket_pair_gmd(pair_params(spec, i, j), spec.dof)
 
 
 class TestFoldedKernel:
@@ -555,7 +549,7 @@ class TestFoldedKernel:
         assert result.value == pytest.approx(np.mean(result.pair_values), rel=1e-15)
 
     @pytest.mark.parametrize("nu", FAMILIES)
-    @pytest.mark.parametrize("offset", [0.0, 1e4, 1e8, 1e12])
+    @pytest.mark.parametrize("offset", [0.0, 1e4, 1e8, 1e12, 1e15, -1e15])
     def test_error_estimate_bounds_mpmath_error(self, nu, offset):
         rng = np.random.default_rng(43)
         for n in (2, 12):
@@ -588,13 +582,24 @@ class TestFoldedKernel:
 
     @pytest.mark.parametrize("nu", FAMILIES)
     def test_scale_equivariance(self, nu):
+        # Powers of two scale every intermediate exactly, over the exponents
+        # a spec's entries allow: the pair values, the value, the error
+        # estimate and the second-moment bound are each the original's times 2^k.
         rng = np.random.default_rng(46)
-        for n in (2, 9, 30):
+        for n in (2, 3, 4, 5, 6, 9, 30):
             spec = _spec(rng, n, nu, offset=1e8)
-            value = _gmd(spec).value
-            # Powers of two scale every intermediate exactly.
-            for k in (2.0**-6, 2.0**10):
-                assert _gmd(_rebuilt(spec, k * spec.mu, k * k * spec.sigma_mat)).value == k * value
+            base = _gmd(spec)
+            bound = second_moment_bound(spec) if nu is None or nu > 2 else None
+            for power in (-300, -150, -7, 9, 150, 300):
+                k = math.ldexp(1.0, power)
+                scaled_spec = _rebuilt(spec, k * spec.mu, k * k * spec.sigma_mat)
+                scaled = _gmd(scaled_spec)
+                assert scaled.pair_values.tolist() == (k * base.pair_values).tolist(), power
+                assert scaled.value == k * base.value, power
+                assert scaled.diagnostics["abs_error_estimate"] == k * base.diagnostics[
+                    "abs_error_estimate"], power
+                if bound is not None:
+                    assert second_moment_bound(scaled_spec) == k * bound, power
             spec = _spec(rng, n, nu)
             scaled = _rebuilt(spec, 3.7 * spec.mu, 3.7**2 * spec.sigma_mat)
             assert _gmd(scaled).value == pytest.approx(3.7 * _gmd(spec).value, rel=1e-13)

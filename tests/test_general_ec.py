@@ -2,6 +2,7 @@
 reliabilities, order-statistic densities, and the assembled GMD."""
 
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from scipy import integrate
 from gmd import general_ec, quadrature
 from gmd.closed_form import (
     normal_gmd,
-    normal_pair_gmd,
     quantile_gmd,
     QuantileFunction,
     student_gmd,
@@ -34,6 +34,8 @@ from helpers import (
     exchangeable_student_gmd,
     max_pdf,
     min_pdf,
+    mp_spec_gmd,
+    pair_spec,
     random_exchangeable_spec,
     random_normal_spec,
     random_pair,
@@ -286,11 +288,9 @@ class TestMaxMinDensities:
                 lambda x: x * (max_pdf(p, Family.NORMAL, x) - min_pdf(p, Family.NORMAL, x)),
                 center=center, scale=scale,
             )
-            assert res.value == pytest.approx(normal_pair_gmd(p), abs=1e-8)
+            assert res.value == pytest.approx(normal_gmd(pair_spec(*astuple(p))).value, abs=1e-8)
 
     def test_max_min_mean_gap_student(self):
-        from gmd.closed_form import student_pair_gmd
-
         rng = np.random.default_rng(10)
         dof = DegreesOfFreedom(6.0)
         p = random_pair(rng)
@@ -301,7 +301,8 @@ class TestMaxMinDensities:
                            - min_pdf(p, Family.STUDENT_T, x, dof)),
             center=center, scale=scale,
         )
-        assert res.value == pytest.approx(student_pair_gmd(p, dof), abs=1e-8)
+        assert res.value == pytest.approx(
+            student_gmd(pair_spec(*astuple(p), nu=dof.nu)).value, abs=1e-8)
 
 
 class TestMuH:
@@ -549,6 +550,18 @@ class TestGmdQuadratureRoute:
         spec = validate(DistributionSpec("normal", [gap, 0.0], np.eye(2)))
         result = gmd_quadrature(spec)
         assert abs(result.value - normal_gmd(spec).value) <= result.diagnostics[
+            "abs_error_estimate"]
+
+    @pytest.mark.parametrize("nu", [1.5, 4.0])
+    @pytest.mark.parametrize("d", [1.0, 1e-4, 1e-8, 1e-11])
+    def test_mismatched_scales_within_estimate(self, nu, d):
+        # The small-scale ordering's pi_ij approaches its limits like a power
+        # of the distance over every decade between the two scales, which
+        # panels that agree with themselves can miss.  The folded t law of
+        # X_0 - X_1 at 30 digits judges.
+        spec = validate(DistributionSpec("student-t", [0.0, 0.0], np.diag([1.0, d]), nu=nu))
+        result = gmd_quadrature(spec)
+        assert abs(result.value - mp_spec_gmd(spec)) <= result.diagnostics[
             "abs_error_estimate"]
 
 

@@ -45,13 +45,11 @@ PUBLIC = [
     "lp_norm_std_normal",
     "mu_H",
     "normal_gmd",
-    "normal_pair_gmd",
     "pair_params",
     "quantile_gmd",
     "reliability",
     "reliability_quadrature",
     "second_moment_bound",
-    "second_moment_pair_bound",
     "skewing_normal",
     "skewing_student",
     "spec_from_dict",
@@ -59,7 +57,6 @@ PUBLIC = [
     "std_normal_cdf",
     "std_normal_pdf",
     "student_gmd",
-    "student_pair_gmd",
     "student_t_cdf",
     "student_t_pdf",
     "validate",
@@ -108,13 +105,11 @@ PARAMETERS = {
     "lp_norm_std_normal": ["p"],
     "mu_H": ["p", "family", "dof"],
     "normal_gmd": ["spec"],
-    "normal_pair_gmd": ["p"],
     "pair_params": ["spec", "i", "j"],
     "quantile_gmd": ["q"],
     "reliability": ["p", "family", "dof"],
     "reliability_quadrature": ["p", "family", "dof"],
     "second_moment_bound": ["spec"],
-    "second_moment_pair_bound": ["p"],
     "skewing_normal": ["p"],
     "skewing_student": ["p", "dof"],
     "spec_from_dict": ["data"],
@@ -122,7 +117,6 @@ PARAMETERS = {
     "std_normal_cdf": ["x"],
     "std_normal_pdf": ["x"],
     "student_gmd": ["spec"],
-    "student_pair_gmd": ["p", "dof"],
     "student_t_cdf": ["x", "dof"],
     "student_t_pdf": ["x", "dof"],
     "validate": ["spec"],
