@@ -59,7 +59,6 @@ from .monte_carlo import (
 from .quadrature import QuadratureConfig, QuadratureResult
 from .special import (
     DegreesOfFreedom,
-    gamma_fn,
     lp_norm_std_normal,
     std_normal_cdf,
     std_normal_pdf,

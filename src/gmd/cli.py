@@ -16,6 +16,8 @@ import contextlib
 import functools
 import json
 import math
+import os
+import stat
 import sys
 import warnings
 from collections.abc import Iterator
@@ -29,6 +31,7 @@ from .bounds import build_bound_report
 from .errors import GmdError, MomentExistenceError, NonconvergenceError, ValidationError
 from .model import (
     Family,
+    GmdMethod,
     GmdResult,
     ValidatedSpec,
     dimension_of_pairs,
@@ -238,6 +241,7 @@ def _dump_csv(blocks: Iterator[np.ndarray], path: str, n: int) -> Iterator[np.nd
 def _write_csv(blocks: Iterator[np.ndarray], out: TextIO, path: str, n: int
                ) -> Iterator[np.ndarray]:
     row = ",".join(["%.17g"] * n) + "\n"
+    opened = os.fstat(out.fileno())
 
     def write(text: str) -> None:
         try:
@@ -252,9 +256,21 @@ def _write_csv(blocks: Iterator[np.ndarray], out: TextIO, path: str, n: int
                 write(_format_rows(row, "", len(block), block.ravel().tolist()))
                 yield block
     except BaseException:
-        # A partial dump would still read as a valid, shorter sample.
-        Path(path).unlink(missing_ok=True)
+        _discard_partial_dump(path, opened)
         raise
+
+
+def _discard_partial_dump(path: str, opened: os.stat_result) -> None:
+    """Remove ``path`` if it is still the regular file ``opened``: a partial
+    dump would read as a valid, shorter sample.  Through a symlink the target
+    is emptied and the link kept; a device or FIFO is left alone."""
+    if not stat.S_ISREG(opened.st_mode):
+        return
+    with contextlib.suppress(FileNotFoundError):
+        if os.path.samestat(os.lstat(path), opened):
+            os.unlink(path)
+        elif os.path.samestat(os.stat(path), opened):
+            os.truncate(path, 0)
 
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
@@ -356,7 +372,7 @@ def _cmd_quantile(args: argparse.Namespace) -> int:
         gini = None if mu1 == 0 else closed_form.gini_index(value, mu1)
     report: dict[str, Any] = {
         "value": value,
-        "method": "Quantile",
+        "method": GmdMethod.QUANTILE.value,
         "gini_index": gini,
         "note": "classical i.i.d. GMD of the first marginal",
     }
@@ -426,17 +442,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    output = getattr(args, "output", "json")
     try:
         return args.func(args)
     except ValidationError as exc:
-        _emit_errors(exc.violations, output)
+        _emit_errors(exc.violations, args.output)
         return EXIT_VALIDATION
     except NonconvergenceError as exc:
-        _emit_errors([str(exc)], output)
+        _emit_errors([str(exc)], args.output)
         return EXIT_NUMERICAL
     except GmdError as exc:
-        _emit_errors([str(exc)], output)
+        _emit_errors([str(exc)], args.output)
         return EXIT_VALIDATION
 
 

@@ -3,8 +3,8 @@
 A ``DistributionSpec`` describes a location-scale family (multivariate
 normal or Student-t) through a location vector mu and a positive-definite
 scale matrix sigma.  ``validate`` turns it into an immutable
-``ValidatedSpec`` with a cached Cholesky factor, or raises with the full
-list of violated invariants.  A validated spec holds arrays, and every
+``ValidatedSpec`` with a cached Cholesky factor, or raises with the
+invariants it violates.  A validated spec holds arrays, and every
 route reads all its pairs from them at once, in
 ``ValidatedSpec.pair_index`` order: ``pair_differences`` gives the law
 of X_i - X_j for the closed form and the bounds, ``pair_correlations``
@@ -147,10 +147,11 @@ class GmdResult:
 def validate(spec: DistributionSpec | ValidatedSpec) -> ValidatedSpec:
     """Check every invariant of a spec and cache its Cholesky factor.
 
-    Raises ``ValidationError`` carrying the complete list of violations,
-    among them mean differences or difference scales S_ii + S_jj - 2 S_ij
-    that overflow, which no route could use.  Validating an
-    already-validated spec returns it unchanged.
+    Raises ``ValidationError`` listing every shape, finiteness and nu
+    violation; a finite n x n matrix is then checked in turn for symmetry,
+    a positive diagonal, a Cholesky factor and difference scales
+    S_ii + S_jj - 2 S_ij that overflow, and the first failure raises alone.
+    Validating an already-validated spec returns it unchanged.
 
     A Student-t spec is valid for every positive nu.  Whether it has the
     mean or the variance a route needs is the route's question: each asks
@@ -160,20 +161,16 @@ def validate(spec: DistributionSpec | ValidatedSpec) -> ValidatedSpec:
     if isinstance(spec, ValidatedSpec):
         return spec
 
-    problems: list[str] = []
-
-    if not isinstance(spec.family, Family):
-        try:
-            family = Family(spec.family)
-        except ValueError:
-            raise ValidationError([f"unknown family {spec.family!r}"]) from None
-    else:
-        family = spec.family
+    try:
+        family = Family(spec.family)
+    except ValueError:
+        raise ValidationError([f"unknown family {spec.family!r}"]) from None
 
     mu = np.atleast_1d(np.asarray(spec.mu, dtype=float))
     sigma = np.atleast_2d(np.asarray(spec.sigma_mat, dtype=float))
     n = mu.shape[0]
 
+    problems: list[str] = []
     if mu.ndim != 1:
         problems.append("mu must be a vector")
     if n < 2:
@@ -198,44 +195,30 @@ def validate(spec: DistributionSpec | ValidatedSpec) -> ValidatedSpec:
                 problems.append(str(exc))
     elif spec.nu is not None:
         problems.append("nu is only meaningful for the student-t family")
-
-    chol = None
-    if not problems:
-        scale = float(np.max(np.abs(sigma))) or 1.0
-        with np.errstate(over="ignore"):  # an overflowed gap is inf: asymmetric
-            asymmetry = np.max(np.abs(sigma - sigma.T))
-        if asymmetry > SYMMETRY_RTOL * scale:
-            problems.append("sigma is not symmetric (relative tolerance 1e-12)")
-        else:
-            # Halved before the sum, which cannot overflow; the same bits
-            # as 0.5 * (S + S^T) wherever the entries are normal numbers.
-            sigma = 0.5 * sigma + 0.5 * sigma.T
-            if np.any(np.diag(sigma) <= 0):
-                problems.append("sigma has non-positive diagonal entries")
-            else:
-                pivot_floor = PIVOT_RTOL * float(np.max(np.diag(sigma)))
-                try:
-                    chol = np.linalg.cholesky(sigma)
-                except np.linalg.LinAlgError:
-                    problems.append("sigma is not positive definite (Cholesky failed)")
-                else:
-                    if float(np.min(np.diag(chol)) ** 2) <= pivot_floor:
-                        chol = None
-                        problems.append(
-                            "sigma is numerically singular (Cholesky pivot below "
-                            "1e-12 of max diagonal)"
-                        )
-                    elif _difference_scales_overflow(sigma):
-                        chol = None
-                        problems.append(
-                            "difference scales S_ii + S_jj - 2 S_ij overflow")
-
     if problems:
         raise ValidationError(problems)
 
-    assert chol is not None
-    mu = mu.copy()
-    sigma = sigma.copy()
+    scale = float(np.max(np.abs(sigma))) or 1.0
+    with np.errstate(over="ignore"):  # an overflowed gap is inf: asymmetric
+        asymmetry = np.max(np.abs(sigma - sigma.T))
+    if asymmetry > SYMMETRY_RTOL * scale:
+        raise ValidationError(["sigma is not symmetric (relative tolerance 1e-12)"])
+    # Halved before the sum, which cannot overflow; the same bits as
+    # 0.5 * (S + S^T) wherever the entries are normal numbers.
+    sigma = 0.5 * sigma + 0.5 * sigma.T
+    if np.any(np.diag(sigma) <= 0):
+        raise ValidationError(["sigma has non-positive diagonal entries"])
+    try:
+        chol = np.linalg.cholesky(sigma)
+    except np.linalg.LinAlgError:
+        raise ValidationError(["sigma is not positive definite (Cholesky failed)"]) from None
+    if float(np.min(np.diag(chol)) ** 2) <= PIVOT_RTOL * float(np.max(np.diag(sigma))):
+        raise ValidationError(
+            ["sigma is numerically singular (Cholesky pivot below 1e-12 of max diagonal)"])
+    if _difference_scales_overflow(sigma):
+        raise ValidationError(["difference scales S_ii + S_jj - 2 S_ij overflow"])
+
+    mu = mu.copy()  # the symmetrized sigma is already a new array
     for arr in (mu, sigma, chol):
         arr.setflags(write=False)
     return ValidatedSpec(family, mu, sigma, chol, dof)

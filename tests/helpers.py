@@ -361,6 +361,16 @@ def mp_spec_gmd(spec: ValidatedSpec) -> float:
         return float(mp.fsum(terms) / len(terms))
 
 
+def mp_lp_norm_std_normal(p: float) -> float:
+    """(E|Z|^p)^(1/p) for Z standard normal at 40 digits, p taken as exact."""
+    import mpmath as mp
+
+    with mp.workdps(40):
+        x = mp.mpf(p)
+        moment = 2 ** (x / 2) * mp.gamma((x + 1) / 2) / mp.sqrt(mp.pi)
+        return float(moment ** (1 / x))
+
+
 # --- Monte Carlo reference oracles --------------------------------------------
 # The sampler and the pair reduction written plainly: one chunk at a time,
 # one block of a chunk at a time, concatenated, and one full-length pass

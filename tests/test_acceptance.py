@@ -88,7 +88,7 @@ class TestAcceptance:
             assert c2 == pytest.approx(2.0 / math.sqrt(3.0), abs=1e-12)
             assert c32 < c2
 
-            gamma_form = gmd.gamma_fn(0.25) ** (2.0 / 3.0) / (
+            gamma_form = math.gamma(0.25) ** (2.0 / 3.0) / (
                 math.sqrt(2.0) * math.pi ** (1.0 / 3.0)
             )
             moment, _ = integrate.quad(

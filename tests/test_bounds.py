@@ -23,6 +23,7 @@ from gmd.errors import DomainError, MomentExistenceError
 from gmd.model import DistributionSpec, PairParams, pair_params, validate
 
 from helpers import (
+    mp_lp_norm_std_normal,
     pair_spec,
     random_normal_spec,
     random_pair,
@@ -103,6 +104,11 @@ class TestExchangeableRhoBound:
         with pytest.raises(DomainError):
             exchangeable_rho_bound(1.0, [])
 
+    @pytest.mark.parametrize("sigma1", [0.0, -1.0])
+    def test_non_positive_sigma_rejected(self, sigma1):
+        with pytest.raises(DomainError, match="sigma1 must be > 0"):
+            exchangeable_rho_bound(sigma1, [0.0])
+
     def test_out_of_range_rho_rejected(self):
         with pytest.raises(DomainError):
             exchangeable_rho_bound(1.0, [1.5])
@@ -134,6 +140,13 @@ class TestCpConstant:
     def test_domain(self):
         with pytest.raises(DomainError):
             cp_constant(1.0)
+
+    @pytest.mark.parametrize("p", [341.0, 1000.0, 1e4])
+    def test_large_p_is_finite(self, p):
+        # E|Z|^p itself overflows a double here.
+        norm = mp_lp_norm_std_normal(p)
+        expected = 2.0 * norm * ((p - 1.0) / (2.0 * p - 1.0)) ** ((p - 1.0) / p)
+        assert cp_constant(p) == pytest.approx(expected, rel=1e-14)
 
 
 class TestCpBound:

@@ -267,19 +267,42 @@ class TestEstimateCommand:
         assert "cannot write samples" in json.loads(out)["errors"][0]
         assert not dump.exists()
 
-    @pytest.mark.parametrize("error", [KeyboardInterrupt, MemoryError])
-    def test_failed_reduction_leaves_no_dump(self, capsys, monkeypatch, iid_normal_spec,
-                                             tmp_path, error):
+    @staticmethod
+    def _fail_after_one_block(monkeypatch, spec, dump, error):
         def fails_after_one_block(blocks, *args):
             next(blocks)
             raise error
 
         monkeypatch.setattr(monte_carlo, "estimate_from_samples", fails_after_one_block)
-        dump = tmp_path / "samples.csv"
         # 200 000 draws at n = 2 span four blocks of the stream.
         with pytest.raises(error):
-            main(["estimate", iid_normal_spec, "--draws", "200000", "--dump", str(dump)])
+            main(["estimate", spec, "--draws", "200000", "--dump", str(dump)])
+
+    @pytest.mark.parametrize("error", [KeyboardInterrupt, MemoryError])
+    def test_failed_reduction_leaves_no_dump(self, monkeypatch, iid_normal_spec,
+                                             tmp_path, error):
+        dump = tmp_path / "samples.csv"
+        self._fail_after_one_block(monkeypatch, iid_normal_spec, dump, error)
         assert not dump.exists()
+
+    @pytest.mark.parametrize("error", [KeyboardInterrupt, MemoryError])
+    def test_failed_reduction_keeps_a_link_to_a_device(self, monkeypatch, iid_normal_spec,
+                                                       tmp_path, error):
+        link = tmp_path / "samples.csv"
+        link.symlink_to(os.devnull)
+        self._fail_after_one_block(monkeypatch, iid_normal_spec, link, error)
+        assert link.is_symlink() and os.readlink(link) == os.devnull
+
+    @pytest.mark.parametrize("error", [KeyboardInterrupt, MemoryError])
+    def test_failed_reduction_empties_a_linked_file(self, monkeypatch, iid_normal_spec,
+                                                    tmp_path, error):
+        target = tmp_path / "target.csv"
+        target.write_text("x1,x2\n")
+        link = tmp_path / "samples.csv"
+        link.symlink_to(target)
+        self._fail_after_one_block(monkeypatch, iid_normal_spec, link, error)
+        assert link.is_symlink() and link.resolve() == target.resolve()
+        assert target.read_bytes() == b""
 
     @pytest.mark.parametrize("output", ["json", "text"])
     def test_seed_above_2_53_is_reported_exactly(self, capsys, iid_normal_spec, output):
@@ -439,6 +462,21 @@ class TestQuantileCommand:
         code, out = run(capsys, "quantile-gmd", str(spec))
         report = json.loads(out)
         assert report["gini_index"] == pytest.approx(report["value"] / 20.0, rel=1e-12)
+
+    @pytest.mark.parametrize("output", ["json", "text"])
+    def test_negative_mean_gini_note(self, capsys, tmp_path, output):
+        spec = tmp_path / "neg.json"
+        spec.write_text(json.dumps({
+            "family": "normal", "mu": [-2.0, 1.0], "sigma": [[1.0, 0.0], [0.0, 1.0]],
+        }))
+        code, out = run(capsys, "quantile-gmd", str(spec), "--output", output)
+        assert code == 0
+        note = "interpretation requires a nonnegative variable"
+        if output == "json":
+            assert json.loads(out)["gini_note"] == note
+        else:
+            assert f"gini_note = {note}" in out.splitlines()
+            assert "method = Quantile" in out.splitlines()
 
     def test_negative_mean_notes_without_a_warning(self, tmp_path):
         # The report's gini_note says what the library's UserWarning says;

@@ -29,7 +29,7 @@ from gmd.closed_form import (
 from gmd.bounds import second_moment_bound
 from gmd.errors import DomainError, MomentExistenceError
 from gmd.model import DistributionSpec, PairParams, pair_correlations, pair_params, validate
-from gmd.special import DegreesOfFreedom, gamma_fn, student_t_pdf
+from gmd.special import DegreesOfFreedom, student_t_pdf
 
 from helpers import (
     bracket_pair_gmd,
@@ -174,6 +174,9 @@ class TestNormalGmd:
         spec = validate(DistributionSpec("student-t", [0, 0], np.eye(2), nu=5.0))
         with pytest.raises(DomainError):
             normal_gmd(spec)
+        normal = validate(DistributionSpec("normal", [0, 0], np.eye(2)))
+        with pytest.raises(DomainError, match="requires the student-t family"):
+            student_gmd(normal)
 
 
 class TestExchangeableNormal:
@@ -229,7 +232,7 @@ class TestStudentPair:
         # Brute-force double integral of |x - y| against the joint bivariate
         # t_5 density with identity scale matrix.
         nu = 5.0
-        norm = gamma_fn((nu + 2.0) / 2.0) / (gamma_fn(nu / 2.0) * nu * math.pi)
+        norm = math.gamma((nu + 2.0) / 2.0) / (math.gamma(nu / 2.0) * nu * math.pi)
 
         def joint(x, y):
             return norm * (1.0 + (x * x + y * y) / nu) ** (-(nu + 2.0) / 2.0)
@@ -302,7 +305,7 @@ class TestExchangeableStudent:
     def test_gamma_factor_matches_direct_ratio(self):
         for nu in (1.5, 2.0, 5.0, 41.0):
             direct = (
-                math.sqrt(2 * nu) * gamma_fn((nu + 1) / 2) / ((nu - 1) * gamma_fn(nu / 2))
+                math.sqrt(2 * nu) * math.gamma((nu + 1) / 2) / ((nu - 1) * math.gamma(nu / 2))
             )
             assert student_gamma_factor(nu) == pytest.approx(direct, rel=1e-13)
 
@@ -384,6 +387,10 @@ class TestQuantileGmd:
     def test_decreasing_quantile_rejected(self):
         with pytest.raises(DomainError, match="nondecreasing"):
             quantile_gmd(QuantileFunction(lambda u: -u))
+
+    def test_non_finite_quantile_rejected(self):
+        with pytest.raises(DomainError, match="non-finite"):
+            quantile_gmd(QuantileFunction(lambda u: np.where(u > 0.5, np.inf, u)))
 
     @pytest.mark.parametrize("k", [2.0**-300, 1e-9, 3.0, 1e9, 2.0**300])
     def test_scale_equivariance(self, k):

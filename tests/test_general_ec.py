@@ -358,6 +358,11 @@ class TestMuH:
                 expected, abs=1e-8
             )
 
+    def test_degenerate_ordering_rejected(self):
+        p = PairParams(100.0, 0.0, 1.0, 1.0, 0.0)
+        with pytest.raises(DomainError, match="mean of h_ij is undefined"):
+            mu_H(p, Family.NORMAL)
+
     def test_mean_existence(self):
         from gmd.errors import MomentExistenceError
 
@@ -551,6 +556,17 @@ class TestGmdQuadratureRoute:
         result = gmd_quadrature(spec)
         assert abs(result.value - normal_gmd(spec).value) <= result.diagnostics[
             "abs_error_estimate"]
+
+    @pytest.mark.parametrize("nu", [None, 1.5, 4.0])
+    def test_zero_slope_transition_within_estimate(self, nu):
+        # rho sigma_i = sigma_j: pi_01's skewing argument never crosses zero,
+        # so that ordering has no transition to mark.
+        assert general_ec._skew_transition(0.3, -0.2, 2.0, 1.0, 0.5) == []
+        family = "normal" if nu is None else "student-t"
+        spec = validate(DistributionSpec(family, [0.3, -0.2], [[4.0, 1.0], [1.0, 1.0]], nu=nu))
+        result = gmd_quadrature(spec)
+        closed = normal_gmd(spec) if nu is None else student_gmd(spec)
+        assert abs(result.value - closed.value) <= result.diagnostics["abs_error_estimate"]
 
     @pytest.mark.parametrize("nu", [1.5, 4.0])
     @pytest.mark.parametrize("d", [1.0, 1e-4, 1e-8, 1e-11])

@@ -77,6 +77,17 @@ class TestValidate:
         with pytest.raises(ValidationError, match="non-finite"):
             validate(DistributionSpec("normal", [0, np.nan], np.eye(2)))
 
+    @pytest.mark.parametrize("mu, sigma, message", [
+        ([[0.0, 0.0], [0.0, 0.0]], np.eye(2), "mu must be a vector"),
+        ([0.0, 0.0], [[1.0, np.inf], [np.inf, 1.0]], "sigma contains non-finite entries"),
+        ([0.0, 0.0], [[1.0, 0.0], [0.0, 0.0]], "sigma has non-positive diagonal entries"),
+        ([0.0, 0.0], [[-1.0, 0.0], [0.0, 1.0]], "sigma has non-positive diagonal entries"),
+    ])
+    def test_message(self, mu, sigma, message):
+        with pytest.raises(ValidationError) as exc:
+            validate(DistributionSpec("normal", mu, sigma))
+        assert message in exc.value.violations
+
     def test_nu_on_normal_rejected(self):
         with pytest.raises(ValidationError, match="student-t"):
             validate(DistributionSpec("normal", [0, 0], np.eye(2), nu=4.0))
@@ -182,6 +193,14 @@ class TestPairParams:
     def test_sigma_must_be_positive(self):
         with pytest.raises(ValidationError):
             PairParams(0.0, 0.0, 0.0, 1.0, 0.0)
+
+    @pytest.mark.parametrize("field", ["mu_i", "mu_j", "sigma_i", "sigma_j", "rho_ij"])
+    def test_fields_must_be_finite(self, field):
+        values = dict(mu_i=0.0, mu_j=0.0, sigma_i=1.0, sigma_j=1.0, rho_ij=0.0)
+        values[field] = math.nan
+        with pytest.raises(ValidationError) as exc:
+            PairParams(**values)
+        assert f"{field} must be finite" in exc.value.violations
 
 
 class TestPairDerived:

@@ -183,6 +183,8 @@ class TestEmpiricalGmd:
             empirical(iter([np.zeros((1, 3))]))
         with pytest.raises(DomainError, match="stream of rows x n blocks"):
             empirical(np.ones((5000, 2)))
+        with pytest.raises(DomainError, match="stream of rows x n blocks"):
+            empirical(iter([]))
 
     def test_estimator_consistency_many_specs(self):
         # 3 sigma with a binomial allowance: at most 2 exceedances in 50.

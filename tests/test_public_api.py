@@ -38,7 +38,6 @@ PUBLIC = [
     "cp_constant",
     "estimate_gmd",
     "exchangeable_rho_bound",
-    "gamma_fn",
     "gini_index",
     "gmd_quadrature",
     "h_density",
@@ -98,7 +97,6 @@ PARAMETERS = {
     "cp_constant": ["p"],
     "estimate_gmd": ["spec", "cfg"],
     "exchangeable_rho_bound": ["sigma1", "rhos"],
-    "gamma_fn": ["x"],
     "gini_index": ["gmd_value", "mu1"],
     "gmd_quadrature": ["spec", "config"],
     "h_density": ["p", "family", "x", "dof"],
