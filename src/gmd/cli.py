@@ -22,7 +22,7 @@ import sys
 import warnings
 from collections.abc import Iterator
 from pathlib import Path
-from typing import Any, TextIO
+from typing import Any
 
 import numpy as np
 
@@ -225,36 +225,28 @@ def _dump_csv(blocks: Iterator[np.ndarray], path: str, n: int) -> Iterator[np.nd
     """The stream ``blocks`` of n-column samples, each block written to
     ``path`` as CSV as it passes.
 
-    The file is created here, before the first block is drawn, so that a
-    path that cannot be written fails before any draw, and removed if the
-    stream is closed or fails before its last block.  The bytes are those
-    of ``np.savetxt`` with ``fmt="%.17g"``, ``delimiter=","``,
-    ``header="x1,...,xn"`` and ``comments=""``.
+    The file is created on the first pull, before any draw, so that an
+    unwritable path fails before drawing and a stream never pulled leaves
+    no file; it is removed if the stream is closed or fails before its
+    last block.  An ``OSError`` on the file is a ``ValidationError``.  The
+    bytes are those of ``np.savetxt`` with ``fmt="%.17g"``,
+    ``delimiter=","``, ``header="x1,...,xn"`` and ``comments=""``.
     """
     try:
         out = open(path, "w", encoding="ascii")
     except OSError as exc:
         raise ValidationError([f"cannot write samples to {path}: {exc}"]) from exc
-    return _write_csv(blocks, out, path, n)
-
-
-def _write_csv(blocks: Iterator[np.ndarray], out: TextIO, path: str, n: int
-               ) -> Iterator[np.ndarray]:
-    row = ",".join(["%.17g"] * n) + "\n"
     opened = os.fstat(out.fileno())
-
-    def write(text: str) -> None:
-        try:
-            out.write(text)
-        except OSError as exc:
-            raise ValidationError([f"cannot write samples to {path}: {exc}"]) from exc
-
+    row = ",".join(["%.17g"] * n) + "\n"
     try:
         with out:
-            write(",".join(f"x{k + 1}" for k in range(n)) + "\n")
+            out.write(",".join(f"x{k + 1}" for k in range(n)) + "\n")
             for block in blocks:
-                write(_format_rows(row, "", len(block), block.ravel().tolist()))
+                out.write(_format_rows(row, "", len(block), block.ravel().tolist()))
                 yield block
+    except OSError as exc:
+        _discard_partial_dump(path, opened)
+        raise ValidationError([f"cannot write samples to {path}: {exc}"]) from exc
     except BaseException:
         _discard_partial_dump(path, opened)
         raise

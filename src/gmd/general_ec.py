@@ -14,9 +14,10 @@ a reliability.  The pair quantities are public on their own: the
 conditional CDF pi_ij (``skewing_normal``, ``skewing_student``, plain
 functions of x), ``reliability`` (the CDF of the difference law, normal
 or t with the same nu) with its integral check
-``reliability_quadrature``, ``h_density`` and ``mu_H``.  All pair
-integrals are taken about X_j's own mean, on pairs moved by their own
-location (``_centred``), so no abscissa carries a location offset.
+``reliability_quadrature``, ``h_density`` and ``mu_H``, a closed form
+like ``reliability``.  All pair integrals are taken about X_j's own mean,
+on pairs moved by their own location (``_centred``), so no abscissa
+carries a location offset.
 They run on adaptive quadrature with the densities and CDFs of
 ``special``, which makes this module the numerical cross-check for every
 closed form in ``closed_form``.  Each is one tangent-map integral over
@@ -328,16 +329,35 @@ def h_density(
 
 
 def _mu_h(p: PairParams, family: Family, dof: DegreesOfFreedom | None) -> float:
-    if family is Family.STUDENT_T:
-        require_dof(dof).require_mean()
+    """mu_j + Cov(X_j, D)/s w(a) k(a) / R_ij for D = X_j - X_i of scale s.
+
+    An elliptical law's E[X_j | D] is linear in D (Cambanis, Huang & Simons,
+    1981), so E[X_j; D >= 0] - mu_j R_ij is Cov(X_j, D)/s times the standard
+    law's first moment above a = (mu_i - mu_j)/s: its density w(a) times
+    k(a) = 1 (normal) or (nu + a^2)/(nu - 1) (t).
+    """
+    law = None if family is Family.NORMAL else require_dof(dof)
+    if law is not None:
+        law.require_mean()
     r_ij = reliability(p, family, dof)
     if r_ij <= 0.0:
         raise DomainError("R_ij = 0: mean of h_ij is undefined")
-    return p.mu_j + _pair_integral(_centred(p), family, dof, moment=True).value / r_ij
+    s = p.diff_sd()
+    a = (p.mu_i - p.mu_j) / s
+    if law is None:
+        tail_moment = std_normal_pdf(a)
+    else:
+        # w k = nu w(0) q^((1 - nu)/2) / (nu - 1), q = 1 + a^2/nu, in logs: w
+        # underflows (and a^2 overflows) at gaps where R_ij ~ |a|^-nu does not.
+        nu, t = law.nu, abs(a) / math.sqrt(law.nu)
+        log_q = math.log1p(t * t) if t < 1.0 else 2.0 * math.log(t) + math.log1p(1.0 / (t * t))
+        tail_moment = (nu / (nu - 1.0) * student_t_pdf(0.0, law)
+                       * math.exp(0.5 * (1.0 - nu) * log_q))
+    return p.mu_j + p.sigma_j * (p.sigma_j - p.rho_ij * p.sigma_i) / s * tail_moment / r_ij
 
 
 def mu_H(p: PairParams, family: Family, dof: DegreesOfFreedom | None = None) -> float:
-    """Mean of the tilted density h_ij: mu_j plus one centred moment integral over R_ij."""
+    """Mean of the tilted density h_ij, in closed form like ``reliability``."""
     return _mu_h(p, family, dof)
 
 

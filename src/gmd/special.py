@@ -15,7 +15,7 @@ moves Phi by up to x^2 eps relative in the lower tail, so below x = -1
 that shift is taken back to first order.  Against mpmath on 46,001
 points of [-37, 9] the relative error is at most 2.1 eps (``ndtr``:
 2.4e-13), and at every point within 4 eps of ``ndtr``'s own error.  Only
-the Student-t density (``betaln``) and CDF (``betainc``) load
+the Student-t density (``betaln``) and CDF (``stdtr``) load
 ``scipy.special``, on their first call, so a run on normal specs never
 imports it.
 """
@@ -187,29 +187,15 @@ def student_t_pdf(x: ArrayLike, dof: DegreesOfFreedom) -> float | np.ndarray:
 
 
 def student_t_cdf(x: ArrayLike, dof: DegreesOfFreedom) -> float | np.ndarray:
-    """CDF of the standard Student-t via the regularized incomplete beta.
+    """CDF of the standard Student-t with ``dof.nu`` degrees of freedom.
 
-    Near the centre (x^2 < nu) the mass between 0 and |x| is
-    I_{x^2/(nu+x^2)}(1/2, nu/2)/2, whose argument keeps every digit of a
-    small x; beyond, the tail I_{nu/(nu+x^2)}(nu/2, 1/2)/2 is computed for
-    -|x| and reflected, so there is no cancellation on either side.  The
-    branch taken has its beta argument at most 1/2.  Both branches share
-    one ``betainc`` call with per-element parameters.  Stable up to
-    nu ~ 1e6; exactly 1/2 at x = 0.
+    scipy's ``stdtr``.  Against mpmath, on both sides of 0 for nu from 0.5
+    to 1e4 and |x| from 1e-10 to 1e8, it is within 300 eps relative
+    wherever F is above 1e-290 (17 eps up to nu = 30), and it is exactly
+    1/2 at x = 0.
     """
     x = _finite_array(x)
-    # An overflowed x*x is inf: the tail argument nu/(nu + x^2) is then 0.
-    with np.errstate(over="ignore"):
-        x2 = x * x
-    nu = dof.nu
-    centre = x2 < nu
-    a = np.where(centre, 0.5, 0.5 * nu)
-    b = np.where(centre, 0.5 * nu, 0.5)
-    # min(x^2, nu) is x^2 in the centre and nu in the tails.
-    mass = _scipy_special().betainc(a, b, np.minimum(x2, nu) / (nu + x2)) * 0.5
-    below = np.where(centre, 0.5 - mass, mass)  # P(T < -|x|), an array even at 0-d
-    np.subtract(1.0, below, out=below, where=x >= 0)
-    return _float_if_scalar(below)
+    return _float_if_scalar(_scipy_special().stdtr(dof.nu, x))
 
 
 def lp_norm_std_normal(p: float) -> float:

@@ -286,6 +286,46 @@ class TestEstimateCommand:
         assert not dump.exists()
 
     @pytest.mark.parametrize("error", [KeyboardInterrupt, MemoryError])
+    def test_reduction_failing_before_the_first_block_leaves_no_dump(
+            self, monkeypatch, iid_normal_spec, tmp_path, error):
+        def fails_at_once(blocks, *args):
+            raise error
+
+        monkeypatch.setattr(monte_carlo, "estimate_from_samples", fails_at_once)
+        dump = tmp_path / "samples.csv"
+        with pytest.raises(error):
+            main(["estimate", iid_normal_spec, "--draws", "2000", "--dump", str(dump)])
+        assert not dump.exists()
+
+    def test_failed_close_is_a_validation_error(self, capsys, monkeypatch, iid_normal_spec,
+                                                tmp_path):
+        # A full disk may show only when the buffered tail is flushed.
+        real_open = open
+
+        class FailsOnClose:
+            def __init__(self, out):
+                self._out = out
+
+            def __getattr__(self, name):
+                return getattr(self._out, name)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self._out.close()
+                raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cli, "open", lambda *a, **k: FailsOnClose(real_open(*a, **k)),
+                            raising=False)
+        dump = tmp_path / "samples.csv"
+        code, out = run(capsys, "estimate", iid_normal_spec, "--draws", "2000",
+                        "--dump", str(dump))
+        assert code == 1
+        assert "No space left on device" in json.loads(out)["errors"][0]
+        assert not dump.exists()
+
+    @pytest.mark.parametrize("error", [KeyboardInterrupt, MemoryError])
     def test_failed_reduction_keeps_a_link_to_a_device(self, monkeypatch, iid_normal_spec,
                                                        tmp_path, error):
         link = tmp_path / "samples.csv"

@@ -34,7 +34,9 @@ from helpers import (
     exchangeable_student_gmd,
     max_pdf,
     min_pdf,
+    mp_mu_h,
     mp_spec_gmd,
+    mp_student_t_cdf,
     pair_spec,
     random_exchangeable_spec,
     random_normal_spec,
@@ -236,6 +238,15 @@ class TestReliability:
         with pytest.raises(DomainError, match="degrees of freedom"):
             reliability(PairParams(0, 0, 1, 1, 0.2), Family.STUDENT_T)
 
+    @pytest.mark.parametrize("gap", [10.0, 15.0])
+    def test_far_ordering_at_large_nu(self, gap):
+        # R_ij is about 3e-25 at nu = 1000, gap 15; a t CDF whose lower tail
+        # is 1/2 minus the centre mass returned 0.
+        p = PairParams(gap, 0.0, 1.0, 1.0, 0.0)
+        expected = mp_student_t_cdf(-gap / math.sqrt(2.0), 1000.0)
+        assert reliability(p, Family.STUDENT_T, DegreesOfFreedom(1000.0)) == pytest.approx(
+            expected, rel=1e-13, abs=0)
+
     def test_forced_ordering(self):
         assert reliability(
             PairParams(30.0, 0.0, 1.0, 1.0, 0.0), Family.NORMAL
@@ -337,15 +348,47 @@ class TestMuH:
                 ), (nu, k)
 
     @pytest.mark.parametrize("nu", [1.5, 4.0])
-    def test_one_integral_and_none_for_the_reliability(self, integral_calls, nu):
+    def test_no_integral(self, integral_calls, nu):
         p = PairParams(0.3, -0.2, 1.1, 0.9, 0.25)
         dof = DegreesOfFreedom(nu)
         mu_H(p, Family.STUDENT_T, dof)
-        assert len(integral_calls) == 1
-        integral_calls.clear()
         reliability(p, Family.STUDENT_T, dof)
         h_density(p, Family.STUDENT_T, np.linspace(-3.0, 3.0, 7), dof)
         assert integral_calls == []
+
+    @pytest.mark.parametrize("gap", [2.0, 4.0, 6.0, 8.0, 10.0, 12.0])
+    @pytest.mark.parametrize("rho", [0.0, 0.6])
+    def test_normal_far_gaps_against_mpmath(self, gap, rho):
+        # A moment integral to an absolute 1e-10 over a small R_ij was
+        # 4e-6 relative off at gap 10.
+        p = PairParams(gap, 0.0, 1.3, 0.8, rho)
+        assert mu_H(p, Family.NORMAL) == pytest.approx(mp_mu_h(p), rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("nu, gaps", [
+        (1.5, [1.0, 30.0, 1e4, 1e150]),
+        (4.0, [1.0, 100.0, 1e4, 1e70]),
+        (30.0, [1.0, 10.0, 100.0]),
+        (1000.0, [1.0, 12.0, 15.0]),
+    ])
+    def test_student_far_gaps_against_mpmath(self, nu, gaps):
+        # The integral route read 2282 for 6666.67 at nu = 4, gap 1e4, and
+        # raised at nu = 1000, gap 15, where R_ij is about 3e-25.  At the
+        # largest gaps the t density underflows while R_ij does not.
+        dof = DegreesOfFreedom(nu)
+        for gap in gaps:
+            for p in (PairParams(gap, 0.0, 1.0, 1.0, 0.0), PairParams(gap, 0.0, 0.7, 1.6, -0.4)):
+                assert mu_H(p, Family.STUDENT_T, dof) == pytest.approx(
+                    mp_mu_h(p, nu), rel=1e-13, abs=0), p
+
+    @pytest.mark.parametrize("nu", [None, 1.5, 4.0])
+    def test_equals_the_moment_integral_over_r(self, nu):
+        # The definition: mu_j plus the centred first-moment integral of
+        # f_{X_j} pi_ij, over R_ij.
+        family, dof = family_and_dof(nu)
+        p = PairParams(0.3, -0.2, 1.1, 0.9, 0.25)
+        integral = general_ec._pair_integral(general_ec._centred(p), family, dof, moment=True)
+        expected = p.mu_j + integral.value / reliability(p, family, dof)
+        assert mu_H(p, family, dof) == pytest.approx(expected, rel=1e-12, abs=0)
 
     def test_student_heavy_tail_against_moment_factor(self):
         # Exchangeable centered pair: 2 R mu_H equals half the pair GMD plus

@@ -6,7 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
-from scipy.special import betainc, ndtr
+from scipy.special import ndtr
 
 from gmd.errors import DomainError, MomentExistenceError
 from gmd.special import (
@@ -18,7 +18,7 @@ from gmd.special import (
     student_t_pdf,
 )
 
-from helpers import mp_lp_norm_std_normal
+from helpers import mp_lp_norm_std_normal, mp_student_t_cdf
 
 # Frozen with mpmath at 30 digits.
 PHI_AT_1 = 0.24197072451914337
@@ -269,19 +269,19 @@ class TestStudentTAccuracy:
             got = student_t_cdf(x, DegreesOfFreedom(nu)) - 0.5
             assert abs(got - float(exact)) <= 4 * np.finfo(float).eps
 
-    @pytest.mark.parametrize("nu", [0.5, 1.05, 2.0, 4.0, 30.0, 1e6])
-    def test_cdf_equals_the_branchwise_reference(self, nu):
-        # The same per-element arithmetic, written one np.where per choice:
-        # the same betainc arguments and reflection, so equal bits.
-        rng = np.random.default_rng(7)
-        x = np.concatenate([rng.standard_t(1.5, 2000) * 10.0 ** rng.integers(-8, 8, 2000),
-                            [0.0, -0.0, math.sqrt(nu), -math.sqrt(nu), 1e160, -1e200]])
-        with np.errstate(over="ignore"):
-            x2 = x * x
-        centre = x2 < nu
-        a = np.where(centre, 0.5, 0.5 * nu)
-        b = np.where(centre, 0.5 * nu, 0.5)
-        mass = 0.5 * betainc(a, b, np.where(centre, x2, nu) / (nu + x2))
-        below = np.where(centre, 0.5 - mass, mass)
-        expected = np.where(x < 0, below, 1.0 - below)
-        assert np.array_equal(student_t_cdf(x, DegreesOfFreedom(nu)), expected)
+    @pytest.mark.parametrize("nu", [0.5, 1.05, 1.5, 2.0, 4.0, 30.0, 100.0, 1e3, 1e4])
+    def test_cdf_against_mpmath_on_both_tails(self, nu):
+        # Relative on both sides of 0 for |x| from 1e-10 to 1e8, wherever
+        # F > 1e-290: a lower tail formed as 1/2 minus the centre mass lost
+        # its digits at large nu (0 for F = 8e-23 at nu = 1e3).
+        dof = DegreesOfFreedom(nu)
+        for size in np.logspace(-10.0, 8.0, 37):
+            for x in (-size, size):
+                exact = mp_student_t_cdf(x, nu)
+                if exact >= 1e-290:
+                    assert student_t_cdf(x, dof) == pytest.approx(exact, rel=1e-13, abs=0), x
+
+    @pytest.mark.parametrize("nu", [0.5, 4.0, 1e6])
+    def test_cdf_at_extreme_abscissae(self, nu):
+        x = np.array([-1e200, -1e160, -0.0, 0.0, 1e160, 1e200])
+        assert student_t_cdf(x, DegreesOfFreedom(nu)).tolist() == [0.0, 0.0, 0.5, 0.5, 1.0, 1.0]
