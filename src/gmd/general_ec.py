@@ -201,6 +201,16 @@ def _student_asymptote(
     return c_lo, c_hi, mu_j * 0.5 * (c_lo + c_hi) + (c_hi - c_lo) * half_moment
 
 
+def _singular_ends(family: Family, dof: DegreesOfFreedom | None) -> bool:
+    """Whether the pair integrands are singular at the ends of the tangent map.
+
+    A Student-t integrand here decays like |x|^-(nu+1) (a moment one once
+    its asymptote is off), so times the map's Jacobian, about x^2, it
+    behaves like (pi/2 - |t|)^(nu - 1) at t = +-pi/2: singular below nu = 2.
+    """
+    return family is Family.STUDENT_T and require_dof(dof).nu < 2.0
+
+
 def _pair_rows(params: np.ndarray, moment: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Pair rows in units of a power of two at or below each row's sigma_j.
 
@@ -285,7 +295,8 @@ def _pair_integral(
     integrand, share = _pair_batch(rows, family, dof, moment)
     local = rows[0].tolist()
     result = integrate_real_line(lambda x: integrand(x, 0), center=local[1], scale=local[3],
-                                 features=_skew_transition(*local))
+                                 features=_skew_transition(*local),
+                                 singular_ends=_singular_ends(family, dof))
     back = float(unit[0]) if moment else 1.0
     return dataclasses.replace(result, value=(result.value + float(share[0])) * back,
                                error=(result.error + float(rounding[0])) * back)
@@ -391,7 +402,8 @@ def gmd_quadrature(spec: ValidatedSpec, config: QuadratureConfig | None = None) 
         integrand, share = _pair_batch(local, spec.family, spec.dof, moment=True)
         results, rounds = integrate_real_line_batch(
             integrand, local[:, 1], local[:, 3],
-            [_skew_transition(*row) for row in local.tolist()], config)
+            [_skew_transition(*row) for row in local.tolist()], config,
+            _singular_ends(spec.family, spec.dof))
     except NonconvergenceError as exc:
         k = exc.integral // 2
         raise NonconvergenceError(f"pair ({rows[k]},{cols[k]}): {exc}", exc.integral) from exc

@@ -8,7 +8,10 @@ end panel whose bisection left more than 1/4 of its error in the child
 at the end.  That end's panel is then bisected 12 times toward the end
 in one round, a mesh graded geometrically toward the singularity
 (Piessens et al., QUADPACK, 1983, section 2.2), and each bisection
-counts against the subdivision budget.  It runs a batch of integrals
+counts against the subdivision budget.  A caller that knows both ends
+singular says so, and those ends are graded from the first round: an
+end panel's error estimate can fall short of its error, and the panel
+may never be bisected to show it.  It runs a batch of integrals
 together: each keeps its own panel heap, tolerances and subdivision
 budget, and each refinement round evaluates the new panels of every
 unconverged integral in one integrand call, so a round costs one set of
@@ -163,6 +166,7 @@ def _adaptive(
     hi: np.ndarray,
     owner: np.ndarray,
     config: QuadratureConfig | None,
+    singular_ends: bool = False,
 ) -> tuple[list[QuadratureResult], int]:
     """Adaptive GK15 quadrature of a batch of integrals, one round at a time.
 
@@ -175,8 +179,9 @@ def _adaptive(
     bisection counts against ``max_subdivisions``.  All new panels of the
     round, like all initial panels of the first, go to ``_gk15`` in one
     call.  Each decision reads only the integral's own state, so it takes
-    the same steps as it would alone.  Returns the results and the
-    rounds (``_gk15`` calls).
+    the same steps as it would alone.  ``singular_ends`` marks both ends
+    of every integral singular from the start.  Returns the results and
+    the rounds (``_gk15`` calls).
     """
     cfg = config or QuadratureConfig()
     count = int(owner[-1]) + 1
@@ -191,7 +196,8 @@ def _adaptive(
     total_errs = [0.0] * count
     panels = np.diff(starts).tolist()
     subdivisions = [0] * count
-    singular: set[tuple[int, bool]] = set()  # (integral, end is the upper one)
+    # (integral, end is the upper one)
+    singular = {(k, end) for k in range(count) for end in (False, True) if singular_ends}
     counter = 0
     for k, a, b, val, err in zip(owner.tolist(), lo.tolist(), hi.tolist(),
                                  vals.tolist(), errs.tolist()):
@@ -331,6 +337,7 @@ def integrate_real_line_batch(
     scales: Sequence[float],
     features: Sequence[Sequence[tuple[float, float]]],
     config: QuadratureConfig | None = None,
+    singular_ends: bool = False,
 ) -> tuple[list[QuadratureResult], int]:
     """Integrate a batch of integrands over (-inf, inf) together.
 
@@ -340,6 +347,9 @@ def integrate_real_line_batch(
     the integral that abscissa x[m] belongs to.  Returns one result per
     integral and the refinement rounds, each one call of f.  A
     ``NonconvergenceError`` names its integral in ``integral``.
+    ``singular_ends`` says that every mapped integrand behaves like
+    (pi/2 - |t|)^a with a < 1 at both ends: each end panel then starts
+    graded, as a panel at an end found singular is split.
     """
     center = np.asarray(centers, dtype=float)
     scale = np.asarray(scales, dtype=float)
@@ -354,9 +364,14 @@ def integrate_real_line_batch(
         return np.where(fx == 0.0, 0.0, fx * s * (1.0 + tan_t * tan_t))
 
     x, k = _edges_around(features)
-    panels = _initial_panels(-0.5 * math.pi, 0.5 * math.pi, center.size,
-                             np.arctan((x - center[k]) / scale[k]), k)
-    return _adaptive(g, *panels, config)
+    t = np.arctan((x - center[k]) / scale[k])
+    if singular_ends:
+        # The two end panels of the 8 equal first panels, graded toward their ends.
+        grade = np.array(_split_edges(0.375 * math.pi, 0.5 * math.pi, True, _END_SPLITS)[1:-1])
+        t = np.concatenate([t, np.tile(np.concatenate([-grade, grade]), center.size)])
+        k = np.concatenate([k, np.repeat(np.arange(center.size), 2 * grade.size)])
+    panels = _initial_panels(-0.5 * math.pi, 0.5 * math.pi, center.size, t, k)
+    return _adaptive(g, *panels, config, singular_ends)
 
 
 def integrate_real_line(
@@ -365,6 +380,7 @@ def integrate_real_line(
     center: float = 0.0,
     scale: float = 1.0,
     features: Sequence[tuple[float, float]] = (),
+    singular_ends: bool = False,
 ) -> QuadratureResult:
     """Integrate f over (-inf, inf) via x = center + scale*tan(t).
 
@@ -372,9 +388,10 @@ def integrate_real_line(
     affect efficiency, not the value.  features lists (location, width)
     pairs of transitions much narrower than scale, which get bracketed by
     initial panel edges so the adaptive refinement cannot overlook them.
+    singular_ends is as in ``integrate_real_line_batch``.
     """
     results, _ = integrate_real_line_batch(lambda x, _owner: f(x), [center], [scale],
-                                           [features], config)
+                                           [features], config, singular_ends)
     return results[0]
 
 

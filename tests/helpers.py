@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
@@ -13,16 +14,24 @@ from gmd import (
     Family,
     PairParams,
     ValidatedSpec,
+    general_ec,
+    monte_carlo,
+    normal_gmd,
     pair_params,
     skewing_normal,
     skewing_student,
     std_normal_cdf,
     std_normal_pdf,
+    student_gmd,
     student_t_cdf,
     student_t_pdf,
     validate,
 )
 from gmd.monte_carlo import BLOCK_VALUES
+
+# A 3-d spec with unequal scales, correlations of both signs and distinct means.
+MU_3D = np.array([0.0, 0.5, -1.0])
+SIGMA_3D = np.array([[1.0, 0.3, 0.1], [0.3, 2.0, 0.4], [0.1, 0.4, 1.5]])
 
 
 def swapped(p: PairParams) -> PairParams:
@@ -477,3 +486,30 @@ def reference_pair_stats(samples: np.ndarray) -> tuple[np.ndarray, float]:
             per_draw += diffs
     per_draw /= len(pair_means)
     return np.array(pair_means), float(per_draw.std(ddof=1) / math.sqrt(m))
+
+
+def quadrature_off_by(monkeypatch, estimates: float) -> None:
+    """Move every ``gmd_quadrature`` value by ``estimates`` times its own
+    error estimate, as a route that has gone wrong would."""
+    original = general_ec.gmd_quadrature
+
+    def off(spec: ValidatedSpec, config=None):
+        result = original(spec, config)
+        error = result.diagnostics["abs_error_estimate"]
+        return dataclasses.replace(result, value=result.value + estimates * error)
+
+    monkeypatch.setattr(general_ec, "gmd_quadrature", off)
+
+
+def monte_carlo_off_by(monkeypatch, standard_errors: float) -> None:
+    """Put every ``estimate_gmd`` value ``standard_errors`` of its own
+    standard errors above the closed form."""
+    original = monte_carlo.estimate_gmd
+
+    def off(spec: ValidatedSpec, cfg):
+        result = original(spec, cfg)
+        exact = (normal_gmd if spec.family is Family.NORMAL else student_gmd)(spec).value
+        return dataclasses.replace(
+            result, value=exact + standard_errors * result.diagnostics["std_error"])
+
+    monkeypatch.setattr(monte_carlo, "estimate_gmd", off)

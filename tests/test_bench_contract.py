@@ -5,6 +5,8 @@ attributes with timing wrappers.  A metric whose wrapped call has gone
 is left out of the benchmark result, so renaming or dropping one of
 those attributes silently removes a measured layer.  These tests keep
 the names in place and check that the exact path still enters them.
+``bench/oracle.py`` reads verify's report by its keys to tell which
+check failed; the last test keeps those keys.
 """
 
 import importlib.util
@@ -17,17 +19,24 @@ from gmd import cli
 from gmd.general_ec import gmd_quadrature
 from gmd.model import spec_from_json, validate
 
-TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+from helpers import monte_carlo_off_by, quadrature_off_by
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+TRACING = BENCH / "tracing.py"
 # Layers the exact path runs through; none of their wrapped calls may be absent.
 EXACT_LAYERS = ("cli", "special", "closed_form", "bounds")
 
 
-@pytest.fixture(scope="module")
-def tracing():
-    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+def _load(name: str, path: Path):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    return _load("bench_tracing", TRACING)
 
 
 def test_every_read_symbol_is_present(tracing):
@@ -117,3 +126,23 @@ def test_verify_path_enters_the_traced_calls(tracing, tmp_path, capsys):
     assert calls.get("quadrature._gk15", 0) == quad.diagnostics["quadrature_rounds"]
     assert [name for name in tracer.absent
             if name.split(".")[0] in ("general_ec", "quadrature")] == []
+
+
+@pytest.mark.parametrize("off_by, amount, cause", [
+    (quadrature_off_by, 10.0, "exit:2:verify-quad-check"),
+    (monte_carlo_off_by, 4.0, "exit:2:verify-mc-check-within-5se"),
+])
+def test_oracle_classifies_a_failed_verify(tmp_path, capsys, monkeypatch, off_by, amount, cause):
+    # The oracle names the failed check from abs_diff_quadrature, quad_tol
+    # and mc_std_error; a renamed key would read as an unparsable report.
+    oracle = _load("bench_oracle", BENCH / "oracle.py")
+    data = {"family": "student-t", "nu": 4.0, "mu": [0.0, 0.5],
+            "sigma": [[1.0, 0.3], [0.3, 2.0]]}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(data))
+    off_by(monkeypatch, amount)
+    code = cli.main(["verify", str(path), "--draws", "2000", "--seed", "3"])
+    out = capsys.readouterr().out
+    op = {"kind": "verify", "family": "student-t", "nu": 4.0, "offset": 0.0}
+    ref = oracle.load_reference(path, sample_seed=0)
+    assert oracle.check(op, code, out, None, None, ref) == cause

@@ -19,7 +19,15 @@ from gmd.model import GmdMethod, GmdResult, spec_from_dict, validate
 from gmd.monte_carlo import MonteCarloConfig, estimate_gmd, sample
 from gmd.special import DegreesOfFreedom
 
-from helpers import exchangeable_student_gmd, reference_output, stacked
+from helpers import (
+    MU_3D,
+    SIGMA_3D,
+    exchangeable_student_gmd,
+    monte_carlo_off_by,
+    quadrature_off_by,
+    reference_output,
+    stacked,
+)
 
 TWO_OVER_SQRT_PI = 1.1283791670955126
 
@@ -402,11 +410,15 @@ class TestVerifyCommand:
         assert report["abs_diff_quadrature"] <= 1e-6
         assert report["mc_diff_in_se"] <= 3.0
 
-    def test_fails_with_impossible_tolerance(self, capsys, iid_normal_spec):
-        code, out = run(capsys, "verify", iid_normal_spec,
-                        "--draws", "50000", "--seed", "2", "--mc-se", "1e-12")
+    def test_fails_with_impossible_tolerance(self, capsys, monkeypatch, iid_normal_spec):
+        # A Monte Carlo estimate 4 standard errors off fails the 3-SE check.
+        monte_carlo_off_by(monkeypatch, 4.0)
+        code, out = run(capsys, "verify", iid_normal_spec, "--draws", "50000", "--seed", "2")
+        report = json.loads(out)
         assert code == 2
-        assert json.loads(out)["pass"] is False
+        assert report["pass"] is False
+        assert report["mc_diff_in_se"] == pytest.approx(4.0, rel=1e-12)
+        assert report["mc_se_tol"] == 3.0
 
     def test_student_spec(self, capsys, student_spec):
         code, out = run(capsys, "verify", student_spec,
@@ -440,14 +452,18 @@ class TestVerifyCommand:
         assert report["decided_by"] == ["quadrature"]
         assert isinstance(report["mc_std_error"], float)
 
-    def test_no_variance_still_gates_on_quadrature(self, capsys, tmp_path):
-        code, out = run(capsys, "verify", self._heavy_spec(tmp_path, 1.5), "--draws", "2000",
-                        "--abs-tol", "1e-4", "--rel-tol", "1e-4", "--quad-tol", "1e-15")
-        assert code == 2 and json.loads(out)["pass"] is False
+    def test_no_variance_still_gates_on_quadrature(self, capsys, monkeypatch, tmp_path):
+        quadrature_off_by(monkeypatch, 10.0)
+        code, out = run(capsys, "verify", self._heavy_spec(tmp_path, 1.5), "--draws", "2000")
+        report = json.loads(out)
+        assert code == 2 and report["pass"] is False
+        assert report["mc_check"] == "n/a"
+        assert report["abs_diff_quadrature"] > report["quad_tol"]
 
-    def test_finite_variance_gates_on_monte_carlo(self, capsys, tmp_path):
+    def test_finite_variance_gates_on_monte_carlo(self, capsys, monkeypatch, tmp_path):
+        monte_carlo_off_by(monkeypatch, 4.0)
         code, out = run(capsys, "verify", self._heavy_spec(tmp_path, 4.0),
-                        "--draws", "2000", "--seed", "21", "--mc-se", "1e-12")
+                        "--draws", "2000", "--seed", "21")
         report = json.loads(out)
         assert code == 2 and report["pass"] is False
         assert report["abs_diff_quadrature"] <= report["quad_tol"]
@@ -460,13 +476,34 @@ class TestVerifyCommand:
         mc_row = next(line for line in out.splitlines() if line.startswith("monte-carlo"))
         assert code == 0 and "n/a" in mc_row and "SE" not in mc_row
 
-    def test_nonconvergence_exit_code(self, capsys, iid_normal_spec):
-        # Tolerances beyond float64 exhaust the subdivision budget.
-        code, out = run(capsys, "verify", iid_normal_spec,
-                        "--draws", "50000", "--abs-tol", "1e-300",
-                        "--rel-tol", "1e-300")
+    def test_nonconvergence_exit_code(self, capsys, tmp_path):
+        # A mean gap of 1e20 at unit scale is beyond what float64 resolves
+        # in quadrature's abscissae; the closed form still has its value.
+        spec = tmp_path / "far.json"
+        spec.write_text(json.dumps({"family": "normal", "mu": [1e20, 0.0],
+                                    "sigma": [[1.0, 0.0], [0.0, 1.0]]}))
+        code, out = run(capsys, "verify", str(spec), "--draws", "50000")
         assert code == 2
-        assert "converge" in json.loads(out)["errors"][0]
+        assert json.loads(out)["errors"] == [
+            "pair (0,1): mean gap 1e+20 is beyond what float64 resolves at scale 1.0"]
+
+    @pytest.mark.parametrize("factor", [2.0**-100, 1e-9, 1.0, 2.0**100, 1e12])
+    def test_verdict_does_not_depend_on_units(self, capsys, tmp_path, factor):
+        # The quadrature check reads the routes' own error estimates, so a
+        # spec passes in any units.  At a factor 2^k every value and
+        # estimate scales by exactly 2^k, and so does the tolerance.
+        reports = []
+        for scale in (1.0, factor):
+            spec = tmp_path / "scaled.json"
+            spec.write_text(json.dumps({"family": "student-t", "nu": 1.5,
+                                        "mu": (scale * MU_3D).tolist(),
+                                        "sigma": (scale**2 * SIGMA_3D).tolist()}))
+            code, out = run(capsys, "verify", str(spec), "--draws", "2000", "--seed", "3")
+            assert code == 0, out
+            reports.append(json.loads(out))
+        unit, scaled = (r["quad_tol"] / r["closed_form"] for r in reports)
+        if math.frexp(factor)[0] == 0.5:  # a power of two
+            assert scaled == unit
 
 
 class TestQuantileCommand:
@@ -550,13 +587,13 @@ class TestVerifyAtLargeOffset:
     OFFSET_SPEC = {"family": "student-t", "nu": 1.5, "mu": [10000.0, 10000.5],
                    "sigma": [[1.0, 0.3], [0.3, 1.0]]}
 
-    def test_failed_quadrature_check_exits_2_with_json(self, capsys, tmp_path):
-        # Loose quadrature tolerances leave a real closed-vs-quadrature gap
-        # above a --quad-tol of 1e-15; the verdict must still be a JSON boolean.
+    def test_failed_quadrature_check_exits_2_with_json(self, capsys, monkeypatch, tmp_path):
+        # A quadrature value 10 of its estimates off fails the quadrature
+        # check; the verdict must still be a JSON boolean.
+        quadrature_off_by(monkeypatch, 10.0)
         spec = tmp_path / "offset.json"
         spec.write_text(json.dumps(self.OFFSET_SPEC))
-        code, out = run(capsys, "verify", str(spec), "--draws", "2000", "--seed", "1",
-                        "--abs-tol", "1e-4", "--rel-tol", "1e-4", "--quad-tol", "1e-15")
+        code, out = run(capsys, "verify", str(spec), "--draws", "2000", "--seed", "1")
         report = json.loads(out)
         assert code == 2
         assert report["pass"] is False

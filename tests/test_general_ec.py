@@ -30,6 +30,8 @@ from gmd.quadrature import QuadratureConfig, integrate_real_line
 from gmd.special import DegreesOfFreedom, std_normal_cdf, std_normal_pdf, student_t_cdf
 
 from helpers import (
+    MU_3D,
+    SIGMA_3D,
     exchangeable_skew_gmd,
     exchangeable_student_gmd,
     max_pdf,
@@ -47,8 +49,6 @@ from helpers import (
 )
 
 INV_SQRT_PI = 0.5641895835477563  # mean of the 2*phi*Phi density
-MU_3D = np.array([0.0, 0.5, -1.0])
-SIGMA_3D = np.array([[1.0, 0.3, 0.1], [0.3, 2.0, 0.4], [0.1, 0.4, 1.5]])
 T_CDF_4_AT_1 = 0.8130495168499706  # frozen t CDF, 4 dof, at 1
 
 
@@ -66,9 +66,9 @@ def integral_calls(monkeypatch):
     calls = []
     original = quadrature._adaptive
 
-    def counted(f, lo, hi, owner, config):
+    def counted(f, lo, hi, owner, *args):
         calls.extend([1] * (int(owner[-1]) + 1))
-        return original(f, lo, hi, owner, config)
+        return original(f, lo, hi, owner, *args)
 
     monkeypatch.setattr(quadrature, "_adaptive", counted)
     return calls
@@ -622,6 +622,21 @@ class TestGmdQuadratureRoute:
         result = gmd_quadrature(spec)
         assert abs(result.value - mp_spec_gmd(spec)) <= result.diagnostics[
             "abs_error_estimate"]
+
+    @pytest.mark.parametrize("nu", [1.01, 1.02, 1.05, 1.1, 1.2])
+    def test_heavy_tail_within_estimate(self, nu):
+        # Below nu = 2 both ends of the tangent map are singular like
+        # (pi/2 - |t|)^(nu - 1).  An end panel that is never bisected can
+        # report less than its error: at nu 1.2, gap 1e-3 and sigma_0 2.25
+        # the lower end panel of the ordering with mu_j = gap did, by 2.5
+        # times.  The folded t law at 30 digits judges.
+        for gap in np.logspace(-6, 1, 15):
+            for sigma_0 in (1.0, 1.5, 2.25, 4.0):
+                spec = validate(DistributionSpec("student-t", [gap, 0.0],
+                                                 np.diag([sigma_0**2, 1.0]), nu=nu))
+                result = gmd_quadrature(spec)
+                assert abs(result.value - mp_spec_gmd(spec)) <= result.diagnostics[
+                    "abs_error_estimate"], (gap, sigma_0)
 
 
 class TestExchangeableSkewRoute:

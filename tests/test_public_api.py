@@ -2,16 +2,18 @@
 
 Every public name is API that a route, the CLI or a test relies on, so
 adding or dropping one is a deliberate change that updates this list.
-So is adding or dropping a parameter of a public callable, or an
-attribute of the spec, pair and result types.
+So is adding or dropping a parameter of a public callable, an attribute
+of the spec, pair and result types, or an option of a CLI subcommand.
 """
 
+import argparse
 import dataclasses
 import enum
 import inspect
 import types
 
 import gmd
+from gmd import cli
 
 PUBLIC = [
     "BoundReport",
@@ -149,3 +151,24 @@ def test_type_attributes_are_pinned():
         public = {a for a in dir(cls) if not a.startswith("_")}
         public |= {f.name for f in dataclasses.fields(cls)}
         assert sorted(public) == expected, name
+
+
+# The arguments of every CLI subcommand, help aside.
+OPTIONS = {
+    "closed-form": ["--nu", "--output", "spec"],
+    "bound": ["--nu", "--output", "spec"],
+    "estimate": ["--chunks", "--draws", "--dump", "--nu", "--output", "--seed", "spec"],
+    "verify": ["--chunks", "--draws", "--nu", "--output", "--seed", "spec"],
+    "quantile-gmd": ["--nu", "--output", "spec"],
+}
+
+
+def test_cli_options_are_pinned():
+    (commands,) = [a for a in cli._build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    options = {
+        name: sorted(a.option_strings[-1] if a.option_strings else a.dest
+                     for a in parser._actions if not isinstance(a, argparse._HelpAction))
+        for name, parser in commands.choices.items()
+    }
+    assert options == OPTIONS

@@ -174,6 +174,20 @@ class TestBatch:
         assert results[1] == alone
         assert rounds <= 10  # one bisection per round takes 35
 
+    def test_known_singular_ends_start_graded(self):
+        # Told that both ends are singular, the engine grades their panels
+        # before the first round instead of finding them singular later.
+        def f(x, _owner):
+            return (1.0 + x * x) ** -1.25
+
+        exact = math.gamma(0.5) * math.gamma(0.75) / math.gamma(1.25)
+        (found,), found_rounds = integrate_real_line_batch(f, [0.0], [1.0], [()])
+        (told,), told_rounds = integrate_real_line_batch(f, [0.0], [1.0], [()],
+                                                         singular_ends=True)
+        assert abs(told.value - exact) <= told.error
+        assert told.panels >= 8 + 2 * 12
+        assert told_rounds < found_rounds
+
     def test_panels_counted_with_graded_ends(self):
         # A split of one panel into p adds p panels for p - 1 bisections, and
         # a lone integral splits one panel per round after the first: so
