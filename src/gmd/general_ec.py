@@ -20,8 +20,9 @@ on pairs moved by their own location (``_centred``), so no abscissa
 carries a location offset.
 They run on adaptive quadrature with the densities and CDFs of
 ``special``, which makes this module the numerical cross-check for every
-closed form in ``closed_form``.  Each is one tangent-map integral over
-the real line.  ``_pair_batch`` builds the integrands of any number of
+closed form in ``closed_form``.  Each is one integral over the real
+line, mapped by ``quadrature`` as x = mu_j + sigma_j T(1 + T^2),
+T = tan(t).  ``_pair_batch`` builds the integrands of any number of
 pairs from a (mu_i, mu_j, sigma_i, sigma_j, rho) row per pair and one
 conditional-CDF formula, ``_conditional_cdf``, which the public
 ``skewing_*`` functions share.  ``gmd_quadrature`` builds those rows for
@@ -36,7 +37,9 @@ resolve at its scale.
 A Student-t moment integrand decays only like |x|^-nu, since pi_ij tends
 to a constant on each side, so those two limits are subtracted first
 and their share comes back in closed form from the marginal's partial
-first moment.  Only the normal and Student-t conditional laws ship.
+first moment.  The rest decays like |x|^-(nu+1), which the map leaves
+regular at both ends, like (pi/2 - |t|)^(3 nu - 1), for every nu > 1.
+Only the normal and Student-t conditional laws ship.
 
 Pairs with |rho| = 1 have a degenerate conditional law and are rejected
 here; the closed-form module owns the degenerate-pair convention.
@@ -201,21 +204,11 @@ def _student_asymptote(
     return c_lo, c_hi, mu_j * 0.5 * (c_lo + c_hi) + (c_hi - c_lo) * half_moment
 
 
-def _singular_ends(family: Family, dof: DegreesOfFreedom | None) -> bool:
-    """Whether the pair integrands are singular at the ends of the tangent map.
-
-    A Student-t integrand here decays like |x|^-(nu+1) (a moment one once
-    its asymptote is off), so times the map's Jacobian, about x^2, it
-    behaves like (pi/2 - |t|)^(nu - 1) at t = +-pi/2: singular below nu = 2.
-    """
-    return family is Family.STUDENT_T and require_dof(dof).nu < 2.0
-
-
 def _pair_rows(params: np.ndarray, moment: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Pair rows in units of a power of two at or below each row's sigma_j.
 
     Returns the rows in those units, the units, and per row the error
-    that rounding the abscissae x = mu_j + sigma_j tan(t) can add to its
+    that rounding the abscissae x = mu_j + sigma_j T(1 + T^2) can add to its
     integral, in the same units.  Dividing by a power of two is exact, so
     two rows that differ by such a factor become one row: they take the
     same panels, and their values differ by exactly that factor.  The
@@ -254,9 +247,9 @@ def _pair_batch(
     Returns f(x, owner), which evaluates pair owner[m]'s integrand at x[m],
     and the share each pair's integral gets back in closed form.  A
     Student-t moment integrand decays like |x|^-nu, too slowly for the
-    tangent map as nu nears 1, so pi_ij's limits (c- below mu_j, c+ above)
-    are subtracted from it; the remainder decays like |x|^-(nu+1), and the
-    subtracted part is the share.
+    real-line map as nu nears 1, so pi_ij's limits (c- below mu_j, c+
+    above) are subtracted from it; the remainder decays like |x|^-(nu+1),
+    and the subtracted part is the share.
     """
     mu_i, mu_j, sigma_i, sigma_j, rho = params.T
     for r in rho.tolist():
@@ -286,7 +279,7 @@ def _pair_integral(
 ) -> QuadratureResult:
     """Integral of f_{X_j}(x) pi_ij(x), times x if ``moment``, over the real line.
 
-    One tangent-map integral centred at mu_j, which puts a panel edge
+    One real-line integral centred at mu_j, which puts a panel edge
     there, of ``_pair_batch``'s integrand for the single pair, in the
     units of ``_pair_rows``.
     """
@@ -295,8 +288,7 @@ def _pair_integral(
     integrand, share = _pair_batch(rows, family, dof, moment)
     local = rows[0].tolist()
     result = integrate_real_line(lambda x: integrand(x, 0), center=local[1], scale=local[3],
-                                 features=_skew_transition(*local),
-                                 singular_ends=_singular_ends(family, dof))
+                                 features=_skew_transition(*local))
     back = float(unit[0]) if moment else 1.0
     return dataclasses.replace(result, value=(result.value + float(share[0])) * back,
                                error=(result.error + float(rounding[0])) * back)
@@ -377,7 +369,7 @@ def gmd_quadrature(spec: ValidatedSpec, config: QuadratureConfig | None = None) 
 
     Each pair is integrated with X_j's mean moved to 0 (GMD does not
     depend on location).  Both orderings of every pair are one batch of
-    tangent-map integrals: each keeps its own panels and tolerances, and
+    real-line integrals: each keeps its own panels and tolerances, and
     every refinement round evaluates all the batch's new panels in one
     integrand call.  Agrees with the closed forms to quadrature accuracy;
     diagnostics carry the accumulated per-pair quadrature error
@@ -402,8 +394,7 @@ def gmd_quadrature(spec: ValidatedSpec, config: QuadratureConfig | None = None) 
         integrand, share = _pair_batch(local, spec.family, spec.dof, moment=True)
         results, rounds = integrate_real_line_batch(
             integrand, local[:, 1], local[:, 3],
-            [_skew_transition(*row) for row in local.tolist()], config,
-            _singular_ends(spec.family, spec.dof))
+            [_skew_transition(*row) for row in local.tolist()], config)
     except NonconvergenceError as exc:
         k = exc.integral // 2
         raise NonconvergenceError(f"pair ({rows[k]},{cols[k]}): {exc}", exc.integral) from exc

@@ -8,10 +8,7 @@ end panel whose bisection left more than 1/4 of its error in the child
 at the end.  That end's panel is then bisected 12 times toward the end
 in one round, a mesh graded geometrically toward the singularity
 (Piessens et al., QUADPACK, 1983, section 2.2), and each bisection
-counts against the subdivision budget.  A caller that knows both ends
-singular says so, and those ends are graded from the first round: an
-end panel's error estimate can fall short of its error, and the panel
-may never be bisected to show it.  It runs a batch of integrals
+counts against the subdivision budget.  It runs a batch of integrals
 together: each keeps its own panel heap, tolerances and subdivision
 budget, and each refinement round evaluates the new panels of every
 unconverged integral in one integrand call, so a round costs one set of
@@ -20,14 +17,17 @@ quad_vec`` and of vectorized cubature, Berntsen, Espelid & Genz 1991).
 An integral takes the same steps in a batch as alone.
 ``integrate_interval`` and ``integrate_real_line`` are the one-integral
 case; ``integrate_real_line_batch`` is the batch.  Infinite domains go
-through the tangent substitution x = center + scale*tan(t).  An
-integrand that decays like |x|^-p needs p > 1 there and converges
-slowly as p nears 1, so callers with heavy tails subtract the slow part
-first and add its integral in closed form (``general_ec`` does so for
-Student-t moments).  ``integrate_real_line_split``, a central core plus
-tails extrapolated over doubling panels, is the older route for such
-tails; no route in the package calls it.  Every result counts the GK15
-panels it evaluated.
+through the substitution x = center + scale*T(1 + T^2), T = tan(t): it
+behaves like scale*tan(t) near the centre and like scale*tan(t)^3 at the
+ends, so an integrand that decays like |x|^-p behaves like
+(pi/2 - |t|)^(3p - 4) there (Davis & Rabinowitz, *Methods of Numerical
+Integration*, 1984, sections 2.9-2.12).  That is bounded for p >= 4/3
+and integrable for every p > 1, but converges slowly as p nears 1, so
+callers with heavy tails subtract the slow part first and add its
+integral in closed form (``general_ec`` does so for Student-t moments).
+``integrate_real_line_split``, a central core plus tails extrapolated
+over doubling panels, is the older route for such tails; no route in
+the package calls it.  Every result counts the GK15 panels it evaluated.
 
 Integrands must accept a numpy array of abscissae and return an array of
 values; a batch integrand also gets each abscissa's integral index.
@@ -166,7 +166,6 @@ def _adaptive(
     hi: np.ndarray,
     owner: np.ndarray,
     config: QuadratureConfig | None,
-    singular_ends: bool = False,
 ) -> tuple[list[QuadratureResult], int]:
     """Adaptive GK15 quadrature of a batch of integrals, one round at a time.
 
@@ -179,9 +178,8 @@ def _adaptive(
     bisection counts against ``max_subdivisions``.  All new panels of the
     round, like all initial panels of the first, go to ``_gk15`` in one
     call.  Each decision reads only the integral's own state, so it takes
-    the same steps as it would alone.  ``singular_ends`` marks both ends
-    of every integral singular from the start.  Returns the results and
-    the rounds (``_gk15`` calls).
+    the same steps as it would alone.  Returns the results and the rounds
+    (``_gk15`` calls).
     """
     cfg = config or QuadratureConfig()
     count = int(owner[-1]) + 1
@@ -197,7 +195,7 @@ def _adaptive(
     panels = np.diff(starts).tolist()
     subdivisions = [0] * count
     # (integral, end is the upper one)
-    singular = {(k, end) for k in range(count) for end in (False, True) if singular_ends}
+    singular: set[tuple[int, bool]] = set()
     counter = 0
     for k, a, b, val, err in zip(owner.tolist(), lo.tolist(), hi.tolist(),
                                  vals.tolist(), errs.tolist()):
@@ -331,25 +329,35 @@ def feature_edges(features: Sequence[tuple[float, float]]) -> np.ndarray:
     return _edges_around([features])[0]
 
 
+def _tan_t_of(y: np.ndarray) -> np.ndarray:
+    """tan(t) at the abscissa y = (x - center)/scale of the real-line map.
+
+    The map sends t to y = T(1 + T^2) with T = tan(t); its inverse is the
+    real root of T^3 + T = y, in closed form (2/sqrt(3))
+    sinh(asinh((3 sqrt(3)/2) y)/3), which is odd and increasing.  |y| is
+    capped at 1e300, where arctan(T) is already pi/2 in float64, so that
+    the factor cannot overflow.
+    """
+    y = np.clip(y, -1e300, 1e300)
+    return (2.0 / math.sqrt(3.0)) * np.sinh(np.arcsinh(1.5 * math.sqrt(3.0) * y) / 3.0)
+
+
 def integrate_real_line_batch(
     f: BatchIntegrand,
     centers: Sequence[float],
     scales: Sequence[float],
     features: Sequence[Sequence[tuple[float, float]]],
     config: QuadratureConfig | None = None,
-    singular_ends: bool = False,
 ) -> tuple[list[QuadratureResult], int]:
     """Integrate a batch of integrands over (-inf, inf) together.
 
-    Integral k maps x = centers[k] + scales[k]*tan(t) and brackets its own
-    ``features[k]``, as ``integrate_real_line`` does for one.  f(x, owner)
-    evaluates every integral's integrand at once: owner[m] is the index of
-    the integral that abscissa x[m] belongs to.  Returns one result per
-    integral and the refinement rounds, each one call of f.  A
-    ``NonconvergenceError`` names its integral in ``integral``.
-    ``singular_ends`` says that every mapped integrand behaves like
-    (pi/2 - |t|)^a with a < 1 at both ends: each end panel then starts
-    graded, as a panel at an end found singular is split.
+    Integral k maps x = centers[k] + scales[k]*T(1 + T^2), T = tan(t), and
+    brackets its own ``features[k]``, as ``integrate_real_line`` does for
+    one.  f(x, owner) evaluates every integral's integrand at once:
+    owner[m] is the index of the integral that abscissa x[m] belongs to.
+    Returns one result per integral and the refinement rounds, each one
+    call of f.  A ``NonconvergenceError`` names its integral in
+    ``integral``.
     """
     center = np.asarray(centers, dtype=float)
     scale = np.asarray(scales, dtype=float)
@@ -358,20 +366,17 @@ def integrate_real_line_batch(
 
     def g(t: np.ndarray, owner: np.ndarray) -> np.ndarray:
         tan_t = np.tan(t)
+        tan2 = tan_t * tan_t
+        sec2 = 1.0 + tan2
         s = scale[owner]
-        fx = np.asarray(f(center[owner] + s * tan_t, owner), dtype=float)
+        fx = np.asarray(f(center[owner] + s * (tan_t * sec2), owner), dtype=float)
         # 0 * huge jacobian := 0 so that underflowed densities stay zero.
-        return np.where(fx == 0.0, 0.0, fx * s * (1.0 + tan_t * tan_t))
+        return np.where(fx == 0.0, 0.0, fx * s * (1.0 + 3.0 * tan2) * sec2)
 
     x, k = _edges_around(features)
-    t = np.arctan((x - center[k]) / scale[k])
-    if singular_ends:
-        # The two end panels of the 8 equal first panels, graded toward their ends.
-        grade = np.array(_split_edges(0.375 * math.pi, 0.5 * math.pi, True, _END_SPLITS)[1:-1])
-        t = np.concatenate([t, np.tile(np.concatenate([-grade, grade]), center.size)])
-        k = np.concatenate([k, np.repeat(np.arange(center.size), 2 * grade.size)])
+    t = np.arctan(_tan_t_of((x - center[k]) / scale[k]))
     panels = _initial_panels(-0.5 * math.pi, 0.5 * math.pi, center.size, t, k)
-    return _adaptive(g, *panels, config, singular_ends)
+    return _adaptive(g, *panels, config)
 
 
 def integrate_real_line(
@@ -380,18 +385,16 @@ def integrate_real_line(
     center: float = 0.0,
     scale: float = 1.0,
     features: Sequence[tuple[float, float]] = (),
-    singular_ends: bool = False,
 ) -> QuadratureResult:
-    """Integrate f over (-inf, inf) via x = center + scale*tan(t).
+    """Integrate f over (-inf, inf) via x = center + scale*T(1 + T^2), T = tan(t).
 
     center/scale should locate the bulk of the integrand's mass; they only
     affect efficiency, not the value.  features lists (location, width)
     pairs of transitions much narrower than scale, which get bracketed by
     initial panel edges so the adaptive refinement cannot overlook them.
-    singular_ends is as in ``integrate_real_line_batch``.
     """
     results, _ = integrate_real_line_batch(lambda x, _owner: f(x), [center], [scale],
-                                           [features], config, singular_ends)
+                                           [features], config)
     return results[0]
 
 

@@ -453,10 +453,11 @@ class TestGmdQuadratureRoute:
         assert type(rounds) is int
         assert 1 <= rounds <= 1 + result.diagnostics["quadrature_subdivisions"]
 
-    @pytest.mark.parametrize("nu, most", [(1.05, 700), (2.0, 100), (4.0, 84)])
+    @pytest.mark.parametrize("nu, most", [(1.05, 150), (2.0, 100), (4.0, 88)])
     def test_panels_per_spec(self, nu, most):
-        # Every t moment has its limits subtracted, so the heavy tails at
-        # nu <= 2 cost a few hundred GK15 panels, not thousands.
+        # Every t moment has its limits subtracted, and the real-line map
+        # leaves the rest regular at both ends, so the heavy tails at
+        # nu <= 2 cost about as many GK15 panels as light ones.
         for offset in (0.0, 1e8):
             spec = validate(DistributionSpec("student-t", offset + MU_3D, SIGMA_3D,
                                              nu=nu))
@@ -531,31 +532,52 @@ class TestGmdQuadratureRoute:
 
     def test_nonconvergence_names_the_pair(self):
         # A scale ratio of 1e3 puts a conditional-CDF transition far narrower
-        # than the marginal into the integrand; it needs more than ten
-        # subdivisions (sixteen in all at the default budget).
+        # than the marginal into the integrand; at a tolerance of 1e-15 it
+        # needs more than ten subdivisions.
         spec = validate(DistributionSpec("student-t", [0.0, 0.5], np.diag([1.0, 1e-6]), nu=1.5))
-        tiny = QuadratureConfig(abs_tol=1e-13, rel_tol=1e-13, max_subdivisions=10)
+        tiny = QuadratureConfig(abs_tol=1e-15, rel_tol=1e-15, max_subdivisions=10)
         with pytest.raises(NonconvergenceError, match=r"pair \(0,1\)"):
             gmd_quadrature(spec, tiny)
 
     @pytest.mark.parametrize("nu, most", [(1.05, 15), (1.5, 12)])
     def test_heavy_tail_rounds(self, nu, most):
-        # The moment remainder behaves like (pi/2 - t)^(nu - 1) at the ends of
-        # the tangent map; panels graded toward a singular end resolve it in a
-        # few rounds (one bisection per round takes 45 at nu 1.05 and 31 at 1.5).
+        # The moment remainder decays like |x|^-(nu + 1), which the real-line
+        # map turns into (pi/2 - |t|)^(3 nu - 1) at its ends: regular, so no
+        # end is graded and a few rounds of bisection resolve it.
         spec = validate(DistributionSpec("student-t", MU_3D, SIGMA_3D, nu=nu))
         result = gmd_quadrature(spec)
         assert result.diagnostics["quadrature_rounds"] <= most
         assert abs(result.value - student_gmd(spec).value) <= result.diagnostics[
             "abs_error_estimate"]
 
-    @pytest.mark.parametrize("nu, panels", [(None, 114), (2.0, 84), (4.0, 84), (30.0, 92)])
+    @pytest.mark.parametrize("nu, panels", [(None, 126), (2.0, 84), (4.0, 88), (30.0, 112)])
     def test_smooth_ends_keep_their_panels(self, nu, panels):
-        # At nu >= 2 the ends are smooth, so no end is graded: the panels
-        # of one bisection per round.
+        # The real-line map leaves every end regular, so no end is graded:
+        # the panels of one bisection per round.
         family = "normal" if nu is None else "student-t"
         spec = validate(DistributionSpec(family, MU_3D, SIGMA_3D, nu=nu))
         assert gmd_quadrature(spec).diagnostics["quadrature_panels"] == panels
+
+    @pytest.mark.parametrize("nu", [None, 1.001, 1.05, 1.5, 2.0, 4.0, 30.0])
+    def test_no_end_is_graded(self, nu, monkeypatch):
+        # The real-line map leaves every pair integrand regular at both ends,
+        # so no end panel is ever bisected more than once in a round.
+        family = "normal" if nu is None else "student-t"
+        graded = []
+        split_edges = quadrature._split_edges
+
+        def spy(lo, hi, toward_hi, m):
+            if m > 1:
+                graded.append((lo, hi))
+            return split_edges(lo, hi, toward_hi, m)
+
+        monkeypatch.setattr(quadrature, "_split_edges", spy)
+        rng = np.random.default_rng(3)
+        a = rng.normal(size=(3, 3))
+        for mu, sigma in ((MU_3D, SIGMA_3D), (rng.normal(0.0, 2.0, 3), a @ a.T + 1.5 * np.eye(3))):
+            for offset in (0.0, 1e8):
+                gmd_quadrature(validate(DistributionSpec(family, offset + mu, sigma, nu=nu)))
+                assert graded == [], offset
 
     @pytest.mark.parametrize("nu", [None, 1.05, 1.5, 4.0])
     @pytest.mark.parametrize("power", [300, -300])
@@ -623,20 +645,26 @@ class TestGmdQuadratureRoute:
         assert abs(result.value - mp_spec_gmd(spec)) <= result.diagnostics[
             "abs_error_estimate"]
 
-    @pytest.mark.parametrize("nu", [1.01, 1.02, 1.05, 1.1, 1.2])
+    @pytest.mark.parametrize("nu", [1.001, 1.01, 1.02, 1.05, 1.1, 1.2, 1.5, 2.0, 2.5, 3.0])
     def test_heavy_tail_within_estimate(self, nu):
-        # Below nu = 2 both ends of the tangent map are singular like
-        # (pi/2 - |t|)^(nu - 1).  An end panel that is never bisected can
-        # report less than its error: at nu 1.2, gap 1e-3 and sigma_0 2.25
-        # the lower end panel of the ordering with mu_j = gap did, by 2.5
-        # times.  The folded t law at 30 digits judges.
-        for gap in np.logspace(-6, 1, 15):
-            for sigma_0 in (1.0, 1.5, 2.25, 4.0):
-                spec = validate(DistributionSpec("student-t", [gap, 0.0],
-                                                 np.diag([sigma_0**2, 1.0]), nu=nu))
-                result = gmd_quadrature(spec)
-                assert abs(result.value - mp_spec_gmd(spec)) <= result.diagnostics[
-                    "abs_error_estimate"], (gap, sigma_0)
+        # The moment remainder decays like |x|^-(nu + 1), and the real-line
+        # map's ends are wide panels in x: an end panel that is never
+        # bisected can report less than its error.  Under the tangent map, at
+        # nu 1.2, gap 1e-3 and sigma_0 2.25 the lower end panel of the
+        # ordering with mu_j = gap did, by 2.5 times.  The grid adds
+        # correlated pairs, sigma_0 up to 30 and nu >= 2, whose end panels
+        # are regular but just as wide.  The folded t law at 30 digits judges.
+        cases = [(gap, sigma_0, 0.0) for gap in np.logspace(-6, 1, 15)
+                 for sigma_0 in (1.0, 1.5, 2.25, 4.0)]
+        cases += [(gap, sigma_0, rho) for gap in (1e-6, 1e-3, 0.1, 1.0, 10.0)
+                  for sigma_0 in (1.0, 2.25, 30.0) for rho in (-0.7, 0.0, 0.7)]
+        for gap, sigma_0, rho in cases:
+            spec = validate(DistributionSpec("student-t", [gap, 0.0],
+                                             [[sigma_0**2, rho * sigma_0], [rho * sigma_0, 1.0]],
+                                             nu=nu))
+            result = gmd_quadrature(spec)
+            assert abs(result.value - mp_spec_gmd(spec)) <= result.diagnostics[
+                "abs_error_estimate"], (gap, sigma_0, rho)
 
 
 class TestExchangeableSkewRoute:
