@@ -357,7 +357,8 @@ def _cmd_quantile(args: argparse.Namespace) -> int:
         nu = spec.dof.nu
         q = closed_form.QuantileFunction(lambda u: stdtrit(nu, u),
                                          tail=_student_t_quantile_tail(spec.dof))
-    value = sd1 * closed_form.quantile_gmd(q)
+    result = closed_form.quantile_gmd(q)
+    value = sd1 * result.value
     with warnings.catch_warnings():
         # gini_index warns on a negative mean; the report says so in gini_note.
         warnings.simplefilter("ignore", UserWarning)
@@ -370,6 +371,9 @@ def _cmd_quantile(args: argparse.Namespace) -> int:
     }
     if mu1 < 0:
         report["gini_note"] = "interpretation requires a nonnegative variable"
+    report["abs_error_estimate"] = sd1 * result.diagnostics["abs_error_estimate"]
+    report["quadrature_panels"] = result.diagnostics["quadrature_panels"]
+    report["quadrature_rounds"] = result.diagnostics["quadrature_rounds"]
     _emit(report, args.output)
     return EXIT_OK
 

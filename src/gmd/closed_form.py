@@ -17,8 +17,8 @@ so the value does not depend on a common location offset.
 handful of array calls.  The paper writes the same value as two ordered
 brackets per pair; the test suite keeps that form as the kernel's oracle.
 
-Also here: the quantile-integral route for i.i.d. variables and the
-Gini index.
+Also here: the quantile-integral route for i.i.d. variables, taken on
+the real line in y = logit(u), and the Gini index.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .model import (
     ValidatedSpec,
     pair_differences,
 )
-from .quadrature import QuadratureConfig, integrate_interval
+from .quadrature import _EPS, integrate_interval, integrate_real_line_batch
 from .special import (
     std_normal_cdf,
     std_normal_pdf,
@@ -126,11 +126,6 @@ class QuantileFunction:
     tail: tuple[float, float] | None = None
 
 
-_QUANTILE_EPS = 1e-12
-# Twice the default subdivision budget, for F^{-1}'s endpoint singularities.
-_QUANTILE_CONFIG = QuadratureConfig(max_subdivisions=4000)
-
-
 def _power_tail(tail: tuple[float, float]) -> tuple[float, float]:
     k, a = (float(t) for t in tail)
     if not (math.isfinite(k) and k > 0 and math.isfinite(a) and a > 0):
@@ -140,7 +135,7 @@ def _power_tail(tail: tuple[float, float]) -> tuple[float, float]:
     return k, a
 
 
-def quantile_gmd(q: QuantileFunction) -> float:
+def quantile_gmd(q: QuantileFunction) -> GmdResult:
     """Classical i.i.d. GMD: twice the integral of (2u - 1) F^{-1}(u) over (0,1).
 
     E|X - Y| = 2 * (mean of the 2fF order-statistic density minus the
@@ -148,27 +143,33 @@ def quantile_gmd(q: QuantileFunction) -> float:
     factor two is what makes the uniform come out 1/3 and the unit
     exponential 1.
 
-    Without a declared tail the integral runs over (eps, 1-eps) with
-    eps = 1e-12; the adaptive engine bisects geometrically toward the
-    endpoints, where F^{-1} may diverge slowly while the integral
-    converges, and the mass beyond the cut is dropped: the normal
-    quantile comes out about 2.5e-11 relative below 2/sqrt(pi), the
-    uniform about 6e-12 below 1/3.  With a declared tail (K, a) the asymptote
-    A(u) = K [(1 - u)^-a - u^-a] is subtracted, the bounded remainder
-    (2u - 1) (F^{-1}(u) - A(u)) is integrated over all of [0, 1], and
-    the asymptote's share, the integral of (2u - 1) A(u), is added in
-    closed form: 2 a K / ((1 - a) (2 - a)).  Nothing is cut, so heavy
-    tails (a near 1) lose no mass and take few panels.  The integral is
-    taken in units of a power of two at or below the quantile's
-    interquartile spread on the grid, so the tolerances apply on the law's
-    own scale and a quantile scaled by 2^k gives 2^k times the value; the
-    normal and every t with a mean have a spread in [1, 2), unit 1.  A
-    quantile that is decreasing on a 1000-point grid is rejected, as is a
-    declared tail with a >= 1, whose law has no mean (``MomentExistenceError``).
-    """
-    tail = None if q.tail is None else _power_tail(q.tail)
+    The integral runs over y on the real line, u = expit(y) and
+    du = u (1 - u) dy, on the real-line map at centre 0 and scale 1 (Davis &
+    Rabinowitz, *Methods of Numerical Integration*, 1984, sections
+    2.9-2.12).  The distance to the nearer end, p = e/(1 + e) with
+    e = exp(-|y|), is formed without subtraction; the upper half evaluates
+    ``q.eval`` at 1 - p and is zero where that rounds to 1.  A declared
+    tail (K, a) has its asymptote A(u) = K [(1 - u)^-a - u^-a] subtracted,
+    the bounded remainder cut where p < 1e-100, and A's share
+    2 a K / ((1 - a) (2 - a)) added in closed form, so heavy tails (a near
+    1) take few panels.  A bound on the mass beyond each cut joins the
+    error estimate.  The integral is taken in units of a power of two at or
+    below the quantile's interquartile spread on a 1000-point grid, so the
+    tolerances apply on the law's own scale and a quantile scaled by 2^k
+    gives 2^k times the value.  A quantile that is decreasing or not finite
+    on the grid is rejected, as is a tail with a >= 1, whose law has no
+    mean (``MomentExistenceError``).
 
-    grid = np.linspace(_QUANTILE_EPS, 1.0 - _QUANTILE_EPS, 1000)
+    Returns a ``GmdResult`` of method Quantile; its one pair value is the
+    GMD of two i.i.d. copies, and its diagnostics carry
+    ``abs_error_estimate`` and the quadrature's subdivisions, panels and
+    rounds.
+    """
+    # No tail is K = 0, whose asymptote and share are 0.
+    k, a = (0.0, 0.0) if q.tail is None else _power_tail(q.tail)
+
+    # 1000 interior points, symmetric about 1/2.
+    grid = np.linspace(0.0, 1.0, 1002)[1:-1]
     values = np.asarray(q.eval(grid), dtype=float)
     if not np.all(np.isfinite(values)):
         raise DomainError("quantile function returned non-finite values on (0,1)")
@@ -176,30 +177,51 @@ def quantile_gmd(q: QuantileFunction) -> float:
     tol = 1e-9 * max(1.0, float(np.max(np.abs(values))))
     if np.any(diffs < -tol):
         raise DomainError("quantile function is not nondecreasing on (0,1)")
-    # grid[250] and grid[749] lie 2.5e-4 inside the quartiles, symmetrically.
+    # grid[250] and grid[749] lie 7.5e-4 inside the quartiles, symmetrically.
     spread = float(values[749] - values[250])
     unit = math.ldexp(0.5, math.frexp(spread)[1]) if spread > 0 else 1.0
+    # scipy's ``stdtrit`` saturates near u = 1e-150 and returns inf at some u
+    # below that; a tail's remainder beyond 1e-100 has mass of order K 1e-100.
+    cut = 1e-100 if k else 0.0
 
-    if tail is None:
-        lo, hi, asymptote_share = _QUANTILE_EPS, 1.0 - _QUANTILE_EPS, 0.0
-
-        def integrand(u: np.ndarray) -> np.ndarray:
-            return (2.0 * u - 1.0) * np.asarray(q.eval(u), dtype=float) / unit
-    else:
-        k, a = tail
-        lo, hi, asymptote_share = 0.0, 1.0, 2.0 * a * k / ((1.0 - a) * (2.0 - a))
-
-        def integrand(u: np.ndarray) -> np.ndarray:
-            asymptote = k * ((1.0 - u) ** -a - u ** -a)
-            return (2.0 * u - 1.0) * (np.asarray(q.eval(u), dtype=float) - asymptote) / unit
+    def integrand(y: np.ndarray) -> np.ndarray:
+        e = np.exp(-np.abs(y))
+        p = e / (1.0 + e)
+        upper = y > 0.0
+        # F^{-1} is reached at 1 - p: the distance of that point to 1 stands
+        # for p, so that the asymptote is taken at the same point.
+        p = np.where(upper, 1.0 - (1.0 - p), p)
+        keep = p > cut
+        lo, hi = keep & ~upper, keep & upper
+        x = np.zeros_like(y)
+        x[lo] = q.eval(p[lo])
+        x[hi] = q.eval(1.0 - p[hi])
+        # A is odd about u = 1/2: sign(y) K [p^-a - (1 + e)^a].
+        x[keep] -= np.sign(y[keep]) * k * (p[keep] ** -a - (1.0 + e[keep]) ** a)
+        return np.tanh(0.5 * y) * x * (e / ((1.0 + e) * (1.0 + e))) / unit
 
     try:
-        res = integrate_interval(integrand, lo, hi, _QUANTILE_CONFIG)
+        (res,), rounds = integrate_real_line_batch(lambda y, _owner: integrand(y),
+                                                   [0.0], [1.0], [()])
     except NonconvergenceError as exc:
         raise NonconvergenceError(
             f"quantile integral did not converge (divergent mean?): {exc}"
         ) from exc
-    return max(0.0, 2.0 * (res.value * unit + asymptote_share))
+    # A cut at p = c drops about c times the quantile there, and the
+    # integrand at p = 2c is about twice that.  The upper half is also cut
+    # where 1 - p rounds to 1.
+    cuts = ((-1.0, cut), (1.0, max(cut, 0.5 * _EPS)))
+    ends = np.array([side * math.log(0.5 / c - 1.0) for side, c in cuts if c > 0.0])
+    cut_mass = float(np.abs(integrand(ends)).sum())
+    share = 2.0 * a * k / ((1.0 - a) * (2.0 - a))
+    value = max(0.0, 2.0 * (res.value * unit + share))
+    result = GmdResult(value, GmdMethod.QUANTILE, np.array([value]))
+    result.diagnostics["abs_error_estimate"] = 2.0 * (
+        (res.error + cut_mass) * unit + 2.0 * _EPS * (abs(res.value) * unit + share))
+    result.diagnostics["quadrature_subdivisions"] = res.subdivisions
+    result.diagnostics["quadrature_panels"] = res.panels
+    result.diagnostics["quadrature_rounds"] = rounds
+    return result
 
 
 def gini_index(gmd_value: float, mu1: float) -> float:

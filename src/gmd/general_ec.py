@@ -186,14 +186,20 @@ def _centred(p: PairParams) -> PairParams:
 def _student_asymptote(
     mu_j: np.ndarray, sigma_i: np.ndarray, sigma_j: np.ndarray, rho: np.ndarray,
     dof: DegreesOfFreedom,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per pair, pi_ij's limits c- at -inf and c+ at +inf, and the integral
-    of x f_{X_j}(x) c(x) with c = c+ above mu_j and c- below it.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per pair, pi_ij's limits c- at -inf and c+ at +inf, the integral
+    of x f_{X_j}(x) c(x) with c = c+ above mu_j and c- below it, and a
+    bound on the rounding of the moment it is part of.
 
     The skewing argument tends to -k and +k with
     k = sqrt((nu+1)/(1-rho^2)) (sigma_j/sigma_i - rho), so c+- = T_{nu+1}(+-k).
     X_j's partial first moments above and below mu_j are
-    mu_j/2 +- sigma_j nu/(nu-1) f_nu(0).
+    mu_j/2 +- h, h = sigma_j nu/(nu-1) f_nu(0).  pi_ij and c+- carry a few
+    eps of themselves (``stdtr`` about 2), weighted by |x| f_{X_j} in the
+    moment, which so carries about eps (c- + c+) (|mu_j|/2 + h): many eps
+    of the moment where h grows like 1/(nu - 1) and c+ - c- cancels.  The
+    bound is 8 eps times that; 2,924 moments with nu - 1 in [3e-7, 1e-3]
+    needed at most 4.9 against mpmath.
     """
     nu = dof.nu
     k = np.sqrt((nu + 1.0) / (1.0 - rho * rho)) * (sigma_j / sigma_i - rho)
@@ -201,7 +207,8 @@ def _student_asymptote(
     c_lo = student_t_cdf(-k, conditional)
     c_hi = student_t_cdf(k, conditional)
     half_moment = sigma_j * nu / (nu - 1.0) * student_t_pdf(0.0, dof)
-    return c_lo, c_hi, mu_j * 0.5 * (c_lo + c_hi) + (c_hi - c_lo) * half_moment
+    return (c_lo, c_hi, mu_j * 0.5 * (c_lo + c_hi) + (c_hi - c_lo) * half_moment,
+            8.0 * _EPS * (c_lo + c_hi) * (0.5 * np.abs(mu_j) + half_moment))
 
 
 def _pair_rows(params: np.ndarray, moment: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -240,25 +247,25 @@ def _pair_batch(
     family: Family,
     dof: DegreesOfFreedom | None,
     moment: bool,
-) -> tuple[BatchIntegrand, np.ndarray]:
+) -> tuple[BatchIntegrand, np.ndarray, np.ndarray]:
     """The integrands of f_{X_j}(x) pi_ij(x), times x if ``moment``, for a batch of pairs.
 
     Row k of ``params`` is pair k's (mu_i, mu_j, sigma_i, sigma_j, rho).
     Returns f(x, owner), which evaluates pair owner[m]'s integrand at x[m],
-    and the share each pair's integral gets back in closed form.  A
-    Student-t moment integrand decays like |x|^-nu, too slowly for the
-    real-line map as nu nears 1, so pi_ij's limits (c- below mu_j, c+
-    above) are subtracted from it; the remainder decays like |x|^-(nu+1),
-    and the subtracted part is the share.
+    the share each pair's integral gets back in closed form, and a bound
+    on its rounding.  A Student-t moment integrand decays like |x|^-nu,
+    too slowly for the real-line map as nu nears 1, so pi_ij's limits (c-
+    below mu_j, c+ above) are subtracted from it; the remainder decays like
+    |x|^-(nu+1), and the subtracted part is the share.
     """
     mu_i, mu_j, sigma_i, sigma_j, rho = params.T
     for r in rho.tolist():
         _require_nondegenerate(r)
     law = None if family is Family.NORMAL else require_dof(dof)
     subtract = moment and law is not None
-    share = np.zeros(len(params))
+    share = share_error = np.zeros(len(params))
     if subtract:
-        c_lo, c_hi, share = _student_asymptote(mu_j, sigma_i, sigma_j, rho, law)
+        c_lo, c_hi, share, share_error = _student_asymptote(mu_j, sigma_i, sigma_j, rho, law)
 
     def integrand(x: np.ndarray, owner: np.ndarray) -> np.ndarray:
         m_j, s_j = mu_j[owner], sigma_j[owner]
@@ -268,7 +275,7 @@ def _pair_batch(
         weight = _marginal_pdf(x, m_j, s_j, family, law) * skew
         return x * weight if moment else weight
 
-    return integrand, share
+    return integrand, share, share_error
 
 
 def _pair_integral(
@@ -285,13 +292,13 @@ def _pair_integral(
     """
     row = np.array([(p.mu_i, p.mu_j, p.sigma_i, p.sigma_j, p.rho_ij)])
     rows, unit, rounding = _pair_rows(row, moment)
-    integrand, share = _pair_batch(rows, family, dof, moment)
+    integrand, share, share_error = _pair_batch(rows, family, dof, moment)
     local = rows[0].tolist()
     result = integrate_real_line(lambda x: integrand(x, 0), center=local[1], scale=local[3],
                                  features=_skew_transition(*local))
     back = float(unit[0]) if moment else 1.0
     return dataclasses.replace(result, value=(result.value + float(share[0])) * back,
-                               error=(result.error + float(rounding[0])) * back)
+                               error=(result.error + float(rounding[0] + share_error[0])) * back)
 
 
 def reliability_quadrature(p: PairParams, family: Family,
@@ -391,7 +398,7 @@ def gmd_quadrature(spec: ValidatedSpec, config: QuadratureConfig | None = None) 
     ], axis=1).reshape(-1, 5)
     try:
         local, unit, rounding = _pair_rows(params, moment=True)
-        integrand, share = _pair_batch(local, spec.family, spec.dof, moment=True)
+        integrand, share, share_error = _pair_batch(local, spec.family, spec.dof, moment=True)
         results, rounds = integrate_real_line_batch(
             integrand, local[:, 1], local[:, 3],
             [_skew_transition(*row) for row in local.tolist()], config)
@@ -400,7 +407,7 @@ def gmd_quadrature(spec: ValidatedSpec, config: QuadratureConfig | None = None) 
         raise NonconvergenceError(f"pair ({rows[k]},{cols[k]}): {exc}", exc.integral) from exc
     moments = (np.array([r.value for r in results]) + share) * unit
     values = 2.0 * (moments[0::2] + moments[1::2]) - gap
-    errors = ((np.array([r.error for r in results]) + rounding) * unit).tolist()
+    errors = ((np.array([r.error for r in results]) + rounding + share_error) * unit).tolist()
     # Forming 2 (I_ij + I_ji) - gap rounds each term by up to about eps of
     # its size, which a quadrature estimate far below eps does not cover.
     assembly = (2.0 * _EPS * (2.0 * (np.abs(moments[0::2]) + np.abs(moments[1::2]))

@@ -1,20 +1,16 @@
 """Adaptive Gauss-Kronrod quadrature over finite intervals and the real line.
 
 The engine is a 15-point Kronrod rule with the embedded 7-point Gauss rule
-for error estimation, refined by splitting the panel with the largest
-error until both tolerances are met.  A split is one bisection, except
-at an end of the integral's domain that has shown itself singular: an
-end panel whose bisection left more than 1/4 of its error in the child
-at the end.  That end's panel is then bisected 12 times toward the end
-in one round, a mesh graded geometrically toward the singularity
-(Piessens et al., QUADPACK, 1983, section 2.2), and each bisection
-counts against the subdivision budget.  It runs a batch of integrals
-together: each keeps its own panel heap, tolerances and subdivision
-budget, and each refinement round evaluates the new panels of every
-unconverged integral in one integrand call, so a round costs one set of
-numpy calls whatever the batch size (the layout of ``scipy.integrate.
-quad_vec`` and of vectorized cubature, Berntsen, Espelid & Genz 1991).
-An integral takes the same steps in a batch as alone.
+for error estimation, refined by bisection: each round an integral bisects
+its worst panels, as many as its error beyond the tolerance needs
+(QUADPACK's worst-first bisection, Piessens et al., 1983, several panels
+at a time), so rounds of bisection grade the mesh toward a rough end.
+It runs a batch of integrals together: each keeps its own panel heap,
+tolerances and subdivision budget, and each round evaluates the new
+panels of every unconverged integral in one integrand call, so a round
+costs one set of numpy calls whatever the batch size (the layout of
+``scipy.integrate.quad_vec`` and of vectorized cubature, Berntsen, Espelid
+& Genz 1991).  An integral takes the same steps in a batch as alone.
 ``integrate_interval`` and ``integrate_real_line`` are the one-integral
 case; ``integrate_real_line_batch`` is the batch.  Infinite domains go
 through the substitution x = center + scale*T(1 + T^2), T = tan(t): it
@@ -135,31 +131,6 @@ def _gk15(
     return sk * half, np.maximum(err, 50.0 * _EPS * resabs)
 
 
-# An end panel whose bisection leaves more than this share of its error in
-# the child at the domain end marks that end singular.  A smooth
-# integrand's GK15 error falls by about 2^-20 per bisection; an end
-# behaviour (end - t)^a keeps 2^-(1+a) of it, more than 1/4 for a < 1.
-_END_RATIO = 0.25
-# Bisections a singular end's panel takes in one round, each halving the
-# part at the end: m + 1 panels, graded geometrically toward the end.
-_END_SPLITS = 12
-
-
-def _split_edges(lo: float, hi: float, toward_hi: bool, m: int) -> list[float]:
-    """Edges of m successive bisections of [lo, hi], each of the half at
-    ``hi`` (or ``lo``): m = 1 is the midpoint.  Stops early where float64
-    runs out; [lo, hi] alone means the panel cannot be split."""
-    cuts: list[float] = []
-    inner, end = (lo, hi) if toward_hi else (hi, lo)
-    for _ in range(m):
-        p = 0.5 * (inner + end)
-        if p == inner or p == end:
-            break
-        cuts.append(p)
-        inner = p
-    return [lo, *cuts, hi] if toward_hi else [lo, *reversed(cuts), hi]
-
-
 def _adaptive(
     f: BatchIntegrand,
     lo: np.ndarray,
@@ -172,30 +143,28 @@ def _adaptive(
     Integral k starts from the panels [lo[m], hi[m]] with owner[m] = k,
     given in order and grouped by integral, and keeps its own heap,
     tolerances and subdivision budget.  In each round every unconverged
-    integral splits its worst panel: it bisects it, or, when the panel
-    lies at an end of the integral's domain that ``_END_RATIO`` has found
-    singular, bisects it ``_END_SPLITS`` times toward that end.  Every
-    bisection counts against ``max_subdivisions``.  All new panels of the
-    round, like all initial panels of the first, go to ``_gk15`` in one
-    call.  Each decision reads only the integral's own state, so it takes
-    the same steps as it would alone.  Returns the results and the rounds
-    (``_gk15`` calls).
+    integral pops its worst panels until their summed error covers its
+    total error less its tolerance, at least one, and bisects them all.
+    The budget is checked before each pop.  A panel too narrow to bisect
+    in float64 counts a subdivision and goes back at priority 0, and
+    popping stops when such a panel, or one with no error, is on top, or
+    when the heap is empty: the running error total can drift from the
+    panels' sum by more than a tiny tolerance.
+    All new panels of the round, like all initial panels of the first, go
+    to ``_gk15`` in one call.  Each decision reads only the integral's own
+    state, so it takes the same steps as it would alone.  Returns the
+    results and the rounds (``_gk15`` calls).
     """
     cfg = config or QuadratureConfig()
     count = int(owner[-1]) + 1
-    starts = np.searchsorted(owner, np.arange(count + 1))
-    domain_lo = lo[starts[:-1]].tolist()
-    domain_hi = hi[starts[1:] - 1].tolist()
     vals, errs = _gk15(f, lo, hi, owner)
     rounds = 1
 
     heaps: list[list[tuple[float, int, float, float, float, float]]] = [[] for _ in range(count)]
     totals = [0.0] * count
     total_errs = [0.0] * count
-    panels = np.diff(starts).tolist()
+    panels = np.bincount(owner, minlength=count).tolist()
     subdivisions = [0] * count
-    # (integral, end is the upper one)
-    singular: set[tuple[int, bool]] = set()
     counter = 0
     for k, a, b, val, err in zip(owner.tolist(), lo.tolist(), hi.tolist(),
                                  vals.tolist(), errs.tolist()):
@@ -204,59 +173,50 @@ def _adaptive(
         totals[k] += val
         total_errs[k] += err
 
-    def unconverged(ks: Sequence[int]) -> list[int]:
-        return [k for k in ks
-                if total_errs[k] > max(cfg.abs_tol, cfg.rel_tol * abs(totals[k]))]
+    def excess(k: int) -> float:
+        return total_errs[k] - max(cfg.abs_tol, cfg.rel_tol * abs(totals[k]))
 
-    active = unconverged(range(count))
+    active = [k for k in range(count) if excess(k) > 0.0]
     while active:
-        splits = []
+        split: list[tuple[int, float, float]] = []  # (integral, value, error) per bisection
         new_lo: list[float] = []
         new_hi: list[float] = []
-        new_owner: list[int] = []
         for k in active:
-            if subdivisions[k] >= cfg.max_subdivisions:
-                raise NonconvergenceError(
-                    f"quadrature did not converge after {subdivisions[k]} subdivisions "
-                    f"(value ~ {totals[k]!r}, error estimate {total_errs[k]!r})",
-                    integral=k,
-                )
-            _, _, a, b, val, err = heapq.heappop(heaps[k])
-            # True at the domain's upper end, False at its lower end, None inside.
-            end = True if b == domain_hi[k] else False if a == domain_lo[k] else None
-            m = 1
-            if (k, end) in singular:
-                m = min(_END_SPLITS, cfg.max_subdivisions - subdivisions[k])
-            edges = _split_edges(a, b, end is True, m)
-            if len(edges) == 2:
-                # Panel no longer splittable in float64: accept its estimate.
+            heap, owed, covered, popped = heaps[k], excess(k), 0.0, False
+            while not popped or (heap and covered < owed and heap[0][0] < 0.0):
+                popped = True
+                if subdivisions[k] >= cfg.max_subdivisions:
+                    raise NonconvergenceError(
+                        f"quadrature did not converge after {subdivisions[k]} subdivisions "
+                        f"(value ~ {totals[k]!r}, error estimate {total_errs[k]!r})",
+                        integral=k,
+                    )
+                _, _, a, b, val, err = heapq.heappop(heap)
                 subdivisions[k] += 1
-                heapq.heappush(heaps[k], (0.0, counter, a, b, val, err))
-                counter += 1
-                continue
-            subdivisions[k] += len(edges) - 2
-            splits.append((k, end, len(edges) - 1, val, err))
-            new_lo += edges[:-1]
-            new_hi += edges[1:]
-            new_owner += [k] * (len(edges) - 1)
-        if splits:
-            vals, errs = _gk15(f, np.array(new_lo), np.array(new_hi), np.array(new_owner))
+                mid = 0.5 * (a + b)
+                if mid == a or mid == b:
+                    # Too narrow to bisect in float64: accept its estimate.
+                    heapq.heappush(heap, (0.0, counter, a, b, val, err))
+                    counter += 1
+                    continue
+                covered += err
+                split.append((k, val, err))
+                new_lo += (a, mid)
+                new_hi += (mid, b)
+        if split:
+            new_owner = np.repeat([k for k, _, _ in split], 2)
+            vals, errs = _gk15(f, np.array(new_lo), np.array(new_hi), new_owner)
             rounds += 1
             vals, errs = vals.tolist(), errs.tolist()
-            at = 0
-            for k, end, n, val, err in splits:
-                v, e = vals[at:at + n], errs[at:at + n]
-                totals[k] += sum(v) - val
-                total_errs[k] += sum(e) - err
-                for i in range(at, at + n):
-                    heapq.heappush(heaps[k], (-errs[i], counter, new_lo[i], new_hi[i],
-                                              vals[i], errs[i]))
+            for i, (k, val, err) in enumerate(split):
+                totals[k] += vals[2 * i] + vals[2 * i + 1] - val
+                total_errs[k] += errs[2 * i] + errs[2 * i + 1] - err
+                for c in (2 * i, 2 * i + 1):
+                    heapq.heappush(heaps[k], (-errs[c], counter, new_lo[c], new_hi[c],
+                                              vals[c], errs[c]))
                     counter += 1
-                if n == 2 and end is not None and e[1 if end else 0] > _END_RATIO * err:
-                    singular.add((k, end))
-                at += n
-                panels[k] += n
-        active = unconverged(active)
+                panels[k] += 2
+        active = [k for k in active if excess(k) > 0.0]
 
     results = [QuadratureResult(*state) for state in
                zip(totals, total_errs, subdivisions, panels)]

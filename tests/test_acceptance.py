@@ -170,9 +170,9 @@ class TestAcceptance:
     def test_criterion_8_quantile_formula(self):
         with criterion(8, "quantile route: uniform 1/3, exponential 1, normal "
                           "2/sqrt(pi); Gini 1/3 and 1/2"):
-            uniform = gmd.quantile_gmd(gmd.QuantileFunction(lambda u: u))
-            exponential = gmd.quantile_gmd(gmd.QuantileFunction(lambda u: -np.log1p(-u)))
-            normal = gmd.quantile_gmd(gmd.QuantileFunction(ndtri))
+            uniform = gmd.quantile_gmd(gmd.QuantileFunction(lambda u: u)).value
+            exponential = gmd.quantile_gmd(gmd.QuantileFunction(lambda u: -np.log1p(-u))).value
+            normal = gmd.quantile_gmd(gmd.QuantileFunction(ndtri)).value
             assert uniform == pytest.approx(1.0 / 3.0, abs=1e-8)
             assert exponential == pytest.approx(1.0, abs=1e-8)
             assert normal == pytest.approx(TWO_OVER_SQRT_PI, abs=1e-8)
@@ -268,14 +268,14 @@ class TestAcceptance:
         equivariant(exchangeable_skew_gmd, exch)
 
         # Quantile route: F^{-1} + shift and k * F^{-1}.
-        v = gmd.quantile_gmd(gmd.QuantileFunction(ndtri))
+        v = gmd.quantile_gmd(gmd.QuantileFunction(ndtri)).value
         assert gmd.quantile_gmd(
             gmd.QuantileFunction(lambda u: ndtri(u) + shift)
-        ) == pytest.approx(v, abs=1e-10)
+        ).value == pytest.approx(v, abs=1e-10)
         for k in factors:
             assert gmd.quantile_gmd(
                 gmd.QuantileFunction(lambda u: k * ndtri(u))
-            ) == pytest.approx(k * v, rel=1e-12), k
+            ).value == pytest.approx(k * v, rel=1e-12), k
 
         # Monte Carlo with a common seed: the draws transform with the spec.
         spec = random_normal_spec(rng, 2)

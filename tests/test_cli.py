@@ -531,6 +531,27 @@ class TestQuantileCommand:
         joint = exchangeable_student_gmd(1.0, DegreesOfFreedom(3.0), [0.0])
         assert abs(value - joint) > 0.05
 
+    @pytest.mark.parametrize("output", ["json", "text"])
+    def test_reports_its_estimate_and_cost(self, capsys, student_spec, output):
+        # The new keys follow the existing ones; two runs print the same bytes.
+        code, out = run(capsys, "quantile-gmd", student_spec, "--output", output)
+        assert code == 0
+        assert run(capsys, "quantile-gmd", student_spec, "--output", output) == (code, out)
+        if output == "text":
+            keys = [line.split(" = ")[0] for line in out.splitlines()]
+            assert keys == ["value", "method", "gini_index", "note", "abs_error_estimate",
+                            "quadrature_panels", "quadrature_rounds"]
+            return
+        report = json.loads(out)
+        assert list(report) == ["value", "method", "gini_index", "note", "abs_error_estimate",
+                                "quadrature_panels", "quadrature_rounds"]
+        assert type(report["abs_error_estimate"]) is float
+        assert type(report["quadrature_panels"]) is int
+        assert type(report["quadrature_rounds"]) is int
+        truth = 3.0 * math.sqrt(3.0) / math.pi  # E|X - Y| of two i.i.d. t_3
+        assert abs(report["value"] - truth) <= report["abs_error_estimate"]
+        assert report["quadrature_rounds"] <= 3 and report["quadrature_panels"] <= 30
+
     def test_gini_with_positive_mean(self, capsys, tmp_path):
         spec = tmp_path / "pos.json"
         spec.write_text(json.dumps({

@@ -27,7 +27,7 @@ from gmd.closed_form import (
     student_gmd,
 )
 from gmd.bounds import second_moment_bound
-from gmd.errors import DomainError, MomentExistenceError
+from gmd.errors import DomainError, MomentExistenceError, NonconvergenceError
 from gmd.model import DistributionSpec, PairParams, pair_correlations, pair_params, validate
 from gmd.special import DegreesOfFreedom, student_t_pdf
 
@@ -364,25 +364,42 @@ class TestHugeMeanGap:
         assert result.value > 1e155
 
 
+def _within_estimate(result, truth):
+    return abs(result.value - truth) <= result.diagnostics["abs_error_estimate"]
+
+
 class TestQuantileGmd:
     def test_uniform(self):
-        assert quantile_gmd(QuantileFunction(lambda u: u)) == pytest.approx(
-            1.0 / 3.0, abs=1e-8
-        )
+        result = quantile_gmd(QuantileFunction(lambda u: u))
+        assert result.value == pytest.approx(1.0 / 3.0, abs=1e-8)
+        assert _within_estimate(result, 1.0 / 3.0)
 
     def test_exponential(self):
         q = QuantileFunction(lambda u: -np.log1p(-u))
-        assert quantile_gmd(q) == pytest.approx(1.0, abs=1e-8)
+        result = quantile_gmd(q)
+        assert result.value == pytest.approx(1.0, abs=1e-8)
+        assert _within_estimate(result, 1.0)
 
     def test_standard_normal(self):
-        # The mass beyond the 1e-12 cut is about 2.5e-11 of the value.
-        value = quantile_gmd(QuantileFunction(ndtri))
-        assert value < TWO_OVER_SQRT_PI
-        assert value == pytest.approx(TWO_OVER_SQRT_PI, rel=5e-11)
+        # Nothing is cut but the mass beyond u = 1 - 2^-53, about 1e-15 of
+        # the value.
+        result = quantile_gmd(QuantileFunction(ndtri))
+        assert result.value == pytest.approx(TWO_OVER_SQRT_PI, rel=1e-13, abs=0.0)
+        assert _within_estimate(result, TWO_OVER_SQRT_PI)
+
+    def test_result_carries_its_cost(self):
+        result = quantile_gmd(QuantileFunction(ndtri))
+        assert result.method.value == "Quantile"
+        assert result.pair_values.tolist() == [result.value]
+        assert type(result.diagnostics["abs_error_estimate"]) is float
+        for key in ("quadrature_subdivisions", "quadrature_panels", "quadrature_rounds"):
+            assert type(result.diagnostics[key]) is int, key
+        assert result.diagnostics["quadrature_panels"] == 8 + 2 * result.diagnostics[
+            "quadrature_subdivisions"]
 
     def test_translation_invariance(self):
         q = QuantileFunction(lambda u: 100.0 + ndtri(u))
-        assert quantile_gmd(q) == pytest.approx(TWO_OVER_SQRT_PI, abs=1e-8)
+        assert quantile_gmd(q).value == pytest.approx(TWO_OVER_SQRT_PI, abs=1e-8)
 
     def test_decreasing_quantile_rejected(self):
         with pytest.raises(DomainError, match="nondecreasing"):
@@ -395,17 +412,20 @@ class TestQuantileGmd:
     @pytest.mark.parametrize("k", [2.0**-300, 1e-9, 3.0, 1e9, 2.0**300])
     def test_scale_equivariance(self, k):
         # The tolerances apply on the quantile's own scale: with them in its
-        # units, the copy scaled by 1e-9 came out 1.8e-4 relative off.
+        # units, the copy scaled by 1e-9 came out 1.8e-4 relative off.  A
+        # power of two scales every step exactly.
         from scipy.special import stdtrit
 
-        value = quantile_gmd(QuantileFunction(ndtri))
-        assert quantile_gmd(QuantileFunction(lambda u: k * ndtri(u))) == pytest.approx(
-            k * value, rel=1e-12)
-        tail_k, a = _mp_student_tail(1.5)
-        value = quantile_gmd(QuantileFunction(lambda u: stdtrit(1.5, u), tail=(tail_k, a)))
-        scaled = QuantileFunction(lambda u: k * stdtrit(1.5, u), tail=(k * tail_k, a))
-        assert quantile_gmd(scaled) == pytest.approx(k * value, rel=1e-12)
+        def check(base, scaled):
+            value, got = quantile_gmd(base).value, quantile_gmd(scaled).value
+            if math.frexp(k)[0] == 0.5:
+                assert got == k * value
+            assert got == pytest.approx(k * value, rel=1e-12)
 
+        check(QuantileFunction(ndtri), QuantileFunction(lambda u: k * ndtri(u)))
+        tail_k, a = _mp_student_tail(1.5)
+        check(QuantileFunction(lambda u: stdtrit(1.5, u), tail=(tail_k, a)),
+              QuantileFunction(lambda u: k * stdtrit(1.5, u), tail=(k * tail_k, a)))
 
 
 def _mp_student_quantile_gmd(nu):
@@ -433,38 +453,41 @@ def _mp_student_tail(nu):
 class TestQuantileGmdWithTail:
     """The t quantile with its declared power tail, against mpmath."""
 
-    @pytest.fixture
-    def panels(self, monkeypatch):
-        import gmd.closed_form as cf
-
-        counted = []
-        inner = cf.integrate_interval
-
-        def counting(*args, **kwargs):
-            result = inner(*args, **kwargs)
-            counted.append(result.panels)
-            return result
-
-        monkeypatch.setattr(cf, "integrate_interval", counting)
-        return counted
-
-    @pytest.mark.parametrize("nu", [1.01, 1.05, 1.2, 1.5, 2.0, 3.0, 4.0, 30.0, 1e3])
-    def test_student_t_matches_mpmath(self, nu, panels):
+    @pytest.mark.parametrize("nu", [1.001, 1.01, 1.05, 1.2, 1.5, 2.0, 3.0, 4.0, 30.0, 1e3,
+                                    1e4, 1e8])
+    def test_student_t_matches_mpmath(self, nu):
         from scipy.special import stdtrit
 
-        q = QuantileFunction(lambda u: stdtrit(nu, u), tail=_mp_student_tail(nu))
-        assert quantile_gmd(q) == pytest.approx(_mp_student_quantile_gmd(nu), rel=1e-10)
-        if nu == 1.05:
-            (count,) = panels
-            assert count <= 100  # 3,688 when the integral is cut at 1e-12 instead
+        truth = _mp_student_quantile_gmd(nu)
+        tail = _mp_student_tail(nu)
+        result = quantile_gmd(QuantileFunction(lambda u: stdtrit(nu, u), tail=tail))
+        assert result.value == pytest.approx(truth, rel=1e-13, abs=0.0)
+        assert _within_estimate(result, truth)
+
+    @pytest.mark.parametrize("nu", [None, 1.05, 1.5, 2.0, 4.0, 30.0])
+    def test_rounds_and_panels_pinned(self, nu):
+        # On the real line in y the integrand is regular at both ends, so
+        # no end is graded.
+        from scipy.special import stdtrit
+
+        if nu is None:
+            q = QuantileFunction(ndtri)
+        else:
+            q = QuantileFunction(lambda u: stdtrit(nu, u), tail=_mp_student_tail(nu))
+        diagnostics = quantile_gmd(q).diagnostics
+        assert diagnostics["quadrature_rounds"] <= 3
+        assert diagnostics["quadrature_panels"] <= 30
 
     def test_heavy_tail_needs_the_declaration(self):
-        # Without the tail the integral is cut at 1e-12 from each end, which
-        # at nu = 1.05 drops over a quarter of the value.
+        # Without the tail the integrand is the quantile itself, out to
+        # u ~ 1e-308, and scipy's stdtrit at nu = 1.05 saturates below
+        # u ~ 1e-150 and returns inf at some u below that: the route refuses
+        # rather than return a value.  With the tail the remainder is cut
+        # at 1e-100, where stdtrit still holds.
         from scipy.special import stdtrit
 
-        cut = quantile_gmd(QuantileFunction(lambda u: stdtrit(1.05, u)))
-        assert cut < 0.75 * _mp_student_quantile_gmd(1.05)
+        with pytest.raises(NonconvergenceError, match="quantile integral"):
+            quantile_gmd(QuantileFunction(lambda u: stdtrit(1.05, u)))
 
     @pytest.mark.parametrize("tail", [(0.0, 0.5), (-1.0, 0.5), (1.0, 0.0), (math.inf, 0.5),
                                       (1.0, math.nan)])
