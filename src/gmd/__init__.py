@@ -56,7 +56,7 @@ from .monte_carlo import (
     classic_empirical_gmd,
     estimate_gmd,
 )
-from .quadrature import QuadratureConfig, QuadratureResult
+from .quadrature import QuadratureResult
 from .special import (
     DegreesOfFreedom,
     lp_norm_std_normal,

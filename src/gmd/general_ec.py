@@ -25,15 +25,15 @@ line, mapped by ``quadrature`` as x = mu_j + sigma_j T(1 + T^2),
 T = tan(t).  ``_pair_batch`` builds the integrands of any number of
 pairs from a (mu_i, mu_j, sigma_i, sigma_j, rho) row per pair and one
 conditional-CDF formula, ``_conditional_cdf``, which the public
-``skewing_*`` functions share.  ``gmd_quadrature`` builds those rows for
-both orderings of every pair straight from the spec's means, scales and
-correlations, and hands them to the quadrature engine as one batch, so
-each refinement round of a spec is one integrand call; ``_pair_integral``
-runs one ``PairParams``' integral alone.  Both integrate each row in
-units of a power of two at or below its sigma_j (``_pair_rows``), so a
-spec scaled by 2^k takes the same panels and its values differ by
-exactly 2^k, and both refuse a row whose mean gap float64 cannot
-resolve at its scale.
+``skewing_*`` functions share.  ``_pair_integrals`` is the one path of
+every pair integral: it hands a batch of rows to the quadrature engine,
+so each refinement round is one integrand call.  ``gmd_quadrature``
+builds the rows of both orderings of every pair straight from the
+spec's means, scales and correlations; ``reliability_quadrature`` passes
+one row.  Each row is integrated in units of a power of two at or below
+its sigma_j (``_pair_rows``), so a spec scaled by 2^k takes the same
+panels and its values differ by exactly 2^k, and a row whose mean gap
+float64 cannot resolve at its scale is refused.
 A Student-t moment integrand decays only like |x|^-nu, since pi_ij tends
 to a constant on each side, so those two limits are subtracted first
 and their share comes back in closed form from the marginal's partial
@@ -58,9 +58,8 @@ from .model import Family, GmdMethod, GmdResult, PairParams, ValidatedSpec, pair
 from .quadrature import (
     _EPS,
     BatchIntegrand,
-    QuadratureConfig,
     QuadratureResult,
-    integrate_real_line,
+    integrate_real_line,  # no route calls it; the benchmark's tracer wraps it
     integrate_real_line_batch,
     integrate_real_line_split,  # no route calls it; the benchmark's tracer wraps it
 )
@@ -278,33 +277,39 @@ def _pair_batch(
     return integrand, share, share_error
 
 
-def _pair_integral(
-    p: PairParams,
+def _pair_integrals(
+    params: np.ndarray,
     family: Family,
     dof: DegreesOfFreedom | None,
-    moment: bool = False,
-) -> QuadratureResult:
-    """Integral of f_{X_j}(x) pi_ij(x), times x if ``moment``, over the real line.
+    moment: bool,
+) -> tuple[np.ndarray, np.ndarray, list[QuadratureResult], int]:
+    """Integrals of f_{X_j}(x) pi_ij(x), times x if ``moment``, over the real line.
 
-    One real-line integral centred at mu_j, which puts a panel edge
-    there, of ``_pair_batch``'s integrand for the single pair, in the
-    units of ``_pair_rows``.
+    Row k of ``params`` is pair k's (mu_i, mu_j, sigma_i, sigma_j, rho).
+    Every row is one real-line integral centred at its mu_j, which puts a
+    panel edge there, of ``_pair_batch``'s integrand in the units of
+    ``_pair_rows``, and the rows run as one batch.  Returns the values
+    and error estimates in the rows' own units (a moment scales with the
+    unit, the plain integral does not), the results in ``_pair_rows``'
+    units and the rounds.
     """
-    row = np.array([(p.mu_i, p.mu_j, p.sigma_i, p.sigma_j, p.rho_ij)])
-    rows, unit, rounding = _pair_rows(row, moment)
-    integrand, share, share_error = _pair_batch(rows, family, dof, moment)
-    local = rows[0].tolist()
-    result = integrate_real_line(lambda x: integrand(x, 0), center=local[1], scale=local[3],
-                                 features=_skew_transition(*local))
-    back = float(unit[0]) if moment else 1.0
-    return dataclasses.replace(result, value=(result.value + float(share[0])) * back,
-                               error=(result.error + float(rounding[0] + share_error[0])) * back)
+    local, unit, rounding = _pair_rows(params, moment)
+    integrand, share, share_error = _pair_batch(local, family, dof, moment)
+    results, rounds = integrate_real_line_batch(
+        integrand, local[:, 1], local[:, 3], [_skew_transition(*row) for row in local.tolist()])
+    back = unit if moment else 1.0
+    values = (np.array([r.value for r in results]) + share) * back
+    errors = (np.array([r.error for r in results]) + rounding + share_error) * back
+    return values, errors, results, rounds
 
 
 def reliability_quadrature(p: PairParams, family: Family,
                            dof: DegreesOfFreedom | None = None) -> QuadratureResult:
     """R_ij = E[pi_ij(X_j)] by quadrature; the independent check of ``reliability``."""
-    return _pair_integral(_centred(p), family, dof)
+    c = _centred(p)
+    row = np.array([(c.mu_i, c.mu_j, c.sigma_i, c.sigma_j, c.rho_ij)])
+    values, errors, (result,), _ = _pair_integrals(row, family, dof, moment=False)
+    return dataclasses.replace(result, value=float(values[0]), error=float(errors[0]))
 
 
 def reliability(
@@ -371,7 +376,7 @@ def mu_H(p: PairParams, family: Family, dof: DegreesOfFreedom | None = None) -> 
     return _mu_h(p, family, dof)
 
 
-def gmd_quadrature(spec: ValidatedSpec, config: QuadratureConfig | None = None) -> GmdResult:
+def gmd_quadrature(spec: ValidatedSpec) -> GmdResult:
     """GMD assembled from the first-moment integral of each ordering.
 
     Each pair is integrated with X_j's mean moved to 0 (GMD does not
@@ -397,17 +402,13 @@ def gmd_quadrature(spec: ValidatedSpec, config: QuadratureConfig | None = None) 
         np.column_stack([zero, gap, sd[cols], sd[rows], rho]),
     ], axis=1).reshape(-1, 5)
     try:
-        local, unit, rounding = _pair_rows(params, moment=True)
-        integrand, share, share_error = _pair_batch(local, spec.family, spec.dof, moment=True)
-        results, rounds = integrate_real_line_batch(
-            integrand, local[:, 1], local[:, 3],
-            [_skew_transition(*row) for row in local.tolist()], config)
+        moments, errors, results, rounds = _pair_integrals(params, spec.family, spec.dof,
+                                                           moment=True)
     except NonconvergenceError as exc:
         k = exc.integral // 2
         raise NonconvergenceError(f"pair ({rows[k]},{cols[k]}): {exc}", exc.integral) from exc
-    moments = (np.array([r.value for r in results]) + share) * unit
     values = 2.0 * (moments[0::2] + moments[1::2]) - gap
-    errors = ((np.array([r.error for r in results]) + rounding + share_error) * unit).tolist()
+    errors = errors.tolist()
     # Forming 2 (I_ij + I_ji) - gap rounds each term by up to about eps of
     # its size, which a quadrature estimate far below eps does not cover.
     assembly = (2.0 * _EPS * (2.0 * (np.abs(moments[0::2]) + np.abs(moments[1::2]))

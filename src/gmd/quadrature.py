@@ -5,10 +5,10 @@ for error estimation, refined by bisection: each round an integral bisects
 its worst panels, as many as its error beyond the tolerance needs
 (QUADPACK's worst-first bisection, Piessens et al., 1983, several panels
 at a time), so rounds of bisection grade the mesh toward a rough end.
-It runs a batch of integrals together: each keeps its own panel heap,
-tolerances and subdivision budget, and each round evaluates the new
-panels of every unconverged integral in one integrand call, so a round
-costs one set of numpy calls whatever the batch size (the layout of
+It runs a batch of integrals together: each keeps its own panel heap
+and subdivision budget, and each round evaluates the new panels of
+every unconverged integral in one integrand call, so a round costs one
+set of numpy calls whatever the batch size (the layout of
 ``scipy.integrate.quad_vec`` and of vectorized cubature, Berntsen, Espelid
 & Genz 1991).  An integral takes the same steps in a batch as alone.
 ``integrate_interval`` and ``integrate_real_line`` are the one-integral
@@ -65,24 +65,14 @@ _WG[1::2] = [
 
 _EPS = float(np.finfo(float).eps)
 
+# Every integral runs at one tolerance and budget, QUADPACK's usual
+# defaults, so no caller tunes the engine; ``_adaptive`` reads them per call.
+_ABS_TOL = _REL_TOL = 1e-10
+_MAX_SUBDIVISIONS = 2000
+
 Integrand = Callable[[np.ndarray], np.ndarray]
 # f(x, owner): owner[m] is the index of the integral that abscissa x[m] belongs to.
 BatchIntegrand = Callable[[np.ndarray, np.ndarray], np.ndarray]
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Tolerances and subdivision budget for the adaptive engine."""
-
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-10
-    max_subdivisions: int = 2000
-
-    def __post_init__(self) -> None:
-        if not (self.abs_tol > 0 and self.rel_tol > 0):
-            raise DomainError("quadrature tolerances must be > 0")
-        if self.max_subdivisions < 10:
-            raise DomainError("max_subdivisions must be >= 10")
 
 
 @dataclass(frozen=True)
@@ -136,15 +126,14 @@ def _adaptive(
     lo: np.ndarray,
     hi: np.ndarray,
     owner: np.ndarray,
-    config: QuadratureConfig | None,
 ) -> tuple[list[QuadratureResult], int]:
     """Adaptive GK15 quadrature of a batch of integrals, one round at a time.
 
     Integral k starts from the panels [lo[m], hi[m]] with owner[m] = k,
-    given in order and grouped by integral, and keeps its own heap,
-    tolerances and subdivision budget.  In each round every unconverged
-    integral pops its worst panels until their summed error covers its
-    total error less its tolerance, at least one, and bisects them all.
+    given in order and grouped by integral, and keeps its own heap and
+    subdivision budget.  In each round every unconverged integral pops
+    its worst panels until their summed error covers its total error less
+    its tolerance, at least one, and bisects them all.
     The budget is checked before each pop.  A panel too narrow to bisect
     in float64 counts a subdivision and goes back at priority 0, and
     popping stops when such a panel, or one with no error, is on top, or
@@ -155,7 +144,7 @@ def _adaptive(
     state, so it takes the same steps as it would alone.  Returns the
     results and the rounds (``_gk15`` calls).
     """
-    cfg = config or QuadratureConfig()
+    abs_tol, rel_tol, budget = _ABS_TOL, _REL_TOL, _MAX_SUBDIVISIONS
     count = int(owner[-1]) + 1
     vals, errs = _gk15(f, lo, hi, owner)
     rounds = 1
@@ -174,7 +163,7 @@ def _adaptive(
         total_errs[k] += err
 
     def excess(k: int) -> float:
-        return total_errs[k] - max(cfg.abs_tol, cfg.rel_tol * abs(totals[k]))
+        return total_errs[k] - max(abs_tol, rel_tol * abs(totals[k]))
 
     active = [k for k in range(count) if excess(k) > 0.0]
     while active:
@@ -185,7 +174,7 @@ def _adaptive(
             heap, owed, covered, popped = heaps[k], excess(k), 0.0, False
             while not popped or (heap and covered < owed and heap[0][0] < 0.0):
                 popped = True
-                if subdivisions[k] >= cfg.max_subdivisions:
+                if subdivisions[k] >= budget:
                     raise NonconvergenceError(
                         f"quadrature did not converge after {subdivisions[k]} subdivisions "
                         f"(value ~ {totals[k]!r}, error estimate {total_errs[k]!r})",
@@ -252,7 +241,6 @@ def integrate_interval(
     f: Integrand,
     a: float,
     b: float,
-    config: QuadratureConfig | None = None,
     extra_edges: np.ndarray | None = None,
 ) -> QuadratureResult:
     """Adaptive integration of f over the finite interval [a, b].
@@ -268,7 +256,7 @@ def integrate_interval(
         return QuadratureResult(0.0, 0.0, 0, 0)
     extra = np.asarray([] if extra_edges is None else extra_edges, dtype=float)
     panels = _initial_panels(a, b, 1, extra, np.zeros(extra.size, dtype=int))
-    results, _ = _adaptive(lambda x, _owner: f(x), *panels, config)
+    results, _ = _adaptive(lambda x, _owner: f(x), *panels)
     return results[0]
 
 
@@ -307,7 +295,6 @@ def integrate_real_line_batch(
     centers: Sequence[float],
     scales: Sequence[float],
     features: Sequence[Sequence[tuple[float, float]]],
-    config: QuadratureConfig | None = None,
 ) -> tuple[list[QuadratureResult], int]:
     """Integrate a batch of integrands over (-inf, inf) together.
 
@@ -336,12 +323,11 @@ def integrate_real_line_batch(
     x, k = _edges_around(features)
     t = np.arctan(_tan_t_of((x - center[k]) / scale[k]))
     panels = _initial_panels(-0.5 * math.pi, 0.5 * math.pi, center.size, t, k)
-    return _adaptive(g, *panels, config)
+    return _adaptive(g, *panels)
 
 
 def integrate_real_line(
     f: Integrand,
-    config: QuadratureConfig | None = None,
     center: float = 0.0,
     scale: float = 1.0,
     features: Sequence[tuple[float, float]] = (),
@@ -354,7 +340,7 @@ def integrate_real_line(
     initial panel edges so the adaptive refinement cannot overlook them.
     """
     results, _ = integrate_real_line_batch(lambda x, _owner: f(x), [center], [scale],
-                                           [features], config)
+                                           [features])
     return results[0]
 
 
@@ -424,7 +410,6 @@ def _geometric_tail(
 
 def integrate_real_line_split(
     f: Integrand,
-    config: QuadratureConfig | None = None,
     center: float = 0.0,
     scale: float = 1.0,
     split: float = 10.0,
@@ -438,7 +423,6 @@ def integrate_real_line_split(
     and is refused; subtracting the tail's asymptote and integrating the
     rest with ``integrate_real_line`` has no such limit.
     """
-    cfg = config or QuadratureConfig()
     if split <= 0:
         raise DomainError("split must be > 0")
     # Doubling panels need a strictly positive start on their own side, so
@@ -446,8 +430,8 @@ def integrate_real_line_split(
     start_up = max(center + split * scale, scale)
     start_down = max(-(center - split * scale), scale)
     extra = feature_edges(features) if features else None
-    core = integrate_interval(f, -start_down, start_up, cfg, extra_edges=extra)
-    tail_tol = max(0.1 * cfg.abs_tol, 1e-300)
+    core = integrate_interval(f, -start_down, start_up, extra_edges=extra)
+    tail_tol = 0.1 * _ABS_TOL
     up_val, up_err, up_panels = _geometric_tail(f, start_up, True, tail_tol)
     down_val, down_err, down_panels = _geometric_tail(f, start_down, False, tail_tol)
     return QuadratureResult(

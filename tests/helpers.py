@@ -493,8 +493,8 @@ def quadrature_off_by(monkeypatch, estimates: float) -> None:
     error estimate, as a route that has gone wrong would."""
     original = general_ec.gmd_quadrature
 
-    def off(spec: ValidatedSpec, config=None):
-        result = original(spec, config)
+    def off(spec: ValidatedSpec):
+        result = original(spec)
         error = result.diagnostics["abs_error_estimate"]
         return dataclasses.replace(result, value=result.value + estimates * error)
 

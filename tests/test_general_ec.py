@@ -26,7 +26,7 @@ from gmd.general_ec import (
     skewing_student,
 )
 from gmd.model import DistributionSpec, Family, PairParams, pair_params, validate
-from gmd.quadrature import QuadratureConfig, integrate_real_line
+from gmd.quadrature import integrate_real_line
 from gmd.special import DegreesOfFreedom, std_normal_cdf, std_normal_pdf, student_t_cdf
 
 from helpers import (
@@ -54,6 +54,11 @@ T_CDF_4_AT_1 = 0.8130495168499706  # frozen t CDF, 4 dof, at 1
 
 def std_pair(rho=0.0):
     return PairParams(0.0, 0.0, 1.0, 1.0, rho)
+
+
+def pair_row(p):
+    """The one-row ``params`` of pair p for ``general_ec._pair_integrals``."""
+    return np.array([(p.mu_i, p.mu_j, p.sigma_i, p.sigma_j, p.rho_ij)])
 
 
 def family_and_dof(nu):
@@ -386,8 +391,9 @@ class TestMuH:
         # f_{X_j} pi_ij, over R_ij.
         family, dof = family_and_dof(nu)
         p = PairParams(0.3, -0.2, 1.1, 0.9, 0.25)
-        integral = general_ec._pair_integral(general_ec._centred(p), family, dof, moment=True)
-        expected = p.mu_j + integral.value / reliability(p, family, dof)
+        (integral,), _, _, _ = general_ec._pair_integrals(pair_row(general_ec._centred(p)),
+                                                          family, dof, moment=True)
+        expected = p.mu_j + integral / reliability(p, family, dof)
         assert mu_H(p, family, dof) == pytest.approx(expected, rel=1e-12, abs=0)
 
     def test_student_heavy_tail_against_moment_factor(self):
@@ -481,7 +487,7 @@ class TestGmdQuadratureRoute:
     @pytest.mark.parametrize("nu", [None, 1.01, 1.05, 1.5, 2.0, 4.0, 30.0])
     def test_batch_matches_one_integral_at_a_time(self, nu):
         # The batched route takes each integral through the steps it takes
-        # alone: the same panels, and the GMD of ``_pair_integral`` per ordering.
+        # alone: the same panels, and the GMD of one-row ``_pair_integrals`` per ordering.
         family, dof = family_and_dof(nu)
         for n in (2, 3, 4, 5):
             rng = np.random.default_rng(100 + n)
@@ -494,10 +500,12 @@ class TestGmdQuadratureRoute:
                 values, panels = [], 0
                 for i, j in spec_pairs(spec):
                     local = general_ec._centred(pair_params(spec, i, j))
-                    ij = general_ec._pair_integral(local, family, dof, moment=True)
-                    ji = general_ec._pair_integral(swapped(local), family, dof, moment=True)
-                    values.append(2.0 * (ij.value + ji.value) - local.mu_i - local.mu_j)
-                    panels += ij.panels + ji.panels
+                    (ij,), _, (ij_res,), _ = general_ec._pair_integrals(
+                        pair_row(local), family, dof, moment=True)
+                    (ji,), _, (ji_res,), _ = general_ec._pair_integrals(
+                        pair_row(swapped(local)), family, dof, moment=True)
+                    values.append(2.0 * (ij + ji) - local.mu_i - local.mu_j)
+                    panels += ij_res.panels + ji_res.panels
                 assert batched.diagnostics["quadrature_panels"] == panels, (n, offset)
                 assert batched.value == pytest.approx(sum(values) / len(values),
                                                       rel=1e-15, abs=0.0), (n, offset)
@@ -530,14 +538,16 @@ class TestGmdQuadratureRoute:
             exchangeable_skew_gmd(spec), abs=1e-8
         )
 
-    def test_nonconvergence_names_the_pair(self):
+    def test_nonconvergence_names_the_pair(self, monkeypatch):
         # A scale ratio of 1e3 puts a conditional-CDF transition far narrower
         # than the marginal into the integrand; at a tolerance of 1e-15 it
         # needs more than ten subdivisions.
         spec = validate(DistributionSpec("student-t", [0.0, 0.5], np.diag([1.0, 1e-6]), nu=1.5))
-        tiny = QuadratureConfig(abs_tol=1e-15, rel_tol=1e-15, max_subdivisions=10)
+        monkeypatch.setattr(quadrature, "_ABS_TOL", 1e-15)
+        monkeypatch.setattr(quadrature, "_REL_TOL", 1e-15)
+        monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", 10)
         with pytest.raises(NonconvergenceError, match=r"pair \(0,1\)"):
-            gmd_quadrature(spec, tiny)
+            gmd_quadrature(spec)
 
     @pytest.mark.parametrize("nu, most", [(1.05, 5), (1.5, 2)])
     def test_heavy_tail_rounds(self, nu, most):

@@ -29,7 +29,6 @@ PUBLIC = [
     "MonteCarloConfig",
     "NonconvergenceError",
     "PairParams",
-    "QuadratureConfig",
     "QuadratureResult",
     "QuantileFunction",
     "ValidatedSpec",
@@ -88,7 +87,6 @@ PARAMETERS = {
     "MonteCarloConfig": ["draws", "seed", "chunks"],
     "NonconvergenceError": ["message", "integral"],
     "PairParams": ["mu_i", "mu_j", "sigma_i", "sigma_j", "rho_ij"],
-    "QuadratureConfig": ["abs_tol", "rel_tol", "max_subdivisions"],
     "QuadratureResult": ["value", "error", "subdivisions", "panels"],
     "QuantileFunction": ["eval", "tail"],
     "ValidatedSpec": ["family", "mu", "sigma_mat", "chol", "dof"],
@@ -100,7 +98,7 @@ PARAMETERS = {
     "estimate_gmd": ["spec", "cfg"],
     "exchangeable_rho_bound": ["sigma1", "rhos"],
     "gini_index": ["gmd_value", "mu1"],
-    "gmd_quadrature": ["spec", "config"],
+    "gmd_quadrature": ["spec"],
     "h_density": ["p", "family", "x", "dof"],
     "lp_norm_std_normal": ["p"],
     "mu_H": ["p", "family", "dof"],

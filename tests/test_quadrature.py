@@ -8,7 +8,6 @@ import pytest
 from gmd import quadrature
 from gmd.errors import DomainError, NonconvergenceError
 from gmd.quadrature import (
-    QuadratureConfig,
     integrate_interval,
     integrate_real_line,
     integrate_real_line_batch,
@@ -20,6 +19,16 @@ SQRT_2PI = math.sqrt(2 * math.pi)
 
 def phi(x):
     return np.exp(-0.5 * x * x) / SQRT_2PI
+
+
+def engine(monkeypatch, tol=None, budget=None):
+    """Run the adaptive engine at tolerance ``tol`` or subdivision budget
+    ``budget`` in place of the module's defaults, for this test only."""
+    if tol is not None:
+        monkeypatch.setattr(quadrature, "_ABS_TOL", tol)
+        monkeypatch.setattr(quadrature, "_REL_TOL", tol)
+    if budget is not None:
+        monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", budget)
 
 
 class TestFiniteInterval:
@@ -43,26 +52,20 @@ class TestFiniteInterval:
         truth = math.pi / 2
         assert abs(res.value - truth) <= max(res.error, 1e-13)
 
-    def test_integrable_endpoint_singularity(self):
-        res = integrate_interval(
-            lambda x: 1.0 / np.sqrt(x), 1e-300, 1.0,
-            QuadratureConfig(abs_tol=1e-9, rel_tol=1e-9, max_subdivisions=5000),
-        )
+    def test_integrable_endpoint_singularity(self, monkeypatch):
+        engine(monkeypatch, tol=1e-9, budget=5000)
+        res = integrate_interval(lambda x: 1.0 / np.sqrt(x), 1e-300, 1.0)
         assert res.value == pytest.approx(2.0, abs=1e-7)
 
-    def test_subdivision_budget_enforced(self):
+    def test_subdivision_budget_enforced(self, monkeypatch):
+        engine(monkeypatch, budget=10)
         with pytest.raises(NonconvergenceError):
-            integrate_interval(
-                lambda x: 1.0 / np.sqrt(np.abs(x) + 1e-310), 1e-300, 1.0,
-                QuadratureConfig(max_subdivisions=10),
-            )
+            integrate_interval(lambda x: 1.0 / np.sqrt(np.abs(x) + 1e-310), 1e-300, 1.0)
 
-    def test_nonconvergence_message_prints_plain_floats(self):
+    def test_nonconvergence_message_prints_plain_floats(self, monkeypatch):
+        engine(monkeypatch, budget=10)
         with pytest.raises(NonconvergenceError) as info:
-            integrate_interval(
-                lambda x: 1.0 / np.sqrt(np.abs(x) + 1e-310), 1e-300, 1.0,
-                QuadratureConfig(max_subdivisions=10),
-            )
+            integrate_interval(lambda x: 1.0 / np.sqrt(np.abs(x) + 1e-310), 1e-300, 1.0)
         assert "value ~ " in str(info.value)
         assert "np.float64" not in str(info.value)
 
@@ -85,29 +88,29 @@ class TestFiniteInterval:
         assert res.panels == 8 + 2 * res.subdivisions
         assert integrate_interval(lambda x: x, 2.0, 2.0).panels == 0
 
-    def test_budget_counts_every_bisection(self):
+    def test_budget_counts_every_bisection(self, monkeypatch):
         # x^-1/2 is singular at 0, and a round bisects as many panels as
         # the excess error needs; each bisection counts against the budget,
         # which is checked before each one and never overrun.
+        engine(monkeypatch, budget=10)
         with pytest.raises(NonconvergenceError, match="after 10 subdivisions"):
-            integrate_interval(lambda x: 1.0 / np.sqrt(x), 1e-300, 1.0,
-                               QuadratureConfig(max_subdivisions=10))
+            integrate_interval(lambda x: 1.0 / np.sqrt(x), 1e-300, 1.0)
 
-    def test_tolerance_below_rounding_runs_out_of_budget(self):
+    def test_tolerance_below_rounding_runs_out_of_budget(self, monkeypatch):
         # At tolerances of 1e-300 the excess error exceeds the sum of every
         # panel's error by rounding; a round pops them all and the budget,
         # not an empty heap, ends the loop.
-        tiny = QuadratureConfig(abs_tol=1e-300, rel_tol=1e-300)
+        engine(monkeypatch, tol=1e-300)
         with pytest.raises(NonconvergenceError, match="did not converge"):
-            integrate_interval(lambda x: np.sqrt(np.abs(x - 0.3)), 0.0, 1.0, tiny)
+            integrate_interval(lambda x: np.sqrt(np.abs(x - 0.3)), 0.0, 1.0)
         with pytest.raises(NonconvergenceError, match="did not converge"):
-            integrate_real_line(lambda x: 1.0 / (1.0 + x * x), config=tiny)
+            integrate_real_line(lambda x: 1.0 / (1.0 + x * x))
 
-    def test_singular_end_at_the_domain_edge(self):
+    def test_singular_end_at_the_domain_edge(self, monkeypatch):
         # Bisection grades the mesh toward the singular end one round at a
         # time; at the default tolerances it stops at an estimate of 1.5e-10.
-        tight = QuadratureConfig(abs_tol=5e-11, rel_tol=5e-11)
-        res = integrate_interval(lambda x: 1.0 / np.sqrt(x), 0.0, 1.0, tight)
+        engine(monkeypatch, tol=5e-11)
+        res = integrate_interval(lambda x: 1.0 / np.sqrt(x), 0.0, 1.0)
         assert abs(res.value - 2.0) <= res.error <= 1e-10
 
     def test_infinite_endpoint_rejected(self):
@@ -256,16 +259,16 @@ class TestBatch:
             assert a[owner == k].tolist() == edges[:-1].tolist(), k
             assert b[owner == k].tolist() == edges[1:].tolist(), k
 
-    def test_nonconvergence_names_the_integral(self):
+    def test_nonconvergence_names_the_integral(self, monkeypatch):
         def f(x, owner):
             # Integral 1 has an integrable singularity at 0.3; it needs more
             # than ten subdivisions.
             return np.where(owner == 1, np.exp(-x * x) / np.sqrt(np.abs(x - 0.3) + 1e-300),
                             phi(x))
 
+        engine(monkeypatch, budget=10)
         with pytest.raises(NonconvergenceError, match="converge") as info:
-            integrate_real_line_batch(f, [0.0, 0.0], [1.0, 1.0], [(), ()],
-                                      QuadratureConfig(max_subdivisions=10))
+            integrate_real_line_batch(f, [0.0, 0.0], [1.0, 1.0], [(), ()])
         assert info.value.integral == 1
 
     def test_non_finite_values_name_the_integral(self):
@@ -309,16 +312,7 @@ class TestSplitWithTails:
 
 
 class TestConfig:
-    def test_tolerances_must_be_positive(self):
-        with pytest.raises(DomainError):
-            QuadratureConfig(abs_tol=0.0)
-
-    def test_subdivision_floor(self):
-        with pytest.raises(DomainError):
-            QuadratureConfig(max_subdivisions=5)
-
     def test_defaults(self):
-        cfg = QuadratureConfig()
-        assert cfg.abs_tol == 1e-10
-        assert cfg.rel_tol == 1e-10
-        assert cfg.max_subdivisions == 2000
+        assert quadrature._ABS_TOL == 1e-10
+        assert quadrature._REL_TOL == 1e-10
+        assert quadrature._MAX_SUBDIVISIONS == 2000

@@ -21,6 +21,9 @@ KEPT = {
     ("general_ec", "integrate_real_line_split"):
         "bench/tracing.py wraps it as an attribute of gmd.general_ec "
         "(READS, general_ec.integrals)",
+    ("general_ec", "integrate_real_line"):
+        "bench/tracing.py wraps it as an attribute of gmd.general_ec "
+        "(READS, general_ec.integrals)",
     ("closed_form", "integrate_interval"):
         "bench/tracing.py wraps it as an attribute of gmd.closed_form (WRAPPED)",
 }
