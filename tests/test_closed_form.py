@@ -364,6 +364,18 @@ class TestHugeMeanGap:
         assert result.value > 1e155
 
 
+class TestStudentNormaliser:
+    """The t density's normaliser enters every pair's value; at these nu
+    scipy's betaln put it up to 60 eps off, and the value beyond its own
+    estimate."""
+
+    @pytest.mark.parametrize("nu", [31.3, 63.22788573462257, 63.7279])
+    def test_standard_pair_within_estimate(self, nu):
+        spec = validate(DistributionSpec("student-t", [0.0, 0.0], np.eye(2), nu=nu))
+        result = student_gmd(spec)
+        assert abs(result.value - mp_spec_gmd(spec)) <= result.diagnostics["abs_error_estimate"]
+
+
 def _within_estimate(result, truth):
     return abs(result.value - truth) <= result.diagnostics["abs_error_estimate"]
 

@@ -258,6 +258,23 @@ class TestStudentTAccuracy:
             exact = float(self._mp_pdf(x, nu))
             assert student_t_pdf(x, DegreesOfFreedom(nu)) == pytest.approx(exact, rel=2e-15)
 
+    @pytest.mark.parametrize("band", [(15.0, 16.0), (31.0, 32.0), (63.0, 64.0), None])
+    def test_density_at_zero_within_4_eps(self, band):
+        # The normaliser Gamma((nu+1)/2) / (sqrt(nu pi) Gamma(nu/2)) alone.
+        # scipy's betaln(1/2, nu/2) put it 11, 26 and 60 eps off in these
+        # three bands; the log grid covers every nu from 1 to 1e8.
+        if band is None:
+            nus = np.geomspace(1.0, 1e8, 401)
+        else:
+            nus = band[0] + 0.005 * np.arange(1, 200)
+        eps = np.finfo(float).eps
+        with mpmath.workdps(30):
+            for nu in nus.tolist():
+                x = mpmath.mpf(nu)
+                exact = float(mpmath.exp(mpmath.loggamma((x + 1) / 2) - mpmath.loggamma(x / 2))
+                              / mpmath.sqrt(x * mpmath.pi))
+                assert abs(student_t_pdf(0.0, DegreesOfFreedom(nu)) - exact) <= 4 * eps * exact, nu
+
     @pytest.mark.parametrize("nu", [1.5, 30.0, 1e4])
     def test_cdf_near_zero_against_mpmath(self, nu):
         # F(x) - 1/2 for tiny x: the beta argument nu/(nu + x^2) would round
