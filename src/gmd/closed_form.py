@@ -153,7 +153,7 @@ def quantile_gmd(q: QuantileFunction) -> GmdResult:
     the bounded remainder cut where p < 1e-100, and A's share
     2 a K / ((1 - a) (2 - a)) added in closed form, so heavy tails (a near
     1) take few panels.  A bound on the mass beyond each cut joins the
-    error estimate.  The integral is taken in units of a power of two at or
+    error estimate, including what a half-ulp rounding of a leaves there.  The integral is taken in units of a power of two at or
     below the quantile's interquartile spread on a 1000-point grid, so the
     tolerances apply on the law's own scale and a quantile scaled by 2^k
     gives 2^k times the value.  A quantile that is decreasing or not finite
@@ -213,6 +213,13 @@ def quantile_gmd(q: QuantileFunction) -> GmdResult:
     cuts = ((-1.0, cut), (1.0, max(cut, 0.5 * _EPS)))
     ends = np.array([side * math.log(0.5 / c - 1.0) for side, c in cuts if c > 0.0])
     cut_mass = float(np.abs(integrand(ends)).sum())
+    if k:
+        # A declared a off the true index by half an ulp, da, leaves
+        # K p^-a |da log p| in the remainder beyond each cut, which barely
+        # decays as a nears 1: its mass on the two sides is up to
+        # 2 K da c^(1 - a) (|log c| / (1 - a) + 1 / (1 - a)^2).
+        da, gap = 0.5 * _EPS * a, 1.0 - a
+        cut_mass += 2.0 * k * da * cut**gap * (-math.log(cut) / gap + 1.0 / gap**2) / unit
     share = 2.0 * a * k / ((1.0 - a) * (2.0 - a))
     value = max(0.0, 2.0 * (res.value * unit + share))
     result = GmdResult(value, GmdMethod.QUANTILE, np.array([value]))

@@ -476,6 +476,19 @@ class TestQuantileGmdWithTail:
         assert result.value == pytest.approx(truth, rel=1e-13, abs=0.0)
         assert _within_estimate(result, truth)
 
+    @pytest.mark.parametrize("nu", [1 + 1e-6, 1 + 1e-5, 1 + 1e-4, 1 + 3e-4])
+    def test_estimate_covers_the_tail_index_rounding_near_one(self, nu):
+        # a = fl(1/nu) is off 1/nu by up to half an ulp, and beyond the cut
+        # the remainder then decays like p^-a |log p|, barely at all as a
+        # nears 1: its mass was 4e4 times the estimate at nu - 1 = 1e-6.
+        from scipy.special import stdtrit
+
+        from gmd.cli import _student_t_quantile_tail
+
+        tail = _student_t_quantile_tail(DegreesOfFreedom(nu))
+        result = quantile_gmd(QuantileFunction(lambda u: stdtrit(nu, u), tail=tail))
+        assert _within_estimate(result, _mp_student_quantile_gmd(nu))
+
     @pytest.mark.parametrize("nu", [None, 1.05, 1.5, 2.0, 4.0, 30.0])
     def test_rounds_and_panels_pinned(self, nu):
         # On the real line in y the integrand is regular at both ends, so
