@@ -194,7 +194,7 @@ def finite_variance(spec: ValidatedSpec) -> bool:
 
 
 def estimate_from_samples(samples: Iterator[np.ndarray], cfg: MonteCarloConfig,
-                          std_error_valid: bool = True) -> GmdResult:
+                          std_error_valid: bool) -> GmdResult:
     """Package the empirical GMD of a stream of rows x n blocks, as
     ``sample`` returns it, as a GmdResult.
 

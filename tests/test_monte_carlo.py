@@ -18,6 +18,7 @@ from gmd.monte_carlo import (
     classic_empirical_gmd,
     estimate_from_samples,
     estimate_gmd,
+    finite_variance,
     sample,
 )
 from gmd.special import DegreesOfFreedom
@@ -39,8 +40,9 @@ def iid_normal_spec(n=2):
 
 
 def empirical(samples):
-    """The empirical GMD of drawn samples, as ``estimate`` reports it."""
-    return estimate_from_samples(samples, MonteCarloConfig())
+    """The empirical GMD of drawn samples, as ``estimate`` reports it; the
+    tests that use it read ``std_error`` but not its validity flag."""
+    return estimate_from_samples(samples, MonteCarloConfig(), True)
 
 
 def drawn(spec, cfg):
@@ -215,13 +217,13 @@ class TestBlockedKernel:
         cfg = MonteCarloConfig(draws=draws, seed=n)
         x = drawn(spec, cfg)
         ref_means, ref_se = reference_pair_stats(x)
-        result = estimate_from_samples(sample(spec, cfg), cfg)
+        result = estimate_from_samples(sample(spec, cfg), cfg, finite_variance(spec))
         np.testing.assert_allclose(result.pair_values, ref_means, rtol=1e-13, atol=0)
         assert result.diagnostics["std_error"] == pytest.approx(ref_se, rel=1e-12, abs=0)
         assert result.value == pytest.approx(ref_means.mean(), rel=1e-13)
         assert result.diagnostics["draws"] == draws
         # One chunk: the matrix is reduced over the same blocks as the stream.
-        from_matrix = estimate_from_samples(iter([x]), cfg)
+        from_matrix = estimate_from_samples(iter([x]), cfg, finite_variance(spec))
         assert from_matrix.value == result.value
         assert from_matrix.diagnostics == result.diagnostics
 
