@@ -370,6 +370,17 @@ def mp_spec_gmd(spec: ValidatedSpec) -> float:
         return float(mp.fsum(terms) / len(terms))
 
 
+def mp_student_quantile_gmd(nu: float) -> float:
+    """2 int (2u - 1) F^{-1}(u) du of the standard t, at 40 digits:
+    4 sqrt(nu) B(1/2, nu - 1/2) / ((nu - 1) B(1/2, nu/2)^2)."""
+    import mpmath as mp
+
+    with mp.workdps(40):
+        x, half = mp.mpf(nu), mp.mpf(1) / 2
+        return float(4 * mp.sqrt(x) * mp.beta(half, x - half)
+                     / ((x - 1) * mp.beta(half, x / 2) ** 2))
+
+
 def mp_lp_norm_std_normal(p: float) -> float:
     """(E|Z|^p)^(1/p) for Z standard normal at 40 digits, p taken as exact."""
     import mpmath as mp

@@ -37,6 +37,7 @@ from helpers import (
     exchangeable_student_gmd,
     folded_normal_mean,
     mp_spec_gmd,
+    mp_student_quantile_gmd,
     pair_diff_params,
     pair_spec,
     random_exchangeable_spec,
@@ -440,17 +441,6 @@ class TestQuantileGmd:
               QuantileFunction(lambda u: k * stdtrit(1.5, u), tail=(k * tail_k, a)))
 
 
-def _mp_student_quantile_gmd(nu):
-    """2 int (2u - 1) F^{-1}(u) du of the standard t, at 40 digits:
-    4 sqrt(nu) B(1/2, nu - 1/2) / ((nu - 1) B(1/2, nu/2)^2)."""
-    import mpmath as mp
-
-    with mp.workdps(40):
-        x, half = mp.mpf(nu), mp.mpf(1) / 2
-        return float(4 * mp.sqrt(x) * mp.beta(half, x - half)
-                     / ((x - 1) * mp.beta(half, x / 2) ** 2))
-
-
 def _mp_student_tail(nu):
     """(K, 1/nu) of F^{-1}(u) ~ K (1 - u)^(-1/nu), K = (c nu^((nu - 1)/2))^(1/nu)
     with c the t density at 0, at 40 digits."""
@@ -470,7 +460,7 @@ class TestQuantileGmdWithTail:
     def test_student_t_matches_mpmath(self, nu):
         from scipy.special import stdtrit
 
-        truth = _mp_student_quantile_gmd(nu)
+        truth = mp_student_quantile_gmd(nu)
         tail = _mp_student_tail(nu)
         result = quantile_gmd(QuantileFunction(lambda u: stdtrit(nu, u), tail=tail))
         assert result.value == pytest.approx(truth, rel=1e-13, abs=0.0)
@@ -487,7 +477,7 @@ class TestQuantileGmdWithTail:
 
         tail = _student_t_quantile_tail(DegreesOfFreedom(nu))
         result = quantile_gmd(QuantileFunction(lambda u: stdtrit(nu, u), tail=tail))
-        assert _within_estimate(result, _mp_student_quantile_gmd(nu))
+        assert _within_estimate(result, mp_student_quantile_gmd(nu))
 
     @pytest.mark.parametrize("nu", [None, 1.05, 1.5, 2.0, 4.0, 30.0])
     def test_rounds_and_panels_pinned(self, nu):
