@@ -114,6 +114,13 @@ class TestStudentTPdf:
         expected = math.gamma((nu + 1) / 2) / (math.sqrt(nu * math.pi) * math.gamma(nu / 2))
         assert student_t_pdf(0.0, DegreesOfFreedom(nu)) == pytest.approx(expected, rel=1e-14)
 
+    @pytest.mark.parametrize("nu", [1e-30, 1e-310, 5e-324])
+    def test_value_at_zero_for_tiny_nu(self, nu):
+        # Gamma(nu/2) = (2/nu)(1 + O(nu)), so the density at 0 tends to
+        # sqrt(nu)/2, down to the smallest subnormal nu.
+        assert student_t_pdf(0.0, DegreesOfFreedom(nu)) == pytest.approx(math.sqrt(nu) / 2,
+                                                                         rel=1e-13, abs=0.0)
+
     def test_normal_limit(self):
         assert student_t_pdf(1.0, DegreesOfFreedom(1e6)) == pytest.approx(PHI_AT_1, abs=1e-5)
 
