@@ -153,8 +153,9 @@ def quantile_gmd(q: QuantileFunction) -> GmdResult:
     the bounded remainder cut where p < 1e-100, and A's share
     2 a K / ((1 - a) (2 - a)) added in closed form, so heavy tails (a near
     1) take few panels.  A bound on the mass beyond each cut joins the
-    error estimate, including what a half-ulp rounding of a leaves there.  The integral is taken in units of a power of two at or
-    below the quantile's interquartile spread on a 1000-point grid, so the
+    error estimate, including what a half-ulp rounding of a leaves there.
+    The integral is taken in units of a power of two at or below the
+    quantile's interquartile spread on a 1000-point grid, so the
     tolerances apply on the law's own scale and a quantile scaled by 2^k
     gives 2^k times the value.  A quantile that is decreasing or not finite
     on the grid is rejected, as is a tail with a >= 1, whose law has no

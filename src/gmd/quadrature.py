@@ -144,7 +144,6 @@ def _adaptive(
     state, so it takes the same steps as it would alone.  Returns the
     results and the rounds (``_gk15`` calls).
     """
-    abs_tol, rel_tol, budget = _ABS_TOL, _REL_TOL, _MAX_SUBDIVISIONS
     count = int(owner[-1]) + 1
     vals, errs = _gk15(f, lo, hi, owner)
     rounds = 1
@@ -163,7 +162,7 @@ def _adaptive(
         total_errs[k] += err
 
     def excess(k: int) -> float:
-        return total_errs[k] - max(abs_tol, rel_tol * abs(totals[k]))
+        return total_errs[k] - max(_ABS_TOL, _REL_TOL * abs(totals[k]))
 
     active = [k for k in range(count) if excess(k) > 0.0]
     while active:
@@ -174,7 +173,7 @@ def _adaptive(
             heap, owed, covered, popped = heaps[k], excess(k), 0.0, False
             while not popped or (heap and covered < owed and heap[0][0] < 0.0):
                 popped = True
-                if subdivisions[k] >= budget:
+                if subdivisions[k] >= _MAX_SUBDIVISIONS:
                     raise NonconvergenceError(
                         f"quadrature did not converge after {subdivisions[k]} subdivisions "
                         f"(value ~ {totals[k]!r}, error estimate {total_errs[k]!r})",
