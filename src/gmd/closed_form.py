@@ -216,9 +216,8 @@ def quantile_gmd(q: QuantileFunction) -> GmdResult:
     cut_mass = float(np.abs(integrand(ends)).sum())
     if k:
         # A declared a off the true index by half an ulp, da, leaves
-        # K p^-a |da log p| in the remainder beyond each cut, which barely
-        # decays as a nears 1: its mass on the two sides is up to
-        # 2 K da c^(1 - a) (|log c| / (1 - a) + 1 / (1 - a)^2).
+        # K p^-a |da log p| beyond each cut, barely decaying as a nears 1:
+        # on both sides, 2 K da c^(1 - a) (|log c| / (1 - a) + 1 / (1 - a)^2).
         da, gap = 0.5 * _EPS * a, 1.0 - a
         cut_mass += 2.0 * k * da * cut**gap * (-math.log(cut) / gap + 1.0 / gap**2) / unit
     share = 2.0 * a * k / ((1.0 - a) * (2.0 - a))

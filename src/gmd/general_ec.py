@@ -285,13 +285,10 @@ def _pair_integrals(
 ) -> tuple[np.ndarray, np.ndarray, list[QuadratureResult], int]:
     """Integrals of f_{X_j}(x) pi_ij(x), times x if ``moment``, over the real line.
 
-    Row k of ``params`` is pair k's (mu_i, mu_j, sigma_i, sigma_j, rho).
-    Every row is one real-line integral centred at its mu_j, which puts a
-    panel edge there, of ``_pair_batch``'s integrand in the units of
-    ``_pair_rows``, and the rows run as one batch.  Returns the values
-    and error estimates in the rows' own units (a moment scales with the
-    unit, the plain integral does not), the results in ``_pair_rows``'
-    units and the rounds.
+    Row k of ``params`` is pair k's (mu_i, mu_j, sigma_i, sigma_j, rho); the
+    rows run as one batch in ``_pair_rows``' units, each centred at its mu_j.
+    Returns the values and error estimates back in the rows' units (only a
+    moment scales with them), the results in ``_pair_rows``' units, and the rounds.
     """
     local, unit, rounding = _pair_rows(params, moment)
     integrand, share, share_error = _pair_batch(local, family, dof, moment)
@@ -306,8 +303,7 @@ def _pair_integrals(
 def reliability_quadrature(p: PairParams, family: Family,
                            dof: DegreesOfFreedom | None = None) -> QuadratureResult:
     """R_ij = E[pi_ij(X_j)] by quadrature; the independent check of ``reliability``."""
-    c = _centred(p)
-    row = np.array([(c.mu_i, c.mu_j, c.sigma_i, c.sigma_j, c.rho_ij)])
+    row = np.array([dataclasses.astuple(_centred(p))])
     values, errors, (result,), _ = _pair_integrals(row, family, dof, moment=False)
     return dataclasses.replace(result, value=float(values[0]), error=float(errors[0]))
 

@@ -43,7 +43,7 @@ _HALF_ROOT_LO = 1.210161710447897e-08
 
 @functools.cache
 def _scipy_special():
-    """``scipy.special``, imported on the first Student-t evaluation."""
+    """``scipy.special``, imported on the first Student-t CDF evaluation."""
     from scipy import special
 
     return special
@@ -154,14 +154,13 @@ def _student_t_log_norm(nu: float) -> float:
     Cached per nu: one spec evaluates the density at one nu, panel after
     panel.
 
-    From the Stirling series of log Gamma(z + 1/2) - log Gamma(z) at
-    z >= 50, whose leading (1/2) log z cancels analytically against
-    log sqrt(nu pi); the Bernoulli terms through z^-7 are kept, and the
-    next is below 1e-18.  Below nu = 100, x = nu/2 is first shifted up to
-    z = x + k >= 50 with Gamma(x + 1) = x Gamma(x), which takes back
-    sum_{i<k} log(1 + (1/2)/(x + i)).  Against mpmath the density at 0 is
-    within 2.7 eps for nu in [1, 1e8]; scipy's log-beta form was 60 eps
-    off near nu = 64, and log-gamma differences lose 3e-13 at nu = 1000.
+    x = nu/2 is shifted up to z = x + k >= 50 with Gamma(x + 1) = x Gamma(x),
+    which takes back sum_{i<k} log(1 + (1/2)/(x + i)), and at z the Stirling
+    series of log Gamma(z + 1/2) - log Gamma(z) is kept through z^-7 (the
+    next term is below 1e-18), its leading (1/2) log z cancelled against
+    log sqrt(nu pi).  The density at 0 is within 2.7 eps of mpmath for nu
+    in [1, 1e8]; scipy's log-beta form was 60 eps off near nu = 64, and
+    log-gamma differences lose 3e-13 at nu = 1000.
     """
     if nu < 1e-20:
         # Gamma(nu/2) = (2/nu)(1 + O(nu)): the density at 0 is sqrt(nu)/2,

@@ -18,6 +18,7 @@ from gmd import (
     monte_carlo,
     normal_gmd,
     pair_params,
+    quadrature,
     skewing_normal,
     skewing_student,
     std_normal_cdf,
@@ -497,6 +498,16 @@ def reference_pair_stats(samples: np.ndarray) -> tuple[np.ndarray, float]:
             per_draw += diffs
     per_draw /= len(pair_means)
     return np.array(pair_means), float(per_draw.std(ddof=1) / math.sqrt(m))
+
+
+def quadrature_at(monkeypatch, tol: float | None = None, budget: int | None = None) -> None:
+    """Run the adaptive engine at tolerance ``tol`` or subdivision budget
+    ``budget`` in place of its fixed defaults, for one test."""
+    if tol is not None:
+        monkeypatch.setattr(quadrature, "_ABS_TOL", tol)
+        monkeypatch.setattr(quadrature, "_REL_TOL", tol)
+    if budget is not None:
+        monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", budget)
 
 
 def quadrature_off_by(monkeypatch, estimates: float) -> None:

@@ -40,6 +40,7 @@ from helpers import (
     mp_spec_gmd,
     mp_student_t_cdf,
     pair_spec,
+    quadrature_at,
     random_exchangeable_spec,
     random_normal_spec,
     random_pair,
@@ -58,7 +59,7 @@ def std_pair(rho=0.0):
 
 def pair_row(p):
     """The one-row ``params`` of pair p for ``general_ec._pair_integrals``."""
-    return np.array([(p.mu_i, p.mu_j, p.sigma_i, p.sigma_j, p.rho_ij)])
+    return np.array([astuple(p)])
 
 
 def family_and_dof(nu):
@@ -543,9 +544,7 @@ class TestGmdQuadratureRoute:
         # than the marginal into the integrand; at a tolerance of 1e-15 it
         # needs more than ten subdivisions.
         spec = validate(DistributionSpec("student-t", [0.0, 0.5], np.diag([1.0, 1e-6]), nu=1.5))
-        monkeypatch.setattr(quadrature, "_ABS_TOL", 1e-15)
-        monkeypatch.setattr(quadrature, "_REL_TOL", 1e-15)
-        monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", 10)
+        quadrature_at(monkeypatch, tol=1e-15, budget=10)
         with pytest.raises(NonconvergenceError, match=r"pair \(0,1\)"):
             gmd_quadrature(spec)
 

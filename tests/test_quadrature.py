@@ -14,21 +14,13 @@ from gmd.quadrature import (
     integrate_real_line_split,
 )
 
+from helpers import quadrature_at
+
 SQRT_2PI = math.sqrt(2 * math.pi)
 
 
 def phi(x):
     return np.exp(-0.5 * x * x) / SQRT_2PI
-
-
-def engine(monkeypatch, tol=None, budget=None):
-    """Run the adaptive engine at tolerance ``tol`` or subdivision budget
-    ``budget`` in place of the module's defaults, for this test only."""
-    if tol is not None:
-        monkeypatch.setattr(quadrature, "_ABS_TOL", tol)
-        monkeypatch.setattr(quadrature, "_REL_TOL", tol)
-    if budget is not None:
-        monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", budget)
 
 
 class TestFiniteInterval:
@@ -53,17 +45,17 @@ class TestFiniteInterval:
         assert abs(res.value - truth) <= max(res.error, 1e-13)
 
     def test_integrable_endpoint_singularity(self, monkeypatch):
-        engine(monkeypatch, tol=1e-9, budget=5000)
+        quadrature_at(monkeypatch, tol=1e-9, budget=5000)
         res = integrate_interval(lambda x: 1.0 / np.sqrt(x), 1e-300, 1.0)
         assert res.value == pytest.approx(2.0, abs=1e-7)
 
     def test_subdivision_budget_enforced(self, monkeypatch):
-        engine(monkeypatch, budget=10)
+        quadrature_at(monkeypatch, budget=10)
         with pytest.raises(NonconvergenceError):
             integrate_interval(lambda x: 1.0 / np.sqrt(np.abs(x) + 1e-310), 1e-300, 1.0)
 
     def test_nonconvergence_message_prints_plain_floats(self, monkeypatch):
-        engine(monkeypatch, budget=10)
+        quadrature_at(monkeypatch, budget=10)
         with pytest.raises(NonconvergenceError) as info:
             integrate_interval(lambda x: 1.0 / np.sqrt(np.abs(x) + 1e-310), 1e-300, 1.0)
         assert "value ~ " in str(info.value)
@@ -92,7 +84,7 @@ class TestFiniteInterval:
         # x^-1/2 is singular at 0, and a round bisects as many panels as
         # the excess error needs; each bisection counts against the budget,
         # which is checked before each one and never overrun.
-        engine(monkeypatch, budget=10)
+        quadrature_at(monkeypatch, budget=10)
         with pytest.raises(NonconvergenceError, match="after 10 subdivisions"):
             integrate_interval(lambda x: 1.0 / np.sqrt(x), 1e-300, 1.0)
 
@@ -100,7 +92,7 @@ class TestFiniteInterval:
         # At tolerances of 1e-300 the excess error exceeds the sum of every
         # panel's error by rounding; a round pops them all and the budget,
         # not an empty heap, ends the loop.
-        engine(monkeypatch, tol=1e-300)
+        quadrature_at(monkeypatch, tol=1e-300)
         with pytest.raises(NonconvergenceError, match="did not converge"):
             integrate_interval(lambda x: np.sqrt(np.abs(x - 0.3)), 0.0, 1.0)
         with pytest.raises(NonconvergenceError, match="did not converge"):
@@ -109,7 +101,7 @@ class TestFiniteInterval:
     def test_singular_end_at_the_domain_edge(self, monkeypatch):
         # Bisection grades the mesh toward the singular end one round at a
         # time; at the default tolerances it stops at an estimate of 1.5e-10.
-        engine(monkeypatch, tol=5e-11)
+        quadrature_at(monkeypatch, tol=5e-11)
         res = integrate_interval(lambda x: 1.0 / np.sqrt(x), 0.0, 1.0)
         assert abs(res.value - 2.0) <= res.error <= 1e-10
 
@@ -266,7 +258,7 @@ class TestBatch:
             return np.where(owner == 1, np.exp(-x * x) / np.sqrt(np.abs(x - 0.3) + 1e-300),
                             phi(x))
 
-        engine(monkeypatch, budget=10)
+        quadrature_at(monkeypatch, budget=10)
         with pytest.raises(NonconvergenceError, match="converge") as info:
             integrate_real_line_batch(f, [0.0, 0.0], [1.0, 1.0], [(), ()])
         assert info.value.integral == 1
