@@ -36,8 +36,7 @@ from .general_ec import (
     mu_H,
     reliability,
     reliability_quadrature,
-    skewing_normal,
-    skewing_student,
+    skewing,
 )
 from .model import (
     DistributionSpec,

@@ -7,15 +7,18 @@ linear maps; with location m = mu_i - mu_j, scale
 s = sqrt(S_ii + S_jj - 2 S_ij) and z = m/s, its absolute mean is the mean
 of the folded law (Leone, Nelson & Nottingham 1961):
 
-    E|D| = 2 s w(z) k + m (2 K(z) - 1),
+    E|D| = 2 s M(z) + m (2 K(z) - 1),
 
-where (w, K) is (pdf, cdf) of the standard normal with k = 1, or of the
-standard t with the first-moment factor k = (nu + z^2)/(nu - 1).  Both
-terms are nonnegative, so nothing cancels, and m is differenced directly,
-so the value does not depend on a common location offset.
-``normal_gmd``/``student_gmd`` evaluate it for every pair of a spec in a
-handful of array calls.  The paper writes the same value as two ordered
-brackets per pair; the test suite keeps that form as the kernel's oracle.
+where K is the CDF of the standard law, normal or t, and
+M(z) = int_z^inf t w(t) dt its upper first moment: w(z) for the normal,
+w(z) (nu + z^2)/(nu - 1) for the t.  Both terms are nonnegative, so
+nothing cancels, and m is differenced directly, so the value does not
+depend on a common location offset.  ``normal_gmd``/``student_gmd``
+evaluate it for every pair of a spec in a handful of array calls.  The
+paper writes the same value as two ordered brackets per pair; the test
+suite keeps that form as the kernel's oracle.  ``_law_cdf`` and
+``_upper_moment`` are the one pair kernel: ``general_ec`` reads them for
+the reliability R_ij = K(-z) and for mu_H.
 
 Also here: the quantile-integral route for i.i.d. variables, taken on
 the real line in y = logit(u), and the Gini index.
@@ -29,6 +32,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from .errors import DomainError, MomentExistenceError, NonconvergenceError
 from .model import (
@@ -40,6 +44,7 @@ from .model import (
 )
 from .quadrature import _EPS, integrate_interval, integrate_real_line_batch
 from .special import (
+    DegreesOfFreedom,
     std_normal_cdf,
     std_normal_pdf,
     student_t_cdf,
@@ -56,35 +61,44 @@ from .special import (
 _ERROR_FACTOR = 16.0
 
 
+def _law_cdf(z: ArrayLike, dof: DegreesOfFreedom | None) -> float | np.ndarray:
+    """K(z), the CDF of the standard law: normal for ``dof`` None, else t."""
+    return std_normal_cdf(z) if dof is None else student_t_cdf(z, dof)
+
+
+def _upper_moment(z: ArrayLike, dof: DegreesOfFreedom | None) -> float | np.ndarray:
+    """M(z) = int_z^inf t w(t) dt of the standard law: normal for ``dof`` None, else t.
+
+    The normal's is its density.  The t's, for nu > 1, is
+    nu/(nu - 1) w(0) q^((1 - nu)/2) with q = 1 + z^2/nu, taken in logs:
+    w underflows, and z^2 overflows, where M does not.
+    """
+    if dof is None:
+        return std_normal_pdf(z)
+    nu = dof.nu
+    t = np.abs(z) / math.sqrt(nu)
+    # log q = 2 log(max(t, 1)) + log1p(min(t, 1/t)^2) squares nothing above 1.
+    big = np.maximum(t, 1.0)
+    log_q = 2.0 * np.log(big) + np.log1p(np.square(np.minimum(t, 1.0 / big)))
+    return nu / (nu - 1.0) * student_t_pdf(0.0, dof) * np.exp(0.5 * (1.0 - nu) * log_q)
+
+
 def _folded_gmd(spec: ValidatedSpec) -> GmdResult:
     """Average of E|X_i - X_j| over all pairs, by the folded-law formula."""
+    law = None if spec.family is Family.NORMAL else spec.dof
     m, v, var_sum = pair_differences(spec)
     degenerate = v == 0.0
     v_safe = np.where(degenerate, 1.0, v)
     s = np.sqrt(v_safe)
     z = m / s
-    # The pdf term 2 s w(z) k is formed as 2 w(z) q / s with q = v k, from
-    # m and v rather than the rounded z: as accurate (about 0.6 ulp on
-    # average against mpmath) and correctly rounded for the independent
-    # standard pair, 2/sqrt(pi).
-    if spec.family is Family.NORMAL:
-        density = std_normal_pdf(z)
-        cdf = std_normal_cdf(z)
-        pdf_term = 2.0 * density * v / s
-    else:
-        nu = spec.dof.nu
-        density = student_t_pdf(z, spec.dof)
-        cdf = student_t_cdf(z, spec.dof)
-        with np.errstate(over="ignore"):  # m m overflows beyond |m| ~ 1.3e154
-            q = (nu * v + m * m) / (nu - 1.0)
-        huge = np.isinf(q)
-        pdf_term = 2.0 * density * np.where(huge, 0.0, q) / s
-        # There the term is 2 (w nu s + (w z) m) / (nu - 1), as m m / s = z m;
-        # w z falls like |z|^-nu, so no factor overflows.
-        w, zh = density[huge], z[huge]
-        pdf_term[huge] = 2.0 * (w * nu * s[huge] + w * zh * m[huge]) / (nu - 1.0)
+    moment = _upper_moment(z, law)
+    # The normal's 2 s M is formed as 2 M v / s, from v rather than s s: as
+    # accurate (about 0.6 ulp on average against mpmath) and correctly
+    # rounded for the independent standard pair, 2/sqrt(pi).  The t's M
+    # grows like 1/(nu - 1), so M v could overflow where 2 M s does not.
+    pdf_term = 2.0 * moment * v / s if law is None else 2.0 * moment * s
     # A degenerate pair (v = 0) differs by the constant m.
-    values = np.where(degenerate, np.abs(m), pdf_term + m * (2.0 * cdf - 1.0))
+    values = np.where(degenerate, np.abs(m), pdf_term + m * (2.0 * _law_cdf(z, law) - 1.0))
     eps = np.finfo(float).eps
     # A degenerate pair's true scale may be anything below sqrt(eps * var_sum).
     pair_errors = np.where(

@@ -11,21 +11,24 @@ diagonal:
 R_ij mu_H_ij is the first-moment integral I_ij of x f_{X_j}(x) pi_ij(x),
 so ``gmd_quadrature`` integrates that once per ordering and never forms
 a reliability.  The pair quantities are public on their own: the
-conditional CDF pi_ij (``skewing_normal``, ``skewing_student``, plain
-functions of x), ``reliability`` (the CDF of the difference law, normal
-or t with the same nu) with its integral check
-``reliability_quadrature``, ``h_density`` and ``mu_H``, a closed form
-like ``reliability``.  All pair integrals are taken about X_j's own mean,
-on pairs moved by their own location (``_centred``), so no abscissa
-carries a location offset.
-They run on adaptive quadrature with the densities and CDFs of
+conditional CDF pi_ij (``skewing``, a plain function of x), and
+``reliability`` and ``mu_H`` in closed form.  With D = X_j - X_i of
+scale s, normal or t with the same nu, and a = (mu_i - mu_j)/s, they are
+R_ij = K(-a) and mu_j + Cov(X_j, D)/s M(a) / R_ij, read from the same
+pair kernel as the closed-form GMD: ``closed_form._law_cdf`` (K) and
+``_upper_moment`` (M).  ``reliability_quadrature`` is the integral check
+of ``reliability``, and ``h_density`` is the tilted density.
+
+All pair integrals are taken about X_j's own mean, on pairs moved by
+their own location (``_centred``), so no abscissa carries a location
+offset.  They run on adaptive quadrature with the densities and CDFs of
 ``special``, which makes this module the numerical cross-check for every
 closed form in ``closed_form``.  Each is one integral over the real
 line, mapped by ``quadrature`` as x = mu_j + sigma_j T(1 + T^2),
 T = tan(t).  ``_pair_batch`` builds the integrands of any number of
 pairs from a (mu_i, mu_j, sigma_i, sigma_j, rho) row per pair and one
 conditional-CDF formula, ``_conditional_cdf``, which the public
-``skewing_*`` functions share.  ``_pair_integrals`` is the one path of
+``skewing`` shares.  ``_pair_integrals`` is the one path of
 every pair integral: it hands a batch of rows to the quadrature engine,
 so each refinement round is one integrand call.  ``gmd_quadrature``
 builds the rows of both orderings of every pair straight from the
@@ -37,8 +40,9 @@ float64 cannot resolve at its scale is refused.
 A Student-t moment integrand decays only like |x|^-nu, since pi_ij tends
 to a constant on each side, so those two limits are subtracted first
 and their share comes back in closed form from the marginal's partial
-first moment.  The rest decays like |x|^-(nu+1), which the map leaves
-regular at both ends, like (pi/2 - |t|)^(3 nu - 1), for every nu > 1.
+first moments, sigma_j M(0) on each side of mu_j.  The rest decays like
+|x|^-(nu+1), which the map leaves regular at both ends, like
+(pi/2 - |t|)^(3 nu - 1), for every nu > 1.
 Only the normal and Student-t conditional laws ship.
 
 Pairs with |rho| = 1 have a degenerate conditional law and are rejected
@@ -53,6 +57,7 @@ from typing import Callable
 
 import numpy as np
 
+from .closed_form import _law_cdf, _upper_moment
 from .errors import DegeneratePairError, DomainError, NonconvergenceError
 from .model import Family, GmdMethod, GmdResult, PairParams, ValidatedSpec, pair_correlations
 from .quadrature import (
@@ -81,12 +86,10 @@ def _marginal_pdf(x: np.ndarray, mu: float, sigma: float, family: Family,
     return student_t_pdf(z, require_dof(dof)) / sigma
 
 
-def _marginal_cdf(x: np.ndarray, mu: float, sigma: float, family: Family,
-                  dof: DegreesOfFreedom | None) -> np.ndarray:
-    z = (np.asarray(x, dtype=float) - mu) / sigma
-    if family is Family.NORMAL:
-        return std_normal_cdf(z)
-    return student_t_cdf(z, require_dof(dof))
+def _law(family: Family, dof: DegreesOfFreedom | None) -> DegreesOfFreedom | None:
+    """The degrees of freedom that name ``family``'s standard law: None for
+    the normal; a Student-t law must have them."""
+    return None if family is Family.NORMAL else require_dof(dof)
 
 
 def _require_nondegenerate(rho: float) -> None:
@@ -115,36 +118,23 @@ def _conditional_cdf(x, mu_i, mu_j, sigma_i, sigma_j, rho,
     return student_t_cdf(pref * arg, DegreesOfFreedom(nu + 1.0))
 
 
-def _skewing(
-    p: PairParams, family: Family, dof: DegreesOfFreedom | None
+def skewing(
+    p: PairParams, family: Family, dof: DegreesOfFreedom | None = None
 ) -> Callable[[np.ndarray], np.ndarray]:
+    """The conditional CDF x -> F_{X_i | X_j = x}(x) of a normal or Student-t pair.
+
+    Values lie in [0, 1]; for a centred exchangeable pair
+    pi(-x) = 1 - pi(x).  For a Student-t pair, X_i given X_j = x is t with
+    nu+1 degrees of freedom, its scale inflated by how far x lies in X_j's
+    tail.
+    """
     _require_nondegenerate(p.rho_ij)
-    law = None if family is Family.NORMAL else require_dof(dof)
+    law = _law(family, dof)
 
     def eval_(x: np.ndarray) -> np.ndarray:
         return _conditional_cdf(x, p.mu_i, p.mu_j, p.sigma_i, p.sigma_j, p.rho_ij, law)
 
     return eval_
-
-
-def skewing_normal(p: PairParams) -> Callable[[np.ndarray], np.ndarray]:
-    """The conditional CDF x -> F_{X_i | X_j = x}(x) of a jointly normal pair.
-
-    Values lie in [0, 1]; for a centred exchangeable pair
-    pi(-x) = 1 - pi(x).
-    """
-    return _skewing(p, Family.NORMAL, None)
-
-
-def skewing_student(
-    p: PairParams, dof: DegreesOfFreedom
-) -> Callable[[np.ndarray], np.ndarray]:
-    """The conditional CDF x -> F_{X_i | X_j = x}(x) of a Student-t pair.
-
-    X_i given X_j = x is t with nu+1 degrees of freedom, its scale
-    inflated by how far x lies in X_j's tail.
-    """
-    return _skewing(p, Family.STUDENT_T, dof)
 
 
 def _skew_transition(mu_i: float, mu_j: float, sigma_i: float, sigma_j: float,
@@ -192,20 +182,20 @@ def _student_asymptote(
 
     The skewing argument tends to -k and +k with
     k = sqrt((nu+1)/(1-rho^2)) (sigma_j/sigma_i - rho), so c+- = T_{nu+1}(+-k).
-    X_j's partial first moments above and below mu_j are
-    mu_j/2 +- h, h = sigma_j nu/(nu-1) f_nu(0).  pi_ij and c+- carry a few
-    eps of themselves (``stdtr`` about 2), weighted by |x| f_{X_j} in the
-    moment, which so carries about eps (c- + c+) (|mu_j|/2 + h): many eps
-    of the moment where h grows like 1/(nu - 1) and c+ - c- cancels.  The
-    bound is 8 eps times that; 2,924 moments with nu - 1 in [3e-7, 1e-3]
-    needed at most 4.9 against mpmath.
+    X_j's partial first moments above and below mu_j are mu_j/2 +- h,
+    h = sigma_j M(0) (``_upper_moment``).  pi_ij and c+- carry a few eps of
+    themselves (``stdtr`` about 2), weighted by |x| f_{X_j} in the moment,
+    which so carries about eps (c- + c+) (|mu_j|/2 + h): many eps of the
+    moment where h grows like 1/(nu - 1) and c+ - c- cancels.  The bound
+    is 8 eps times that; 2,924 moments with nu - 1 in [3e-7, 1e-3] needed
+    at most 4.9 against mpmath.
     """
     nu = dof.nu
     k = np.sqrt((nu + 1.0) / (1.0 - rho * rho)) * (sigma_j / sigma_i - rho)
     conditional = DegreesOfFreedom(nu + 1.0)
     c_lo = student_t_cdf(-k, conditional)
     c_hi = student_t_cdf(k, conditional)
-    half_moment = sigma_j * nu / (nu - 1.0) * student_t_pdf(0.0, dof)
+    half_moment = sigma_j * _upper_moment(0.0, dof)
     return (c_lo, c_hi, mu_j * 0.5 * (c_lo + c_hi) + (c_hi - c_lo) * half_moment,
             8.0 * _EPS * (c_lo + c_hi) * (0.5 * np.abs(mu_j) + half_moment))
 
@@ -260,7 +250,7 @@ def _pair_batch(
     mu_i, mu_j, sigma_i, sigma_j, rho = params.T
     for r in rho.tolist():
         _require_nondegenerate(r)
-    law = None if family is Family.NORMAL else require_dof(dof)
+    law = _law(family, dof)
     subtract = moment and law is not None
     share = share_error = np.zeros(len(params))
     if subtract:
@@ -322,7 +312,7 @@ def reliability(
     about X_j's own mean.
     """
     _require_nondegenerate(p.rho_ij)
-    return _marginal_cdf(p.mu_j, p.mu_i, p.diff_sd(), family, dof)
+    return _law_cdf((p.mu_j - p.mu_i) / p.diff_sd(), _law(family, dof))
 
 
 def h_density(
@@ -332,7 +322,7 @@ def h_density(
     dof: DegreesOfFreedom | None = None,
 ) -> np.ndarray:
     """The tilted density h_ij(x) = f_{X_j}(x) pi_ij(x) / R_ij."""
-    skew = _skewing(p, family, dof)
+    skew = skewing(p, family, dof)
     r_ij = reliability(p, family, dof)
     if r_ij <= 0.0:
         raise DomainError("R_ij = 0: the ordering X_i <= X_j has no mass")
@@ -340,30 +330,21 @@ def h_density(
 
 
 def _mu_h(p: PairParams, family: Family, dof: DegreesOfFreedom | None) -> float:
-    """mu_j + Cov(X_j, D)/s w(a) k(a) / R_ij for D = X_j - X_i of scale s.
+    """mu_j + Cov(X_j, D)/s M(a) / R_ij for D = X_j - X_i of scale s.
 
     An elliptical law's E[X_j | D] is linear in D (Cambanis, Huang & Simons,
-    1981), so E[X_j; D >= 0] - mu_j R_ij is Cov(X_j, D)/s times the standard
-    law's first moment above a = (mu_i - mu_j)/s: its density w(a) times
-    k(a) = 1 (normal) or (nu + a^2)/(nu - 1) (t).
+    1981), so E[X_j; D >= 0] - mu_j R_ij is Cov(X_j, D)/s times M(a), the
+    standard law's first moment above a = (mu_i - mu_j)/s
+    (``closed_form._upper_moment``).
     """
-    law = None if family is Family.NORMAL else require_dof(dof)
+    law = _law(family, dof)
     if law is not None:
         law.require_mean()
     r_ij = reliability(p, family, dof)
     if r_ij <= 0.0:
         raise DomainError("R_ij = 0: mean of h_ij is undefined")
     s = p.diff_sd()
-    a = (p.mu_i - p.mu_j) / s
-    if law is None:
-        tail_moment = std_normal_pdf(a)
-    else:
-        # w k = nu w(0) q^((1 - nu)/2) / (nu - 1), q = 1 + a^2/nu, in logs: w
-        # underflows (and a^2 overflows) at gaps where R_ij ~ |a|^-nu does not.
-        nu, t = law.nu, abs(a) / math.sqrt(law.nu)
-        log_q = math.log1p(t * t) if t < 1.0 else 2.0 * math.log(t) + math.log1p(1.0 / (t * t))
-        tail_moment = (nu / (nu - 1.0) * student_t_pdf(0.0, law)
-                       * math.exp(0.5 * (1.0 - nu) * log_q))
+    tail_moment = float(_upper_moment((p.mu_i - p.mu_j) / s, law))
     return p.mu_j + p.sigma_j * (p.sigma_j - p.rho_ij * p.sigma_i) / s * tail_moment / r_ij
 
 

@@ -262,18 +262,13 @@ def integrate_interval(
 def _edges_around(
     features: Sequence[Sequence[tuple[float, float]]],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``feature_edges`` of every integral's features in one pass: the
-    x-edges and the integral each belongs to."""
+    """Bracketing x-edges around every integral's sharp features, given as
+    (location, width), in one pass: the edges and the integral each belongs to."""
     owner = np.repeat(np.arange(len(features)), [len(feats) for feats in features])
     loc_w = np.array([lw for feats in features for lw in feats], dtype=float).reshape(-1, 2)
     ok = np.isfinite(loc_w).all(axis=1) & (loc_w[:, 1] > 0)
     edges = loc_w[ok, :1] + loc_w[ok, 1:] * _BRACKET
     return edges.ravel(), np.repeat(owner[ok], _BRACKET.size)
-
-
-def feature_edges(features: Sequence[tuple[float, float]]) -> np.ndarray:
-    """Bracketing x-edges around sharp features given as (location, width)."""
-    return _edges_around([features])[0]
 
 
 def _tan_t_of(y: np.ndarray) -> np.ndarray:
@@ -428,7 +423,7 @@ def integrate_real_line_split(
     # widen the core if the nominal split point has the wrong sign.
     start_up = max(center + split * scale, scale)
     start_down = max(-(center - split * scale), scale)
-    extra = feature_edges(features) if features else None
+    extra = _edges_around([features])[0] if features else None
     core = integrate_interval(f, -start_down, start_up, extra_edges=extra)
     tail_tol = 0.1 * _ABS_TOL
     up_val, up_err, up_panels = _geometric_tail(f, start_up, True, tail_tol)

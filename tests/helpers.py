@@ -19,8 +19,7 @@ from gmd import (
     normal_gmd,
     pair_params,
     quadrature,
-    skewing_normal,
-    skewing_student,
+    skewing,
     std_normal_cdf,
     std_normal_pdf,
     student_gmd,
@@ -189,30 +188,26 @@ def second_moment_pair_bound(p: PairParams) -> float:
 
 # --- the paper's pair identities ----------------------------------------------
 # Built from the marginal densities of ``special`` and the public conditional
-# CDFs pi_ij = ``skewing_*``, never from the quadrature route they judge.
+# CDFs pi_ij = ``skewing``, never from the quadrature route they judge.
 
 def _marginal_pdf(x, mu: float, sigma: float, dof: DegreesOfFreedom | None):
     z = (x - mu) / sigma
     return (std_normal_pdf(z) if dof is None else student_t_pdf(z, dof)) / sigma
 
 
-def _skewing(p: PairParams, dof: DegreesOfFreedom | None):
-    return skewing_normal(p) if dof is None else skewing_student(p, dof)
-
-
 def max_pdf(p: PairParams, family: Family, x, dof: DegreesOfFreedom | None = None):
     """Density of max(X_i, X_j): f_i pi_ji + f_j pi_ij."""
     dof = None if family is Family.NORMAL else dof
-    return (_marginal_pdf(x, p.mu_i, p.sigma_i, dof) * _skewing(swapped(p), dof)(x)
-            + _marginal_pdf(x, p.mu_j, p.sigma_j, dof) * _skewing(p, dof)(x))
+    return (_marginal_pdf(x, p.mu_i, p.sigma_i, dof) * skewing(swapped(p), family, dof)(x)
+            + _marginal_pdf(x, p.mu_j, p.sigma_j, dof) * skewing(p, family, dof)(x))
 
 
 def min_pdf(p: PairParams, family: Family, x, dof: DegreesOfFreedom | None = None):
     """Density of min(X_i, X_j): f_i (1 - pi_ji) + f_j (1 - pi_ij), from the
     complements, so that min + max = f_i + f_j is a real check."""
     dof = None if family is Family.NORMAL else dof
-    return (_marginal_pdf(x, p.mu_i, p.sigma_i, dof) * (1.0 - _skewing(swapped(p), dof)(x))
-            + _marginal_pdf(x, p.mu_j, p.sigma_j, dof) * (1.0 - _skewing(p, dof)(x)))
+    return (_marginal_pdf(x, p.mu_i, p.sigma_i, dof) * (1.0 - skewing(swapped(p), family, dof)(x))
+            + _marginal_pdf(x, p.mu_j, p.sigma_j, dof) * (1.0 - skewing(p, family, dof)(x)))
 
 
 def exchangeable_skew_gmd(spec: ValidatedSpec) -> float:
@@ -230,7 +225,7 @@ def exchangeable_skew_gmd(spec: ValidatedSpec) -> float:
     for i, j in spec_pairs(spec):
         p = pair_params(spec, i, j)
         centred = PairParams(0.0, 0.0, p.sigma_i, p.sigma_j, p.rho_ij)
-        skew = _skewing(centred, spec.dof)
+        skew = skewing(centred, spec.family, spec.dof)
         moment, _ = integrate.quad(
             lambda y: y * _marginal_pdf(y, 0.0, 1.0, spec.dof) * skew(p.sigma_j * y),
             -np.inf, np.inf, epsabs=1e-13, epsrel=1e-13, limit=200)
@@ -424,6 +419,24 @@ def _mp_t_cdf(x, nu: float):
 def mp_student_t_cdf(x: float, nu: float) -> float:
     """The CDF of the standard t_nu at 40 digits, x and nu taken as exact."""
     return float(_mp_t_cdf(x, nu))
+
+
+def mp_upper_moment(z: float, nu: float | None = None):
+    """M(z) = int_z^inf t w(t) dt of the standard normal (nu None) or t_nu,
+    as an mpf good to 40 digits, z and nu taken as exact.
+
+    The normal's is w(z).  The t's is nu/(nu - 1) w(0) (1 + z^2/nu)^((1 - nu)/2),
+    whose derivative is -z w(z) and which vanishes at infinity for nu > 1.
+    """
+    import mpmath as mp
+
+    with mp.workdps(40):
+        x = mp.mpf(z)
+        if nu is None:
+            return +mp.npdf(x)
+        v = mp.mpf(nu)
+        w0 = mp.gamma((v + 1) / 2) / (mp.sqrt(v * mp.pi) * mp.gamma(v / 2))
+        return v / (v - 1) * w0 * (1 + x * x / v) ** ((1 - v) / 2)
 
 
 def mp_mu_h(p: PairParams, nu: float | None = None) -> float:

@@ -10,8 +10,10 @@ run on the kernel, each pair as a 2-d spec.
 """
 
 import math
+import warnings
 from dataclasses import astuple
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,7 @@ from scipy.special import ndtri
 
 from gmd.closed_form import (
     QuantileFunction,
+    _upper_moment,
     gini_index,
     normal_gmd,
     quantile_gmd,
@@ -38,6 +41,7 @@ from helpers import (
     folded_normal_mean,
     mp_spec_gmd,
     mp_student_quantile_gmd,
+    mp_upper_moment,
     pair_diff_params,
     pair_spec,
     random_exchangeable_spec,
@@ -356,13 +360,75 @@ class TestHugeMeanGap:
         assert result.value == 1e200
         assert math.isfinite(result.diagnostics["abs_error_estimate"])
 
-    @pytest.mark.parametrize("nu", [1.05, 4.0])
-    def test_pdf_term_where_it_matters(self, nu):
-        # m = 1e155 against s = 1e154: z = 10, so the pdf term is not negligible.
-        spec = validate(DistributionSpec("student-t", [1e155, 0.0], 5e307 * np.eye(2), nu=nu))
+    @staticmethod
+    def _check_pdf_term(scale, nu):
+        spec = validate(DistributionSpec("student-t", [1e155, 0.0], scale * np.eye(2), nu=nu))
         result = student_gmd(spec)
         assert abs(result.value - mp_spec_gmd(spec)) <= result.diagnostics["abs_error_estimate"]
         assert result.value > 1e155
+
+    @pytest.mark.parametrize("nu", [1.0 + 1e-6, 1.05, 4.0])
+    def test_pdf_term_where_it_matters(self, nu):
+        # m = 1e155 against s = 1e154: z = 10, so the pdf term is not negligible.
+        self._check_pdf_term(5e307, nu)
+
+    @pytest.mark.parametrize("nu", [1.0 + 1e-6, 1.05])
+    @pytest.mark.parametrize("scale", [1e303, 4e307])
+    def test_pdf_term_near_nu_one(self, scale, nu):
+        # s from 4.5e151 to 8.9e153, z from 2236 down to 11: M(z) still
+        # carries most of nu/(nu - 1), and m m overflows.
+        self._check_pdf_term(scale, nu)
+
+
+class TestGapNearNuOne:
+    """Near nu = 1 the pdf term is about 2 s M(0) and decays only like
+    |z|^(1 - nu).  Formed as 2 s w(z) (nu + z^2)/(nu - 1), it took the
+    rounding of w at |z| in the thousands, where w has fallen like
+    |z|^-(nu + 1), and these specs read up to 2.1 times their estimate."""
+
+    @pytest.mark.parametrize("nu, gap", [(1.0 + 1e-6, 1e3), (1.0 + 1e-6, -1e4), (1.0001, 1e3)])
+    def test_within_estimate(self, nu, gap):
+        spec = validate(DistributionSpec("student-t", [gap, 0.0], [[1.0, -0.9], [-0.9, 1.0]],
+                                         nu=nu))
+        result = student_gmd(spec)
+        assert abs(result.value - mp_spec_gmd(spec)) <= result.diagnostics["abs_error_estimate"]
+
+
+class TestUpperMoment:
+    """The pair kernel's M(z) = int_z^inf t w(t) dt against mpmath, from
+    z = 0 out to where z^2 overflows, with no RuntimeWarning."""
+
+    Z = np.concatenate([[0.0], np.logspace(-300, 300, 61), -np.logspace(-300, 300, 61)])
+
+    @pytest.mark.parametrize("nu", [None, 1.0 + 1e-6, 1.05, 2.0, 30.0, 1e8])
+    def test_against_mpmath(self, nu):
+        dof = None if nu is None else DegreesOfFreedom(nu)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _upper_moment(self.Z, dof)
+        eps = np.finfo(float).eps
+        m0 = mp_upper_moment(0.0, nu)
+        for z, value in zip(self.Z.tolist(), got.tolist()):
+            want = mp_upper_moment(z, nu)
+            # M(z) = M(0) e^-L is as well conditioned as its exponent L; a
+            # value below the normal range may be off by a few subnormal ulps.
+            relative = 4.0 * eps * (1.0 + mpmath.log(m0 / want)) * want
+            bound = float(relative) + 2.0**-1070
+            assert abs(value - float(want)) <= bound, (z, value, float(want))
+
+    @pytest.mark.parametrize("nu", [None, 2.5, 30.0])
+    @pytest.mark.parametrize("z", [-3.0, 0.0, 0.5, 4.0])
+    def test_oracle_is_the_integral(self, nu, z):
+        def integrand(t):
+            if nu is None:
+                return t * mpmath.npdf(t)
+            v = mpmath.mpf(nu)
+            return (t * mpmath.gamma((v + 1) / 2) / (mpmath.sqrt(v * mpmath.pi)
+                    * mpmath.gamma(v / 2)) * (1 + t * t / v) ** (-(v + 1) / 2))
+
+        with mpmath.workdps(30):
+            integral = mpmath.quad(integrand, [z, max(z, 0.0) + 1, mpmath.inf])
+            assert abs(integral / mp_upper_moment(z, nu) - 1) < 1e-20
 
 
 class TestStudentNormaliser:

@@ -1,4 +1,4 @@
-"""Conditional-CDF machinery: skewing functions, tilted densities,
+"""Conditional-CDF machinery: the skewing function, tilted densities,
 reliabilities, order-statistic densities, and the assembled GMD."""
 
 import math
@@ -22,8 +22,7 @@ from gmd.general_ec import (
     mu_H,
     reliability,
     reliability_quadrature,
-    skewing_normal,
-    skewing_student,
+    skewing,
 )
 from gmd.model import DistributionSpec, Family, PairParams, pair_params, validate
 from gmd.quadrature import integrate_real_line
@@ -82,57 +81,59 @@ def integral_calls(monkeypatch):
 
 class TestSkewingNormal:
     def test_exchangeable_center_is_half(self):
-        skew = skewing_normal(PairParams(2.0, 2.0, 1.5, 1.5, 0.3))
+        skew = skewing(PairParams(2.0, 2.0, 1.5, 1.5, 0.3), Family.NORMAL)
         assert float(skew(np.array([2.0]))[0]) == pytest.approx(0.5, abs=1e-15)
 
     def test_limit_at_plus_infinity(self):
-        skew = skewing_normal(std_pair())
+        skew = skewing(std_pair(), Family.NORMAL)
         assert float(skew(np.array([40.0]))[0]) == pytest.approx(1.0, abs=1e-15)
 
     def test_standard_pair_at_one(self):
-        skew = skewing_normal(std_pair())
+        skew = skewing(std_pair(), Family.NORMAL)
         assert float(skew(np.array([1.0]))[0]) == pytest.approx(
             std_normal_cdf(1.0), abs=1e-15
         )
 
     def test_values_in_unit_interval(self):
-        skew = skewing_normal(random_pair(np.random.default_rng(0)))
+        skew = skewing(random_pair(np.random.default_rng(0)), Family.NORMAL)
         vals = skew(np.linspace(-50, 50, 501))
         assert np.all(vals >= 0.0) and np.all(vals <= 1.0)
 
     def test_skewing_property_centered_exchangeable(self):
         for rho in (-0.6, 0.0, 0.7):
-            skew = skewing_normal(PairParams(0.0, 0.0, 1.2, 1.2, rho))
+            skew = skewing(PairParams(0.0, 0.0, 1.2, 1.2, rho), Family.NORMAL)
             x = np.linspace(-6, 6, 121)
             np.testing.assert_allclose(skew(-x), 1.0 - skew(x), atol=1e-12)
 
     def test_degenerate_rejected(self):
         with pytest.raises(DegeneratePairError):
-            skewing_normal(std_pair(rho=1.0))
+            skewing(std_pair(rho=1.0), Family.NORMAL)
 
 
 class TestSkewingStudent:
     def test_exchangeable_center_is_half(self):
-        skew = skewing_student(PairParams(1.0, 1.0, 2.0, 2.0, 0.4), DegreesOfFreedom(3.0))
+        skew = skewing(PairParams(1.0, 1.0, 2.0, 2.0, 0.4), Family.STUDENT_T,
+                       DegreesOfFreedom(3.0))
         assert float(skew(np.array([1.0]))[0]) == pytest.approx(0.5, abs=1e-15)
 
     def test_large_nu_matches_normal(self):
         p = random_pair(np.random.default_rng(1))
-        t_skew = skewing_student(p, DegreesOfFreedom(1e6))
-        n_skew = skewing_normal(p)
+        t_skew = skewing(p, Family.STUDENT_T, DegreesOfFreedom(1e6))
+        n_skew = skewing(p, Family.NORMAL)
         x = np.linspace(-8, 8, 101)
         np.testing.assert_allclose(t_skew(x), n_skew(x), atol=1e-5)
 
     def test_one_scale_unit_above_center(self):
         # Standardized exchangeable pair, rho=0, nu=3: the argument collapses
         # to 1 and the conditional CDF has 4 degrees of freedom.
-        skew = skewing_student(std_pair(), DegreesOfFreedom(3.0))
+        skew = skewing(std_pair(), Family.STUDENT_T, DegreesOfFreedom(3.0))
         got = float(skew(np.array([1.0]))[0])
         assert got == pytest.approx(T_CDF_4_AT_1, abs=1e-14)
         assert got == pytest.approx(student_t_cdf(1.0, DegreesOfFreedom(4.0)), abs=1e-15)
 
     def test_skewing_property_centered_exchangeable(self):
-        skew = skewing_student(PairParams(0.0, 0.0, 1.0, 1.0, 0.5), DegreesOfFreedom(2.5))
+        skew = skewing(PairParams(0.0, 0.0, 1.0, 1.0, 0.5), Family.STUDENT_T,
+                       DegreesOfFreedom(2.5))
         x = np.linspace(-9, 9, 181)
         np.testing.assert_allclose(skew(-x), 1.0 - skew(x), atol=1e-12)
 
@@ -221,16 +222,13 @@ class TestReliability:
         def pair(c):
             return PairParams(c + 0.5, c, 1.1, 0.9, 0.25)
 
-        def skewing(p):
-            return skewing_normal(p) if nu is None else skewing_student(p, dof)
-
         base, moved = pair(0.0), pair(offset)
         assert reliability(moved, family, dof) == pytest.approx(
             reliability(base, family, dof), abs=1e-12)
         assert reliability_quadrature(moved, family, dof).value == pytest.approx(
             reliability_quadrature(base, family, dof).value, abs=1e-12)
-        assert skewing(moved)(np.array([offset + 0.25]))[0] == pytest.approx(
-            skewing(base)(np.array([0.25]))[0], abs=1e-12)
+        assert skewing(moved, family, dof)(np.array([offset + 0.25]))[0] == pytest.approx(
+            skewing(base, family, dof)(np.array([0.25]))[0], abs=1e-12)
 
     def test_values_are_python_floats(self):
         p = PairParams(0.3, -0.2, 1.1, 0.9, 0.25)
@@ -698,7 +696,7 @@ class TestGmdQuadratureRoute:
 
 class TestExchangeableSkewRoute:
     """The skew-symmetric form 4 int x f pi of an exchangeable spec, with pi
-    from ``skewing_*``, against the other routes."""
+    from ``skewing``, against the other routes."""
 
     def test_iid_standard_normal_n2(self):
         spec = validate(DistributionSpec("normal", [0, 0], np.eye(2)))
@@ -807,7 +805,7 @@ class TestSkewDensityEvaluables:
 
     @staticmethod
     def density(x):
-        return 2.0 * std_normal_pdf(x) * skewing_normal(std_pair())(x)
+        return 2.0 * std_normal_pdf(x) * skewing(std_pair(), Family.NORMAL)(x)
 
     def test_marginal_product_density_normalized(self):
         res = integrate_real_line(self.density)

@@ -50,8 +50,7 @@ PUBLIC = [
     "reliability",
     "reliability_quadrature",
     "second_moment_bound",
-    "skewing_normal",
-    "skewing_student",
+    "skewing",
     "spec_from_dict",
     "spec_from_json",
     "std_normal_cdf",
@@ -108,8 +107,7 @@ PARAMETERS = {
     "reliability": ["p", "family", "dof"],
     "reliability_quadrature": ["p", "family", "dof"],
     "second_moment_bound": ["spec"],
-    "skewing_normal": ["p"],
-    "skewing_student": ["p", "dof"],
+    "skewing": ["p", "family", "dof"],
     "spec_from_dict": ["data"],
     "spec_from_json": ["text"],
     "std_normal_cdf": ["x"],

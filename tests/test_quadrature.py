@@ -1,5 +1,6 @@
 """The adaptive Gauss-Kronrod engine against integrals with known values."""
 
+import heapq
 import math
 
 import numpy as np
@@ -97,6 +98,27 @@ class TestFiniteInterval:
             integrate_interval(lambda x: np.sqrt(np.abs(x - 0.3)), 0.0, 1.0)
         with pytest.raises(NonconvergenceError, match="did not converge"):
             integrate_real_line(lambda x: 1.0 / (1.0 + x * x))
+
+    def test_unsplittable_panel_keeps_its_estimate(self, monkeypatch):
+        # [1, 1 + 64 ulp] is 64 panels of one ulp after three rounds.  A
+        # panel whose midpoint rounds to an end is not bisected: it goes back
+        # on the heap at priority 0 with its own estimate and counts a
+        # subdivision, so the budget, not an endless loop, ends the run.
+        quadrature_at(monkeypatch, tol=1e-300)
+        kept = []
+        push = heapq.heappush
+
+        def spy(heap, entry):
+            if entry[0] != -entry[5]:  # priority is not minus the panel's error
+                kept.append(entry)
+            push(heap, entry)
+
+        monkeypatch.setattr(quadrature.heapq, "heappush", spy)
+        with pytest.raises(NonconvergenceError, match="after 2000 subdivisions"):
+            integrate_interval(np.exp, 1.0, 1.0 + 64 * np.finfo(float).eps)
+        assert kept
+        assert all(priority == 0.0 and 0.5 * (a + b) in (a, b)
+                   for priority, _, a, b, _, _ in kept)
 
     def test_singular_end_at_the_domain_edge(self, monkeypatch):
         # Bisection grades the mesh toward the singular end one round at a
