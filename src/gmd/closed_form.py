@@ -45,6 +45,7 @@ from .model import (
 from .quadrature import _EPS, integrate_interval, integrate_real_line_batch
 from .special import (
     DegreesOfFreedom,
+    require_dof,
     std_normal_cdf,
     std_normal_pdf,
     student_t_cdf,
@@ -59,6 +60,12 @@ from .special import (
 # 4 eps (|m| + E|D|) for the normal and for nu from 1.05 to 1e5; the
 # factor leaves twice that.
 _ERROR_FACTOR = 16.0
+
+
+def _law(family: Family, dof: DegreesOfFreedom | None) -> DegreesOfFreedom | None:
+    """The degrees of freedom that name ``family``'s standard law: None for
+    the normal; a Student-t law must have them."""
+    return None if family is Family.NORMAL else require_dof(dof)
 
 
 def _law_cdf(z: ArrayLike, dof: DegreesOfFreedom | None) -> float | np.ndarray:
@@ -85,7 +92,7 @@ def _upper_moment(z: ArrayLike, dof: DegreesOfFreedom | None) -> float | np.ndar
 
 def _folded_gmd(spec: ValidatedSpec) -> GmdResult:
     """Average of E|X_i - X_j| over all pairs, by the folded-law formula."""
-    law = None if spec.family is Family.NORMAL else spec.dof
+    law = _law(spec.family, spec.dof)
     m, v, var_sum = pair_differences(spec)
     degenerate = v == 0.0
     v_safe = np.where(degenerate, 1.0, v)

@@ -57,7 +57,7 @@ from typing import Callable
 
 import numpy as np
 
-from .closed_form import _law_cdf, _upper_moment
+from .closed_form import _law, _law_cdf, _upper_moment
 from .errors import DegeneratePairError, DomainError, NonconvergenceError
 from .model import Family, GmdMethod, GmdResult, PairParams, ValidatedSpec, pair_correlations
 from .quadrature import (
@@ -84,12 +84,6 @@ def _marginal_pdf(x: np.ndarray, mu: float, sigma: float, family: Family,
     if family is Family.NORMAL:
         return std_normal_pdf(z) / sigma
     return student_t_pdf(z, require_dof(dof)) / sigma
-
-
-def _law(family: Family, dof: DegreesOfFreedom | None) -> DegreesOfFreedom | None:
-    """The degrees of freedom that name ``family``'s standard law: None for
-    the normal; a Student-t law must have them."""
-    return None if family is Family.NORMAL else require_dof(dof)
 
 
 def _require_nondegenerate(rho: float) -> None:
