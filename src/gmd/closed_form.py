@@ -97,7 +97,11 @@ def _folded_gmd(spec: ValidatedSpec) -> GmdResult:
     degenerate = v == 0.0
     v_safe = np.where(degenerate, 1.0, v)
     s = np.sqrt(v_safe)
-    z = m / s
+    abs_m = np.abs(m)
+    # |z| is held at 2^1000, where m/s could overflow: beyond it
+    # E|D| - |m| = 2 s M(|z|) is of order |m| |z|^-nu for the t, less for
+    # the normal, so E|D| is |m| to rounding either way.
+    z = m / np.maximum(s, abs_m * 2.0**-1000)
     moment = _upper_moment(z, law)
     # The normal's 2 s M is formed as 2 M v / s, from v rather than s s: as
     # accurate (about 0.6 ulp on average against mpmath) and correctly
@@ -105,11 +109,11 @@ def _folded_gmd(spec: ValidatedSpec) -> GmdResult:
     # grows like 1/(nu - 1), so M v could overflow where 2 M s does not.
     pdf_term = 2.0 * moment * v / s if law is None else 2.0 * moment * s
     # A degenerate pair (v = 0) differs by the constant m.
-    values = np.where(degenerate, np.abs(m), pdf_term + m * (2.0 * _law_cdf(z, law) - 1.0))
+    values = np.where(degenerate, abs_m, pdf_term + m * (2.0 * _law_cdf(z, law) - 1.0))
     eps = np.finfo(float).eps
     # A degenerate pair's true scale may be anything below sqrt(eps * var_sum).
     pair_errors = np.where(
-        degenerate, np.sqrt(eps * var_sum), eps * (np.abs(m) + values * (var_sum / v_safe))
+        degenerate, np.sqrt(eps * var_sum), eps * (abs_m + values * (var_sum / v_safe))
     )
     count = values.size
     result = GmdResult(float(values.sum()) / count, GmdMethod.CLOSED_FORM, values)

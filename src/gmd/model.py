@@ -116,7 +116,8 @@ class GmdResult:
     """A GMD value with its provenance and per-pair breakdown.
 
     ``pair_values`` holds the term of every pair i < j as one float64
-    array in ``ValidatedSpec.pair_index`` order; ``pair_contributions`` pairs
+    array in ``ValidatedSpec.pair_index`` order, or None for a Monte Carlo
+    estimate made without the breakdown; ``pair_contributions`` pairs
     each value with its indices.  Diagnostics are numeric (error
     estimates, sample counts, subdivision counts) plus the algorithm-name
     constants and the ``std_error_valid`` flag recorded by the sampler.
@@ -124,21 +125,25 @@ class GmdResult:
 
     value: float
     method: GmdMethod
-    pair_values: np.ndarray
+    pair_values: np.ndarray | None
     diagnostics: dict[str, float | int | bool | str] = field(default_factory=dict)
 
     @property
-    def pair_contributions(self) -> list[tuple[tuple[int, int], float]]:
-        """((i, j), value) for every pair, in ``pair_index`` order."""
+    def pair_contributions(self) -> list[tuple[tuple[int, int], float]] | None:
+        """((i, j), value) for every pair, in ``pair_index`` order, or None
+        without a breakdown."""
+        if self.pair_values is None:
+            return None
         rows, cols = pair_indices(dimension_of_pairs(self.pair_values.size))
         return list(zip(zip(rows.tolist(), cols.tolist()), self.pair_values.tolist()))
 
     def to_dict(self) -> dict[str, Any]:
+        contributions = self.pair_contributions
         return {
             "value": self.value,
             "method": self.method.value,
-            "pair_contributions": [
-                {"pair": [i, j], "value": v} for (i, j), v in self.pair_contributions
+            "pair_contributions": None if contributions is None else [
+                {"pair": [i, j], "value": v} for (i, j), v in contributions
             ],
             "diagnostics": dict(self.diagnostics),
         }

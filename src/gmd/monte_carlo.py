@@ -21,24 +21,36 @@ names are recorded in diagnostics since they pin the bit-level output.
 
 Memory.  The stream draws every block into the same buffers, so a
 consumer uses or copies a block before it asks for the next one.  The
-reduction keeps per-pair sums and three numbers for the standard error.
-Nothing is draws long or draws x n, so memory does not grow with the
-number of draws: at most 2 MB of sampling buffers, less when every
-chunk is shorter than a block, and 2 MB of reduction buffers at any n.
+reduction keeps three numbers for the standard error, and per-pair sums
+only when the breakdown is asked for.  Nothing is draws long or
+draws x n, so memory does not grow with the number of draws: at most
+2 MB of sampling buffers, less when every chunk is shorter than a block,
+and at most 2 MB of reduction buffers at any n (1 MB without the
+breakdown).
 
-The empirical GMD is one reduction: each block is transposed once to n
-contiguous columns, and the differences |x_j - x_i| for j > i are formed
-row by row in one reused buffer.  Its row sums feed the pair means,
-which come out in ``pair_index`` order as one float64 array, and its
-column sums the per-draw statistic s_d behind the standard error.  Each
-block's (count, mean, M2) of s_d is merged into the running one in
-stream order (Chan, Golub & LeVeque 1979).  s_d is taken in one power of
-two unit, set by the first block's largest s_d, so the squares do not
-overflow at scales near 1e154, and a stream of one block gives the
-two-pass standard deviation bit for bit.  The standard error estimates
-the error only when E|X_i - X_j|^2 is finite (``finite_variance``: not
-for a t without a variance); the result says so in ``std_error_valid``.
-``classic_empirical_gmd`` is the U-statistic of a univariate sample.
+The empirical GMD is one reduction of the per-draw statistic s_d, the
+average over pairs of |x_di - x_dj|, in one of two modes.  With the pair
+breakdown (``pairs``, the library default; ``estimate --pairs``), each
+block is transposed once to n contiguous columns, and the differences
+|x_j - x_i| for j > i are formed row by row in one reused buffer, at
+O(n^2) per draw.  Their row sums feed the pair means, which come out in
+``pair_index`` order as one float64 array, and their column sums give
+s_d.  Without it, s_d is Gini's mean difference of the draw in its
+order-statistic form, sum_k (2k - n - 1) x_(k) / (n (n - 1) / 2) over
+the sorted draw (David, *Gini's mean difference rediscovered*,
+Biometrika 1968), at O(n log n) per draw; below ``SORT_MIN_N`` the
+differences are summed pair by pair instead, which is faster there than
+a row sort.  ``verify`` takes this mode.  Either way, each block's
+(count, mean, M2) of s_d is merged into the running one in stream order
+(Chan, Golub & LeVeque 1979); without the breakdown, the value is the
+merged mean.  s_d is taken in one power of two unit, set by the first
+block's largest s_d, so the squares do not overflow at scales near
+1e154, and a stream of one block gives the two-pass standard deviation
+bit for bit.  The standard error estimates the error only when
+E|X_i - X_j|^2 is finite (``finite_variance``: not for a t without a
+variance); the result says so in ``std_error_valid``.
+``classic_empirical_gmd`` is the same sorted sum over a univariate
+sample: its U-statistic.
 """
 
 from __future__ import annotations
@@ -61,6 +73,10 @@ NORMAL_METHOD = "ziggurat"
 # (1 MB each) fit a 2 MB L2 cache.  At n = 50 this is within noise of the
 # fastest fixed block tried (2048 draws); at n <= 10 it is 1.3-1.6x faster.
 BLOCK_VALUES = 2**17
+# Without the pair breakdown, n below this sums |x_j - x_i| pair by pair:
+# a row sort costs about 40 ns a draw at any n, more than the pairs do up
+# to n = 10 (47-54 against 59-61 ns there; 2 cores, numpy 2.4).
+SORT_MIN_N = 11
 
 
 @dataclass(frozen=True)
@@ -128,40 +144,89 @@ def _stream(spec: ValidatedSpec, cfg: MonteCarloConfig, nu: float | None
             yield x
 
 
-def _pair_stats(blocks: Iterable[np.ndarray]) -> tuple[np.ndarray, float, int]:
-    """Pair means |x_i - x_j| in ``pair_index`` order, the standard error and
-    the number of draws.
+def _add_pair_sums(cols: np.ndarray, pair_sums: np.ndarray, buf: np.ndarray,
+                   stat: np.ndarray) -> None:
+    """Add each pair's sum of |x_j - x_i| over the draws of ``cols``, the
+    block's n x rows transpose, to ``pair_sums``, in ``pair_index`` order,
+    and put each draw's average over pairs in ``stat``: O(n^2) per draw."""
+    n, rows = cols.shape
+    stat.fill(0.0)
+    k = 0
+    for i in range(n - 1):
+        diffs = buf[: n - 1 - i, :rows]
+        np.subtract(cols[i + 1 :], cols[i], out=diffs)
+        np.abs(diffs, out=diffs)
+        pair_sums[k : k + n - 1 - i] += diffs.sum(axis=1)
+        stat += diffs.sum(axis=0)
+        k += n - 1 - i
+    stat /= pair_sums.size
 
-    The standard error comes from the per-draw statistic
-    s_d = average over pairs of |x_di - x_dj|, so correlated pairs are not
-    treated as independent.
+
+def _pair_spread(x: np.ndarray, diff: np.ndarray, stat: np.ndarray) -> None:
+    """Put each draw's average over pairs of |x_j - x_i| in ``stat``, summed
+    pair by pair from the columns of the rows x n block ``x``."""
+    n = x.shape[1]
+    stat.fill(0.0)
+    for i in range(n - 1):
+        for j in range(i + 1, n):
+            np.subtract(x[:, j], x[:, i], out=diff)
+            np.abs(diff, out=diff)
+            stat += diff
+    stat /= n * (n - 1) / 2.0
+
+
+def _sorted_gmd(x: np.ndarray, buf: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The mean over pairs of |x_a - x_b| along the last axis of ``x``, in
+    O(m log m): over the sorted values it is
+    sum_k (2k - m - 1) x_(k) / (m (m - 1) / 2), k = 1..m (David 1968).
+
+    Each row's first value is subtracted as the row is copied into
+    ``buf``, which is then sorted, so that a common offset costs no digits.
     """
-    pair_sums = None
+    np.subtract(x, x[..., :1], out=buf)
+    buf.sort(axis=-1)
+    m = buf.shape[-1]
+    coeffs = 2.0 * np.arange(1, m + 1) - m - 1.0
+    out = np.matmul(buf, coeffs, out=out)
+    out /= m * (m - 1) / 2.0
+    return out
+
+
+def _draw_stats(blocks: Iterable[np.ndarray], pairs: bool
+                ) -> tuple[np.ndarray | None, float, float, int]:
+    """Pair means |x_i - x_j| in ``pair_index`` order (None unless ``pairs``),
+    the mean and standard error of the per-draw statistic
+    s_d = average over pairs of |x_di - x_dj|, and the number of draws.
+
+    The standard error comes from s_d, so correlated pairs are not treated
+    as independent.  With ``pairs``, s_d comes out of the pair loop;
+    without, from the sorted draw, or pair by pair below ``SORT_MIN_N``.
+    """
+    n = pair_sums = None
     count, mean, m2, unit = 0, 0.0, 0.0, 1.0
     for x in blocks:
         x = np.asarray(x, dtype=float)
-        if x.ndim != 2 or x.shape[1] < 2 or (pair_sums is not None and x.shape[1] != n):
+        if x.ndim != 2 or x.shape[1] < 2 or (n is not None and x.shape[1] != n):
             raise DomainError("samples must be a stream of rows x n blocks with n >= 2")
-        if pair_sums is None:
+        if n is None:
             n = x.shape[1]
             step = BLOCK_VALUES // n
-            pair_sums = np.zeros(n * (n - 1) // 2)
-            buf = np.empty((n - 1, step))
             stat_buf = np.empty(step)
+            if pairs:
+                pair_sums = np.zeros(n * (n - 1) // 2)
+                buf = np.empty((n - 1, step))
+            else:
+                buf = np.empty((step, n) if n >= SORT_MIN_N else step)
         for a in range(0, len(x), step):
-            cols = np.ascontiguousarray(x[a : a + step].T)
-            rows = cols.shape[1]
+            block = x[a : a + step]
+            rows = len(block)
             stat = stat_buf[:rows]
-            stat.fill(0.0)
-            k = 0
-            for i in range(n - 1):
-                diffs = buf[: n - 1 - i, :rows]
-                np.subtract(cols[i + 1 :], cols[i], out=diffs)
-                np.abs(diffs, out=diffs)
-                pair_sums[k : k + n - 1 - i] += diffs.sum(axis=1)
-                stat += diffs.sum(axis=0)
-                k += n - 1 - i
-            stat /= pair_sums.size
+            if pairs:
+                _add_pair_sums(np.ascontiguousarray(block.T), pair_sums, buf, stat)
+            elif n < SORT_MIN_N:
+                _pair_spread(block, buf[:rows], stat)
+            else:
+                _sorted_gmd(block, buf[:rows], out=stat)
             if count == 0:
                 # Dividing by a power of two is exact, so the squares cannot
                 # overflow and every result that did not overflow keeps its bits.
@@ -179,12 +244,13 @@ def _pair_stats(blocks: Iterable[np.ndarray]) -> tuple[np.ndarray, float, int]:
                 mean += delta * rows / total
                 m2 += block_m2 + delta * delta * (count * rows / total)
                 count = total
-    if pair_sums is None:
+    if n is None:
         raise DomainError("samples must be a stream of rows x n blocks with n >= 2")
     if count < 2:
         raise DomainError("need at least 2 draws")
     std_error = math.sqrt(m2 / (count - 1)) * unit / math.sqrt(count)
-    return pair_sums / count, std_error, count
+    pair_means = None if pair_sums is None else pair_sums / count
+    return pair_means, mean * unit, std_error, count
 
 
 def finite_variance(spec: ValidatedSpec) -> bool:
@@ -194,16 +260,19 @@ def finite_variance(spec: ValidatedSpec) -> bool:
 
 
 def estimate_from_samples(samples: Iterator[np.ndarray], cfg: MonteCarloConfig,
-                          std_error_valid: bool) -> GmdResult:
+                          std_error_valid: bool, pairs: bool = True) -> GmdResult:
     """Package the empirical GMD of a stream of rows x n blocks, as
     ``sample`` returns it, as a GmdResult.
 
     ``std_error_valid`` is recorded as a diagnostic: pass
     ``finite_variance(spec)``, since without a finite variance the standard
-    error is still computed but estimates nothing.
+    error is still computed but estimates nothing.  ``pairs`` asks for the
+    pair breakdown, at O(n^2) per draw; without it ``pair_values`` is None,
+    the value is the mean of the per-draw statistic, and the reduction
+    costs O(n log n) per draw.
     """
-    pair_means, std_error, draws = _pair_stats(samples)
-    value = float(pair_means.sum()) / pair_means.size
+    pair_means, mean, std_error, draws = _draw_stats(samples, pairs)
+    value = mean if pair_means is None else float(pair_means.sum()) / pair_means.size
     return GmdResult(
         value,
         GmdMethod.MONTE_CARLO,
@@ -220,21 +289,16 @@ def estimate_from_samples(samples: Iterator[np.ndarray], cfg: MonteCarloConfig,
     )
 
 
-def estimate_gmd(spec: ValidatedSpec, cfg: MonteCarloConfig) -> GmdResult:
-    """Sample the spec and package the empirical GMD as a GmdResult."""
-    return estimate_from_samples(sample(spec, cfg), cfg, finite_variance(spec))
+def estimate_gmd(spec: ValidatedSpec, cfg: MonteCarloConfig, pairs: bool = True) -> GmdResult:
+    """Sample the spec and package the empirical GMD as a GmdResult, with
+    the pair breakdown if ``pairs`` (see ``estimate_from_samples``)."""
+    return estimate_from_samples(sample(spec, cfg), cfg, finite_variance(spec), pairs)
 
 
 def classic_empirical_gmd(x: np.ndarray) -> float:
-    """U-statistic GMD of a univariate sample, all-pairs mean |x_a - x_b|.
-
-    Computed in O(m log m): after sorting, the k-th order statistic (1-based)
-    enters the pair sum with coefficient 2k - m - 1.
-    """
+    """U-statistic GMD of a univariate sample, all-pairs mean |x_a - x_b|,
+    in O(m log m) by the sorted sample."""
     x = np.asarray(x, dtype=float).ravel()
-    m = x.size
-    if m < 2:
-        raise DomainError(f"need at least 2 observations, got {m}")
-    s = np.sort(x)
-    coeffs = 2.0 * np.arange(1, m + 1) - m - 1.0
-    return float((coeffs @ s) / (m * (m - 1) / 2.0))
+    if x.size < 2:
+        raise DomainError(f"need at least 2 observations, got {x.size}")
+    return float(_sorted_gmd(x, np.empty_like(x)))

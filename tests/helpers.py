@@ -541,8 +541,8 @@ def monte_carlo_off_by(monkeypatch, standard_errors: float) -> None:
     standard errors above the closed form."""
     original = monte_carlo.estimate_gmd
 
-    def off(spec: ValidatedSpec, cfg):
-        result = original(spec, cfg)
+    def off(spec: ValidatedSpec, cfg, *args):
+        result = original(spec, cfg, *args)
         exact = (normal_gmd if spec.family is Family.NORMAL else student_gmd)(spec).value
         return dataclasses.replace(
             result, value=exact + standard_errors * result.diagnostics["std_error"])

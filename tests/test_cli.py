@@ -247,6 +247,17 @@ class TestEstimateCommand:
         assert diagnostics["std_error_valid"] is valid
         assert isinstance(diagnostics["std_error"], float) and diagnostics["std_error"] > 0
 
+    def test_pairs_only_on_request(self, capsys, iid_normal_spec):
+        argv = ("estimate", iid_normal_spec, "--draws", "5000", "--seed", "5")
+        _, out = run(capsys, *argv)
+        assert '"pair_contributions": null' in out
+        assert json.loads(out)["pair_contributions"] is None
+        _, with_pairs = run(capsys, *argv, "--pairs")
+        (pair,) = json.loads(with_pairs)["pair_contributions"]
+        assert pair["pair"] == [0, 1]
+        assert json.loads(with_pairs)["value"] == pytest.approx(json.loads(out)["value"],
+                                                                rel=1e-14)
+
     def test_draw_floor_enforced(self, capsys, iid_normal_spec):
         code, out = run(capsys, "estimate", iid_normal_spec, "--draws", "999")
         assert code == 1
@@ -419,6 +430,19 @@ class TestVerifyCommand:
         assert report["pass"] is False
         assert report["mc_diff_in_se"] == pytest.approx(4.0, rel=1e-12)
         assert report["mc_se_tol"] == 3.0
+
+    def test_never_asks_for_the_pairs(self, capsys, monkeypatch, iid_normal_spec):
+        calls = []
+        original = monte_carlo.estimate_gmd
+
+        def spy(*args, **kwargs):
+            calls.append((args[2:], kwargs))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(monte_carlo, "estimate_gmd", spy)
+        code, _ = run(capsys, "verify", iid_normal_spec, "--draws", "2000", "--seed", "2")
+        assert code == 0
+        assert calls == [((False,), {})]
 
     def test_student_spec(self, capsys, student_spec):
         code, out = run(capsys, "verify", student_spec,
@@ -710,9 +734,17 @@ class TestReportBytes:
     def test_estimate(self, capsys, tmp_path, output):
         path, spec = _spec_file(tmp_path, "spec.json", "student-t", 5.0, 3, 4)
         _, out = run(capsys, "estimate", path, "--draws", "5000", "--seed", "9",
-                     "--chunks", "2", "--output", output)
+                     "--chunks", "2", "--output", output, "--pairs")
         cfg = MonteCarloConfig(draws=5000, seed=9, chunks=2)
         assert out == reference_output(estimate_gmd(spec, cfg).to_dict(), output)
+
+    @pytest.mark.parametrize("output", ["json", "text"])
+    def test_estimate_without_pairs(self, capsys, tmp_path, output):
+        path, spec = _spec_file(tmp_path, "spec.json", "student-t", 5.0, 3, 4)
+        _, out = run(capsys, "estimate", path, "--draws", "5000", "--seed", "9",
+                     "--chunks", "2", "--output", output)
+        cfg = MonteCarloConfig(draws=5000, seed=9, chunks=2)
+        assert out == reference_output(estimate_gmd(spec, cfg, False).to_dict(), output)
 
     @pytest.mark.parametrize("output", ["json", "text"])
     def test_bound(self, capsys, tmp_path, output):

@@ -360,6 +360,15 @@ class TestHugeMeanGap:
         assert result.value == 1e200
         assert math.isfinite(result.diagnostics["abs_error_estimate"])
 
+    @pytest.mark.parametrize("nu", [None, 3.0])
+    def test_gap_over_scale_overflows(self, nu):
+        # |m|/s = 1e300/sqrt(2e-300) overflows, and E|D| is |m| to rounding.
+        family = "normal" if nu is None else "student-t"
+        result = _gmd(validate(DistributionSpec(family, [1e300, 0.0], 1e-300 * np.eye(2),
+                                                nu=nu)))
+        assert result.value == 1e300
+        assert 0.0 < result.diagnostics["abs_error_estimate"] < 1e-14 * 1e300
+
     @staticmethod
     def _check_pdf_term(scale, nu):
         spec = validate(DistributionSpec("student-t", [1e155, 0.0], scale * np.eye(2), nu=nu))

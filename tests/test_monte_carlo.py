@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import stdtrit
 
+from gmd import monte_carlo
 from gmd.closed_form import normal_gmd
 from gmd.errors import DomainError, MomentExistenceError
 from gmd.model import DistributionSpec, GmdResult, validate
@@ -14,6 +15,7 @@ from gmd.monte_carlo import (
     BLOCK_VALUES,
     NORMAL_METHOD,
     PRNG_NAME,
+    SORT_MIN_N,
     MonteCarloConfig,
     classic_empirical_gmd,
     estimate_from_samples,
@@ -227,6 +229,46 @@ class TestBlockedKernel:
         assert from_matrix.value == result.value
         assert from_matrix.diagnostics == result.diagnostics
 
+    # Either side of every chunk's first block edge, and of the sort's
+    # smallest n; normal and t (nu 4), at offsets 0 and 1e12.
+    @pytest.mark.parametrize("edge", [-1, 1])
+    @pytest.mark.parametrize("chunks", [1, 3])
+    @pytest.mark.parametrize("offset", [0.0, 1e12])
+    @pytest.mark.parametrize("family", ["normal", "student-t"])
+    @pytest.mark.parametrize("n", [2, 3, SORT_MIN_N - 1, SORT_MIN_N, 50])
+    def test_without_pairs_matches_the_pair_loop(self, n, family, offset, chunks, edge):
+        rng = np.random.default_rng(n)
+        base = random_normal_spec(rng, n)
+        spec = validate(DistributionSpec(family, base.mu + offset, base.sigma_mat,
+                                         nu=4.0 if family == "student-t" else None))
+        draws = chunks * (BLOCK_VALUES // n) + edge
+        cfg = MonteCarloConfig(draws=draws, seed=7, chunks=chunks)
+        with_pairs = estimate_gmd(spec, cfg)
+        result = estimate_gmd(spec, cfg, False)
+        assert result.pair_values is None and result.pair_contributions is None
+        assert result.to_dict()["pair_contributions"] is None
+        assert result.diagnostics["draws"] == draws
+        assert result.value == pytest.approx(with_pairs.value, rel=1e-14, abs=0)
+        assert result.diagnostics["std_error"] == pytest.approx(
+            with_pairs.diagnostics["std_error"], rel=1e-14, abs=0)
+        ref_means, ref_se = reference_pair_stats(drawn(spec, cfg))
+        assert result.value == pytest.approx(ref_means.mean(), rel=1e-13)
+        assert result.diagnostics["std_error"] == pytest.approx(ref_se, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("n", [2, 3, SORT_MIN_N, 50])
+    def test_without_pairs_never_runs_the_pair_loop(self, monkeypatch, n):
+        def refuse(*args):
+            raise AssertionError("the O(n^2) pair loop ran")
+
+        monkeypatch.setattr(monte_carlo, "_add_pair_sums", refuse)
+        if n >= SORT_MIN_N:
+            monkeypatch.setattr(monte_carlo, "_pair_spread", refuse)
+        spec = random_normal_spec(np.random.default_rng(n), n)
+        cfg = MonteCarloConfig(draws=2 * (BLOCK_VALUES // n) + 1, seed=1, chunks=2)
+        assert estimate_gmd(spec, cfg, False).pair_values is None
+        with pytest.raises(AssertionError, match="pair loop"):
+            estimate_gmd(spec, cfg)
+
     @pytest.mark.parametrize("chunks", [1, 3])
     @pytest.mark.parametrize("family", ["normal", "student-t"])
     def test_samples_equal_reference(self, family, chunks):
@@ -346,6 +388,19 @@ class TestClassicEstimator:
         rng = np.random.Generator(np.random.Philox(24))
         x = rng.exponential(1.0, 1_000_000)
         assert classic_empirical_gmd(x) == pytest.approx(1.0, abs=0.005)
+
+    def test_large_offset_costs_no_digits(self):
+        # Every input and the answer 1001/3 are exact; summed without the
+        # offset taken out, the weighted sum lost 5 digits to cancellation.
+        x = 1e15 + np.arange(1000.0)
+        assert classic_empirical_gmd(x) == pytest.approx(1001.0 / 3.0, rel=1e-15, abs=0)
+        shuffled = np.random.default_rng(25).permutation(x)
+        assert classic_empirical_gmd(shuffled) == pytest.approx(1001.0 / 3.0, rel=1e-15, abs=0)
+
+    def test_input_left_unsorted(self):
+        x = np.array([3.0, 1.0, 2.0])
+        classic_empirical_gmd(x)
+        assert x.tolist() == [3.0, 1.0, 2.0]
 
     def test_too_small(self):
         with pytest.raises(DomainError):

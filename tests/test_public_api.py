@@ -94,7 +94,7 @@ PARAMETERS = {
     "classic_empirical_gmd": ["x"],
     "cp_bound": ["p", "sigma1"],
     "cp_constant": ["p"],
-    "estimate_gmd": ["spec", "cfg"],
+    "estimate_gmd": ["spec", "cfg", "pairs"],
     "exchangeable_rho_bound": ["sigma1", "rhos"],
     "gini_index": ["gmd_value", "mu1"],
     "gmd_quadrature": ["spec"],
@@ -153,7 +153,8 @@ def test_type_attributes_are_pinned():
 OPTIONS = {
     "closed-form": ["--nu", "--output", "spec"],
     "bound": ["--nu", "--output", "spec"],
-    "estimate": ["--chunks", "--draws", "--dump", "--nu", "--output", "--seed", "spec"],
+    "estimate": ["--chunks", "--draws", "--dump", "--nu", "--output", "--pairs", "--seed",
+                 "spec"],
     "verify": ["--chunks", "--draws", "--nu", "--output", "--seed", "spec"],
     "quantile-gmd": ["--nu", "--output", "spec"],
 }
