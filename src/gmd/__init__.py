@@ -43,9 +43,7 @@ from .model import (
     Family,
     GmdMethod,
     GmdResult,
-    PairParams,
     ValidatedSpec,
-    pair_params,
     spec_from_dict,
     spec_from_json,
     validate,

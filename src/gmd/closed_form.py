@@ -17,8 +17,9 @@ depend on a common location offset.  ``normal_gmd``/``student_gmd``
 evaluate it for every pair of a spec in a handful of array calls.  The
 paper writes the same value as two ordered brackets per pair; the test
 suite keeps that form as the kernel's oracle.  ``_law_cdf`` and
-``_upper_moment`` are the one pair kernel: ``general_ec`` reads them for
-the reliability R_ij = K(-z) and for mu_H.
+``_upper_moment`` are the one pair kernel, and ``_standard_gap`` forms
+its z: ``general_ec`` reads them for the reliability R_ij = K(-z) and
+for mu_H.
 
 Also here: the quantile-integral route for i.i.d. variables, taken on
 the real line in y = logit(u), and the Gini index.
@@ -90,6 +91,16 @@ def _upper_moment(z: ArrayLike, dof: DegreesOfFreedom | None) -> float | np.ndar
     return nu / (nu - 1.0) * student_t_pdf(0.0, dof) * np.exp(0.5 * (1.0 - nu) * log_q)
 
 
+def _standard_gap(m: ArrayLike, s: ArrayLike) -> float | np.ndarray:
+    """z = m/s of D = m + s T, with |z| held at 2^1000, where m/s could overflow.
+
+    Beyond it E|D| - |m| = 2 s M(|z|) is of order |m| |z|^-nu for the t,
+    less for the normal, so E|D| is |m| to rounding either way, and K(z)
+    evaluates to 0 or 1 for both laws.
+    """
+    return m / np.maximum(s, np.abs(m) * 2.0**-1000)
+
+
 def _folded_gmd(spec: ValidatedSpec) -> GmdResult:
     """Average of E|X_i - X_j| over all pairs, by the folded-law formula."""
     law = _law(spec.family, spec.dof)
@@ -98,10 +109,7 @@ def _folded_gmd(spec: ValidatedSpec) -> GmdResult:
     v_safe = np.where(degenerate, 1.0, v)
     s = np.sqrt(v_safe)
     abs_m = np.abs(m)
-    # |z| is held at 2^1000, where m/s could overflow: beyond it
-    # E|D| - |m| = 2 s M(|z|) is of order |m| |z|^-nu for the t, less for
-    # the normal, so E|D| is |m| to rounding either way.
-    z = m / np.maximum(s, abs_m * 2.0**-1000)
+    z = _standard_gap(m, s)
     moment = _upper_moment(z, law)
     # The normal's 2 s M is formed as 2 M v / s, from v rather than s s: as
     # accurate (about 0.6 ulp on average against mpmath) and correctly

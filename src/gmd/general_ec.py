@@ -10,17 +10,20 @@ diagonal:
 
 R_ij mu_H_ij is the first-moment integral I_ij of x f_{X_j}(x) pi_ij(x),
 so ``gmd_quadrature`` integrates that once per ordering and never forms
-a reliability.  The pair quantities are public on their own: the
-conditional CDF pi_ij (``skewing``, a plain function of x), and
+a reliability.  The pair quantities are public on their own, each on the
+ordered pair (i, j) of a validated spec, whose family and nu it reads:
+the conditional CDF pi_ij (``skewing``, a plain function of x), and
 ``reliability`` and ``mu_H`` in closed form.  With D = X_j - X_i of
 scale s, normal or t with the same nu, and a = (mu_i - mu_j)/s, they are
 R_ij = K(-a) and mu_j + Cov(X_j, D)/s M(a) / R_ij, read from the same
-pair kernel as the closed-form GMD: ``closed_form._law_cdf`` (K) and
-``_upper_moment`` (M).  ``reliability_quadrature`` is the integral check
-of ``reliability``, and ``h_density`` is the tilted density.
+pair kernel as the closed-form GMD: ``closed_form._law_cdf`` (K),
+``_upper_moment`` (M), and a and s formed as the closed form forms them.
+``reliability_quadrature`` is the integral check of ``reliability``, and
+``h_density`` is the tilted density.  ``_pair`` reads one pair's
+(mu_i, mu_j, sigma_i, sigma_j, rho) for them.
 
-All pair integrals are taken about X_j's own mean, on pairs moved by
-their own location (``_centred``), so no abscissa carries a location
+All pair integrals are taken about X_j's own mean, on rows whose means
+are moved so that mu_j = 0, so no abscissa carries a location
 offset.  They run on adaptive quadrature with the densities and CDFs of
 ``special``, which makes this module the numerical cross-check for every
 closed form in ``closed_form``.  Each is one integral over the real
@@ -57,9 +60,9 @@ from typing import Callable
 
 import numpy as np
 
-from .closed_form import _law, _law_cdf, _upper_moment
+from .closed_form import _law, _law_cdf, _standard_gap, _upper_moment
 from .errors import DegeneratePairError, DomainError, NonconvergenceError
-from .model import Family, GmdMethod, GmdResult, PairParams, ValidatedSpec, pair_correlations
+from .model import Family, GmdMethod, GmdResult, ValidatedSpec, pair_correlations
 from .quadrature import (
     _EPS,
     BatchIntegrand,
@@ -91,6 +94,24 @@ def _require_nondegenerate(rho: float) -> None:
         raise DegeneratePairError(f"conditional law is degenerate at rho = {rho}")
 
 
+def _pair(spec: ValidatedSpec, i: int, j: int) -> tuple[float, float, float, float, float]:
+    """(mu_i, mu_j, sigma_i, sigma_j, rho) of the ordered pair (i, j) of ``spec``.
+
+    rho is clipped to [-1, 1], as ``pair_correlations`` clips it, and a
+    pair with |rho| = 1, whose conditional law is degenerate, is rejected.
+    """
+    n = spec.n
+    if not (0 <= i < n and 0 <= j < n):
+        raise DomainError(f"pair indices ({i},{j}) out of range for n = {n}")
+    if i == j:
+        raise DomainError("pair indices must differ")
+    s = spec.sigma_mat
+    sd_i, sd_j = math.sqrt(s[i, i]), math.sqrt(s[j, j])
+    rho = min(max(float(s[i, j] / (sd_i * sd_j)), -1.0), 1.0)
+    _require_nondegenerate(rho)
+    return float(spec.mu[i]), float(spec.mu[j]), sd_i, sd_j, rho
+
+
 def _conditional_cdf(x, mu_i, mu_j, sigma_i, sigma_j, rho,
                      dof: DegreesOfFreedom | None) -> np.ndarray:
     """pi_ij(x) = F_{X_i | X_j = x}(x); the parameters broadcast against x.
@@ -112,21 +133,19 @@ def _conditional_cdf(x, mu_i, mu_j, sigma_i, sigma_j, rho,
     return student_t_cdf(pref * arg, DegreesOfFreedom(nu + 1.0))
 
 
-def skewing(
-    p: PairParams, family: Family, dof: DegreesOfFreedom | None = None
-) -> Callable[[np.ndarray], np.ndarray]:
-    """The conditional CDF x -> F_{X_i | X_j = x}(x) of a normal or Student-t pair.
+def skewing(spec: ValidatedSpec, i: int, j: int) -> Callable[[np.ndarray], np.ndarray]:
+    """The conditional CDF x -> F_{X_i | X_j = x}(x) of the pair (i, j) of ``spec``.
 
     Values lie in [0, 1]; for a centred exchangeable pair
     pi(-x) = 1 - pi(x).  For a Student-t pair, X_i given X_j = x is t with
     nu+1 degrees of freedom, its scale inflated by how far x lies in X_j's
     tail.
     """
-    _require_nondegenerate(p.rho_ij)
-    law = _law(family, dof)
+    mu_i, mu_j, sigma_i, sigma_j, rho = _pair(spec, i, j)
+    law = _law(spec.family, spec.dof)
 
     def eval_(x: np.ndarray) -> np.ndarray:
-        return _conditional_cdf(x, p.mu_i, p.mu_j, p.sigma_i, p.sigma_j, p.rho_ij, law)
+        return _conditional_cdf(x, mu_i, mu_j, sigma_i, sigma_j, rho, law)
 
     return eval_
 
@@ -153,17 +172,6 @@ def _skew_transition(mu_i: float, mu_j: float, sigma_i: float, sigma_j: float,
     while (width := 16.0 * width) < sigma_j:
         features.append((x_star, width))
     return features
-
-
-def _centred(p: PairParams) -> PairParams:
-    """The pair moved so that X_j's mean is 0.
-
-    The laws depend on x only through x - mu, and a common offset would
-    otherwise put every abscissa at the offset's magnitude, where the
-    pair's scale is lost to rounding; mu_i - mu_j is then the only
-    subtraction that meets the offset.
-    """
-    return PairParams(p.mu_i - p.mu_j, 0.0, p.sigma_i, p.sigma_j, p.rho_ij)
 
 
 def _student_asymptote(
@@ -210,18 +218,20 @@ def _pair_rows(params: np.ndarray, moment: bool) -> tuple[np.ndarray, np.ndarray
     of its means is 0, so |mu_j| is 0 or the pair's mean gap.  A row
     with |mu_j| eps > 1e-8 sigma_j is refused with
     ``NonconvergenceError``: that bound is then about half a sigma_j,
-    and beyond it the scale is lost to rounding altogether.
+    and beyond it the scale is lost to rounding altogether.  The refusal
+    is decided before the division, which it does not depend on and
+    which could overflow for such a row.
     """
-    unit = np.ldexp(0.5, np.frexp(params[:, 3])[1])
-    rows = params.copy()
-    rows[:, :4] /= unit[:, None]
-    centre, scale = np.abs(rows[:, 1]), rows[:, 3]
-    far = centre * _EPS > 1e-8 * scale
+    far = np.abs(params[:, 1]) * _EPS > 1e-8 * params[:, 3]
     if far.any():
         k = int(np.argmax(far))
         raise NonconvergenceError(
             f"mean gap {float(params[k, 1])!r} is beyond what float64 resolves at "
             f"scale {float(params[k, 3])!r}", integral=k)
+    unit = np.ldexp(0.5, np.frexp(params[:, 3])[1])
+    rows = params.copy()
+    rows[:, :4] /= unit[:, None]
+    centre, scale = np.abs(rows[:, 1]), rows[:, 3]
     return rows, unit, _EPS * centre * (centre if moment else 1.0) / scale
 
 
@@ -284,67 +294,71 @@ def _pair_integrals(
     return values, errors, results, rounds
 
 
-def reliability_quadrature(p: PairParams, family: Family,
-                           dof: DegreesOfFreedom | None = None) -> QuadratureResult:
+def reliability_quadrature(spec: ValidatedSpec, i: int, j: int) -> QuadratureResult:
     """R_ij = E[pi_ij(X_j)] by quadrature; the independent check of ``reliability``."""
-    row = np.array([dataclasses.astuple(_centred(p))])
-    values, errors, (result,), _ = _pair_integrals(row, family, dof, moment=False)
+    mu_i, mu_j, sigma_i, sigma_j, rho = _pair(spec, i, j)
+    row = np.array([[mu_i - mu_j, 0.0, sigma_i, sigma_j, rho]])
+    values, errors, (result,), _ = _pair_integrals(row, spec.family, spec.dof, moment=False)
     return dataclasses.replace(result, value=float(values[0]), error=float(errors[0]))
 
 
-def reliability(
-    p: PairParams,
-    family: Family,
-    dof: DegreesOfFreedom | None = None,
-) -> float:
-    """Stress-strength reliability P(X_i <= X_j) = K((mu_j - mu_i) / s_ij).
+def _difference_law(spec: ValidatedSpec, i: int, j: int) -> tuple[float, float]:
+    """(z, s) of X_i - X_j = m + s T, formed as the closed form forms every pair's.
+
+    m = mu_i - mu_j and s^2 = S_ii + S_jj - 2 S_ij as ``pair_differences``
+    forms them, and z = m/s held as ``closed_form._standard_gap`` holds it.
+    """
+    mu_i, mu_j, _, _, _ = _pair(spec, i, j)
+    s_mat = spec.sigma_mat
+    s = math.sqrt(max(s_mat[i, i] + s_mat[j, j] - 2.0 * s_mat[i, j], 0.0))
+    return float(_standard_gap(mu_i - mu_j, s)), s
+
+
+def reliability(spec: ValidatedSpec, i: int, j: int) -> float:
+    """Stress-strength reliability P(X_i <= X_j) = K(-z), z = (mu_i - mu_j) / s_ij.
 
     X_i - X_j of an elliptical pair is normal, or t with the same nu, with
     scale s_ij, so R_ij is that law's CDF K at the standardized mean gap
-    and needs no integral.  ``reliability_quadrature`` is the independent
-    check: it integrates E[pi_ij(X_j)], like every pair integral here,
-    about X_j's own mean.
+    and needs no integral: the closed form's kernel at its own z, bit for
+    bit.  ``reliability_quadrature`` is the independent check: it
+    integrates E[pi_ij(X_j)], like every pair integral here, about X_j's
+    own mean.
     """
-    _require_nondegenerate(p.rho_ij)
-    return _law_cdf((p.mu_j - p.mu_i) / p.diff_sd(), _law(family, dof))
+    z, _ = _difference_law(spec, i, j)
+    return _law_cdf(-z, _law(spec.family, spec.dof))
 
 
-def h_density(
-    p: PairParams,
-    family: Family,
-    x: np.ndarray,
-    dof: DegreesOfFreedom | None = None,
-) -> np.ndarray:
+def h_density(spec: ValidatedSpec, i: int, j: int, x: np.ndarray) -> np.ndarray:
     """The tilted density h_ij(x) = f_{X_j}(x) pi_ij(x) / R_ij."""
-    skew = skewing(p, family, dof)
-    r_ij = reliability(p, family, dof)
+    r_ij = reliability(spec, i, j)
     if r_ij <= 0.0:
         raise DomainError("R_ij = 0: the ordering X_i <= X_j has no mass")
-    return _marginal_pdf(x, p.mu_j, p.sigma_j, family, dof) * skew(x) / r_ij
+    _, mu_j, _, sigma_j, _ = _pair(spec, i, j)
+    return _marginal_pdf(x, mu_j, sigma_j, spec.family, spec.dof) * skewing(spec, i, j)(x) / r_ij
 
 
-def _mu_h(p: PairParams, family: Family, dof: DegreesOfFreedom | None) -> float:
+def _mu_h(spec: ValidatedSpec, i: int, j: int) -> float:
     """mu_j + Cov(X_j, D)/s M(a) / R_ij for D = X_j - X_i of scale s.
 
     An elliptical law's E[X_j | D] is linear in D (Cambanis, Huang & Simons,
     1981), so E[X_j; D >= 0] - mu_j R_ij is Cov(X_j, D)/s times M(a), the
     standard law's first moment above a = (mu_i - mu_j)/s
-    (``closed_form._upper_moment``).
+    (``closed_form._upper_moment``), with Cov(X_j, D) = S_jj - S_ij.
     """
-    law = _law(family, dof)
+    law = _law(spec.family, spec.dof)
     if law is not None:
         law.require_mean()
-    r_ij = reliability(p, family, dof)
+    a, s = _difference_law(spec, i, j)
+    r_ij = _law_cdf(-a, law)
     if r_ij <= 0.0:
         raise DomainError("R_ij = 0: mean of h_ij is undefined")
-    s = p.diff_sd()
-    tail_moment = float(_upper_moment((p.mu_i - p.mu_j) / s, law))
-    return p.mu_j + p.sigma_j * (p.sigma_j - p.rho_ij * p.sigma_i) / s * tail_moment / r_ij
+    cov = float(spec.sigma_mat[j, j] - spec.sigma_mat[i, j])
+    return float(spec.mu[j]) + cov / s * float(_upper_moment(a, law)) / r_ij
 
 
-def mu_H(p: PairParams, family: Family, dof: DegreesOfFreedom | None = None) -> float:
+def mu_H(spec: ValidatedSpec, i: int, j: int) -> float:
     """Mean of the tilted density h_ij, in closed form like ``reliability``."""
-    return _mu_h(p, family, dof)
+    return _mu_h(spec, i, j)
 
 
 def gmd_quadrature(spec: ValidatedSpec) -> GmdResult:
@@ -367,7 +381,8 @@ def gmd_quadrature(spec: ValidatedSpec) -> GmdResult:
     gap = spec.mu[rows] - spec.mu[cols]
     zero = np.zeros_like(gap)
     # Row 2k is pair k's ordering (i, j) moved so that mu_j = 0, as
-    # ``_centred`` moves it; row 2k + 1 is the same pair swapped, (j, i).
+    # ``reliability_quadrature`` moves its row; row 2k + 1 is the same pair
+    # swapped, (j, i).
     params = np.stack([
         np.column_stack([gap, zero, sd[rows], sd[cols], rho]),
         np.column_stack([zero, gap, sd[cols], sd[rows], rho]),

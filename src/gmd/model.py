@@ -1,4 +1,4 @@
-"""Parameter containers and validation for distributions and variable pairs.
+"""Parameter containers and validation for distributions.
 
 A ``DistributionSpec`` describes a location-scale family (multivariate
 normal or Student-t) through a location vector mu and a positive-definite
@@ -8,10 +8,10 @@ invariants it violates.  A validated spec holds arrays, and every
 route reads all its pairs from them at once, in
 ``ValidatedSpec.pair_index`` order: ``pair_differences`` gives the law
 of X_i - X_j for the closed form and the bounds, ``pair_correlations``
-gives rho_ij for the bounds and the quadrature route.  A pairwise slice
-(``PairParams``, from ``pair_params``) feeds the public pair quantities
-of ``general_ec`` (pi_ij, R_ij, h_ij, mu_H).  ``GmdResult`` carries
-every route's value with its pair breakdown.
+gives rho_ij for the bounds and the quadrature route.  The public pair
+quantities of ``general_ec`` (pi_ij, R_ij, h_ij, mu_H) read one ordered
+pair (i, j) of a validated spec.  ``GmdResult`` carries every route's
+value with its pair breakdown.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 from .errors import DomainError, ValidationError
 from .special import DegreesOfFreedom
 
-# Relative floors shared by validation and pair extraction.
+# Relative floors of validation and of the pair correlations.
 SYMMETRY_RTOL = 1e-12
 PIVOT_RTOL = 1e-12
 RHO_CLAMP = 1e-12
@@ -78,37 +78,6 @@ class ValidatedSpec:
     def pair_index(self) -> tuple[np.ndarray, np.ndarray]:
         """``pair_indices(n)``, kept with the spec: every array route reads it."""
         return pair_indices(self.n)
-
-
-@dataclass(frozen=True)
-class PairParams:
-    """The (mu_i, mu_j, sigma_i, sigma_j, rho_ij) slice of one pair."""
-
-    mu_i: float
-    mu_j: float
-    sigma_i: float
-    sigma_j: float
-    rho_ij: float
-
-    def __post_init__(self) -> None:
-        problems = []
-        for name in ("mu_i", "mu_j", "sigma_i", "sigma_j", "rho_ij"):
-            if not math.isfinite(getattr(self, name)):
-                problems.append(f"{name} must be finite")
-        if self.sigma_i <= 0 or self.sigma_j <= 0:
-            problems.append("sigma_i and sigma_j must be > 0")
-        if abs(self.rho_ij) > 1.0:
-            if abs(self.rho_ij) - 1.0 <= RHO_CLAMP:
-                object.__setattr__(self, "rho_ij", math.copysign(1.0, self.rho_ij))
-            else:
-                problems.append(f"|rho_ij| = {abs(self.rho_ij)} > 1")
-        if problems:
-            raise ValidationError(problems)
-
-    def diff_sd(self) -> float:
-        """Standard deviation (in scale units) of X_i - X_j."""
-        v = self.sigma_i**2 + self.sigma_j**2 - 2.0 * self.rho_ij * self.sigma_i * self.sigma_j
-        return math.sqrt(max(v, 0.0))
 
 
 @dataclass
@@ -297,20 +266,6 @@ def pair_correlations(spec: ValidatedSpec) -> np.ndarray:
             [f"correlation ({rows[worst]},{cols[worst]}) = {rho[worst]} outside [-1, 1]"]
         )
     return np.clip(rho, -1.0, 1.0)
-
-
-def pair_params(spec: ValidatedSpec, i: int, j: int) -> PairParams:
-    """Extract the pairwise parameters for coordinates i < j (0-based)."""
-    n = spec.n
-    if not (0 <= i < n and 0 <= j < n):
-        raise DomainError(f"pair indices ({i},{j}) out of range for n = {n}")
-    if i == j:
-        raise DomainError("pair indices must differ")
-    s = spec.sigma_mat
-    sd_i, sd_j = math.sqrt(s[i, i]), math.sqrt(s[j, j])
-    # PairParams clamps a rounded |rho| just above 1, as pair_correlations does.
-    return PairParams(float(spec.mu[i]), float(spec.mu[j]), sd_i, sd_j,
-                      float(s[i, j] / (sd_i * sd_j)))
 
 
 # --- JSON wire format -------------------------------------------------------

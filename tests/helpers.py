@@ -12,12 +12,10 @@ from gmd import (
     DegreesOfFreedom,
     DistributionSpec,
     Family,
-    PairParams,
     ValidatedSpec,
     general_ec,
     monte_carlo,
     normal_gmd,
-    pair_params,
     quadrature,
     skewing,
     std_normal_cdf,
@@ -32,11 +30,6 @@ from gmd.monte_carlo import BLOCK_VALUES
 # A 3-d spec with unequal scales, correlations of both signs and distinct means.
 MU_3D = np.array([0.0, 0.5, -1.0])
 SIGMA_3D = np.array([[1.0, 0.3, 0.1], [0.3, 2.0, 0.4], [0.1, 0.4, 1.5]])
-
-
-def swapped(p: PairParams) -> PairParams:
-    """The pair with its coordinates exchanged: (j, i) for (i, j)."""
-    return PairParams(p.mu_j, p.mu_i, p.sigma_j, p.sigma_i, p.rho_ij)
 
 
 def spec_pairs(spec: ValidatedSpec) -> list[tuple[int, int]]:
@@ -106,14 +99,28 @@ def pair_spec(mu_i: float, mu_j: float, sigma_i: float, sigma_j: float, rho: flo
                                      [[sigma_i**2, cov], [cov, sigma_j**2]], nu=nu))
 
 
-def random_pair(rng: np.random.Generator, max_abs_rho: float = 0.98) -> PairParams:
-    return PairParams(
-        mu_i=float(rng.normal(0.0, 3.0)),
-        mu_j=float(rng.normal(0.0, 3.0)),
-        sigma_i=float(rng.uniform(0.2, 4.0)),
-        sigma_j=float(rng.uniform(0.2, 4.0)),
-        rho_ij=float(rng.uniform(-max_abs_rho, max_abs_rho)),
-    )
+def random_pair(rng: np.random.Generator, max_abs_rho: float = 0.98,
+                nu: float | None = None) -> ValidatedSpec:
+    """The ``pair_spec`` of a random (mu_i, mu_j, sigma_i, sigma_j, rho)."""
+    mu_i, mu_j = float(rng.normal(0.0, 3.0)), float(rng.normal(0.0, 3.0))
+    sigma_i, sigma_j = float(rng.uniform(0.2, 4.0)), float(rng.uniform(0.2, 4.0))
+    return pair_spec(mu_i, mu_j, sigma_i, sigma_j,
+                     float(rng.uniform(-max_abs_rho, max_abs_rho)), nu=nu)
+
+
+def with_nu(spec: ValidatedSpec, nu: float | None) -> ValidatedSpec:
+    """The spec's means and scale matrix under the normal law (``nu`` None) or t_nu."""
+    family = "normal" if nu is None else "student-t"
+    return validate(DistributionSpec(family, spec.mu, spec.sigma_mat, nu=nu))
+
+
+def pair_entries(spec: ValidatedSpec, i: int, j: int) -> tuple[float, float, float, float, float]:
+    """(mu_i, mu_j, sigma_i, sigma_j, rho) of the ordered pair (i, j), read
+    from the spec's entries: sigma_k = sqrt(S_kk), rho = S_ij / (sigma_i sigma_j)."""
+    s = spec.sigma_mat
+    sigma_i, sigma_j = math.sqrt(s[i, i]), math.sqrt(s[j, j])
+    rho = float(s[i, j]) / (sigma_i * sigma_j)
+    return float(spec.mu[i]), float(spec.mu[j]), sigma_i, sigma_j, rho
 
 
 def folded_normal_mean(m: float, s: float) -> float:
@@ -126,10 +133,11 @@ def folded_normal_mean(m: float, s: float) -> float:
     return float(2.0 * s * np.exp(-0.5 * z * z) / np.sqrt(2 * np.pi) + m * (2.0 * ndtr(z) - 1.0))
 
 
-def pair_diff_params(p: PairParams) -> tuple[float, float]:
+def pair_diff_params(spec: ValidatedSpec, i: int, j: int) -> tuple[float, float]:
     """(location, scale) of the difference X_i - X_j."""
-    m = p.mu_i - p.mu_j
-    s = np.sqrt(p.sigma_i**2 + p.sigma_j**2 - 2 * p.rho_ij * p.sigma_i * p.sigma_j)
+    mu_i, mu_j, sigma_i, sigma_j, rho = pair_entries(spec, i, j)
+    m = mu_i - mu_j
+    s = np.sqrt(sigma_i**2 + sigma_j**2 - 2 * rho * sigma_i * sigma_j)
     return m, float(s)
 
 
@@ -151,9 +159,9 @@ def _bracket(mu_a: float, mu_b: float, sigma_a: float, sigma_b: float, rho: floa
     return (sigma_b / c) * (sigma_b / sigma_a - rho) * moment_factor * w + mu_b * k - 0.5 * mu_b
 
 
-def bracket_pair_gmd(p: PairParams, dof: DegreesOfFreedom | None = None) -> float:
-    """E|X_i - X_j| of one normal (``dof`` None) or Student-t pair, as the sum
-    of the paper's two ordered brackets.
+def bracket_pair_gmd(spec: ValidatedSpec, i: int, j: int) -> float:
+    """E|X_i - X_j| of the pair (i, j) of a normal or Student-t spec, as the
+    sum of the paper's two ordered brackets.
 
     E|X_i - X_j| = 2 I_ij + 2 I_ji - mu_i - mu_j with I_ij = E[X_j; X_i <= X_j].
     X_j - X_i has scale sigma_i c, c = sqrt(1 - rho^2 + (sigma_j/sigma_i - rho)^2),
@@ -169,21 +177,24 @@ def bracket_pair_gmd(p: PairParams, dof: DegreesOfFreedom | None = None) -> floa
     standardize by sigma_i, the other coordinate's scale.  Needs c > 0,
     which every pair with |rho| < 1 has.
     """
+    dof = spec.dof
     if dof is not None:
         dof.require_mean()
-    return 2.0 * (_bracket(p.mu_i, p.mu_j, p.sigma_i, p.sigma_j, p.rho_ij, dof)
-                  + _bracket(p.mu_j, p.mu_i, p.sigma_j, p.sigma_i, p.rho_ij, dof))
+    mu_i, mu_j, sigma_i, sigma_j, rho = pair_entries(spec, i, j)
+    return 2.0 * (_bracket(mu_i, mu_j, sigma_i, sigma_j, rho, dof)
+                  + _bracket(mu_j, mu_i, sigma_j, sigma_i, rho, dof))
 
 
-def second_moment_pair_bound(p: PairParams) -> float:
+def second_moment_pair_bound(spec: ValidatedSpec, i: int, j: int) -> float:
     """sqrt((sigma_i - sigma_j rho)^2 + sigma_j^2 (1 - rho^2)) + |mu_i - mu_j|.
 
     With D = X_i - X_j, E|D| <= sqrt(E D^2) = sqrt(Var D + (E D)^2)
     <= sd(D) + |E D|, and the radicand is Var D = sigma_i^2 + sigma_j^2
     - 2 rho sigma_i sigma_j when the sigma fields are standard deviations.
     """
-    radicand = (p.sigma_i - p.sigma_j * p.rho_ij) ** 2 + p.sigma_j**2 * (1.0 - p.rho_ij**2)
-    return math.sqrt(max(radicand, 0.0)) + abs(p.mu_i - p.mu_j)
+    mu_i, mu_j, sigma_i, sigma_j, rho = pair_entries(spec, i, j)
+    radicand = (sigma_i - sigma_j * rho) ** 2 + sigma_j**2 * (1.0 - rho**2)
+    return math.sqrt(max(radicand, 0.0)) + abs(mu_i - mu_j)
 
 
 # --- the paper's pair identities ----------------------------------------------
@@ -195,19 +206,19 @@ def _marginal_pdf(x, mu: float, sigma: float, dof: DegreesOfFreedom | None):
     return (std_normal_pdf(z) if dof is None else student_t_pdf(z, dof)) / sigma
 
 
-def max_pdf(p: PairParams, family: Family, x, dof: DegreesOfFreedom | None = None):
+def max_pdf(spec: ValidatedSpec, i: int, j: int, x):
     """Density of max(X_i, X_j): f_i pi_ji + f_j pi_ij."""
-    dof = None if family is Family.NORMAL else dof
-    return (_marginal_pdf(x, p.mu_i, p.sigma_i, dof) * skewing(swapped(p), family, dof)(x)
-            + _marginal_pdf(x, p.mu_j, p.sigma_j, dof) * skewing(p, family, dof)(x))
+    mu_i, mu_j, sigma_i, sigma_j, _ = pair_entries(spec, i, j)
+    return (_marginal_pdf(x, mu_i, sigma_i, spec.dof) * skewing(spec, j, i)(x)
+            + _marginal_pdf(x, mu_j, sigma_j, spec.dof) * skewing(spec, i, j)(x))
 
 
-def min_pdf(p: PairParams, family: Family, x, dof: DegreesOfFreedom | None = None):
+def min_pdf(spec: ValidatedSpec, i: int, j: int, x):
     """Density of min(X_i, X_j): f_i (1 - pi_ji) + f_j (1 - pi_ij), from the
     complements, so that min + max = f_i + f_j is a real check."""
-    dof = None if family is Family.NORMAL else dof
-    return (_marginal_pdf(x, p.mu_i, p.sigma_i, dof) * (1.0 - skewing(swapped(p), family, dof)(x))
-            + _marginal_pdf(x, p.mu_j, p.sigma_j, dof) * (1.0 - skewing(p, family, dof)(x)))
+    mu_i, mu_j, sigma_i, sigma_j, _ = pair_entries(spec, i, j)
+    return (_marginal_pdf(x, mu_i, sigma_i, spec.dof) * (1.0 - skewing(spec, j, i)(x))
+            + _marginal_pdf(x, mu_j, sigma_j, spec.dof) * (1.0 - skewing(spec, i, j)(x)))
 
 
 def exchangeable_skew_gmd(spec: ValidatedSpec) -> float:
@@ -221,15 +232,15 @@ def exchangeable_skew_gmd(spec: ValidatedSpec) -> float:
     """
     from scipy import integrate
 
+    centred = dataclasses.replace(spec, mu=np.zeros(spec.n))
     terms = []
     for i, j in spec_pairs(spec):
-        p = pair_params(spec, i, j)
-        centred = PairParams(0.0, 0.0, p.sigma_i, p.sigma_j, p.rho_ij)
-        skew = skewing(centred, spec.family, spec.dof)
+        skew = skewing(centred, i, j)
+        sigma_j = math.sqrt(spec.sigma_mat[j, j])
         moment, _ = integrate.quad(
-            lambda y: y * _marginal_pdf(y, 0.0, 1.0, spec.dof) * skew(p.sigma_j * y),
+            lambda y: y * _marginal_pdf(y, 0.0, 1.0, spec.dof) * skew(sigma_j * y),
             -np.inf, np.inf, epsabs=1e-13, epsrel=1e-13, limit=200)
-        terms.append(4.0 * p.sigma_j * moment)
+        terms.append(4.0 * sigma_j * moment)
     return float(np.mean(terms))
 
 
@@ -439,20 +450,23 @@ def mp_upper_moment(z: float, nu: float | None = None):
         return v / (v - 1) * w0 * (1 + x * x / v) ** ((1 - v) / 2)
 
 
-def mp_mu_h(p: PairParams, nu: float | None = None) -> float:
-    """mu_H of a normal (nu None) or t_nu pair at 40 digits, its entries exact.
+def mp_mu_h(spec: ValidatedSpec, i: int, j: int) -> float:
+    """mu_H of the pair (i, j) of a normal or t_nu spec at 40 digits, its
+    entries exact.
 
     The elliptical closed form: with D = X_j - X_i of scale s and
     a = (mu_i - mu_j)/s, mu_H = mu_j + Cov(X_j, D)/s w(a) k(a) / P(D >= 0),
     where w is the standardized density and k = 1 (normal) or
-    (nu + a^2)/(nu - 1) (t).
+    (nu + a^2)/(nu - 1) (t).  s^2 = S_ii + S_jj - 2 S_ij and
+    Cov(X_j, D) = S_jj - S_ij.
     """
     import mpmath as mp
 
+    nu = None if spec.dof is None else spec.dof.nu
     with mp.workdps(40):
-        mu_i, mu_j, s_i, s_j, rho = (mp.mpf(v) for v in
-                                     (p.mu_i, p.mu_j, p.sigma_i, p.sigma_j, p.rho_ij))
-        s = mp.sqrt(s_i**2 + s_j**2 - 2 * rho * s_i * s_j)
+        mu_i, mu_j = mp.mpf(float(spec.mu[i])), mp.mpf(float(spec.mu[j]))
+        s_ii, s_jj, s_ij = (mp.mpf(float(spec.sigma_mat[k])) for k in ((i, i), (j, j), (i, j)))
+        s = mp.sqrt(s_ii + s_jj - 2 * s_ij)
         a = (mu_i - mu_j) / s
         if nu is None:
             moment, r = mp.npdf(a), mp.ncdf(-a)
@@ -461,7 +475,7 @@ def mp_mu_h(p: PairParams, nu: float | None = None) -> float:
             w = (mp.gamma((v + 1) / 2) / (mp.sqrt(v * mp.pi) * mp.gamma(v / 2))
                  * (1 + a * a / v) ** (-(v + 1) / 2))
             moment, r = w * (v + a * a) / (v - 1), _mp_t_cdf(-a, nu)
-        return float(mu_j + s_j * (s_j - rho * s_i) / s * moment / r)
+        return float(mu_j + (s_jj - s_ij) / s * moment / r)
 
 
 # --- Monte Carlo reference oracles --------------------------------------------

@@ -27,11 +27,12 @@ from helpers import (
     exchangeable_student_gmd,
     max_pdf,
     min_pdf,
+    pair_entries,
     random_exchangeable_spec,
     random_normal_spec,
     random_pair,
     random_student_spec,
-    swapped,
+    with_nu,
 )
 
 TWO_OVER_SQRT_PI = 1.1283791670955126
@@ -187,14 +188,11 @@ class TestAcceptance:
             # h normalization: 100 pairs across both families.
             for k in range(100):
                 p = random_pair(rng)
-                if k % 2 == 0:
-                    family, dof = Family.NORMAL, None
-                else:
-                    family = Family.STUDENT_T
-                    dof = DegreesOfFreedom(float(rng.uniform(1.2, 30.0)))
+                if k % 2 == 1:
+                    p = with_nu(p, float(rng.uniform(1.2, 30.0)))
+                _, mu_j, _, sigma_j, _ = pair_entries(p, 0, 1)
                 res = integrate_real_line(
-                    lambda x: h_density(p, family, x, dof),
-                    center=p.mu_j, scale=p.sigma_j,
+                    lambda x: h_density(p, 0, 1, x), center=mu_j, scale=sigma_j,
                 )
                 assert res.value == pytest.approx(1.0, abs=1e-9)
 
@@ -203,20 +201,22 @@ class TestAcceptance:
             for family, dof in ((Family.NORMAL, None),
                                 (Family.STUDENT_T, DegreesOfFreedom(4.0))):
                 for _ in range(10):
-                    p = random_pair(rng)
-                    lhs = max_pdf(p, family, grid, dof) + min_pdf(p, family, grid, dof)
-                    rhs = _marginal_pdf(grid, p.mu_i, p.sigma_i, family, dof) + \
-                        _marginal_pdf(grid, p.mu_j, p.sigma_j, family, dof)
+                    p = random_pair(rng, nu=None if dof is None else dof.nu)
+                    mu_i, mu_j, sigma_i, sigma_j, _ = pair_entries(p, 0, 1)
+                    lhs = max_pdf(p, 0, 1, grid) + min_pdf(p, 0, 1, grid)
+                    rhs = _marginal_pdf(grid, mu_i, sigma_i, family, dof) + \
+                        _marginal_pdf(grid, mu_j, sigma_j, family, dof)
                     np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
             # Reliability complements.
             for _ in range(25):
                 p = random_pair(rng)
-                r1 = reliability(p, Family.STUDENT_T, DegreesOfFreedom(6.0))
-                r2 = reliability(swapped(p), Family.STUDENT_T, DegreesOfFreedom(6.0))
+                t = with_nu(p, 6.0)
+                r1 = reliability(t, 0, 1)
+                r2 = reliability(t, 1, 0)
                 assert r1 + r2 == pytest.approx(1.0, abs=1e-9)
-                f1 = reliability(p, Family.NORMAL)
-                f2 = reliability(swapped(p), Family.NORMAL)
+                f1 = reliability(p, 0, 1)
+                f2 = reliability(p, 1, 0)
                 assert f1 + f2 == pytest.approx(1.0, abs=1e-9)
 
             self._invariances(rng)

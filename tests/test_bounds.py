@@ -5,7 +5,6 @@ the spec-level bound, formed for all pairs at once, is held to it.
 """
 
 import math
-from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -20,7 +19,7 @@ from gmd.bounds import (
 )
 from gmd.closed_form import normal_gmd, student_gmd
 from gmd.errors import DomainError, MomentExistenceError
-from gmd.model import DistributionSpec, PairParams, pair_params, validate
+from gmd.model import DistributionSpec, validate
 
 from helpers import (
     mp_lp_norm_std_normal,
@@ -29,7 +28,6 @@ from helpers import (
     random_pair,
     second_moment_pair_bound,
     spec_pairs,
-    swapped,
 )
 
 TWO_OVER_SQRT3 = 2.0 / math.sqrt(3.0)
@@ -53,16 +51,17 @@ class TestSecondMomentPairBound:
         rng = np.random.default_rng(17)
         for _ in range(100):
             p = random_pair(rng, max_abs_rho=1.0)
-            a = second_moment_bound(pair_spec(*astuple(p)))
-            b = second_moment_bound(pair_spec(*astuple(swapped(p))))
+            swapped = validate(DistributionSpec("normal", p.mu[::-1], p.sigma_mat[::-1, ::-1]))
+            a = second_moment_bound(p)
+            b = second_moment_bound(swapped)
             assert a == pytest.approx(b, rel=1e-12)
 
 
 class TestSecondMomentBound:
     def test_n2_reduces_to_pair(self):
         spec = validate(DistributionSpec("normal", [1.0, 0.0], [[4.0, 1.0], [1.0, 1.0]]))
-        p = PairParams(1.0, 0.0, 2.0, 1.0, 0.5)
-        assert second_moment_bound(spec) == pytest.approx(second_moment_pair_bound(p), rel=1e-14)
+        assert second_moment_bound(spec) == pytest.approx(second_moment_pair_bound(spec, 0, 1),
+                                                          rel=1e-14)
 
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_uncorrelated_exchangeable(self, n):
@@ -72,7 +71,7 @@ class TestSecondMomentBound:
     def test_n3_is_average_of_pairs(self):
         rng = np.random.default_rng(23)
         spec = random_normal_spec(rng, 3)
-        pairs = [second_moment_pair_bound(pair_params(spec, i, j)) for i, j in spec_pairs(spec)]
+        pairs = [second_moment_pair_bound(spec, i, j) for i, j in spec_pairs(spec)]
         assert second_moment_bound(spec) == pytest.approx(sum(pairs) / 3.0, rel=1e-14)
 
     def test_student_uses_standard_deviation(self):

@@ -511,6 +511,17 @@ class TestVerifyCommand:
         assert json.loads(out)["errors"] == [
             "pair (0,1): mean gap 1e+20 is beyond what float64 resolves at scale 1.0"]
 
+    def test_mean_gap_past_the_float_range_of_its_scale(self, capsys, tmp_path):
+        # The gap over the scale, about 1e450, overflows a double: the row is
+        # refused before it is divided by its unit, with no overflow warning.
+        spec = tmp_path / "far.json"
+        spec.write_text(json.dumps({"family": "normal", "mu": [1e300, 0.0],
+                                    "sigma": [[1e-300, 0.0], [0.0, 1e-300]]}))
+        code, out = run(capsys, "verify", str(spec), "--draws", "2000")
+        assert code == 2
+        assert json.loads(out)["errors"] == [
+            "pair (0,1): mean gap 1e+300 is beyond what float64 resolves at scale 1e-150"]
+
     @pytest.mark.parametrize("factor", [2.0**-100, 1e-9, 1.0, 2.0**100, 1e12])
     def test_verdict_does_not_depend_on_units(self, capsys, tmp_path, factor):
         # The quadrature check reads the routes' own error estimates, so a

@@ -11,7 +11,6 @@ run on the kernel, each pair as a 2-d spec.
 
 import math
 import warnings
-from dataclasses import astuple
 
 import mpmath
 import numpy as np
@@ -31,7 +30,7 @@ from gmd.closed_form import (
 )
 from gmd.bounds import second_moment_bound
 from gmd.errors import DomainError, MomentExistenceError, NonconvergenceError
-from gmd.model import DistributionSpec, PairParams, pair_correlations, pair_params, validate
+from gmd.model import DistributionSpec, ValidatedSpec, pair_correlations, validate
 from gmd.special import DegreesOfFreedom, student_t_pdf
 
 from helpers import (
@@ -49,15 +48,16 @@ from helpers import (
     random_pair,
     spec_pairs,
     student_gamma_factor,
+    with_nu,
 )
 
 TWO_OVER_SQRT_PI = 1.1283791670955126
 
 
-def t_difference_oracle(p: PairParams, nu: float) -> float:
-    """E|X_i - X_j| by integrating the (t-distributed) difference."""
-    m, s = pair_diff_params(p)
-    dof = DegreesOfFreedom(nu)
+def t_difference_oracle(spec: ValidatedSpec) -> float:
+    """E|X_0 - X_1| of a t pair by integrating the (t-distributed) difference."""
+    m, s = pair_diff_params(spec, 0, 1)
+    dof = spec.dof
 
     def integrand(d):
         return abs(d) * student_t_pdf((d - m) / s, dof) / s
@@ -96,8 +96,8 @@ class TestNormalPair:
         rng = np.random.default_rng(2)
         for _ in range(500):
             p = random_pair(rng)
-            m, s = pair_diff_params(p)
-            assert _pair_gmd(*astuple(p)) == pytest.approx(
+            m, s = pair_diff_params(p, 0, 1)
+            assert _gmd(p).value == pytest.approx(
                 folded_normal_mean(m, s), rel=1e-12, abs=1e-12
             )
 
@@ -155,7 +155,7 @@ class TestNormalGmd:
         # The kernel and the bracket form round differently: a few ulp apart.
         spec = validate(DistributionSpec("normal", [0.0, 1.0], [[4.0, 1.0], [1.0, 1.0]]))
         result = normal_gmd(spec)
-        assert result.value == pytest.approx(bracket_pair_gmd(pair_params(spec, 0, 1)), rel=1e-14)
+        assert result.value == pytest.approx(bracket_pair_gmd(spec, 0, 1), rel=1e-14)
         assert result.method.value == "ClosedForm"
 
     def test_exchangeable_consistency(self):
@@ -213,17 +213,15 @@ class TestStudentPair:
     def test_normal_limit(self):
         rng = np.random.default_rng(6)
         for _ in range(20):
-            p = astuple(random_pair(rng))
-            assert _pair_gmd(*p, nu=1e6) == pytest.approx(_pair_gmd(*p), abs=1e-4)
+            p = random_pair(rng)
+            assert _gmd(with_nu(p, 1e6)).value == pytest.approx(_gmd(p).value, abs=1e-4)
 
     @pytest.mark.parametrize("nu", [1.3, 2.0, 3.0, 8.0, 50.0])
     def test_against_difference_t_oracle(self, nu):
         rng = np.random.default_rng(int(nu * 10))
         for _ in range(5):
-            p = random_pair(rng, max_abs_rho=0.95)
-            assert _pair_gmd(*astuple(p), nu=nu) == pytest.approx(
-                t_difference_oracle(p, nu), rel=1e-9, abs=1e-9
-            )
+            p = random_pair(rng, max_abs_rho=0.95, nu=nu)
+            assert _gmd(p).value == pytest.approx(t_difference_oracle(p), rel=1e-9, abs=1e-9)
 
     def test_standard_pair_nu3(self):
         # E|T - T'| for the uncorrelated standardized pair: the difference is
@@ -644,7 +642,7 @@ def _gmd(spec):
 
 
 def _bracket(spec, i, j):
-    return bracket_pair_gmd(pair_params(spec, i, j), spec.dof)
+    return bracket_pair_gmd(spec, i, j)
 
 
 class TestFoldedKernel:

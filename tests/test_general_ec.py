@@ -1,8 +1,8 @@
 """Conditional-CDF machinery: the skewing function, tilted densities,
 reliabilities, order-statistic densities, and the assembled GMD."""
 
+import dataclasses
 import math
-from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -24,7 +24,7 @@ from gmd.general_ec import (
     reliability_quadrature,
     skewing,
 )
-from gmd.model import DistributionSpec, Family, PairParams, pair_params, validate
+from gmd.model import DistributionSpec, Family, validate
 from gmd.quadrature import integrate_real_line
 from gmd.special import DegreesOfFreedom, std_normal_cdf, std_normal_pdf, student_t_cdf
 
@@ -38,6 +38,8 @@ from helpers import (
     mp_mu_h,
     mp_spec_gmd,
     mp_student_t_cdf,
+    pair_diff_params,
+    pair_entries,
     pair_spec,
     quadrature_at,
     random_exchangeable_spec,
@@ -45,20 +47,30 @@ from helpers import (
     random_pair,
     random_student_spec,
     spec_pairs,
-    swapped,
+    with_nu,
 )
 
 INV_SQRT_PI = 0.5641895835477563  # mean of the 2*phi*Phi density
 T_CDF_4_AT_1 = 0.8130495168499706  # frozen t CDF, 4 dof, at 1
 
 
-def std_pair(rho=0.0):
-    return PairParams(0.0, 0.0, 1.0, 1.0, rho)
+def std_pair(rho=0.0, nu=None):
+    return pair_spec(0.0, 0.0, 1.0, 1.0, rho, nu=nu)
 
 
-def pair_row(p):
-    """The one-row ``params`` of pair p for ``general_ec._pair_integrals``."""
-    return np.array([astuple(p)])
+def degenerate_pair(rho):
+    """A standard pair with rho = +-1, which ``validate`` rejects as singular."""
+    return dataclasses.replace(std_pair(), sigma_mat=np.array([[1.0, rho], [rho, 1.0]]))
+
+
+def centred_rows(spec, i, j):
+    """The one-row ``params`` of the orderings (i, j) and (j, i) for
+    ``general_ec._pair_integrals``, both moved so that mu_j = 0, as
+    ``gmd_quadrature`` moves them."""
+    mu_i, mu_j, sigma_i, sigma_j, rho = general_ec._pair(spec, i, j)
+    gap = mu_i - mu_j
+    return (np.array([[gap, 0.0, sigma_i, sigma_j, rho]]),
+            np.array([[0.0, gap, sigma_j, sigma_i, rho]]))
 
 
 def family_and_dof(nu):
@@ -79,61 +91,95 @@ def integral_calls(monkeypatch):
     return calls
 
 
+class TestPair:
+    """``_pair``, the one reader of a pair's (mu_i, mu_j, sigma_i, sigma_j, rho)."""
+
+    def test_identity_matrix(self):
+        assert general_ec._pair(std_pair(), 0, 1)[2:] == (1.0, 1.0, 0.0)
+
+    def test_scale_extraction(self):
+        spec = validate(DistributionSpec("normal", [0, 0], [[4.0, 1.0], [1.0, 1.0]]))
+        _, _, sigma_i, sigma_j, rho = general_ec._pair(spec, 0, 1)
+        assert (sigma_i, sigma_j) == (2.0, 1.0)
+        assert rho == pytest.approx(0.5, abs=1e-15)
+
+    def test_negative_correlation(self):
+        spec = validate(DistributionSpec("normal", [0, 0], [[1, -0.3], [-0.3, 1]]))
+        assert general_ec._pair(spec, 0, 1)[4] == pytest.approx(-0.3, abs=1e-15)
+
+    def test_swap_exchanges_fields(self):
+        spec = validate(DistributionSpec("normal", [1, 2], [[4.0, 1.0], [1.0, 1.0]]))
+        mu_i, mu_j, sigma_i, sigma_j, rho = general_ec._pair(spec, 0, 1)
+        assert general_ec._pair(spec, 1, 0) == (mu_j, mu_i, sigma_j, sigma_i, rho)
+
+    def test_index_errors(self):
+        spec = std_pair()
+        for quantity in (general_ec._pair, skewing, reliability, reliability_quadrature, mu_H,
+                         lambda spec, i, j: h_density(spec, i, j, np.zeros(1))):
+            with pytest.raises(DomainError, match="out of range"):
+                quantity(spec, 0, 2)
+            with pytest.raises(DomainError, match="must differ"):
+                quantity(spec, 1, 1)
+
+    def test_rho_clipped_to_one(self):
+        # A rounded |rho| just above 1 is clipped to 1, a degenerate pair.
+        with pytest.raises(DegeneratePairError, match="rho = 1.0$"):
+            general_ec._pair(degenerate_pair(1.0 + 5e-13), 0, 1)
+
+
 class TestSkewingNormal:
     def test_exchangeable_center_is_half(self):
-        skew = skewing(PairParams(2.0, 2.0, 1.5, 1.5, 0.3), Family.NORMAL)
+        skew = skewing(pair_spec(2.0, 2.0, 1.5, 1.5, 0.3), 0, 1)
         assert float(skew(np.array([2.0]))[0]) == pytest.approx(0.5, abs=1e-15)
 
     def test_limit_at_plus_infinity(self):
-        skew = skewing(std_pair(), Family.NORMAL)
+        skew = skewing(std_pair(), 0, 1)
         assert float(skew(np.array([40.0]))[0]) == pytest.approx(1.0, abs=1e-15)
 
     def test_standard_pair_at_one(self):
-        skew = skewing(std_pair(), Family.NORMAL)
+        skew = skewing(std_pair(), 0, 1)
         assert float(skew(np.array([1.0]))[0]) == pytest.approx(
             std_normal_cdf(1.0), abs=1e-15
         )
 
     def test_values_in_unit_interval(self):
-        skew = skewing(random_pair(np.random.default_rng(0)), Family.NORMAL)
+        skew = skewing(random_pair(np.random.default_rng(0)), 0, 1)
         vals = skew(np.linspace(-50, 50, 501))
         assert np.all(vals >= 0.0) and np.all(vals <= 1.0)
 
     def test_skewing_property_centered_exchangeable(self):
         for rho in (-0.6, 0.0, 0.7):
-            skew = skewing(PairParams(0.0, 0.0, 1.2, 1.2, rho), Family.NORMAL)
+            skew = skewing(pair_spec(0.0, 0.0, 1.2, 1.2, rho), 0, 1)
             x = np.linspace(-6, 6, 121)
             np.testing.assert_allclose(skew(-x), 1.0 - skew(x), atol=1e-12)
 
     def test_degenerate_rejected(self):
         with pytest.raises(DegeneratePairError):
-            skewing(std_pair(rho=1.0), Family.NORMAL)
+            skewing(degenerate_pair(1.0), 0, 1)
 
 
 class TestSkewingStudent:
     def test_exchangeable_center_is_half(self):
-        skew = skewing(PairParams(1.0, 1.0, 2.0, 2.0, 0.4), Family.STUDENT_T,
-                       DegreesOfFreedom(3.0))
+        skew = skewing(pair_spec(1.0, 1.0, 2.0, 2.0, 0.4, nu=3.0), 0, 1)
         assert float(skew(np.array([1.0]))[0]) == pytest.approx(0.5, abs=1e-15)
 
     def test_large_nu_matches_normal(self):
         p = random_pair(np.random.default_rng(1))
-        t_skew = skewing(p, Family.STUDENT_T, DegreesOfFreedom(1e6))
-        n_skew = skewing(p, Family.NORMAL)
+        t_skew = skewing(with_nu(p, 1e6), 0, 1)
+        n_skew = skewing(p, 0, 1)
         x = np.linspace(-8, 8, 101)
         np.testing.assert_allclose(t_skew(x), n_skew(x), atol=1e-5)
 
     def test_one_scale_unit_above_center(self):
         # Standardized exchangeable pair, rho=0, nu=3: the argument collapses
         # to 1 and the conditional CDF has 4 degrees of freedom.
-        skew = skewing(std_pair(), Family.STUDENT_T, DegreesOfFreedom(3.0))
+        skew = skewing(std_pair(nu=3.0), 0, 1)
         got = float(skew(np.array([1.0]))[0])
         assert got == pytest.approx(T_CDF_4_AT_1, abs=1e-14)
         assert got == pytest.approx(student_t_cdf(1.0, DegreesOfFreedom(4.0)), abs=1e-15)
 
     def test_skewing_property_centered_exchangeable(self):
-        skew = skewing(PairParams(0.0, 0.0, 1.0, 1.0, 0.5), Family.STUDENT_T,
-                       DegreesOfFreedom(2.5))
+        skew = skewing(pair_spec(0.0, 0.0, 1.0, 1.0, 0.5, nu=2.5), 0, 1)
         x = np.linspace(-9, 9, 181)
         np.testing.assert_allclose(skew(-x), 1.0 - skew(x), atol=1e-12)
 
@@ -141,51 +187,50 @@ class TestSkewingStudent:
 class TestHDensity:
     def test_iid_standard_normal_reduction(self):
         x = np.linspace(-5, 5, 101)
-        vals = h_density(std_pair(), Family.NORMAL, x)
+        vals = h_density(std_pair(), 0, 1, x)
         expected = 2.0 * np.vectorize(std_normal_pdf)(x) * np.vectorize(std_normal_cdf)(x)
         np.testing.assert_allclose(vals, expected, atol=1e-14)
 
     def test_value_at_zero(self):
-        v = float(h_density(std_pair(), Family.NORMAL, np.array([0.0]))[0])
+        v = float(h_density(std_pair(), 0, 1, np.array([0.0]))[0])
         assert v == pytest.approx(std_normal_pdf(0.0), abs=1e-14)
 
     def test_normalized_normal(self):
         rng = np.random.default_rng(2)
         for _ in range(10):
             p = random_pair(rng)
+            _, mu_j, _, sigma_j, _ = pair_entries(p, 0, 1)
             res = integrate_real_line(
-                lambda x: h_density(p, Family.NORMAL, x),
-                center=p.mu_j, scale=p.sigma_j,
+                lambda x: h_density(p, 0, 1, x), center=mu_j, scale=sigma_j,
             )
             assert res.value == pytest.approx(1.0, abs=1e-9)
 
     def test_normalized_student(self):
         rng = np.random.default_rng(3)
         for nu in (1.5, 4.0, 25.0):
-            p = random_pair(rng)
-            dof = DegreesOfFreedom(nu)
+            p = random_pair(rng, nu=nu)
+            _, mu_j, _, sigma_j, _ = pair_entries(p, 0, 1)
             res = integrate_real_line(
-                lambda x: h_density(p, Family.STUDENT_T, x, dof),
-                center=p.mu_j, scale=p.sigma_j,
+                lambda x: h_density(p, 0, 1, x), center=mu_j, scale=sigma_j,
             )
             assert res.value == pytest.approx(1.0, abs=1e-9)
 
     def test_degenerate_ordering_rejected(self):
-        p = PairParams(100.0, 0.0, 1.0, 1.0, 0.0)
+        p = pair_spec(100.0, 0.0, 1.0, 1.0, 0.0)
         with pytest.raises(DomainError, match="no mass"):
-            h_density(p, Family.NORMAL, np.array([0.0]))
+            h_density(p, 0, 1, np.array([0.0]))
 
 
 class TestReliability:
     def test_exchangeable_is_half(self):
-        assert reliability(std_pair(rho=0.3), Family.NORMAL) == pytest.approx(0.5, abs=1e-15)
+        assert reliability(std_pair(rho=0.3), 0, 1) == pytest.approx(0.5, abs=1e-15)
 
     def test_normal_fast_path_vs_quadrature(self):
         rng = np.random.default_rng(4)
         for _ in range(20):
             p = random_pair(rng)
-            fast = reliability(p, Family.NORMAL)
-            slow = reliability_quadrature(p, Family.NORMAL).value
+            fast = reliability(p, 0, 1)
+            slow = reliability_quadrature(p, 0, 1).value
             assert fast == pytest.approx(slow, abs=1e-10)
 
     def test_student_quadrature_vs_difference_law(self):
@@ -193,22 +238,22 @@ class TestReliability:
         # is the t CDF of the standardized mean gap.
         rng = np.random.default_rng(5)
         for nu in (1.5, 3.0, 20.0):
-            p = random_pair(rng)
-            m = (p.mu_j - p.mu_i) / p.diff_sd()
-            expected = student_t_cdf(m, DegreesOfFreedom(nu))
-            got = reliability_quadrature(p, Family.STUDENT_T, DegreesOfFreedom(nu)).value
+            p = random_pair(rng, nu=nu)
+            m, s = pair_diff_params(p, 0, 1)
+            expected = student_t_cdf(-m / s, DegreesOfFreedom(nu))
+            got = reliability_quadrature(p, 0, 1).value
             assert got == pytest.approx(expected, abs=1e-9)
 
     def test_complement_sums_to_one(self):
-        def by_quadrature(p, family, dof):
-            return reliability_quadrature(p, family, dof).value
+        def by_quadrature(spec, i, j):
+            return reliability_quadrature(spec, i, j).value
 
         for rel in (reliability, by_quadrature):
             rng = np.random.default_rng(6)
             for _ in range(10):
-                p = random_pair(rng)
-                r1 = rel(p, Family.STUDENT_T, DegreesOfFreedom(4.0))
-                r2 = rel(swapped(p), Family.STUDENT_T, DegreesOfFreedom(4.0))
+                p = random_pair(rng, nu=4.0)
+                r1 = rel(p, 0, 1)
+                r2 = rel(p, 1, 0)
                 assert r1 + r2 == pytest.approx(1.0, abs=1e-9), rel
 
     @pytest.mark.parametrize("nu", [None, 1.5, 4.0])
@@ -217,54 +262,60 @@ class TestReliability:
         # Every pair integral is taken about X_j's own mean, so a location
         # offset reaches only the mean gap, which these offsets keep exact;
         # the conditional CDF moves with the pair.
-        family, dof = family_and_dof(nu)
-
         def pair(c):
-            return PairParams(c + 0.5, c, 1.1, 0.9, 0.25)
+            return pair_spec(c + 0.5, c, 1.1, 0.9, 0.25, nu=nu)
 
         base, moved = pair(0.0), pair(offset)
-        assert reliability(moved, family, dof) == pytest.approx(
-            reliability(base, family, dof), abs=1e-12)
-        assert reliability_quadrature(moved, family, dof).value == pytest.approx(
-            reliability_quadrature(base, family, dof).value, abs=1e-12)
-        assert skewing(moved, family, dof)(np.array([offset + 0.25]))[0] == pytest.approx(
-            skewing(base, family, dof)(np.array([0.25]))[0], abs=1e-12)
+        assert reliability(moved, 0, 1) == pytest.approx(reliability(base, 0, 1), abs=1e-12)
+        assert reliability_quadrature(moved, 0, 1).value == pytest.approx(
+            reliability_quadrature(base, 0, 1).value, abs=1e-12)
+        assert skewing(moved, 0, 1)(np.array([offset + 0.25]))[0] == pytest.approx(
+            skewing(base, 0, 1)(np.array([0.25]))[0], abs=1e-12)
 
     def test_values_are_python_floats(self):
-        p = PairParams(0.3, -0.2, 1.1, 0.9, 0.25)
-        dof = DegreesOfFreedom(4.0)
-        res = reliability_quadrature(p, Family.STUDENT_T, dof)
+        p = pair_spec(0.3, -0.2, 1.1, 0.9, 0.25, nu=4.0)
+        res = reliability_quadrature(p, 0, 1)
         assert type(res.value) is float and type(res.error) is float
-        assert type(reliability(p, Family.STUDENT_T, dof)) is float
-        assert type(mu_H(p, Family.STUDENT_T, dof)) is float
+        assert type(reliability(p, 0, 1)) is float
+        assert type(mu_H(p, 0, 1)) is float
 
     def test_student_requires_dof(self):
         with pytest.raises(DomainError, match="degrees of freedom"):
-            reliability(PairParams(0, 0, 1, 1, 0.2), Family.STUDENT_T)
+            reliability(dataclasses.replace(std_pair(rho=0.2, nu=4.0), dof=None), 0, 1)
 
     @pytest.mark.parametrize("gap", [10.0, 15.0])
     def test_far_ordering_at_large_nu(self, gap):
         # R_ij is about 3e-25 at nu = 1000, gap 15; a t CDF whose lower tail
         # is 1/2 minus the centre mass returned 0.
-        p = PairParams(gap, 0.0, 1.0, 1.0, 0.0)
+        p = pair_spec(gap, 0.0, 1.0, 1.0, 0.0, nu=1000.0)
         expected = mp_student_t_cdf(-gap / math.sqrt(2.0), 1000.0)
-        assert reliability(p, Family.STUDENT_T, DegreesOfFreedom(1000.0)) == pytest.approx(
-            expected, rel=1e-13, abs=0)
+        assert reliability(p, 0, 1) == pytest.approx(expected, rel=1e-13, abs=0)
 
     def test_forced_ordering(self):
-        assert reliability(
-            PairParams(30.0, 0.0, 1.0, 1.0, 0.0), Family.NORMAL
-        ) == pytest.approx(0.0, abs=1e-15)
+        assert reliability(pair_spec(30.0, 0.0, 1.0, 1.0, 0.0), 0, 1) == pytest.approx(
+            0.0, abs=1e-15)
 
     def test_degenerate_rejected(self):
         with pytest.raises(DegeneratePairError):
-            reliability(std_pair(rho=-1.0), Family.NORMAL)
+            reliability(degenerate_pair(-1.0), 0, 1)
+
+    @pytest.mark.parametrize("nu", [None, 3.0])
+    def test_mean_gap_beyond_float_range_of_the_scale(self, nu):
+        # |m|/s is about 7e449, past the largest double: z is held at 2^1000
+        # as the closed form holds it, where K(z) is 0 or 1.
+        family = "normal" if nu is None else "student-t"
+        spec = validate(DistributionSpec(family, [1e300, 0.0], 1e-300 * np.eye(2), nu=nu))
+        assert reliability(spec, 0, 1) == 0.0
+        assert reliability(spec, 1, 0) == 1.0
+        assert mu_H(spec, 1, 0) == 1e300
+        with pytest.raises(DomainError, match="R_ij = 0: mean of h_ij is undefined"):
+            mu_H(spec, 0, 1)
 
 
 class TestMaxMinDensities:
     def test_iid_standard_normal_max(self):
         x = np.linspace(-5, 5, 101)
-        got = max_pdf(std_pair(), Family.NORMAL, x)
+        got = max_pdf(std_pair(), 0, 1, x)
         expected = 2.0 * np.vectorize(std_normal_pdf)(x) * np.vectorize(std_normal_cdf)(x)
         np.testing.assert_allclose(got, expected, atol=1e-14)
 
@@ -275,89 +326,87 @@ class TestMaxMinDensities:
         from gmd.general_ec import _marginal_pdf
 
         for _ in range(10):
-            p = random_pair(rng)
+            p = random_pair(rng, nu=nu)
+            mu_i, mu_j, sigma_i, sigma_j, _ = pair_entries(p, 0, 1)
             x = np.linspace(-8, 8, 101)
-            lhs = max_pdf(p, family, x, dof) + min_pdf(p, family, x, dof)
-            rhs = _marginal_pdf(x, p.mu_i, p.sigma_i, family, dof) + _marginal_pdf(
-                x, p.mu_j, p.sigma_j, family, dof
+            lhs = max_pdf(p, 0, 1, x) + min_pdf(p, 0, 1, x)
+            rhs = _marginal_pdf(x, mu_i, sigma_i, family, dof) + _marginal_pdf(
+                x, mu_j, sigma_j, family, dof
             )
             np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
     def test_both_normalized(self):
         p = random_pair(np.random.default_rng(8))
-        scale = max(p.sigma_i, p.sigma_j)
-        center = 0.5 * (p.mu_i + p.mu_j)
+        mu_i, mu_j, sigma_i, sigma_j, _ = pair_entries(p, 0, 1)
+        scale = max(sigma_i, sigma_j)
+        center = 0.5 * (mu_i + mu_j)
         for fn in (max_pdf, min_pdf):
-            res = integrate_real_line(
-                lambda x: fn(p, Family.NORMAL, x), center=center, scale=scale
-            )
+            res = integrate_real_line(lambda x: fn(p, 0, 1, x), center=center, scale=scale)
             assert res.value == pytest.approx(1.0, abs=1e-9)
 
     def test_max_mean_minus_min_mean_is_pair_gmd(self):
         rng = np.random.default_rng(9)
         for _ in range(5):
             p = random_pair(rng)
-            center = 0.5 * (p.mu_i + p.mu_j)
-            scale = max(p.sigma_i, p.sigma_j) + abs(p.mu_i - p.mu_j)
+            mu_i, mu_j, sigma_i, sigma_j, _ = pair_entries(p, 0, 1)
+            center = 0.5 * (mu_i + mu_j)
+            scale = max(sigma_i, sigma_j) + abs(mu_i - mu_j)
             res = integrate_real_line(
-                lambda x: x * (max_pdf(p, Family.NORMAL, x) - min_pdf(p, Family.NORMAL, x)),
+                lambda x: x * (max_pdf(p, 0, 1, x) - min_pdf(p, 0, 1, x)),
                 center=center, scale=scale,
             )
-            assert res.value == pytest.approx(normal_gmd(pair_spec(*astuple(p))).value, abs=1e-8)
+            assert res.value == pytest.approx(normal_gmd(p).value, abs=1e-8)
 
     def test_max_min_mean_gap_student(self):
         rng = np.random.default_rng(10)
-        dof = DegreesOfFreedom(6.0)
-        p = random_pair(rng)
-        center = 0.5 * (p.mu_i + p.mu_j)
-        scale = max(p.sigma_i, p.sigma_j) + abs(p.mu_i - p.mu_j)
+        p = random_pair(rng, nu=6.0)
+        mu_i, mu_j, sigma_i, sigma_j, _ = pair_entries(p, 0, 1)
+        center = 0.5 * (mu_i + mu_j)
+        scale = max(sigma_i, sigma_j) + abs(mu_i - mu_j)
         res = integrate_real_line(
-            lambda x: x * (max_pdf(p, Family.STUDENT_T, x, dof)
-                           - min_pdf(p, Family.STUDENT_T, x, dof)),
+            lambda x: x * (max_pdf(p, 0, 1, x) - min_pdf(p, 0, 1, x)),
             center=center, scale=scale,
         )
-        assert res.value == pytest.approx(
-            student_gmd(pair_spec(*astuple(p), nu=dof.nu)).value, abs=1e-8)
+        assert res.value == pytest.approx(student_gmd(p).value, abs=1e-8)
 
 
 class TestMuH:
     def test_iid_standard_normal(self):
-        assert mu_H(std_pair(), Family.NORMAL) == pytest.approx(INV_SQRT_PI, abs=1e-10)
+        assert mu_H(std_pair(), 0, 1) == pytest.approx(INV_SQRT_PI, abs=1e-10)
 
     def test_matches_closed_bracket_for_normal(self):
         rng = np.random.default_rng(10)
         for _ in range(10):
             p = random_pair(rng)
-            c = math.sqrt(1 - p.rho_ij**2 + (p.sigma_j / p.sigma_i - p.rho_ij) ** 2)
-            d = (p.mu_j - p.mu_i) / p.sigma_i
-            r = reliability(p, Family.NORMAL)
+            mu_i, mu_j, sigma_i, sigma_j, rho = pair_entries(p, 0, 1)
+            c = math.sqrt(1 - rho**2 + (sigma_j / sigma_i - rho) ** 2)
+            d = (mu_j - mu_i) / sigma_i
+            r = reliability(p, 0, 1)
             expected = (
-                (p.sigma_j / c) * (p.sigma_j / p.sigma_i - p.rho_ij)
+                (sigma_j / c) * (sigma_j / sigma_i - rho)
                 * std_normal_pdf(d / c) / r
-                + p.mu_j * std_normal_cdf(d / c) / r
+                + mu_j * std_normal_cdf(d / c) / r
             )
-            assert mu_H(p, Family.NORMAL) == pytest.approx(expected, rel=1e-9)
+            assert mu_H(p, 0, 1) == pytest.approx(expected, rel=1e-9)
 
     def test_translation_shift(self):
         # mu_H is X_j's mean plus an integral about it, so a shift costs at
         # most a few ulp of the shifted value.
-        p = PairParams(0.3, -0.2, 1.1, 0.9, 0.25)
         for nu in (None, 1.5, 4.0):
-            family, dof = family_and_dof(nu)
+            p = pair_spec(0.3, -0.2, 1.1, 0.9, 0.25, nu=nu)
             for k in (5.0, 1e4, 1e8, 1e12):
-                shifted = PairParams(p.mu_i + k, p.mu_j + k, p.sigma_i, p.sigma_j, p.rho_ij)
-                expected = mu_H(p, family, dof) + k
-                assert mu_H(shifted, family, dof) == pytest.approx(
+                shifted = pair_spec(0.3 + k, -0.2 + k, 1.1, 0.9, 0.25, nu=nu)
+                expected = mu_H(p, 0, 1) + k
+                assert mu_H(shifted, 0, 1) == pytest.approx(
                     expected, abs=4 * math.ulp(expected)
                 ), (nu, k)
 
     @pytest.mark.parametrize("nu", [1.5, 4.0])
     def test_no_integral(self, integral_calls, nu):
-        p = PairParams(0.3, -0.2, 1.1, 0.9, 0.25)
-        dof = DegreesOfFreedom(nu)
-        mu_H(p, Family.STUDENT_T, dof)
-        reliability(p, Family.STUDENT_T, dof)
-        h_density(p, Family.STUDENT_T, np.linspace(-3.0, 3.0, 7), dof)
+        p = pair_spec(0.3, -0.2, 1.1, 0.9, 0.25, nu=nu)
+        mu_H(p, 0, 1)
+        reliability(p, 0, 1)
+        h_density(p, 0, 1, np.linspace(-3.0, 3.0, 7))
         assert integral_calls == []
 
     @pytest.mark.parametrize("gap", [2.0, 4.0, 6.0, 8.0, 10.0, 12.0])
@@ -365,8 +414,8 @@ class TestMuH:
     def test_normal_far_gaps_against_mpmath(self, gap, rho):
         # A moment integral to an absolute 1e-10 over a small R_ij was
         # 4e-6 relative off at gap 10.
-        p = PairParams(gap, 0.0, 1.3, 0.8, rho)
-        assert mu_H(p, Family.NORMAL) == pytest.approx(mp_mu_h(p), rel=1e-13, abs=0)
+        p = pair_spec(gap, 0.0, 1.3, 0.8, rho)
+        assert mu_H(p, 0, 1) == pytest.approx(mp_mu_h(p, 0, 1), rel=1e-13, abs=0)
 
     @pytest.mark.parametrize("nu, gaps", [
         (1.5, [1.0, 30.0, 1e4, 1e150]),
@@ -378,49 +427,45 @@ class TestMuH:
         # The integral route read 2282 for 6666.67 at nu = 4, gap 1e4, and
         # raised at nu = 1000, gap 15, where R_ij is about 3e-25.  At the
         # largest gaps the t density underflows while R_ij does not.
-        dof = DegreesOfFreedom(nu)
         for gap in gaps:
-            for p in (PairParams(gap, 0.0, 1.0, 1.0, 0.0), PairParams(gap, 0.0, 0.7, 1.6, -0.4)):
-                assert mu_H(p, Family.STUDENT_T, dof) == pytest.approx(
-                    mp_mu_h(p, nu), rel=1e-13, abs=0), p
+            for p in (pair_spec(gap, 0.0, 1.0, 1.0, 0.0, nu=nu),
+                      pair_spec(gap, 0.0, 0.7, 1.6, -0.4, nu=nu)):
+                assert mu_H(p, 0, 1) == pytest.approx(mp_mu_h(p, 0, 1), rel=1e-13,
+                                                      abs=0), p.sigma_mat
 
     @pytest.mark.parametrize("nu", [None, 1.5, 4.0])
     def test_equals_the_moment_integral_over_r(self, nu):
         # The definition: mu_j plus the centred first-moment integral of
         # f_{X_j} pi_ij, over R_ij.
-        family, dof = family_and_dof(nu)
-        p = PairParams(0.3, -0.2, 1.1, 0.9, 0.25)
-        (integral,), _, _, _ = general_ec._pair_integrals(pair_row(general_ec._centred(p)),
-                                                          family, dof, moment=True)
-        expected = p.mu_j + integral / reliability(p, family, dof)
-        assert mu_H(p, family, dof) == pytest.approx(expected, rel=1e-12, abs=0)
+        p = pair_spec(0.3, -0.2, 1.1, 0.9, 0.25, nu=nu)
+        row, _ = centred_rows(p, 0, 1)
+        (integral,), _, _, _ = general_ec._pair_integrals(row, p.family, p.dof, moment=True)
+        expected = -0.2 + integral / reliability(p, 0, 1)
+        assert mu_H(p, 0, 1) == pytest.approx(expected, rel=1e-12, abs=0)
 
     def test_student_heavy_tail_against_moment_factor(self):
         # Exchangeable centered pair: 2 R mu_H equals half the pair GMD plus
         # the (zero) mean, so mu_H = pair GMD / 2 with R = 1/2 ... i.e.
         # mu_H = exchangeable pair GMD / 2.
         for nu in (1.5, 2.0):
-            p = std_pair()
             expected = exchangeable_student_gmd(1.0, DegreesOfFreedom(nu), [0.0]) / 2.0
-            assert mu_H(p, Family.STUDENT_T, DegreesOfFreedom(nu)) == pytest.approx(
-                expected, abs=1e-8
-            )
+            assert mu_H(std_pair(nu=nu), 0, 1) == pytest.approx(expected, abs=1e-8)
 
     def test_degenerate_ordering_rejected(self):
-        p = PairParams(100.0, 0.0, 1.0, 1.0, 0.0)
+        p = pair_spec(100.0, 0.0, 1.0, 1.0, 0.0)
         with pytest.raises(DomainError, match="mean of h_ij is undefined"):
-            mu_H(p, Family.NORMAL)
+            mu_H(p, 0, 1)
 
     def test_mean_existence(self):
         from gmd.errors import MomentExistenceError
 
         with pytest.raises(MomentExistenceError):
-            mu_H(std_pair(), Family.STUDENT_T, DegreesOfFreedom(1.0))
+            mu_H(std_pair(nu=1.0), 0, 1)
 
     def test_student_requires_dof(self):
         # Raised rather than asserted, so that it also holds under python -O.
         with pytest.raises(DomainError, match="degrees of freedom"):
-            mu_H(std_pair(), Family.STUDENT_T)
+            mu_H(dataclasses.replace(std_pair(nu=4.0), dof=None), 0, 1)
         with pytest.raises(DomainError, match="degrees of freedom"):
             general_ec._marginal_pdf(np.array([0.0]), 0.0, 1.0, Family.STUDENT_T, None)
 
@@ -498,12 +543,12 @@ class TestGmdQuadratureRoute:
                 batched = gmd_quadrature(spec)
                 values, panels = [], 0
                 for i, j in spec_pairs(spec):
-                    local = general_ec._centred(pair_params(spec, i, j))
+                    row_ij, row_ji = centred_rows(spec, i, j)
                     (ij,), _, (ij_res,), _ = general_ec._pair_integrals(
-                        pair_row(local), family, dof, moment=True)
+                        row_ij, family, dof, moment=True)
                     (ji,), _, (ji_res,), _ = general_ec._pair_integrals(
-                        pair_row(swapped(local)), family, dof, moment=True)
-                    values.append(2.0 * (ij + ji) - local.mu_i - local.mu_j)
+                        row_ji, family, dof, moment=True)
+                    values.append(2.0 * (ij + ji) - row_ij[0, 0])
                     panels += ij_res.panels + ji_res.panels
                 assert batched.diagnostics["quadrature_panels"] == panels, (n, offset)
                 assert batched.value == pytest.approx(sum(values) / len(values),
@@ -805,7 +850,7 @@ class TestSkewDensityEvaluables:
 
     @staticmethod
     def density(x):
-        return 2.0 * std_normal_pdf(x) * skewing(std_pair(), Family.NORMAL)(x)
+        return 2.0 * std_normal_pdf(x) * skewing(std_pair(), 0, 1)(x)
 
     def test_marginal_product_density_normalized(self):
         res = integrate_real_line(self.density)

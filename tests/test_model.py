@@ -1,4 +1,4 @@
-"""Validation, pair extraction, results, and the JSON wire format."""
+"""Validation, the pair arrays, results, and the JSON wire format."""
 
 import dataclasses
 import math
@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from gmd.bounds import second_moment_bound
-from gmd.closed_form import normal_gmd, student_gmd
+from gmd.closed_form import _law_cdf, _standard_gap, normal_gmd, student_gmd
 from gmd.errors import DomainError, MomentExistenceError, ValidationError
 from gmd.general_ec import gmd_quadrature, reliability
 from gmd.model import (
@@ -15,11 +15,9 @@ from gmd.model import (
     Family,
     GmdMethod,
     GmdResult,
-    PairParams,
     dimension_of_pairs,
     pair_correlations,
     pair_differences,
-    pair_params,
     spec_from_dict,
     spec_from_json,
     validate,
@@ -27,7 +25,7 @@ from gmd.model import (
 from gmd.monte_carlo import MonteCarloConfig, estimate_gmd, sample
 from gmd.special import DegreesOfFreedom
 
-from helpers import random_normal_spec, random_pair, random_student_spec, spec_pairs, swapped
+from helpers import pair_spec, random_normal_spec, random_pair, random_student_spec, spec_pairs
 
 
 def identity_spec(n=2):
@@ -154,62 +152,13 @@ class TestValidate:
             route(dataclasses.replace(t_spec, dof=None))
 
 
-class TestPairParams:
-    def test_identity_matrix(self):
-        p = pair_params(validate(identity_spec()), 0, 1)
-        assert (p.sigma_i, p.sigma_j, p.rho_ij) == (1.0, 1.0, 0.0)
-
-    def test_scale_extraction(self):
-        spec = validate(DistributionSpec("normal", [0, 0], [[4.0, 1.0], [1.0, 1.0]]))
-        p = pair_params(spec, 0, 1)
-        assert (p.sigma_i, p.sigma_j) == (2.0, 1.0)
-        assert p.rho_ij == pytest.approx(0.5, abs=1e-15)
-
-    def test_negative_correlation(self):
-        spec = validate(DistributionSpec("normal", [0, 0], [[1, -0.3], [-0.3, 1]]))
-        assert pair_params(spec, 0, 1).rho_ij == pytest.approx(-0.3, abs=1e-15)
-
-    def test_swap_exchanges_fields(self):
-        spec = validate(DistributionSpec("normal", [1, 2], [[4.0, 1.0], [1.0, 1.0]]))
-        p = pair_params(spec, 0, 1)
-        q = pair_params(spec, 1, 0)
-        assert (q.mu_i, q.mu_j, q.sigma_i, q.sigma_j) == (p.mu_j, p.mu_i, p.sigma_j, p.sigma_i)
-        assert q.rho_ij == p.rho_ij
-        assert q == swapped(p)
-
-    def test_index_errors(self):
-        spec = validate(identity_spec())
-        with pytest.raises(DomainError):
-            pair_params(spec, 0, 2)
-        with pytest.raises(DomainError):
-            pair_params(spec, 1, 1)
-
-    def test_rho_clamping(self):
-        p = PairParams(0.0, 0.0, 1.0, 1.0, 1.0 + 5e-13)
-        assert p.rho_ij == 1.0
-        with pytest.raises(ValidationError):
-            PairParams(0.0, 0.0, 1.0, 1.0, 1.1)
-
-    def test_sigma_must_be_positive(self):
-        with pytest.raises(ValidationError):
-            PairParams(0.0, 0.0, 0.0, 1.0, 0.0)
-
-    @pytest.mark.parametrize("field", ["mu_i", "mu_j", "sigma_i", "sigma_j", "rho_ij"])
-    def test_fields_must_be_finite(self, field):
-        values = dict(mu_i=0.0, mu_j=0.0, sigma_i=1.0, sigma_j=1.0, rho_ij=0.0)
-        values[field] = math.nan
-        with pytest.raises(ValidationError) as exc:
-            PairParams(**values)
-        assert f"{field} must be finite" in exc.value.violations
-
-
 class TestPairDerived:
-    """The reliability R_ij = P(X_i <= X_j) derived from one pair's parameters."""
+    """The reliability R_ij = P(X_i <= X_j) of one ordered pair of a spec."""
 
     def test_exchangeable_reliability_is_half(self):
-        p = PairParams(2.0, 2.0, 1.3, 1.3, 0.4)
-        assert reliability(p, Family.NORMAL) == pytest.approx(0.5, abs=1e-15)
-        assert reliability(p, Family.STUDENT_T, DegreesOfFreedom(3.0)) == pytest.approx(
+        assert reliability(pair_spec(2.0, 2.0, 1.3, 1.3, 0.4), 0, 1) == pytest.approx(
+            0.5, abs=1e-15)
+        assert reliability(pair_spec(2.0, 2.0, 1.3, 1.3, 0.4, nu=3.0), 0, 1) == pytest.approx(
             0.5, abs=1e-12
         )
 
@@ -217,8 +166,8 @@ class TestPairDerived:
         rng = np.random.default_rng(11)
         for _ in range(10):
             p = random_pair(rng)
-            r_ij = reliability(p, Family.NORMAL)
-            r_ji = reliability(swapped(p), Family.NORMAL)
+            r_ij = reliability(p, 0, 1)
+            r_ji = reliability(p, 1, 0)
             assert r_ij + r_ji == pytest.approx(1.0, abs=1e-9)
 
 
@@ -255,16 +204,24 @@ class TestGmdResult:
 
 
 class TestPairArrays:
-    def test_match_the_pair_slices(self):
-        spec = random_normal_spec(np.random.default_rng(32), 6)
+    @pytest.mark.parametrize("nu", [None, 4.0])
+    def test_one_kernel_for_the_pair_quantities(self, nu):
+        # R_ij of every ordered pair is the closed form's K(-z), bit for bit,
+        # with z read from the pair arrays through the closed form's clamp.
+        rng = np.random.default_rng(32)
+        spec = random_normal_spec(rng, 6) if nu is None else random_student_spec(rng, nu, 6)
         m, v, var_sum = pair_differences(spec)
         rhos = pair_correlations(spec)
+        z = _standard_gap(m, np.sqrt(v))
         for k, (i, j) in enumerate(spec_pairs(spec)):
-            p = pair_params(spec, i, j)
-            assert m[k] == p.mu_i - p.mu_j
-            assert math.sqrt(v[k]) == pytest.approx(p.diff_sd(), rel=1e-13)
+            assert m[k] == spec.mu[i] - spec.mu[j]
             assert var_sum[k] == spec.sigma_mat[i, i] + spec.sigma_mat[j, j]
-            assert rhos[k] == p.rho_ij
+            sd_i, sd_j = math.sqrt(spec.sigma_mat[i, i]), math.sqrt(spec.sigma_mat[j, j])
+            assert rhos[k] == spec.sigma_mat[i, j] / (sd_i * sd_j)
+            r_ij, r_ji = reliability(spec, i, j), reliability(spec, j, i)
+            assert r_ij == _law_cdf(-z[k], spec.dof)
+            assert r_ji == _law_cdf(z[k], spec.dof)
+            assert abs(r_ij + r_ji - 1.0) <= 1e-15
 
 
 class TestJsonSchema:

@@ -3,7 +3,7 @@
 Every public name is API that a route, the CLI or a test relies on, so
 adding or dropping one is a deliberate change that updates this list.
 So is adding or dropping a parameter of a public callable, an attribute
-of the spec, pair and result types, or an option of a CLI subcommand.
+of the spec and result types, or an option of a CLI subcommand.
 """
 
 import argparse
@@ -28,7 +28,6 @@ PUBLIC = [
     "MomentExistenceError",
     "MonteCarloConfig",
     "NonconvergenceError",
-    "PairParams",
     "QuadratureResult",
     "QuantileFunction",
     "ValidatedSpec",
@@ -45,7 +44,6 @@ PUBLIC = [
     "lp_norm_std_normal",
     "mu_H",
     "normal_gmd",
-    "pair_params",
     "quantile_gmd",
     "reliability",
     "reliability_quadrature",
@@ -85,7 +83,6 @@ PARAMETERS = {
     "MomentExistenceError": None,
     "MonteCarloConfig": ["draws", "seed", "chunks"],
     "NonconvergenceError": ["message", "integral"],
-    "PairParams": ["mu_i", "mu_j", "sigma_i", "sigma_j", "rho_ij"],
     "QuadratureResult": ["value", "error", "subdivisions", "panels"],
     "QuantileFunction": ["eval", "tail"],
     "ValidatedSpec": ["family", "mu", "sigma_mat", "chol", "dof"],
@@ -98,16 +95,15 @@ PARAMETERS = {
     "exchangeable_rho_bound": ["sigma1", "rhos"],
     "gini_index": ["gmd_value", "mu1"],
     "gmd_quadrature": ["spec"],
-    "h_density": ["p", "family", "x", "dof"],
+    "h_density": ["spec", "i", "j", "x"],
     "lp_norm_std_normal": ["p"],
-    "mu_H": ["p", "family", "dof"],
+    "mu_H": ["spec", "i", "j"],
     "normal_gmd": ["spec"],
-    "pair_params": ["spec", "i", "j"],
     "quantile_gmd": ["q"],
-    "reliability": ["p", "family", "dof"],
-    "reliability_quadrature": ["p", "family", "dof"],
+    "reliability": ["spec", "i", "j"],
+    "reliability_quadrature": ["spec", "i", "j"],
     "second_moment_bound": ["spec"],
-    "skewing": ["p", "family", "dof"],
+    "skewing": ["spec", "i", "j"],
     "spec_from_dict": ["data"],
     "spec_from_json": ["text"],
     "std_normal_cdf": ["x"],
@@ -121,7 +117,6 @@ PARAMETERS = {
 # Public attributes (fields, properties and methods) of the types every route passes.
 ATTRIBUTES = {
     "ValidatedSpec": ["chol", "dof", "family", "mu", "n", "pair_index", "sigma_mat"],
-    "PairParams": ["diff_sd", "mu_i", "mu_j", "rho_ij", "sigma_i", "sigma_j"],
     "GmdResult": ["diagnostics", "method", "pair_contributions", "pair_values", "to_dict",
                   "value"],
 }
