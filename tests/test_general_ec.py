@@ -15,7 +15,13 @@ from gmd.closed_form import (
     QuantileFunction,
     student_gmd,
 )
-from gmd.errors import DegeneratePairError, DomainError, GmdError, NonconvergenceError
+from gmd.errors import (
+    DegeneratePairError,
+    DomainError,
+    GmdError,
+    NonconvergenceError,
+    ValidationError,
+)
 from gmd.general_ec import (
     gmd_quadrature,
     h_density,
@@ -125,6 +131,32 @@ class TestPair:
         # A rounded |rho| just above 1 is clipped to 1, a degenerate pair.
         with pytest.raises(DegeneratePairError, match="rho = 1.0$"):
             general_ec._pair(degenerate_pair(1.0 + 5e-13), 0, 1)
+
+    # A pair is read only from a validated spec, so each field is guarded
+    # once, by ``validate``, on the entry of the spec it is read from.
+
+    @pytest.mark.parametrize("field, message", [
+        ("mu_i", "mu contains non-finite entries"),
+        ("mu_j", "mu contains non-finite entries"),
+        ("sigma_i", "sigma contains non-finite entries"),
+        ("sigma_j", "sigma contains non-finite entries"),
+        ("rho_ij", "sigma contains non-finite entries"),
+    ])
+    def test_fields_must_be_finite(self, field, message):
+        values = dict(mu_i=0.0, mu_j=0.0, sigma_i=1.0, sigma_j=1.0, rho_ij=0.0)
+        values[field] = math.nan
+        with pytest.raises(ValidationError) as exc:
+            pair_spec(*values.values())
+        assert message in exc.value.violations
+
+    def test_sigma_must_be_positive(self):
+        with pytest.raises(ValidationError) as exc:
+            pair_spec(0.0, 0.0, 0.0, 1.0, 0.0)
+        assert "sigma has non-positive diagonal entries" in exc.value.violations
+
+    def test_rho_beyond_one_refused(self):
+        with pytest.raises(ValidationError, match="positive definite"):
+            pair_spec(0.0, 0.0, 1.0, 1.0, 1.1)
 
 
 class TestSkewingNormal:
