@@ -4,7 +4,11 @@ Specs are JSON files of the form
 {"family": "normal"|"student-t", "nu": ..., "mu": [...], "sigma": [[...], ...]}.
 Reports go to stdout as JSON (default) or aligned text; every numeric is
 emitted with 17 significant digits so reports are bit-stable and re-parse
-to the same doubles.  Exit codes: 0 success, 1 validation error (with a
+to the same doubles.  A report is written piece by piece, and a pair
+breakdown in slices of a few thousand pairs, so its memory grows by one
+slice, not by the breakdown.  Loading, validation and computation all run
+before the first byte is written, so the only failure after it is a failed
+write to stdout itself.  Exit codes: 0 success, 1 validation error (with a
 machine-readable error list), 2 numerical nonconvergence or a failed
 verify comparison.
 """
@@ -68,88 +72,110 @@ def _interleave(*columns: list) -> list:
 # A float64 array in a report is a pair breakdown in ``pair_index`` order.
 # It is written as the list of {"pair": [i, j], "value": v} objects that
 # ``GmdResult.to_dict`` gives, with one template per pair, since a
-# breakdown can hold n (n - 1) / 2 = 124 750 pairs at n = 500.
+# breakdown can hold n (n - 1) / 2 = 124 750 pairs at n = 500.  It is
+# formatted and written this many pairs at a time, so the memory of a
+# report grows by one slice, not by the breakdown.
+_PAIRS_PER_SLICE = 4096
 
-def _pair_columns(values: np.ndarray, non_finite: str) -> tuple[list, list, str, list]:
-    """Row indices, column indices, the value's ``%`` conversion and the values.
 
-    Finite values are converted by ``%.17g``; a breakdown with a non-finite
+def _pair_slices(values: np.ndarray,
+                 non_finite: str) -> Iterator[tuple[range, list, list, str, list]]:
+    """Per slice of the breakdown ``values``: its pair numbers, row indices,
+    column indices, the values' ``%`` conversion and the values.
+
+    Finite values are converted by ``%.17g``; a slice with a non-finite
     value is formatted value by value instead, so that those print as
     ``non_finite``."""
     rows, cols = pair_indices(dimension_of_pairs(values.size))
-    if np.isfinite(values).all():
-        conversion, texts = "%.17g", values.tolist()
-    else:
-        conversion = "%s"
-        texts = [_fmt(v) if math.isfinite(v) else non_finite for v in values.tolist()]
-    return rows.tolist(), cols.tolist(), conversion, texts
+    for a in range(0, values.size, _PAIRS_PER_SLICE):
+        b = min(a + _PAIRS_PER_SLICE, values.size)
+        chunk = values[a:b]
+        if np.isfinite(chunk).all():
+            conversion, texts = "%.17g", chunk.tolist()
+        else:
+            conversion = "%s"
+            texts = [_fmt(v) if math.isfinite(v) else non_finite for v in chunk.tolist()]
+        yield range(a, b), rows[a:b].tolist(), cols[a:b].tolist(), conversion, texts
 
 
-def _pairs_json(values: np.ndarray, indent: int) -> str:
+def _pairs_json(values: np.ndarray, indent: int) -> Iterator[str]:
     p1, p2, p3 = ("  " * (indent + k) for k in (1, 2, 3))
-    rows, cols, conversion, texts = _pair_columns(values, "null")
-    row = f'{p1}{{\n{p2}"pair": [\n{p3}%d,\n{p3}%d\n{p2}],\n{p2}"value": {conversion}\n{p1}}}'
-    body = _format_rows(row, ",\n", len(texts), _interleave(rows, cols, texts))
-    return f"[\n{body}\n{'  ' * indent}]"
+    sep = "[\n"
+    for _, rows, cols, conversion, texts in _pair_slices(values, "null"):
+        row = f'{p1}{{\n{p2}"pair": [\n{p3}%d,\n{p3}%d\n{p2}],\n{p2}"value": {conversion}\n{p1}}}'
+        yield sep
+        yield _format_rows(row, ",\n", len(texts), _interleave(rows, cols, texts))
+        sep = ",\n"
+    yield f"\n{'  ' * indent}]"
 
 
-def _pairs_text(values: np.ndarray, prefix: str) -> list[str]:
-    rows, cols, conversion, texts = _pair_columns(values, "nan")
-    row = (f"{prefix}%d.pair.0 = %d\n{prefix}%d.pair.1 = %d\n"
-           f"{prefix}%d.value = {conversion}")
-    index = list(range(len(texts)))
-    fields = _interleave(index, rows, index, cols, index, texts)
-    return [_format_rows(row, "\n", len(texts), fields)]
+def _pairs_text(values: np.ndarray, prefix: str) -> Iterator[str]:
+    for index, rows, cols, conversion, texts in _pair_slices(values, "nan"):
+        row = (f"{prefix}%d.pair.0 = %d\n{prefix}%d.pair.1 = %d\n"
+               f"{prefix}%d.value = {conversion}\n")
+        index = list(index)
+        fields = _interleave(index, rows, index, cols, index, texts)
+        yield _format_rows(row, "", len(texts), fields)
 
 
-def _to_json(obj: Any, indent: int = 0) -> str:
-    """Minimal JSON emitter with 17-significant-digit floats."""
+def _to_json(obj: Any, indent: int = 0) -> Iterator[str]:
+    """Minimal JSON emitter with 17-significant-digit floats, piece by piece."""
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, str):
-        return json.dumps(obj, ensure_ascii=False)
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        return _fmt(obj) if math.isfinite(obj) else "null"
-    if isinstance(obj, np.ndarray):
-        return _pairs_json(obj, indent)
-    if isinstance(obj, (list, tuple)):
+        yield "null"
+    elif isinstance(obj, bool):
+        yield "true" if obj else "false"
+    elif isinstance(obj, str):
+        yield json.dumps(obj, ensure_ascii=False)
+    elif isinstance(obj, int):
+        yield str(obj)
+    elif isinstance(obj, float):
+        yield _fmt(obj) if math.isfinite(obj) else "null"
+    elif isinstance(obj, np.ndarray):
+        yield from _pairs_json(obj, indent)
+    elif isinstance(obj, (list, tuple)):
         if not obj:
-            return "[]"
-        items = ",\n".join(inner + _to_json(v, indent + 1) for v in obj)
-        return f"[\n{items}\n{pad}]"
-    if isinstance(obj, dict):
+            yield "[]"
+            return
+        sep = "[\n"
+        for v in obj:
+            yield sep + inner
+            yield from _to_json(v, indent + 1)
+            sep = ",\n"
+        yield f"\n{pad}]"
+    elif isinstance(obj, dict):
         if not obj:
-            return "{}"
-        items = ",\n".join(
-            f'{inner}"{k}": {_to_json(v, indent + 1)}' for k, v in obj.items()
-        )
-        return f"{{\n{items}\n{pad}}}"
-    raise TypeError(f"cannot serialize {type(obj)!r}")
+            yield "{}"
+            return
+        sep = "{\n"
+        for k, v in obj.items():
+            yield f'{sep}{inner}"{k}": '
+            yield from _to_json(v, indent + 1)
+            sep = ",\n"
+        yield f"\n{pad}}}"
+    else:
+        raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
-def _to_text(obj: Any, prefix: str = "") -> list[str]:
+def _to_text(obj: Any, prefix: str = "") -> Iterator[str]:
+    """``key.sub.0 = value`` lines, each ending in a newline, piece by piece."""
     if isinstance(obj, np.ndarray):
-        return _pairs_text(obj, prefix)
+        yield from _pairs_text(obj, prefix)
+        return
     if isinstance(obj, dict):
         items = obj.items()
     elif isinstance(obj, (list, tuple)):
         items = enumerate(obj)
     else:
-        return [f"{prefix.rstrip('.')} = {_scalar_text(obj)}"]
-    lines: list[str] = []
+        yield f"{prefix.rstrip('.')} = {_scalar_text(obj)}\n"
+        return
     for k, v in items:
         key = f"{prefix}{k}"
         if isinstance(v, (dict, list, tuple, np.ndarray)):
-            lines.extend(_to_text(v, key + "."))
+            yield from _to_text(v, key + ".")
         else:
-            lines.append(f"{key} = {_scalar_text(v)}")
-    return lines
+            yield f"{key} = {_scalar_text(v)}\n"
 
 
 def _scalar_text(v: Any) -> str:
@@ -163,10 +189,17 @@ def _scalar_text(v: Any) -> str:
 
 
 def _emit(report: dict[str, Any], output: str) -> None:
+    """Write ``report`` to stdout piece by piece, all of it before returning.
+
+    stdout is looked up on each call, so a redirected stdout receives it."""
+    write = sys.stdout.write
     if output == "json":
-        print(_to_json(report))
+        for piece in _to_json(report):
+            write(piece)
+        write("\n")
     else:
-        print("\n".join(_to_text(report)))
+        for piece in _to_text(report):
+            write(piece)
 
 
 def _emit_errors(messages: list[str], output: str) -> None:

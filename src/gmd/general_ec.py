@@ -220,7 +220,10 @@ def _pair_rows(params: np.ndarray, moment: bool) -> tuple[np.ndarray, np.ndarray
     ``NonconvergenceError``: that bound is then about half a sigma_j,
     and beyond it the scale is lost to rounding altogether.  The refusal
     is decided before the division, which it does not depend on and
-    which could overflow for such a row.
+    which could overflow for such a row.  The row's mu_i can still
+    overflow in those units: ``validate`` keeps sigma_i within 1e6 sigma_j,
+    but not mu_i.  Such a row, whose pi_ij is 0 or 1 to rounding over all
+    of X_j's mass, is refused in the same way, after the division.
     """
     far = np.abs(params[:, 1]) * _EPS > 1e-8 * params[:, 3]
     if far.any():
@@ -230,7 +233,14 @@ def _pair_rows(params: np.ndarray, moment: bool) -> tuple[np.ndarray, np.ndarray
             f"scale {float(params[k, 3])!r}", integral=k)
     unit = np.ldexp(0.5, np.frexp(params[:, 3])[1])
     rows = params.copy()
-    rows[:, :4] /= unit[:, None]
+    with np.errstate(over="ignore"):
+        rows[:, :4] /= unit[:, None]
+    overflowed = np.isinf(rows[:, 0])
+    if overflowed.any():
+        k = int(np.argmax(overflowed))
+        raise NonconvergenceError(
+            f"mean gap {float(params[k, 0])!r} overflows float64 in units of "
+            f"scale {float(params[k, 3])!r}", integral=k)
     centre, scale = np.abs(rows[:, 1]), rows[:, 3]
     return rows, unit, _EPS * centre * (centre if moment else 1.0) / scale
 

@@ -1,11 +1,15 @@
 """End-to-end CLI behavior: subcommands, exit codes, report formats."""
 
+import contextlib
+import hashlib
+import inspect
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -777,6 +781,68 @@ class TestReportBytes:
         result = GmdResult(1.0, GmdMethod.CLOSED_FORM, values, {"degenerate_pairs": 0})
         cli._emit(cli._result_report(result), output)
         assert capsys.readouterr().out == reference_output(result.to_dict(), output)
+
+    @pytest.mark.parametrize("output", ["json", "text"])
+    def test_closed_form_over_slices(self, capsys, tmp_path, output):
+        # n = 100 has 4,950 pairs: more than one slice of the breakdown.
+        path, spec = _spec_file(tmp_path, "spec.json", "normal", None, 100, 8)
+        assert spec.pair_index[0].size > cli._PAIRS_PER_SLICE
+        _, out = run(capsys, "closed-form", path, "--output", output)
+        assert out == reference_output(normal_gmd(spec).to_dict(), output)
+
+    @pytest.mark.parametrize("output", ["json", "text"])
+    @pytest.mark.parametrize("offsets", [(-1,), (0,), (-1, 0), (-2, 1), (-2, -1, 0, 1)])
+    def test_non_finite_at_a_slice_boundary(self, capsys, output, offsets):
+        # Offsets from the first pair of the second slice: -1 is the last
+        # pair of the first slice, 0 the first of the next, -2 and 1 their
+        # neighbours.  A slice is formatted by value only if it holds a
+        # non-finite value, so each side of the boundary takes either way.
+        values = np.random.default_rng(5).lognormal(0.0, 3.0, 4950)
+        for k, offset in enumerate(offsets):
+            values[cli._PAIRS_PER_SLICE + offset] = (math.nan, math.inf, -math.inf)[k % 3]
+        result = GmdResult(1.0, GmdMethod.CLOSED_FORM, values, {"degenerate_pairs": 0})
+        cli._emit(cli._result_report(result), output)
+        assert capsys.readouterr().out == reference_output(result.to_dict(), output)
+
+
+class TestEmitMemory:
+    """A report is written slice by slice, and all of it within ``_emit``."""
+
+    class _CountingSink:
+        """A stdout that keeps only the count and a hash of what it is sent."""
+
+        def __init__(self):
+            self.chars = 0
+            self.digest = hashlib.sha256()
+
+        def write(self, piece):
+            self.chars += len(piece)
+            self.digest.update(piece.encode())
+            return len(piece)
+
+    @pytest.mark.parametrize("output", ["json", "text"])
+    def test_n500_breakdown_peak_and_eagerness(self, output):
+        values = np.random.default_rng(2).lognormal(0.0, 1.0, 124_750)
+        result = GmdResult(1.0, GmdMethod.CLOSED_FORM, values, {"degenerate_pairs": 0})
+        report = cli._result_report(result)
+        sink = self._CountingSink()
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(sink):
+                cli._emit(report, output)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The whole breakdown as one string took 37 MB (json) and 53 MB (text).
+        assert peak < 8e6, peak
+        expected = reference_output(result.to_dict(), output)
+        assert sink.chars == len(expected)
+        assert sink.digest.hexdigest() == hashlib.sha256(expected.encode()).hexdigest()
+
+    def test_emit_is_not_a_generator(self):
+        # A lazy _emit would write nothing when called, and a caller timing
+        # the call would time nothing.
+        assert not inspect.isgeneratorfunction(cli._emit)
 
 
 _SCIPY_FREE_RUN = """

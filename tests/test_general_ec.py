@@ -3,6 +3,7 @@ reliabilities, order-statistic densities, and the assembled GMD."""
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -342,6 +343,19 @@ class TestReliability:
         assert mu_H(spec, 1, 0) == 1e300
         with pytest.raises(DomainError, match="R_ij = 0: mean of h_ij is undefined"):
             mu_H(spec, 0, 1)
+
+    @pytest.mark.parametrize("nu", [None, 3.0])
+    @pytest.mark.parametrize("i, j", [(0, 1), (1, 0)])
+    def test_quadrature_refuses_a_gap_past_the_float_range_of_the_scale(self, nu, i, j):
+        # The row moves mu_j to 0, so its mu_i is the whole gap, which
+        # overflows in units of sigma_j: refused with a typed error, and
+        # without an overflow warning on the way.
+        family = "normal" if nu is None else "student-t"
+        spec = validate(DistributionSpec(family, [1e300, 0.0], 1e-300 * np.eye(2), nu=nu))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonconvergenceError, match="overflows float64"):
+                reliability_quadrature(spec, i, j)
 
 
 class TestMaxMinDensities:
