@@ -253,9 +253,15 @@ def _cmd_bound(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# A --dump block is formatted and written this many values at a time, in
+# whole rows (at least one), so that a dump's memory grows by one slice,
+# not by a block of the stream.
+_DUMP_VALUES_PER_SLICE = 4096
+
+
 def _dump_csv(blocks: Iterator[np.ndarray], path: str, n: int) -> Iterator[np.ndarray]:
     """The stream ``blocks`` of n-column samples, each block written to
-    ``path`` as CSV as it passes.
+    ``path`` as CSV, in slices of rows, and flushed before it passes on.
 
     The file is created on the first pull, before any draw, so that an
     unwritable path fails before drawing and a stream never pulled leaves
@@ -270,11 +276,15 @@ def _dump_csv(blocks: Iterator[np.ndarray], path: str, n: int) -> Iterator[np.nd
         raise ValidationError([f"cannot write samples to {path}: {exc}"]) from exc
     opened = os.fstat(out.fileno())
     row = ",".join(["%.17g"] * n) + "\n"
+    step = max(1, _DUMP_VALUES_PER_SLICE // n)
     try:
         with out:
             out.write(",".join(f"x{k + 1}" for k in range(n)) + "\n")
             for block in blocks:
-                out.write(_format_rows(row, "", len(block), block.ravel().tolist()))
+                for a in range(0, len(block), step):
+                    rows = block[a : a + step]
+                    out.write(_format_rows(row, "", len(rows), rows.ravel().tolist()))
+                out.flush()
                 yield block
     except OSError as exc:
         _discard_partial_dump(path, opened)

@@ -20,13 +20,15 @@ reproducible for a fixed (draws, seed, chunks) triple.  Both algorithm
 names are recorded in diagnostics since they pin the bit-level output.
 
 Memory.  The stream draws every block into the same buffers, so a
-consumer uses or copies a block before it asks for the next one.  The
-reduction keeps three numbers for the standard error, and per-pair sums
-only when the breakdown is asked for.  Nothing is draws long or
-draws x n, so memory does not grow with the number of draws: at most
-2 MB of sampling buffers, less when every chunk is shorter than a block,
-and at most 2 MB of reduction buffers at any n (1 MB without the
-breakdown).
+consumer uses or copies a block before it asks for the next one, and it
+allocates nothing per block: a t block's chi-square draws go into its
+normals' buffer once the matrix product has read them.  The reduction
+keeps three numbers for the standard error, and per-pair sums only when
+the breakdown is asked for.  Nothing is draws long or draws x n, so
+memory does not grow with the number of draws: at most 2 MB of sampling
+buffers, less when every chunk is shorter than a block, and at most 2 MB
+of reduction buffers at any n (1 MB without the breakdown, and 0.5 MB at
+n = 2, whose one pair needs no difference buffer).
 
 The empirical GMD is one reduction of the per-draw statistic s_d, the
 average over pairs of |x_di - x_dj|, in one of two modes.  With the pair
@@ -139,7 +141,12 @@ def _stream(spec: ValidatedSpec, cfg: MonteCarloConfig, nu: float | None
             z = rng.standard_normal(out=z_buf[:rows])
             x = np.matmul(z, chol_t, out=x_buf[:rows])
             if nu is not None:
-                x /= np.sqrt(rng.chisquare(nu, rows) / nu)[:, None]
+                # The chi-square draws, as numpy's chisquare(nu) forms them
+                # (2 standard_gamma(nu / 2)), in the normals' spent buffer.
+                w = rng.standard_gamma(nu / 2, out=z_buf.reshape(-1)[:rows])
+                w *= 2
+                w /= nu
+                x /= np.sqrt(w, out=w)[:, None]
             x += spec.mu
             yield x
 
@@ -162,13 +169,16 @@ def _add_pair_sums(cols: np.ndarray, pair_sums: np.ndarray, buf: np.ndarray,
     stat /= pair_sums.size
 
 
-def _pair_spread(x: np.ndarray, diff: np.ndarray, stat: np.ndarray) -> None:
+def _pair_spread(x: np.ndarray, diff: np.ndarray | None, stat: np.ndarray) -> None:
     """Put each draw's average over pairs of |x_j - x_i| in ``stat``, summed
-    pair by pair from the columns of the rows x n block ``x``."""
+    pair by pair from the columns of the rows x n block ``x``: the first
+    pair's straight into ``stat``, every later one through ``diff`` (None
+    at n = 2, which has no later pair)."""
     n = x.shape[1]
-    stat.fill(0.0)
+    np.subtract(x[:, 1], x[:, 0], out=stat)
+    np.abs(stat, out=stat)
     for i in range(n - 1):
-        for j in range(i + 1, n):
+        for j in range(max(i + 1, 2), n):
             np.subtract(x[:, j], x[:, i], out=diff)
             np.abs(diff, out=diff)
             stat += diff
@@ -215,8 +225,10 @@ def _draw_stats(blocks: Iterable[np.ndarray], pairs: bool
             if pairs:
                 pair_sums = np.zeros(n * (n - 1) // 2)
                 buf = np.empty((n - 1, step))
-            else:
-                buf = np.empty((step, n) if n >= SORT_MIN_N else step)
+            elif n >= SORT_MIN_N:
+                buf = np.empty((step, n))
+            else:  # n = 2 sums its one pair straight into stat
+                buf = np.empty(step) if n > 2 else None
         for a in range(0, len(x), step):
             block = x[a : a + step]
             rows = len(block)
@@ -224,7 +236,7 @@ def _draw_stats(blocks: Iterable[np.ndarray], pairs: bool
             if pairs:
                 _add_pair_sums(np.ascontiguousarray(block.T), pair_sums, buf, stat)
             elif n < SORT_MIN_N:
-                _pair_spread(block, buf[:rows], stat)
+                _pair_spread(block, buf[:rows] if n > 2 else None, stat)
             else:
                 _sorted_gmd(block, buf[:rows], out=stat)
             if count == 0:

@@ -348,11 +348,10 @@ def mp_folded_mean(m, v, nu: float | None):
     d = m / s
     if nu is None:
         return s * (2 * mp.npdf(d) + d * mp.erf(d / mp.sqrt(2)))
+    two_f_minus_1 = mp.sign(d) * (1 - 2 * _mp_t_cdf(-abs(d), nu))
     nu = mp.mpf(nu)
     pdf = (mp.gamma((nu + 1) / 2) / (mp.sqrt(nu * mp.pi) * mp.gamma(nu / 2))
            * (1 + d * d / nu) ** (-(nu + 1) / 2))
-    two_f_minus_1 = mp.sign(d) * mp.betainc(mp.mpf(1) / 2, nu / 2, 0, d * d / (nu + d * d),
-                                            regularized=True)
     return s * (d * two_f_minus_1 + 2 * (nu + d * d) / (nu - 1) * pdf)
 
 
@@ -398,32 +397,62 @@ def mp_lp_norm_std_normal(p: float) -> float:
         return float(moment ** (1 / x))
 
 
+# The centre mass's hypergeometric series takes about this many terms at
+# most: (nu/2) x^2/(nu + x^2).  Beyond, at large nu with x^2 < nu, mpmath's
+# betainc gives up (NoConvergence at nu = 1e7, x = 1e3) and the tail is
+# integrated instead.
+_MP_CENTRE_TERMS = 100
+
+
+def _mp_t_tail_quad(x, nu):
+    """P(T_nu > x) for x >= 0: mpmath's quadrature of the density over
+    [x, inf), in the caller's precision.
+
+    The density is factored out at x, so that the integrand starts at 1
+    whatever the size of the tail, and the range is split at powers of 8 of
+    the length over which it falls by a factor e."""
+    import mpmath as mp
+
+    x, v = mp.mpf(x), mp.mpf(nu)
+    q, p = v + x * x, (v + 1) / 2
+    scale = mp.sqrt(q / (v + 1))
+    if x > 0:
+        scale = min(scale, q / ((v + 1) * x))
+    integral = mp.quad(lambda u: mp.exp(-p * mp.log1p(u * (2 * x + u) / q)),
+                       [0] + [scale * 8**k for k in range(5)] + [mp.inf])
+    log_density = mp.loggamma(p) - mp.loggamma(v / 2) - p * mp.log1p(x * x / v)
+    return mp.exp(log_density) / mp.sqrt(v * mp.pi) * integral
+
+
 def _mp_t_cdf(x, nu: float):
     """T_nu(x) as an mpf good to 40 digits, x and nu taken as exact.
 
     From the regularized incomplete beta whose argument is at most 1/2:
     the tail P(T < -|x|) = I_{nu/(nu+x^2)}(nu/2, 1/2)/2 for x^2 >= nu, and
-    below that 1/2 minus the centre mass I_{x^2/(nu+x^2)}(1/2, nu/2)/2.
-    That difference loses the digits of a small tail, so it is formed with
-    as many more digits as it loses.  A tail below every float comes back
-    as 0 or 1.
+    below that 1/2 minus the centre mass I_{x^2/(nu+x^2)}(1/2, nu/2)/2
+    while its series is short (``_MP_CENTRE_TERMS``).  That difference
+    loses the digits of a small tail, so it is formed with as many more
+    digits as it loses.  Where the centre's series is long, the tail is the
+    quadrature of the density (``_mp_t_tail_quad``) at 70 digits.
     """
     import mpmath as mp
 
-    dps = 40
+    dps = 50
     while True:
         with mp.workdps(dps):
             xx, v, half = mp.mpf(x) ** 2, mp.mpf(nu), mp.mpf(1) / 2
             if xx >= v:
                 tail = mp.betainc(v / 2, half, 0, v / (v + xx), regularized=True) / 2
                 lost = 0
+            elif v * xx / (v + xx) > 2 * _MP_CENTRE_TERMS:
+                with mp.workdps(70):
+                    tail = _mp_t_tail_quad(abs(mp.mpf(x)), nu)
+                lost = 0
             else:
                 tail = half - mp.betainc(half, v / 2, 0, xx / (v + xx), regularized=True) / 2
                 lost = -mp.log10(2 * tail) if tail > 0 else dps
             if lost <= dps - 40:
                 return tail if x < 0 else 1 - tail
-            if dps > 1000:  # the tail is below 1e-900
-                return mp.mpf(0) if x < 0 else mp.mpf(1)
         dps = max(2 * dps, int(lost) + 50)
 
 

@@ -20,7 +20,7 @@ from gmd.bounds import build_bound_report
 from gmd.cli import main
 from gmd.closed_form import normal_gmd, student_gmd
 from gmd.model import GmdMethod, GmdResult, spec_from_dict, validate
-from gmd.monte_carlo import MonteCarloConfig, estimate_gmd, sample
+from gmd.monte_carlo import BLOCK_VALUES, MonteCarloConfig, estimate_gmd, sample
 from gmd.special import DegreesOfFreedom
 
 from helpers import (
@@ -382,23 +382,58 @@ class TestEstimateCommand:
             assert f"diagnostics.seed = {seed}" in lines
             assert "diagnostics.draws = 1000" in lines
 
-    @pytest.mark.parametrize("family, nu, offset, chunks",
-                             [("normal", None, 0.0, 3), ("student-t", 4.0, 1e12, 1)])
-    def test_dump_equals_savetxt(self, capsys, tmp_path, family, nu, offset, chunks):
+    @pytest.mark.parametrize("family, nu, offset, chunks, n, draws", [
         # 100 000 draws of n = 3 span three blocks of the stream.
-        path, spec = _spec_file(tmp_path, "spec.json", family, nu, 3, 11)
+        ("normal", None, 0.0, 3, 3, 100_000),
+        ("student-t", 4.0, 1e12, 1, 3, 100_000),
+        # One block and a row, and two blocks and half a dump slice, at the
+        # smallest n and at one whose 81-row slices do not divide a block.
+        *[(family, nu, 0.0, chunks, n, draws)
+          for family, nu in (("normal", None), ("student-t", 4.0))
+          for chunks in (1, 3)
+          for n in (2, 50)
+          for draws in (BLOCK_VALUES // n + 1,
+                        2 * (BLOCK_VALUES // n) + cli._DUMP_VALUES_PER_SLICE // n // 2)],
+    ])
+    def test_dump_equals_savetxt(self, capsys, tmp_path, family, nu, offset, chunks, n, draws):
+        path, spec = _spec_file(tmp_path, "spec.json", family, nu, n, 11)
         if offset:
             data = json.loads(Path(path).read_text())
             data["mu"] = [offset + m for m in data["mu"]]
             Path(path).write_text(json.dumps(data))
             spec = validate(spec_from_dict(data))
         dump, ref = tmp_path / "samples.csv", tmp_path / "ref.csv"
-        code, _ = run(capsys, "estimate", path, "--draws", "100000", "--seed", "4",
+        code, _ = run(capsys, "estimate", path, "--draws", str(draws), "--seed", "4",
                       "--chunks", str(chunks), "--dump", str(dump))
         assert code == 0
-        samples = stacked(sample(spec, MonteCarloConfig(draws=100_000, seed=4, chunks=chunks)))
-        np.savetxt(ref, samples, fmt="%.17g", delimiter=",", header="x1,x2,x3", comments="")
+        samples = stacked(sample(spec, MonteCarloConfig(draws=draws, seed=4, chunks=chunks)))
+        header = ",".join(f"x{k + 1}" for k in range(n))
+        np.savetxt(ref, samples, fmt="%.17g", delimiter=",", header=header, comments="")
         assert dump.read_bytes() == ref.read_bytes()
+
+    def test_dump_writes_each_block_in_slices_before_passing_it(self, tmp_path):
+        # Two full n = 2 blocks; one formatted whole peaks at about 9 MB.
+        assert inspect.isgeneratorfunction(cli._dump_csv)
+        rows = BLOCK_VALUES // 2
+        blocks = [np.random.default_rng(k).normal(size=(rows, 2)) for k in range(2)]
+        path = tmp_path / "samples.csv"
+        dump = cli._dump_csv(iter(blocks), str(path), 2)
+        peaks = []
+        for k, block in enumerate(blocks, 1):
+            tracemalloc.start()
+            try:
+                assert next(dump) is block
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert path.read_text().count("\n") == 1 + k * rows
+        with pytest.raises(StopIteration):
+            next(dump)
+        assert max(peaks) < 1e6, peaks
+        ref = tmp_path / "ref.csv"
+        np.savetxt(ref, np.vstack(blocks), fmt="%.17g", delimiter=",", header="x1,x2",
+                   comments="")
+        assert path.read_bytes() == ref.read_bytes()
 
     @pytest.mark.parametrize("command", ["estimate", "verify"])
     def test_more_chunks_than_draws_rejected(self, capsys, iid_normal_spec, command):
@@ -855,7 +890,8 @@ def run(*argv):
 
 normal, student = sys.argv[1:]
 for argv in (["closed-form", normal], ["bound", normal],
-             ["verify", normal, "--draws", "2000"], ["estimate", normal, "--draws", "2000"]):
+             ["verify", normal, "--draws", "2000"], ["estimate", normal, "--draws", "2000"],
+             ["estimate", normal, "--draws", "2000", "--dump", "samples.csv"]):
     assert run(*argv) == 0, argv
     loaded = sorted(name for name in sys.modules if name.startswith("scipy"))
     assert not loaded, (argv, loaded[:5])

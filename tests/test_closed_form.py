@@ -34,6 +34,7 @@ from gmd.model import DistributionSpec, ValidatedSpec, pair_correlations, valida
 from gmd.special import DegreesOfFreedom, student_t_pdf
 
 from helpers import (
+    _mp_t_tail_quad,
     bracket_pair_gmd,
     exchangeable_normal_gmd,
     exchangeable_student_gmd,
@@ -448,6 +449,32 @@ class TestStudentNormaliser:
         spec = validate(DistributionSpec("student-t", [0.0, 0.0], np.eye(2), nu=nu))
         result = student_gmd(spec)
         assert abs(result.value - mp_spec_gmd(spec)) <= result.diagnostics["abs_error_estimate"]
+
+
+class TestGapAtLargeNu:
+    """Mean gaps z with z^2 near nu at nu >= 1e7, where the mpmath oracle's
+    betainc raised NoConvergence; its t CDF now integrates the density
+    there."""
+
+    @pytest.mark.parametrize("nu, z", [(1e7, 1e3), (1e8, 1e3), (1e8, 1e4)])
+    def test_within_estimate(self, nu, z):
+        spec = validate(DistributionSpec("student-t", [z * math.sqrt(2.0), 0.0], np.eye(2),
+                                         nu=nu))
+        result = student_gmd(spec)
+        assert abs(result.value - mp_spec_gmd(spec)) <= result.diagnostics["abs_error_estimate"]
+
+    @pytest.mark.parametrize("nu, x", [(1.05, 1.0), (1.05, 1e4), (4.0, 3.0), (4.0, 1e3),
+                                       (1e3, 40.0), (1e7, 10.0), (1e7, 1e4), (1e8, 1e6)])
+    def test_oracle_tail_is_betainc_where_it_converges(self, nu, x):
+        # The incomplete beta form I_y(nu/2, 1/2)/2, y = nu/(nu + x^2), or 1/2
+        # minus the centre mass where that series is short.
+        with mpmath.workdps(70):
+            v, xx, half = mpmath.mpf(nu), mpmath.mpf(x) ** 2, mpmath.mpf(1) / 2
+            if xx >= v:
+                tail = mpmath.betainc(v / 2, half, 0, v / (v + xx), regularized=True) / 2
+            else:
+                tail = half - mpmath.betainc(half, v / 2, 0, xx / (v + xx), regularized=True) / 2
+            assert abs(_mp_t_tail_quad(x, nu) / tail - 1) < 1e-45
 
 
 def _within_estimate(result, truth):

@@ -296,6 +296,20 @@ class TestBlockedKernel:
                 tracemalloc.stop()
         assert abs(peaks[1] - peaks[0]) < 2**20, peaks
 
+    def test_t_stream_allocates_nothing_per_block(self):
+        # The two 1 MB stream buffers and the 0.5 MB per-draw statistic.  A
+        # t block's own chi-square and square-root arrays, and a difference
+        # buffer at n = 2, made it 4.0 MiB.
+        spec = validate(DistributionSpec("student-t", [0.0, 0.0], np.eye(2), nu=4.0))
+        estimate_gmd(spec, MonteCarloConfig(draws=1000), pairs=False)  # first-call caches
+        tracemalloc.start()
+        try:
+            estimate_gmd(spec, MonteCarloConfig(draws=500_000, seed=1, chunks=1), pairs=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2**20, peak
+
     @pytest.mark.parametrize("family, nu, value, std_error, pairs", [
         ("normal", None, 2.2284827573057022, 0.0046244723232674294,
          [1.7790067417593254, 1.8621947303249953, 3.0442467998327865]),
