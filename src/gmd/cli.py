@@ -209,10 +209,19 @@ def _emit_errors(messages: list[str], output: str) -> None:
 def _load_spec(args: argparse.Namespace) -> ValidatedSpec:
     path = Path(args.spec)
     try:
-        text = path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
+        data = path.read_bytes()
+    except OSError as exc:
         raise ValidationError([f"cannot read spec file {path}: {exc}"]) from exc
-    raw = spec_from_json(text)
+    try:
+        raw = spec_from_json(data)
+    except ValidationError:
+        # The parser refuses bytes that are not UTF-8 as malformed JSON;
+        # decoding only here tells that apart at no cost to a good file.
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ValidationError([f"cannot read spec file {path}: {exc}"]) from exc
+        raise
     if args.nu is not None:
         if raw.family != Family.STUDENT_T.value:
             raise ValidationError(["--nu override requires a student-t spec"])

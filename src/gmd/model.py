@@ -12,18 +12,28 @@ gives rho_ij for the bounds and the quadrature route.  The public pair
 quantities of ``general_ec`` (pi_ij, R_ij, h_ij, mu_H) read one ordered
 pair (i, j) of a validated spec.  ``GmdResult`` carries every route's
 value with its pair breakdown.
+
+Wire format: a spec file is one JSON object with the keys ``family``,
+``mu``, ``sigma`` and, for the Student-t family, ``nu``, parsed by orjson
+as strict RFC 8259 JSON.  ``NaN``, ``Infinity``, a number that overflows
+a double (``1e400``), a byte order mark, a trailing comma or bytes that
+are not UTF-8 make the file malformed.  Every number reads as the
+correctly rounded double, the same bits as ``float`` of the stdlib
+parser's value.  Where a number is expected, a string or a boolean is
+refused: ``"nu": "4"`` and ``"nu": true`` are errors, not 4 and 1.
 """
 
 from __future__ import annotations
 
-import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from typing import Any, NamedTuple, Sequence
 
 import numpy as np
+import orjson
 
 from .errors import DomainError, ValidationError
 from .special import DegreesOfFreedom
@@ -121,8 +131,9 @@ class GmdResult:
 def validate(spec: DistributionSpec | ValidatedSpec) -> ValidatedSpec:
     """Check every invariant of a spec and cache its Cholesky factor.
 
-    Raises ``ValidationError`` listing every shape, finiteness and nu
-    violation; a finite n x n matrix is then checked in turn for symmetry,
+    Raises ``ValidationError`` listing every type, shape, finiteness and
+    nu violation, each naming its field (a string or a boolean is not a
+    number); a finite n x n matrix is then checked in turn for symmetry,
     a positive diagonal, a Cholesky factor and difference scales
     S_ii + S_jj - 2 S_ij that overflow, and the first failure raises alone.
     Validating an already-validated spec returns it unchanged.
@@ -140,31 +151,36 @@ def validate(spec: DistributionSpec | ValidatedSpec) -> ValidatedSpec:
     except ValueError:
         raise ValidationError([f"unknown family {spec.family!r}"]) from None
 
-    mu = np.atleast_1d(np.asarray(spec.mu, dtype=float))
-    sigma = np.atleast_2d(np.asarray(spec.sigma_mat, dtype=float))
-    n = mu.shape[0]
-
     problems: list[str] = []
-    if mu.ndim != 1:
-        problems.append("mu must be a vector")
-    if n < 2:
-        problems.append(f"dimension must be >= 2, got {n}")
-    if sigma.ndim != 2 or sigma.shape != (n, n):
-        problems.append(f"sigma must be {n}x{n}, got shape {sigma.shape}")
-    if not np.all(np.isfinite(mu)):
-        problems.append("mu contains non-finite entries")
-    elif n and not math.isfinite(float(np.max(mu)) - float(np.min(mu))):
-        problems.append("mean differences mu_i - mu_j overflow")
-    if not np.all(np.isfinite(sigma)):
-        problems.append("sigma contains non-finite entries")
+    mu = _float_array("mu", spec.mu, problems)
+    sigma = _float_array("sigma", spec.sigma_mat, problems)
+    if mu is not None and sigma is not None:
+        mu, sigma = np.atleast_1d(mu), np.atleast_2d(sigma)
+        n = mu.shape[0]
+        if mu.ndim != 1:
+            problems.append("mu must be a vector")
+        if n < 2:
+            problems.append(f"dimension must be >= 2, got {n}")
+        if sigma.ndim != 2 or sigma.shape != (n, n):
+            problems.append(f"sigma must be {n}x{n}, got shape {sigma.shape}")
+        if not np.all(np.isfinite(mu)):
+            problems.append("mu contains non-finite entries")
+        elif n and not math.isfinite(float(np.max(mu)) - float(np.min(mu))):
+            problems.append("mean differences mu_i - mu_j overflow")
+        if not np.all(np.isfinite(sigma)):
+            problems.append("sigma contains non-finite entries")
 
     dof: DegreesOfFreedom | None = None
     if family is Family.STUDENT_T:
         if spec.nu is None:
             problems.append("student-t spec requires nu")
+        elif not _is_real(type(spec.nu)):
+            problems.append(f"nu must be a number, got {spec.nu!r}")
         else:
             try:
                 dof = DegreesOfFreedom(float(spec.nu))
+            except OverflowError:
+                problems.append("nu is an integer too large for a double")
             except DomainError as exc:
                 problems.append(str(exc))
     elif spec.nu is not None:
@@ -196,6 +212,34 @@ def validate(spec: DistributionSpec | ValidatedSpec) -> ValidatedSpec:
     for arr in (mu, sigma, chol):
         arr.setflags(write=False)
     return ValidatedSpec(family, mu, sigma, chol, dof)
+
+
+def _is_real(kind: type) -> bool:
+    """Whether values of this type are real numbers; booleans are not."""
+    return issubclass(kind, numbers.Real) and not issubclass(kind, bool)
+
+
+def _float_array(name: str, value: Any, problems: list[str]) -> np.ndarray | None:
+    """``value`` as a float64 array, or None with a problem naming the field.
+
+    A numeric array passes as it is.  Anything else is taken apart into
+    its leaves by numpy, and their types are collected in one C-level
+    pass over the leaves, not a Python loop: a string, a boolean, None, a
+    mapping or a row of the wrong length (a leaf that is a list) refuses
+    the field, and so does an integer beyond the largest double.
+    """
+    if isinstance(value, np.ndarray) and value.dtype.kind in "iuf":
+        return value.astype(float, copy=False)
+    leaves = np.array(value, dtype=object)
+    wrong = sorted(t.__name__ for t in set(map(type, leaves.flat)) if not _is_real(t))
+    if wrong:
+        problems.append(f"{name} must be an array of numbers, found {', '.join(wrong)}")
+        return None
+    try:
+        return leaves.astype(float)
+    except OverflowError:
+        problems.append(f"{name} holds an integer too large for a double")
+        return None
 
 
 def _difference_scales_overflow(sigma: np.ndarray) -> bool:
@@ -291,9 +335,11 @@ def spec_from_dict(data: dict[str, Any]) -> DistributionSpec:
     )
 
 
-def spec_from_json(text: str) -> DistributionSpec:
+def spec_from_json(text: bytes | str) -> DistributionSpec:
+    """Parse a spec from its JSON text, strict RFC 8259 (see the module
+    docstring); bytes are read as UTF-8 without a decoded copy."""
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
+        data = orjson.loads(text)
+    except orjson.JSONDecodeError as exc:
         raise ValidationError([f"malformed JSON: {exc}"]) from exc
     return spec_from_dict(data)

@@ -124,6 +124,51 @@ class TestClosedFormCommand:
         assert code == 1
         assert "malformed JSON" in json.loads(out)["errors"][0]
 
+    GOOD = b'{"family": "normal", "mu": [0.5, 0.0], "sigma": [[1.0, 0.0], [0.0, 1.0]]}'
+
+    @pytest.mark.parametrize("content", [
+        GOOD.replace(b"0.5", b"NaN"),
+        GOOD.replace(b"0.5", b"Infinity"),
+        GOOD.replace(b"0.5", b"-Infinity"),
+        GOOD.replace(b"0.5", b"1e400"),
+        b"\xef\xbb\xbf" + GOOD,
+        GOOD.replace(b"]]", b"],]"),
+        GOOD[:40],
+    ], ids=["nan", "infinity", "minus-infinity", "overflow", "bom", "trailing-comma",
+            "truncated"])
+    def test_strict_json(self, capsys, tmp_path, content):
+        # Specs are strict RFC 8259 JSON; test_spec_not_utf8 covers bytes
+        # that are not UTF-8.
+        path = tmp_path / "spec.json"
+        path.write_bytes(content)
+        code, out = run(capsys, "closed-form", str(path))
+        assert code == 1
+        assert json.loads(out)["errors"][0].startswith("malformed JSON")
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"mu": ["a", "b"]}, "mu must be an array of numbers, found str"),
+        ({"mu": {"a": 1}}, "mu must be an array of numbers, found dict"),
+        ({"sigma": [[1, 0], [0]]}, "sigma must be an array of numbers, found list"),
+        ({"family": "student-t", "nu": "abc"}, "nu must be a number, got 'abc'"),
+        ({"mu": [10**399, 0]}, "malformed JSON"),
+        ({"mu": ["1.5", "2"]}, "mu must be an array of numbers, found str"),
+        ({"mu": [True, 1.5]}, "mu must be an array of numbers, found bool"),
+        ({"sigma": [[1, None], [0, 1]]}, "sigma must be an array of numbers, found NoneType"),
+        ({"family": "student-t", "nu": "4"}, "nu must be a number, got '4'"),
+        ({"family": "student-t", "nu": True}, "nu must be a number, got True"),
+    ], ids=["mu-strings", "mu-object", "ragged-sigma", "nu-string", "mu-400-digits",
+            "mu-numeric-strings", "mu-boolean", "sigma-null", "nu-numeric-string",
+            "nu-boolean"])
+    def test_values_that_are_not_numbers_rejected(self, capsys, tmp_path, fields, message):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"family": "normal", "mu": [0, 0],
+                                    "sigma": [[1, 0], [0, 1]], **fields}))
+        code = main(["closed-form", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.err == ""
+        errors = json.loads(captured.out)["errors"]
+        assert errors[0].startswith(message), errors
+
     def test_not_positive_definite(self, capsys, tmp_path):
         bad = tmp_path / "npd.json"
         bad.write_text(json.dumps({

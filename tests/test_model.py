@@ -1,7 +1,9 @@
 """Validation, the pair arrays, results, and the JSON wire format."""
 
 import dataclasses
+import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from gmd.model import (
     Family,
     GmdMethod,
     GmdResult,
+    _float_array,
     dimension_of_pairs,
     pair_correlations,
     pair_differences,
@@ -80,6 +83,15 @@ class TestValidate:
         ([0.0, 0.0], [[1.0, np.inf], [np.inf, 1.0]], "sigma contains non-finite entries"),
         ([0.0, 0.0], [[1.0, 0.0], [0.0, 0.0]], "sigma has non-positive diagonal entries"),
         ([0.0, 0.0], [[-1.0, 0.0], [0.0, 1.0]], "sigma has non-positive diagonal entries"),
+        (["1.5", "2"], np.eye(2), "mu must be an array of numbers, found str"),
+        ([True, 1.5], np.eye(2), "mu must be an array of numbers, found bool"),
+        (np.array([True, False]), np.eye(2), "mu must be an array of numbers, found bool"),
+        ({"a": 1}, np.eye(2), "mu must be an array of numbers, found dict"),
+        ([None, 0.0], np.eye(2), "mu must be an array of numbers, found NoneType"),
+        ([10**400, 0], np.eye(2), "mu holds an integer too large for a double"),
+        ([0.0, 0.0], [[1.0, 0.0], [0.0]], "sigma must be an array of numbers, found list"),
+        ([0.0, 0.0], [[1.0, "0"], [0.0, 1.0]], "sigma must be an array of numbers, found str"),
+        ([0.0, 0.0], np.eye(2) + 0j, "sigma must be an array of numbers, found complex"),
     ])
     def test_message(self, mu, sigma, message):
         with pytest.raises(ValidationError) as exc:
@@ -136,6 +148,36 @@ class TestValidate:
         v = validate(identity_spec())
         with pytest.raises(ValueError):
             v.mu[0] = 1.0
+
+    @pytest.mark.parametrize("nu, message", [
+        ("4", "nu must be a number, got '4'"),
+        (True, "nu must be a number, got True"),
+        (10**400, "nu is an integer too large for a double"),
+    ])
+    def test_nu_that_is_not_a_double_rejected(self, nu, message):
+        with pytest.raises(ValidationError) as exc:
+            validate(DistributionSpec("student-t", [0.0, 0.0], np.eye(2), nu))
+        assert exc.value.violations == [message]
+
+    def test_type_violations_reported_together(self):
+        with pytest.raises(ValidationError) as exc:
+            validate(DistributionSpec("student-t", ["a", "b"], [[1.0], [0.0, 1.0]], nu=False))
+        assert exc.value.violations == [
+            "mu must be an array of numbers, found str",
+            "sigma must be an array of numbers, found list",
+            "nu must be a number, got False",
+        ]
+
+    def test_every_kind_of_real_number_accepted(self):
+        # Python ints past 64 bits, fractions and numpy scalars are real
+        # numbers: each reads as its correctly rounded double.
+        big = 2**70 + 1
+        spec = validate(DistributionSpec(
+            "student-t", [big, Fraction(1, 3)],
+            [[np.float32(2.0), 0], [0, np.int8(3)]], nu=Fraction(9, 2)))
+        assert spec.mu.tolist() == [float(big), 1 / 3]
+        assert spec.sigma_mat.tolist() == [[2.0, 0.0], [0.0, 3.0]]
+        assert spec.dof.nu == 4.5
 
 
     @pytest.mark.parametrize(
@@ -252,3 +294,50 @@ class TestJsonSchema:
     def test_non_object_rejected(self):
         with pytest.raises(ValidationError, match="JSON object"):
             spec_from_json("[1, 2]")
+
+    def test_bytes_and_str_parse_alike(self):
+        text = '{"family": "normal", "mu": [0.5, -2], "sigma": [[1, 0], [0, 1e-3]]}'
+        assert spec_from_json(text) == spec_from_json(text.encode())
+
+
+def _float_bits(values) -> np.ndarray:
+    return np.array([float(v) for v in values]).view(np.uint64)
+
+
+# 1 + 2^-53, half way between 1 and the next double, is written out in
+# full and with one more digit either side of it.
+_HALFWAY = "1.00000000000000011102230246251565404236316680908203125"
+HARD_NUMBERS = [
+    "2.2250738585072011e-308", "4.9406564584124654e-324", "2.4703282292062328e-324",
+    "1.7976931348623157e308", _HALFWAY, _HALFWAY + "1", _HALFWAY[:-1] + "49",
+    "9007199254740993", "-0.0", "0", "-0",
+]
+
+
+def test_parser_matches_the_stdlib_bit_for_bit():
+    # json.loads is the oracle: every number of the corpus, taken as a
+    # float64 the way validate takes it, has the same bits both ways.
+    rng = np.random.default_rng(20231)
+    bits = rng.integers(0, 2**64, size=100_000, dtype=np.uint64, endpoint=False)
+    doubles = bits.view(np.float64)
+    doubles = doubles[np.isfinite(doubles)].tolist()
+    texts = [repr(x) for x in doubles]
+    texts += ["%.17g" % x for x in doubles]
+    texts += ["%.25g" % x for x in doubles]
+    # Integers from 2^63 to 1e25, both signs: past 2^64 the parser returns
+    # the rounded double, not an int.
+    ints = [2**63 - 1, 2**63, 2**63 + 1, 2**64 - 1, 2**64, 2**64 + 1, 10**25]
+    ints += [int(m) << int(e) for m, e in zip(rng.integers(2**62, 2**63, 2000),
+                                                rng.integers(1, 21, 2000))]
+    texts += [str(k) for k in ints] + [str(-k) for k in ints]
+    texts += HARD_NUMBERS
+    assert len(texts) > 3 * 99_000
+    text = '{"family": "normal", "mu": [%s], "sigma": [[1]]}' % ", ".join(texts)
+    oracle = json.loads(text)["mu"]
+    for data in (text, text.encode()):
+        problems = []
+        parsed = _float_array("mu", spec_from_json(data).mu, problems)
+        assert problems == []
+        mismatched = np.flatnonzero(parsed.view(np.uint64) != _float_bits(oracle))
+        assert mismatched.size == 0, [texts[k] for k in mismatched[:5]]
+
