@@ -22,13 +22,8 @@ from typing import Any, Sequence
 import numpy as np
 
 from .errors import DomainError, MomentExistenceError
-from .model import (
-    Family,
-    ValidatedSpec,
-    pair_correlations,
-    pair_differences,
-)
-from .special import NO_VARIANCE, lp_norm_std_normal, require_dof
+from .model import ValidatedSpec, pair_correlations, pair_differences
+from .special import NO_VARIANCE, lp_norm_std_normal
 
 
 @dataclass
@@ -59,11 +54,10 @@ class BoundReport:
 
 def _sd_factor(spec: ValidatedSpec) -> float:
     """Scale-to-standard-deviation factor; requires finite variance."""
-    if spec.family is Family.STUDENT_T:
-        dof = require_dof(spec.dof)
-        dof.require_variance()
-        return math.sqrt(dof.nu / (dof.nu - 2.0))
-    return 1.0
+    if spec.dof is None:
+        return 1.0
+    spec.dof.require_variance()
+    return math.sqrt(spec.dof.nu / (spec.dof.nu - 2.0))
 
 
 def second_moment_bound(spec: ValidatedSpec) -> float:
@@ -144,7 +138,7 @@ def build_bound_report(spec: ValidatedSpec, exact_gmd: float | None = None) -> B
 
     cp = None
     if (
-        spec.family is Family.NORMAL
+        spec.dof is None
         and exchangeable
         and np.all(np.abs(rhos) <= 1e-12)
     ):

@@ -230,7 +230,7 @@ def _load_spec(args: argparse.Namespace) -> ValidatedSpec:
 
 
 def _closed_result(spec: ValidatedSpec):
-    if spec.family is Family.NORMAL:
+    if spec.dof is None:
         return closed_form.normal_gmd(spec)
     return closed_form.student_gmd(spec)
 
@@ -387,10 +387,13 @@ def _student_t_quantile_tail(dof: DegreesOfFreedom) -> tuple[float, float]:
 
     The tail 1 - F(x) ~ c nu^((nu - 1)/2) x^-nu, c the density at 0
     (Hill, Algorithm 396, CACM 1970), inverts to K = (c nu^((nu - 1)/2))^(1/nu).
+    Its log is taken as log(c)/nu + (1 - 1/nu) log(nu)/2, which does not
+    form (nu - 1) log(nu): that overflows at nu near 1e306, where K is
+    close to its normal limit.
     """
     nu = dof.nu
     log_c = math.log(student_t_pdf(0.0, dof))
-    return math.exp((log_c + 0.5 * (nu - 1.0) * math.log(nu)) / nu), 1.0 / nu
+    return math.exp(log_c / nu + 0.5 * (1.0 - 1.0 / nu) * math.log(nu)), 1.0 / nu
 
 
 def _cmd_quantile(args: argparse.Namespace) -> int:
@@ -404,9 +407,10 @@ def _cmd_quantile(args: argparse.Namespace) -> int:
     # The unit quantile is integrated and scaled afterwards, so the value is
     # scale-equivariant; the location integrates to zero against 2u - 1, and
     # left in it would bury the scale term under rounding at large offsets.
-    if spec.family is Family.NORMAL:
+    if spec.dof is None:
         q = closed_form.QuantileFunction(ndtri)
     else:
+        spec.dof.require_mean()
         nu = spec.dof.nu
         q = closed_form.QuantileFunction(lambda u: stdtrit(nu, u),
                                          tail=_student_t_quantile_tail(spec.dof))

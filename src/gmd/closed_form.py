@@ -36,17 +36,10 @@ import numpy as np
 from numpy.typing import ArrayLike
 
 from .errors import DomainError, MomentExistenceError, NonconvergenceError
-from .model import (
-    Family,
-    GmdMethod,
-    GmdResult,
-    ValidatedSpec,
-    pair_differences,
-)
+from .model import GmdMethod, GmdResult, ValidatedSpec, pair_differences
 from .quadrature import _EPS, integrate_interval, integrate_real_line_batch
 from .special import (
     DegreesOfFreedom,
-    require_dof,
     std_normal_cdf,
     std_normal_pdf,
     student_t_cdf,
@@ -61,12 +54,6 @@ from .special import (
 # 4 eps (|m| + E|D|) for the normal and for nu from 1.05 to 1e5; the
 # factor leaves twice that.
 _ERROR_FACTOR = 16.0
-
-
-def _law(family: Family, dof: DegreesOfFreedom | None) -> DegreesOfFreedom | None:
-    """The degrees of freedom that name ``family``'s standard law: None for
-    the normal; a Student-t law must have them."""
-    return None if family is Family.NORMAL else require_dof(dof)
 
 
 def _law_cdf(z: ArrayLike, dof: DegreesOfFreedom | None) -> float | np.ndarray:
@@ -103,21 +90,20 @@ def _standard_gap(m: ArrayLike, s: ArrayLike) -> float | np.ndarray:
 
 def _folded_gmd(spec: ValidatedSpec) -> GmdResult:
     """Average of E|X_i - X_j| over all pairs, by the folded-law formula."""
-    law = _law(spec.family, spec.dof)
     m, v, var_sum = pair_differences(spec)
     degenerate = v == 0.0
     v_safe = np.where(degenerate, 1.0, v)
     s = np.sqrt(v_safe)
     abs_m = np.abs(m)
     z = _standard_gap(m, s)
-    moment = _upper_moment(z, law)
+    moment = _upper_moment(z, spec.dof)
     # The normal's 2 s M is formed as 2 M v / s, from v rather than s s: as
     # accurate (about 0.6 ulp on average against mpmath) and correctly
     # rounded for the independent standard pair, 2/sqrt(pi).  The t's M
     # grows like 1/(nu - 1), so M v could overflow where 2 M s does not.
-    pdf_term = 2.0 * moment * v / s if law is None else 2.0 * moment * s
+    pdf_term = 2.0 * moment * v / s if spec.dof is None else 2.0 * moment * s
     # A degenerate pair (v = 0) differs by the constant m.
-    values = np.where(degenerate, abs_m, pdf_term + m * (2.0 * _law_cdf(z, law) - 1.0))
+    values = np.where(degenerate, abs_m, pdf_term + m * (2.0 * _law_cdf(z, spec.dof) - 1.0))
     eps = np.finfo(float).eps
     # A degenerate pair's true scale may be anything below sqrt(eps * var_sum).
     pair_errors = np.where(
@@ -132,14 +118,14 @@ def _folded_gmd(spec: ValidatedSpec) -> GmdResult:
 
 def normal_gmd(spec: ValidatedSpec) -> GmdResult:
     """GMD of a validated multivariate normal spec."""
-    if spec.family is not Family.NORMAL:
+    if spec.dof is not None:
         raise DomainError(f"normal_gmd requires the normal family, got {spec.family}")
     return _folded_gmd(spec)
 
 
 def student_gmd(spec: ValidatedSpec) -> GmdResult:
     """GMD of a validated multivariate Student-t spec; needs its mean."""
-    if spec.family is not Family.STUDENT_T or spec.dof is None:
+    if spec.dof is None:
         raise DomainError(f"student_gmd requires the student-t family, got {spec.family}")
     spec.dof.require_mean()
     return _folded_gmd(spec)

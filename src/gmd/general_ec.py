@@ -11,13 +11,15 @@ diagonal:
 R_ij mu_H_ij is the first-moment integral I_ij of x f_{X_j}(x) pi_ij(x),
 so ``gmd_quadrature`` integrates that once per ordering and never forms
 a reliability.  The pair quantities are public on their own, each on the
-ordered pair (i, j) of a validated spec, whose family and nu it reads:
-the conditional CDF pi_ij (``skewing``, a plain function of x), and
-``reliability`` and ``mu_H`` in closed form.  With D = X_j - X_i of
-scale s, normal or t with the same nu, and a = (mu_i - mu_j)/s, they are
-R_ij = K(-a) and mu_j + Cov(X_j, D)/s M(a) / R_ij, read from the same
-pair kernel as the closed-form GMD: ``closed_form._law_cdf`` (K),
-``_upper_moment`` (M), and a and s formed as the closed form forms them.
+ordered pair (i, j) of a validated spec, whose law it reads as
+``spec.dof``, None for the normal; every helper here takes the law
+alone, in that form.  They are the conditional CDF pi_ij (``skewing``,
+a plain function of x), and ``reliability`` and ``mu_H`` in closed form.
+With D = X_j - X_i of scale s, normal or t with the same nu, and
+a = (mu_i - mu_j)/s, they are R_ij = K(-a) and
+mu_j + Cov(X_j, D)/s M(a) / R_ij, read from the same pair kernel as the
+closed-form GMD: ``closed_form._law_cdf`` (K), ``_upper_moment`` (M), and
+a and s formed as the closed form forms them.
 ``reliability_quadrature`` is the integral check of ``reliability``, and
 ``h_density`` is the tilted density.  ``_pair`` reads one pair's
 (mu_i, mu_j, sigma_i, sigma_j, rho) for them.
@@ -60,9 +62,9 @@ from typing import Callable
 
 import numpy as np
 
-from .closed_form import _law, _law_cdf, _standard_gap, _upper_moment
+from .closed_form import _law_cdf, _standard_gap, _upper_moment
 from .errors import DegeneratePairError, DomainError, NonconvergenceError
-from .model import Family, GmdMethod, GmdResult, ValidatedSpec, pair_correlations
+from .model import GmdMethod, GmdResult, ValidatedSpec, pair_correlations
 from .quadrature import (
     _EPS,
     BatchIntegrand,
@@ -73,7 +75,6 @@ from .quadrature import (
 )
 from .special import (
     DegreesOfFreedom,
-    require_dof,
     std_normal_cdf,
     std_normal_pdf,
     student_t_cdf,
@@ -81,12 +82,13 @@ from .special import (
 )
 
 
-def _marginal_pdf(x: np.ndarray, mu: float, sigma: float, family: Family,
+def _marginal_pdf(x: np.ndarray, mu: float, sigma: float,
                   dof: DegreesOfFreedom | None) -> np.ndarray:
+    """The density of mu + sigma T, T standard normal for ``dof`` None, else t."""
     z = (np.asarray(x, dtype=float) - mu) / sigma
-    if family is Family.NORMAL:
+    if dof is None:
         return std_normal_pdf(z) / sigma
-    return student_t_pdf(z, require_dof(dof)) / sigma
+    return student_t_pdf(z, dof) / sigma
 
 
 def _require_nondegenerate(rho: float) -> None:
@@ -142,10 +144,9 @@ def skewing(spec: ValidatedSpec, i: int, j: int) -> Callable[[np.ndarray], np.nd
     tail.
     """
     mu_i, mu_j, sigma_i, sigma_j, rho = _pair(spec, i, j)
-    law = _law(spec.family, spec.dof)
 
     def eval_(x: np.ndarray) -> np.ndarray:
-        return _conditional_cdf(x, mu_i, mu_j, sigma_i, sigma_j, rho, law)
+        return _conditional_cdf(x, mu_i, mu_j, sigma_i, sigma_j, rho, spec.dof)
 
     return eval_
 
@@ -247,13 +248,13 @@ def _pair_rows(params: np.ndarray, moment: bool) -> tuple[np.ndarray, np.ndarray
 
 def _pair_batch(
     params: np.ndarray,
-    family: Family,
     dof: DegreesOfFreedom | None,
     moment: bool,
 ) -> tuple[BatchIntegrand, np.ndarray, np.ndarray]:
     """The integrands of f_{X_j}(x) pi_ij(x), times x if ``moment``, for a batch of pairs.
 
-    Row k of ``params`` is pair k's (mu_i, mu_j, sigma_i, sigma_j, rho).
+    Row k of ``params`` is pair k's (mu_i, mu_j, sigma_i, sigma_j, rho);
+    ``dof`` None is the normal law.
     Returns f(x, owner), which evaluates pair owner[m]'s integrand at x[m],
     the share each pair's integral gets back in closed form, and a bound
     on its rounding.  A Student-t moment integrand decays like |x|^-nu,
@@ -264,18 +265,17 @@ def _pair_batch(
     mu_i, mu_j, sigma_i, sigma_j, rho = params.T
     for r in rho.tolist():
         _require_nondegenerate(r)
-    law = _law(family, dof)
-    subtract = moment and law is not None
+    subtract = moment and dof is not None
     share = share_error = np.zeros(len(params))
     if subtract:
-        c_lo, c_hi, share, share_error = _student_asymptote(mu_j, sigma_i, sigma_j, rho, law)
+        c_lo, c_hi, share, share_error = _student_asymptote(mu_j, sigma_i, sigma_j, rho, dof)
 
     def integrand(x: np.ndarray, owner: np.ndarray) -> np.ndarray:
         m_j, s_j = mu_j[owner], sigma_j[owner]
-        skew = _conditional_cdf(x, mu_i[owner], m_j, sigma_i[owner], s_j, rho[owner], law)
+        skew = _conditional_cdf(x, mu_i[owner], m_j, sigma_i[owner], s_j, rho[owner], dof)
         if subtract:
             skew = skew - np.where(x > m_j, c_hi[owner], c_lo[owner])
-        weight = _marginal_pdf(x, m_j, s_j, family, law) * skew
+        weight = _marginal_pdf(x, m_j, s_j, dof) * skew
         return x * weight if moment else weight
 
     return integrand, share, share_error
@@ -283,7 +283,6 @@ def _pair_batch(
 
 def _pair_integrals(
     params: np.ndarray,
-    family: Family,
     dof: DegreesOfFreedom | None,
     moment: bool,
 ) -> tuple[np.ndarray, np.ndarray, list[QuadratureResult], int]:
@@ -295,7 +294,7 @@ def _pair_integrals(
     moment scales with them), the results in ``_pair_rows``' units, and the rounds.
     """
     local, unit, rounding = _pair_rows(params, moment)
-    integrand, share, share_error = _pair_batch(local, family, dof, moment)
+    integrand, share, share_error = _pair_batch(local, dof, moment)
     results, rounds = integrate_real_line_batch(
         integrand, local[:, 1], local[:, 3], [_skew_transition(*row) for row in local.tolist()])
     back = unit if moment else 1.0
@@ -308,7 +307,7 @@ def reliability_quadrature(spec: ValidatedSpec, i: int, j: int) -> QuadratureRes
     """R_ij = E[pi_ij(X_j)] by quadrature; the independent check of ``reliability``."""
     mu_i, mu_j, sigma_i, sigma_j, rho = _pair(spec, i, j)
     row = np.array([[mu_i - mu_j, 0.0, sigma_i, sigma_j, rho]])
-    values, errors, (result,), _ = _pair_integrals(row, spec.family, spec.dof, moment=False)
+    values, errors, (result,), _ = _pair_integrals(row, spec.dof, moment=False)
     return dataclasses.replace(result, value=float(values[0]), error=float(errors[0]))
 
 
@@ -335,7 +334,7 @@ def reliability(spec: ValidatedSpec, i: int, j: int) -> float:
     own mean.
     """
     z, _ = _difference_law(spec, i, j)
-    return _law_cdf(-z, _law(spec.family, spec.dof))
+    return _law_cdf(-z, spec.dof)
 
 
 def h_density(spec: ValidatedSpec, i: int, j: int, x: np.ndarray) -> np.ndarray:
@@ -344,7 +343,7 @@ def h_density(spec: ValidatedSpec, i: int, j: int, x: np.ndarray) -> np.ndarray:
     if r_ij <= 0.0:
         raise DomainError("R_ij = 0: the ordering X_i <= X_j has no mass")
     _, mu_j, _, sigma_j, _ = _pair(spec, i, j)
-    return _marginal_pdf(x, mu_j, sigma_j, spec.family, spec.dof) * skewing(spec, i, j)(x) / r_ij
+    return _marginal_pdf(x, mu_j, sigma_j, spec.dof) * skewing(spec, i, j)(x) / r_ij
 
 
 def _mu_h(spec: ValidatedSpec, i: int, j: int) -> float:
@@ -355,15 +354,14 @@ def _mu_h(spec: ValidatedSpec, i: int, j: int) -> float:
     standard law's first moment above a = (mu_i - mu_j)/s
     (``closed_form._upper_moment``), with Cov(X_j, D) = S_jj - S_ij.
     """
-    law = _law(spec.family, spec.dof)
-    if law is not None:
-        law.require_mean()
+    if spec.dof is not None:
+        spec.dof.require_mean()
     a, s = _difference_law(spec, i, j)
-    r_ij = _law_cdf(-a, law)
+    r_ij = _law_cdf(-a, spec.dof)
     if r_ij <= 0.0:
         raise DomainError("R_ij = 0: mean of h_ij is undefined")
     cov = float(spec.sigma_mat[j, j] - spec.sigma_mat[i, j])
-    return float(spec.mu[j]) + cov / s * float(_upper_moment(a, law)) / r_ij
+    return float(spec.mu[j]) + cov / s * float(_upper_moment(a, spec.dof)) / r_ij
 
 
 def mu_H(spec: ValidatedSpec, i: int, j: int) -> float:
@@ -383,8 +381,8 @@ def gmd_quadrature(spec: ValidatedSpec) -> GmdResult:
     estimates, the subdivisions, the GK15 panels evaluated, the
     integrals and the rounds.
     """
-    if spec.family is Family.STUDENT_T:
-        require_dof(spec.dof).require_mean()
+    if spec.dof is not None:
+        spec.dof.require_mean()
     rows, cols = spec.pair_index
     sd = np.sqrt(np.diag(spec.sigma_mat))
     rho = pair_correlations(spec)
@@ -398,8 +396,7 @@ def gmd_quadrature(spec: ValidatedSpec) -> GmdResult:
         np.column_stack([zero, gap, sd[cols], sd[rows], rho]),
     ], axis=1).reshape(-1, 5)
     try:
-        moments, errors, results, rounds = _pair_integrals(params, spec.family, spec.dof,
-                                                           moment=True)
+        moments, errors, results, rounds = _pair_integrals(params, spec.dof, moment=True)
     except NonconvergenceError as exc:
         k = exc.integral // 2
         raise NonconvergenceError(f"pair ({rows[k]},{cols[k]}): {exc}", exc.integral) from exc

@@ -4,14 +4,15 @@ A ``DistributionSpec`` describes a location-scale family (multivariate
 normal or Student-t) through a location vector mu and a positive-definite
 scale matrix sigma.  ``validate`` turns it into an immutable
 ``ValidatedSpec`` with a cached Cholesky factor, or raises with the
-invariants it violates.  A validated spec holds arrays, and every
-route reads all its pairs from them at once, in
-``ValidatedSpec.pair_index`` order: ``pair_differences`` gives the law
-of X_i - X_j for the closed form and the bounds, ``pair_correlations``
-gives rho_ij for the bounds and the quadrature route.  The public pair
-quantities of ``general_ec`` (pi_ij, R_ij, h_ij, mu_H) read one ordered
-pair (i, j) of a validated spec.  ``GmdResult`` carries every route's
-value with its pair breakdown.
+invariants it violates.  Its ``dof`` is None exactly for the normal
+family, which ``ValidatedSpec`` checks itself, and every route reads it
+as the law.  A validated spec holds arrays, and every route reads all
+its pairs from them at once, in ``ValidatedSpec.pair_index`` order:
+``pair_differences`` gives the law of X_i - X_j for the closed form and
+the bounds, ``pair_correlations`` gives rho_ij for the bounds and the
+quadrature route.  The public pair quantities of ``general_ec`` (pi_ij,
+R_ij, h_ij, mu_H) read one ordered pair (i, j) of a validated spec.
+``GmdResult`` carries every route's value with its pair breakdown.
 
 Wire format: a spec file is one JSON object with the keys ``family``,
 ``mu``, ``sigma`` and, for the Student-t family, ``nu``, parsed by orjson
@@ -71,7 +72,8 @@ class ValidatedSpec:
     """A spec that passed validation; arrays are read-only.
 
     ``chol`` is the lower Cholesky factor of the (symmetrized) scale
-    matrix, shared by sampling and by scale extraction.
+    matrix, shared by sampling and by scale extraction.  ``dof``, the
+    law every route reads, is None exactly for the normal family.
     """
 
     family: Family
@@ -79,6 +81,15 @@ class ValidatedSpec:
     sigma_mat: np.ndarray
     chol: np.ndarray
     dof: DegreesOfFreedom | None
+
+    def __post_init__(self) -> None:
+        # Raised rather than asserted, so that ``python -O`` keeps the
+        # check; it also holds for ``dataclasses.replace``.
+        if self.family == Family.STUDENT_T and self.dof is None:
+            raise DomainError("a Student-t spec requires degrees of freedom")
+        if self.family == Family.NORMAL and self.dof is not None:
+            raise DomainError(
+                f"a normal spec takes no degrees of freedom, got nu = {self.dof.nu}")
 
     @property
     def n(self) -> int:

@@ -65,8 +65,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .model import Family, GmdMethod, GmdResult, ValidatedSpec
-from .special import require_dof
+from .model import GmdMethod, GmdResult, ValidatedSpec
 
 PRNG_NAME = "philox4x64"
 NORMAL_METHOD = "ziggurat"
@@ -116,12 +115,9 @@ def sample(spec: ValidatedSpec, cfg: MonteCarloConfig) -> Iterator[np.ndarray]:
 
     A t spec without a mean raises ``MomentExistenceError`` here, before
     any draw; the draws happen as the stream is consumed."""
-    nu = None
-    if spec.family is Family.STUDENT_T:
-        dof = require_dof(spec.dof)
-        dof.require_mean()
-        nu = dof.nu
-    return _stream(spec, cfg, nu)
+    if spec.dof is not None:
+        spec.dof.require_mean()
+    return _stream(spec, cfg, None if spec.dof is None else spec.dof.nu)
 
 
 def _stream(spec: ValidatedSpec, cfg: MonteCarloConfig, nu: float | None
@@ -268,7 +264,7 @@ def _draw_stats(blocks: Iterable[np.ndarray], pairs: bool
 def finite_variance(spec: ValidatedSpec) -> bool:
     """Whether E|X_i - X_j|^2 is finite, so that ``std_error`` estimates the
     error: always for the normal, for the Student-t when it has a variance."""
-    return spec.family is Family.NORMAL or require_dof(spec.dof).has_variance
+    return spec.dof is None or spec.dof.has_variance
 
 
 def estimate_from_samples(samples: Iterator[np.ndarray], cfg: MonteCarloConfig,

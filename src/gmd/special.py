@@ -85,16 +85,6 @@ class DegreesOfFreedom:
             )
 
 
-def require_dof(dof: DegreesOfFreedom | None) -> DegreesOfFreedom:
-    """dof itself; a Student-t law without degrees of freedom is a DomainError.
-
-    Raised rather than asserted, so that ``python -O`` keeps the check.
-    """
-    if dof is None:
-        raise DomainError("a Student-t law requires degrees of freedom")
-    return dof
-
-
 def _finite_array(x: ArrayLike) -> np.ndarray:
     """``x`` as a float64 array, every element finite."""
     arr = np.asarray(x, dtype=float)

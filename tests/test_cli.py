@@ -234,10 +234,13 @@ class TestWithoutAMean:
         }))
         return str(spec)
 
-    @pytest.mark.parametrize("nu", [1.0, 0.5])
+    @pytest.mark.parametrize("nu", [1.0, 0.5, 1e-300])
     @pytest.mark.parametrize("command",
                              ["closed-form", "estimate", "verify", "quantile-gmd", "bound"])
     def test_contract(self, capsys, tmp_path, command, nu):
+        # Every route asks DegreesOfFreedom and gives its one message;
+        # quantile-gmd once built its tail first, and at nu = 1e-300 that
+        # tail's K underflowed to 0.
         dump = tmp_path / "samples.csv"
         extra = {"estimate": ["--draws", "2000", "--dump", str(dump)],
                  "verify": ["--draws", "2000"]}.get(command, [])
@@ -248,7 +251,8 @@ class TestWithoutAMean:
             assert report["exact_gmd"] is None
         else:
             assert code == 1
-            assert any("mean" in e for e in report["errors"]), report
+            assert report["errors"] == [
+                f"mean requires nu > 1, got nu = {nu} (mean-existence check)"]
         assert not dump.exists()
 
     def test_checks_are_raised_not_asserted(self, tmp_path):
@@ -713,6 +717,32 @@ class TestQuantileCommand:
         report = json.loads(proc.stdout)
         assert report["gini_note"] == "interpretation requires a nonnegative variable"
         assert report["gini_index"] == pytest.approx(report["value"] / -4.0, rel=1e-12)
+
+    @pytest.mark.parametrize("nu", [1e306, 1e308])
+    def test_t_law_near_the_largest_double(self, capsys, tmp_path, nu):
+        # The tail's (nu - 1) log(nu) overflowed there; the GMD is the
+        # normal's to far below the estimate.
+        spec = tmp_path / "t.json"
+        spec.write_text(json.dumps({
+            "family": "student-t", "nu": nu, "mu": [0.0, 0.0], "sigma": [[1.0, 0.0], [0.0, 1.0]],
+        }))
+        code, out = run(capsys, "quantile-gmd", str(spec))
+        assert code == 0
+        report = json.loads(out)
+        assert abs(report["value"] - TWO_OVER_SQRT_PI) <= report["abs_error_estimate"]
+
+    @pytest.mark.parametrize("nu", [1.05, 1.5, 2.0, 30.0, 1e6, 1e300, 1e308])
+    def test_tail_constant_against_mpmath(self, nu):
+        # K = (c nu^((nu - 1)/2))^(1/nu), c the t density at 0, in 50 digits.
+        import mpmath
+
+        with mpmath.workdps(50):
+            n = mpmath.mpf(nu)
+            c = mpmath.gamma((n + 1) / 2) / (mpmath.sqrt(n * mpmath.pi) * mpmath.gamma(n / 2))
+            expected = float(mpmath.exp((mpmath.log(c) + (n - 1) / 2 * mpmath.log(n)) / n))
+        k, a = cli._student_t_quantile_tail(DegreesOfFreedom(nu))
+        assert k == pytest.approx(expected, rel=1e-13, abs=0)
+        assert a == 1.0 / nu
 
 
 class TestReportRoundTrip:

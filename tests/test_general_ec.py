@@ -31,7 +31,7 @@ from gmd.general_ec import (
     reliability_quadrature,
     skewing,
 )
-from gmd.model import DistributionSpec, Family, validate
+from gmd.model import DistributionSpec, validate
 from gmd.quadrature import integrate_real_line
 from gmd.special import DegreesOfFreedom, std_normal_cdf, std_normal_pdf, student_t_cdf
 
@@ -78,10 +78,6 @@ def centred_rows(spec, i, j):
     gap = mu_i - mu_j
     return (np.array([[gap, 0.0, sigma_i, sigma_j, rho]]),
             np.array([[0.0, gap, sigma_j, sigma_i, rho]]))
-
-
-def family_and_dof(nu):
-    return (Family.NORMAL, None) if nu is None else (Family.STUDENT_T, DegreesOfFreedom(nu))
 
 
 @pytest.fixture
@@ -313,8 +309,10 @@ class TestReliability:
         assert type(mu_H(p, 0, 1)) is float
 
     def test_student_requires_dof(self):
+        # A t spec without its dof is refused where it is built, so no
+        # pair quantity can read a t pair as the normal.
         with pytest.raises(DomainError, match="degrees of freedom"):
-            reliability(dataclasses.replace(std_pair(rho=0.2, nu=4.0), dof=None), 0, 1)
+            dataclasses.replace(std_pair(rho=0.2, nu=4.0), dof=None)
 
     @pytest.mark.parametrize("gap", [10.0, 15.0])
     def test_far_ordering_at_large_nu(self, gap):
@@ -365,10 +363,9 @@ class TestMaxMinDensities:
         expected = 2.0 * np.vectorize(std_normal_pdf)(x) * np.vectorize(std_normal_cdf)(x)
         np.testing.assert_allclose(got, expected, atol=1e-14)
 
-    @pytest.mark.parametrize("family,nu", [(Family.NORMAL, None), (Family.STUDENT_T, 3.0)])
-    def test_pointwise_identity(self, family, nu):
+    @pytest.mark.parametrize("nu", [None, 3.0])
+    def test_pointwise_identity(self, nu):
         rng = np.random.default_rng(7)
-        dof = None if nu is None else DegreesOfFreedom(nu)
         from gmd.general_ec import _marginal_pdf
 
         for _ in range(10):
@@ -376,9 +373,7 @@ class TestMaxMinDensities:
             mu_i, mu_j, sigma_i, sigma_j, _ = pair_entries(p, 0, 1)
             x = np.linspace(-8, 8, 101)
             lhs = max_pdf(p, 0, 1, x) + min_pdf(p, 0, 1, x)
-            rhs = _marginal_pdf(x, mu_i, sigma_i, family, dof) + _marginal_pdf(
-                x, mu_j, sigma_j, family, dof
-            )
+            rhs = _marginal_pdf(x, mu_i, sigma_i, p.dof) + _marginal_pdf(x, mu_j, sigma_j, p.dof)
             np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
     def test_both_normalized(self):
@@ -485,7 +480,7 @@ class TestMuH:
         # f_{X_j} pi_ij, over R_ij.
         p = pair_spec(0.3, -0.2, 1.1, 0.9, 0.25, nu=nu)
         row, _ = centred_rows(p, 0, 1)
-        (integral,), _, _, _ = general_ec._pair_integrals(row, p.family, p.dof, moment=True)
+        (integral,), _, _, _ = general_ec._pair_integrals(row, p.dof, moment=True)
         expected = -0.2 + integral / reliability(p, 0, 1)
         assert mu_H(p, 0, 1) == pytest.approx(expected, rel=1e-12, abs=0)
 
@@ -509,11 +504,9 @@ class TestMuH:
             mu_H(std_pair(nu=1.0), 0, 1)
 
     def test_student_requires_dof(self):
-        # Raised rather than asserted, so that it also holds under python -O.
+        # Refused where the spec is built, before mu_H can read its law.
         with pytest.raises(DomainError, match="degrees of freedom"):
-            mu_H(dataclasses.replace(std_pair(nu=4.0), dof=None), 0, 1)
-        with pytest.raises(DomainError, match="degrees of freedom"):
-            general_ec._marginal_pdf(np.array([0.0]), 0.0, 1.0, Family.STUDENT_T, None)
+            dataclasses.replace(std_pair(nu=4.0), dof=None)
 
 
 class TestGmdQuadratureRoute:
@@ -578,22 +571,22 @@ class TestGmdQuadratureRoute:
     def test_batch_matches_one_integral_at_a_time(self, nu):
         # The batched route takes each integral through the steps it takes
         # alone: the same panels, and the GMD of one-row ``_pair_integrals`` per ordering.
-        family, dof = family_and_dof(nu)
+        family = "normal" if nu is None else "student-t"
         for n in (2, 3, 4, 5):
             rng = np.random.default_rng(100 + n)
             a = rng.normal(size=(n, n))
             sigma = a @ a.T + 0.5 * n * np.eye(n)
             mu = rng.normal(0.0, 2.0, n)
             for offset in (0.0, 1e4, 1e8, 1e12):
-                spec = validate(DistributionSpec(family.value, offset + mu, sigma, nu=nu))
+                spec = validate(DistributionSpec(family, offset + mu, sigma, nu=nu))
                 batched = gmd_quadrature(spec)
                 values, panels = [], 0
                 for i, j in spec_pairs(spec):
                     row_ij, row_ji = centred_rows(spec, i, j)
                     (ij,), _, (ij_res,), _ = general_ec._pair_integrals(
-                        row_ij, family, dof, moment=True)
+                        row_ij, spec.dof, moment=True)
                     (ji,), _, (ji_res,), _ = general_ec._pair_integrals(
-                        row_ji, family, dof, moment=True)
+                        row_ji, spec.dof, moment=True)
                     values.append(2.0 * (ij + ji) - row_ij[0, 0])
                     panels += ij_res.panels + ji_res.panels
                 assert batched.diagnostics["quadrature_panels"] == panels, (n, offset)

@@ -3,12 +3,16 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gmd.bounds import second_moment_bound
+import gmd
 from gmd.closed_form import _law_cdf, _standard_gap, normal_gmd, student_gmd
 from gmd.errors import DomainError, MomentExistenceError, ValidationError
 from gmd.general_ec import gmd_quadrature, reliability
@@ -17,6 +21,7 @@ from gmd.model import (
     Family,
     GmdMethod,
     GmdResult,
+    ValidatedSpec,
     _float_array,
     dimension_of_pairs,
     pair_correlations,
@@ -25,7 +30,7 @@ from gmd.model import (
     spec_from_json,
     validate,
 )
-from gmd.monte_carlo import MonteCarloConfig, estimate_gmd, sample
+from gmd.monte_carlo import MonteCarloConfig, estimate_gmd
 from gmd.special import DegreesOfFreedom
 
 from helpers import pair_spec, random_normal_spec, random_pair, random_student_spec, spec_pairs
@@ -180,18 +185,47 @@ class TestValidate:
         assert spec.dof.nu == 4.5
 
 
-    @pytest.mark.parametrize(
-        "route",
-        [gmd_quadrature, second_moment_bound,
-         lambda spec: sample(spec, MonteCarloConfig(draws=1000))],
-        ids=["gmd_quadrature", "second_moment_bound", "sample"],
-    )
-    def test_student_spec_without_dof_raises(self, route):
-        # Validation gives every t spec its dof; the routes still check it
-        # by raising, not asserting, so that python -O keeps the check.
+    def test_student_spec_without_dof_raises(self):
+        # A validated spec's dof is its law, None exactly for the normal, so
+        # a t spec without one is refused where it is built, replaced or not.
         t_spec = validate(DistributionSpec("student-t", [0.0, 0.5], np.eye(2), nu=4.0))
         with pytest.raises(DomainError, match="degrees of freedom"):
-            route(dataclasses.replace(t_spec, dof=None))
+            dataclasses.replace(t_spec, dof=None)
+        with pytest.raises(DomainError, match="degrees of freedom"):
+            ValidatedSpec(Family.STUDENT_T, t_spec.mu, t_spec.sigma_mat, t_spec.chol, None)
+
+    def test_normal_spec_with_dof_raises(self):
+        # Every route reads dof as the law: a normal spec that carried one
+        # would run as a t spec.
+        spec = validate(identity_spec())
+        with pytest.raises(DomainError, match="no degrees of freedom, got nu = 4.0"):
+            dataclasses.replace(spec, dof=DegreesOfFreedom(4.0))
+        t_spec = validate(DistributionSpec("student-t", [0.0, 0.5], np.eye(2), nu=4.0))
+        with pytest.raises(DomainError, match="no degrees of freedom"):
+            dataclasses.replace(t_spec, family=Family.NORMAL)
+
+    def test_family_and_dof_checked_under_python_O(self):
+        # Raised, not asserted: python -O keeps the check.
+        code = (
+            "import dataclasses, numpy as np\n"
+            "from gmd.errors import DomainError\n"
+            "from gmd.model import DistributionSpec, validate\n"
+            "from gmd.special import DegreesOfFreedom\n"
+            "t = validate(DistributionSpec('student-t', [0.0, 0.5], np.eye(2), nu=4.0))\n"
+            "z = validate(DistributionSpec('normal', [0.0, 0.5], np.eye(2)))\n"
+            "for spec, dof in ((t, None), (z, DegreesOfFreedom(4.0))):\n"
+            "    try:\n"
+            "        dataclasses.replace(spec, dof=dof)\n"
+            "    except DomainError:\n"
+            "        print('refused')\n"
+        )
+        src = str(Path(gmd.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout.split() == ["refused", "refused"]
 
 
 class TestPairDerived:

@@ -4,7 +4,9 @@ its own error estimate of mpmath.
 About 1,000 specs span the ranges the package accepts: n from 2 to 6, a
 common scale 10^U(-140, 140) with per-variable scale ratios up to 1e3,
 random correlations, half of them offset by up to 1e15 times the scale.
-A third are normal; the rest are t with nu = 1 + 10^U(-6, 8), and a few
+The means lie a normal number of scales apart, except in one spec in
+four, whose means lie 10^U(0, 8) scales from zero, so that its mean gaps
+reach 1e8 pair scales.  A third are normal; the rest are t with nu = 1 + 10^U(-6, 8), and a few
 take nu 15.3, 31.3 or 63.2279, where the t density's normaliser was once
 60 eps off.  The closed form runs on every spec, the quadrature route at
 n <= 3, and the quantile route on the unit law of about 20 of the nu.
@@ -36,7 +38,10 @@ def draw_spec(rng: np.random.Generator, k: int) -> DistributionSpec:
     cov = a @ a.T + 0.1 * np.eye(n)
     root = np.sqrt(np.diag(cov))
     sigma = cov / np.outer(root, root) * np.outer(sd, sd)
-    mu = rng.normal(0.0, 1.0, n) * sd
+    z = rng.normal(0.0, 1.0, n)
+    if k % 4 == 3:
+        z = np.sign(z) * 10.0 ** rng.uniform(0.0, 8.0, n)
+    mu = z * sd
     if rng.random() < 0.5:
         mu += rng.uniform(-1.0, 1.0) * 1e15 * scale
     if k % 3 == 0:
