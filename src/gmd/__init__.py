@@ -23,7 +23,6 @@ from .closed_form import (
     student_gmd,
 )
 from .errors import (
-    DegeneratePairError,
     DomainError,
     GmdError,
     MomentExistenceError,

@@ -34,7 +34,6 @@ from . import closed_form, general_ec, monte_carlo
 from .bounds import build_bound_report
 from .errors import GmdError, MomentExistenceError, NonconvergenceError, ValidationError
 from .model import (
-    Family,
     GmdMethod,
     GmdResult,
     ValidatedSpec,
@@ -223,8 +222,6 @@ def _load_spec(args: argparse.Namespace) -> ValidatedSpec:
             raise ValidationError([f"cannot read spec file {path}: {exc}"]) from exc
         raise
     if args.nu is not None:
-        if raw.family != Family.STUDENT_T.value:
-            raise ValidationError(["--nu override requires a student-t spec"])
         raw.nu = args.nu
     return validate(raw)
 

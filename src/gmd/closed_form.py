@@ -13,7 +13,9 @@ where K is the CDF of the standard law, normal or t, and
 M(z) = int_z^inf t w(t) dt its upper first moment: w(z) for the normal,
 w(z) (nu + z^2)/(nu - 1) for the t.  Both terms are nonnegative, so
 nothing cancels, and m is differenced directly, so the value does not
-depend on a common location offset.  ``normal_gmd``/``student_gmd``
+depend on a common location offset.  ``validate`` keeps every s^2 in
+the normal range of a double, so every D has a density and no pair
+needs a case of its own.  ``normal_gmd``/``student_gmd``
 evaluate it for every pair of a spec in a handful of array calls.  The
 paper writes the same value as two ordered brackets per pair; the test
 suite keeps that form as the kernel's oracle.  ``_law_cdf`` and
@@ -89,12 +91,10 @@ def _standard_gap(m: ArrayLike, s: ArrayLike) -> float | np.ndarray:
 
 
 def _folded_gmd(spec: ValidatedSpec) -> GmdResult:
-    """Average of E|X_i - X_j| over all pairs, by the folded-law formula."""
+    """Average of E|X_i - X_j| over all pairs, by the folded-law formula;
+    its one diagnostic is ``abs_error_estimate``."""
     m, v, var_sum = pair_differences(spec)
-    degenerate = v == 0.0
-    v_safe = np.where(degenerate, 1.0, v)
-    s = np.sqrt(v_safe)
-    abs_m = np.abs(m)
+    s = np.sqrt(v)
     z = _standard_gap(m, s)
     moment = _upper_moment(z, spec.dof)
     # The normal's 2 s M is formed as 2 M v / s, from v rather than s s: as
@@ -102,17 +102,11 @@ def _folded_gmd(spec: ValidatedSpec) -> GmdResult:
     # rounded for the independent standard pair, 2/sqrt(pi).  The t's M
     # grows like 1/(nu - 1), so M v could overflow where 2 M s does not.
     pdf_term = 2.0 * moment * v / s if spec.dof is None else 2.0 * moment * s
-    # A degenerate pair (v = 0) differs by the constant m.
-    values = np.where(degenerate, abs_m, pdf_term + m * (2.0 * _law_cdf(z, spec.dof) - 1.0))
-    eps = np.finfo(float).eps
-    # A degenerate pair's true scale may be anything below sqrt(eps * var_sum).
-    pair_errors = np.where(
-        degenerate, np.sqrt(eps * var_sum), eps * (abs_m + values * (var_sum / v_safe))
-    )
+    values = pdf_term + m * (2.0 * _law_cdf(z, spec.dof) - 1.0)
+    pair_errors = _EPS * (np.abs(m) + values * (var_sum / v))
     count = values.size
     result = GmdResult(float(values.sum()) / count, GmdMethod.CLOSED_FORM, values)
     result.diagnostics["abs_error_estimate"] = _ERROR_FACTOR * float(pair_errors.sum()) / count
-    result.diagnostics["degenerate_pairs"] = int(np.count_nonzero(degenerate))
     return result
 
 

@@ -27,10 +27,6 @@ class MomentExistenceError(GmdError):
     """A required moment does not exist for the given degrees of freedom."""
 
 
-class DegeneratePairError(GmdError):
-    """The conditional law of a pair is degenerate (|rho| = 1)."""
-
-
 class NonconvergenceError(GmdError):
     """Adaptive quadrature failed to reach the requested tolerances.
 

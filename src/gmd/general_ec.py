@@ -48,10 +48,9 @@ and their share comes back in closed form from the marginal's partial
 first moments, sigma_j M(0) on each side of mu_j.  The rest decays like
 |x|^-(nu+1), which the map leaves regular at both ends, like
 (pi/2 - |t|)^(3 nu - 1), for every nu > 1.
-Only the normal and Student-t conditional laws ship.
-
-Pairs with |rho| = 1 have a degenerate conditional law and are rejected
-here; the closed-form module owns the degenerate-pair convention.
+Only the normal and Student-t conditional laws ship.  ``validate`` keeps
+every pair's |rho| below 1 and its difference scale in the normal range,
+so every conditional law here has a density.
 """
 
 from __future__ import annotations
@@ -63,7 +62,7 @@ from typing import Callable
 import numpy as np
 
 from .closed_form import _law_cdf, _standard_gap, _upper_moment
-from .errors import DegeneratePairError, DomainError, NonconvergenceError
+from .errors import DomainError, NonconvergenceError
 from .model import GmdMethod, GmdResult, ValidatedSpec, pair_correlations
 from .quadrature import (
     _EPS,
@@ -91,17 +90,9 @@ def _marginal_pdf(x: np.ndarray, mu: float, sigma: float,
     return student_t_pdf(z, dof) / sigma
 
 
-def _require_nondegenerate(rho: float) -> None:
-    if abs(rho) == 1.0:
-        raise DegeneratePairError(f"conditional law is degenerate at rho = {rho}")
-
-
 def _pair(spec: ValidatedSpec, i: int, j: int) -> tuple[float, float, float, float, float]:
-    """(mu_i, mu_j, sigma_i, sigma_j, rho) of the ordered pair (i, j) of ``spec``.
-
-    rho is clipped to [-1, 1], as ``pair_correlations`` clips it, and a
-    pair with |rho| = 1, whose conditional law is degenerate, is rejected.
-    """
+    """(mu_i, mu_j, sigma_i, sigma_j, rho) of the ordered pair (i, j) of ``spec``,
+    rho as ``pair_correlations`` forms it, so |rho| < 1."""
     n = spec.n
     if not (0 <= i < n and 0 <= j < n):
         raise DomainError(f"pair indices ({i},{j}) out of range for n = {n}")
@@ -109,8 +100,7 @@ def _pair(spec: ValidatedSpec, i: int, j: int) -> tuple[float, float, float, flo
         raise DomainError("pair indices must differ")
     s = spec.sigma_mat
     sd_i, sd_j = math.sqrt(s[i, i]), math.sqrt(s[j, j])
-    rho = min(max(float(s[i, j] / (sd_i * sd_j)), -1.0), 1.0)
-    _require_nondegenerate(rho)
+    rho = float(s[i, j] / (sd_i * sd_j))
     return float(spec.mu[i]), float(spec.mu[j]), sd_i, sd_j, rho
 
 
@@ -263,8 +253,6 @@ def _pair_batch(
     |x|^-(nu+1), and the subtracted part is the share.
     """
     mu_i, mu_j, sigma_i, sigma_j, rho = params.T
-    for r in rho.tolist():
-        _require_nondegenerate(r)
     subtract = moment and dof is not None
     share = share_error = np.zeros(len(params))
     if subtract:
@@ -319,7 +307,7 @@ def _difference_law(spec: ValidatedSpec, i: int, j: int) -> tuple[float, float]:
     """
     mu_i, mu_j, _, _, _ = _pair(spec, i, j)
     s_mat = spec.sigma_mat
-    s = math.sqrt(max(s_mat[i, i] + s_mat[j, j] - 2.0 * s_mat[i, j], 0.0))
+    s = math.sqrt(s_mat[i, i] + s_mat[j, j] - 2.0 * s_mat[i, j])
     return float(_standard_gap(mu_i - mu_j, s)), s
 
 

@@ -39,10 +39,12 @@ import orjson
 from .errors import DomainError, ValidationError
 from .special import DegreesOfFreedom
 
-# Relative floors of validation and of the pair correlations.
+# Relative floors of validation.
 SYMMETRY_RTOL = 1e-12
 PIVOT_RTOL = 1e-12
-RHO_CLAMP = 1e-12
+# The least difference scale and diagonal entry ``validate`` accepts, the
+# smallest normal double: below it a scale has lost digits to rounding.
+SCALE_FLOOR = 2.0**-1022
 
 
 class Family(str, Enum):
@@ -71,6 +73,11 @@ class DistributionSpec:
 class ValidatedSpec:
     """A spec that passed validation; arrays are read-only.
 
+    Only ``validate`` builds one (a ``dataclasses.replace`` of
+    ``sigma_mat`` would not match its ``chol`` anyway), so every route
+    takes its invariants as given: a positive-definite scale matrix whose
+    difference scales S_ii + S_jj - 2 S_ij and diagonal lie in the normal
+    range of a double, hence every pair has |rho| < 1 and a density.
     ``chol`` is the lower Cholesky factor of the (symmetrized) scale
     matrix, shared by sampling and by scale extraction.  ``dof``, the
     law every route reads, is None exactly for the normal family.
@@ -146,7 +153,8 @@ def validate(spec: DistributionSpec | ValidatedSpec) -> ValidatedSpec:
     nu violation, each naming its field (a string or a boolean is not a
     number); a finite n x n matrix is then checked in turn for symmetry,
     a positive diagonal, a Cholesky factor and difference scales
-    S_ii + S_jj - 2 S_ij that overflow, and the first failure raises alone.
+    S_ii + S_jj - 2 S_ij that overflow or underflow, and the first failure
+    raises alone.
     Validating an already-validated spec returns it unchanged.
 
     A Student-t spec is valid for every positive nu.  Whether it has the
@@ -216,8 +224,9 @@ def validate(spec: DistributionSpec | ValidatedSpec) -> ValidatedSpec:
     if float(np.min(np.diag(chol)) ** 2) <= PIVOT_RTOL * float(np.max(np.diag(sigma))):
         raise ValidationError(
             ["sigma is numerically singular (Cholesky pivot below 1e-12 of max diagonal)"])
-    if _difference_scales_overflow(sigma):
-        raise ValidationError(["difference scales S_ii + S_jj - 2 S_ij overflow"])
+    out_of_range = _difference_scales_out_of_range(sigma)
+    if out_of_range:
+        raise ValidationError([f"difference scales S_ii + S_jj - 2 S_ij {out_of_range}"])
 
     mu = mu.copy()  # the symmetrized sigma is already a new array
     for arr in (mu, sigma, chol):
@@ -253,20 +262,30 @@ def _float_array(name: str, value: Any, problems: list[str]) -> np.ndarray | Non
         return None
 
 
-def _difference_scales_overflow(sigma: np.ndarray) -> bool:
-    """Whether S_ii + S_jj - 2 S_ij, formed as ``pair_differences`` forms it,
-    overflows for some pair of a positive-definite S.
+def _difference_scales_out_of_range(sigma: np.ndarray) -> str | None:
+    """Which end of its range a difference scale S_ii + S_jj - 2 S_ij of a
+    Cholesky-checked S, formed as ``pair_differences`` forms it, leaves:
+    "overflow" if one is not finite, "underflow" if one or a diagonal
+    entry lies below ``SCALE_FLOOR``, else None.
 
-    |S_ij| <= max S_ii there, so a finite 4 max S_ii bounds every term and
-    settles the common case in O(n); only beyond it are the pairs formed.
+    |S_ij| <= max S_ii there, so a finite 4 max S_ii bounds every term.
+    v is at least X_j's Cholesky pivot, the variance of X_j given X_1 ..
+    X_{j-1}, which the pivot check keeps above 1e-12 max S_ii: with
+    min S_ii >= 2^-960 that is above 2^-1000, far from the floor.  Those
+    two bounds settle the common case in O(n); only beyond them, where
+    the pivot check itself may have underflowed, are the pairs formed.
     """
     diag = np.diag(sigma)
-    if math.isfinite(4.0 * float(np.max(diag))):
-        return False
+    if math.isfinite(4.0 * float(np.max(diag))) and float(np.min(diag)) >= 2.0**-960:
+        return None
     rows, cols = pair_indices(diag.size)
     with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is nan
         v = diag[rows] + diag[cols] - 2.0 * sigma[rows, cols]
-    return not np.isfinite(v).all()
+    if not np.isfinite(v).all():
+        return "overflow"
+    if float(np.min(v)) < SCALE_FLOOR or float(np.min(diag)) < SCALE_FLOOR:
+        return "underflow"
+    return None
 
 
 def pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -300,27 +319,25 @@ def pair_differences(spec: ValidatedSpec) -> PairDifferences:
 
     The means are differenced directly, so a large common location offset
     costs m no digits.  v comes from the entries of the scale matrix in
-    O(n^2) work; rounding can only take it below zero for a singular
-    matrix, which validation rejects, and it is clamped at 0.
+    O(n^2) work, formed as ``validate`` checks it, so every v is finite
+    and at least ``SCALE_FLOOR``.
     """
     rows, cols = spec.pair_index
     diag = np.diag(spec.sigma_mat)
     var_sum = diag[rows] + diag[cols]
-    v = np.maximum(var_sum - 2.0 * spec.sigma_mat[rows, cols], 0.0)
+    v = var_sum - 2.0 * spec.sigma_mat[rows, cols]
     return PairDifferences(spec.mu[rows] - spec.mu[cols], v, var_sum)
 
 
 def pair_correlations(spec: ValidatedSpec) -> np.ndarray:
-    """rho_ij = S_ij / sqrt(S_ii S_jj) for every pair i < j, in ``pair_index`` order."""
+    """rho_ij = S_ij / sqrt(S_ii S_jj) for every pair i < j, in ``pair_index`` order.
+
+    ``validate``'s pivot check keeps 1 - rho_ij^2 above 1e-12, and its
+    range check keeps S_ii normal, so every |rho_ij| < 1 as computed.
+    """
     rows, cols = spec.pair_index
     sd = np.sqrt(np.diag(spec.sigma_mat))
-    rho = spec.sigma_mat[rows, cols] / (sd[rows] * sd[cols])
-    worst = int(np.argmax(np.abs(rho)))
-    if abs(rho[worst]) - 1.0 > RHO_CLAMP:
-        raise ValidationError(
-            [f"correlation ({rows[worst]},{cols[worst]}) = {rho[worst]} outside [-1, 1]"]
-        )
-    return np.clip(rho, -1.0, 1.0)
+    return spec.sigma_mat[rows, cols] / (sd[rows] * sd[cols])
 
 
 # --- JSON wire format -------------------------------------------------------

@@ -270,6 +270,44 @@ class TestWithoutAMean:
         assert not dump.exists()
 
 
+class TestSubnormalScales:
+    """Below the normal range the relative pivot check underflows, so the
+    range check on the difference scales is what refuses such a spec:
+    every command exits 1 with its message, before writing anything."""
+
+    U = 5e-324  # the smallest subnormal double
+
+    @pytest.mark.parametrize("command",
+                             ["closed-form", "bound", "estimate", "verify", "quantile-gmd"])
+    def test_contract(self, capsys, tmp_path, command):
+        dump = tmp_path / "samples.csv"
+        extra = {"estimate": ["--draws", "2000", "--dump", str(dump)],
+                 "verify": ["--draws", "2000"]}.get(command, [])
+        u = self.U
+        sigmas = {
+            # Not positive definite: its eigenvalues are -0.40 u and 12.4 u.
+            "not-pd": [[2 * u, -5 * u], [-5 * u, 10 * u]],
+            # Positive definite, but symmetrizing rounds 3 u to 4 u, where
+            # rho reads 1.
+            "pd": [[2 * u, 3 * u], [3 * u, 10 * u]],
+        }
+        for name, sigma in sigmas.items():
+            spec = tmp_path / f"{name}.json"
+            spec.write_text(json.dumps({"family": "normal", "mu": [0, 0], "sigma": sigma}))
+            code, out = run(capsys, command, str(spec), *extra)
+            assert code == 1, (name, out)
+            assert json.loads(out)["errors"] == [
+                "difference scales S_ii + S_jj - 2 S_ij underflow"], name
+            assert not dump.exists()
+        # Small but normal scales stay accepted, and their answers agree.
+        spec = tmp_path / "tiny.json"
+        spec.write_text(json.dumps({"family": "normal", "mu": [0, 0],
+                                    "sigma": [[1e-300, 0.6e-300], [0.6e-300, 1e-300]]}))
+        code, out = run(capsys, "verify", str(spec), "--draws", "2000")
+        assert code == 0, out
+        assert json.loads(out)["pass"] is True
+
+
 class TestEstimateCommand:
     def test_deterministic(self, capsys, iid_normal_spec):
         code1, out1 = run(capsys, "estimate", iid_normal_spec,
@@ -888,7 +926,7 @@ class TestReportBytes:
     @pytest.mark.parametrize("output", ["json", "text"])
     def test_non_finite_pair_values(self, capsys, output):
         values = np.array([1.5, math.nan, math.inf, -0.25, 1e-300, 12345678.9])
-        result = GmdResult(1.0, GmdMethod.CLOSED_FORM, values, {"degenerate_pairs": 0})
+        result = GmdResult(1.0, GmdMethod.CLOSED_FORM, values, {"abs_error_estimate": 2.5e-16})
         cli._emit(cli._result_report(result), output)
         assert capsys.readouterr().out == reference_output(result.to_dict(), output)
 
@@ -910,7 +948,7 @@ class TestReportBytes:
         values = np.random.default_rng(5).lognormal(0.0, 3.0, 4950)
         for k, offset in enumerate(offsets):
             values[cli._PAIRS_PER_SLICE + offset] = (math.nan, math.inf, -math.inf)[k % 3]
-        result = GmdResult(1.0, GmdMethod.CLOSED_FORM, values, {"degenerate_pairs": 0})
+        result = GmdResult(1.0, GmdMethod.CLOSED_FORM, values, {"abs_error_estimate": 2.5e-16})
         cli._emit(cli._result_report(result), output)
         assert capsys.readouterr().out == reference_output(result.to_dict(), output)
 
@@ -933,7 +971,7 @@ class TestEmitMemory:
     @pytest.mark.parametrize("output", ["json", "text"])
     def test_n500_breakdown_peak_and_eagerness(self, output):
         values = np.random.default_rng(2).lognormal(0.0, 1.0, 124_750)
-        result = GmdResult(1.0, GmdMethod.CLOSED_FORM, values, {"degenerate_pairs": 0})
+        result = GmdResult(1.0, GmdMethod.CLOSED_FORM, values, {"abs_error_estimate": 2.5e-16})
         report = cli._result_report(result)
         sink = self._CountingSink()
         tracemalloc.start()

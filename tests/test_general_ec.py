@@ -17,7 +17,6 @@ from gmd.closed_form import (
     student_gmd,
 )
 from gmd.errors import (
-    DegeneratePairError,
     DomainError,
     GmdError,
     NonconvergenceError,
@@ -63,11 +62,6 @@ T_CDF_4_AT_1 = 0.8130495168499706  # frozen t CDF, 4 dof, at 1
 
 def std_pair(rho=0.0, nu=None):
     return pair_spec(0.0, 0.0, 1.0, 1.0, rho, nu=nu)
-
-
-def degenerate_pair(rho):
-    """A standard pair with rho = +-1, which ``validate`` rejects as singular."""
-    return dataclasses.replace(std_pair(), sigma_mat=np.array([[1.0, rho], [rho, 1.0]]))
 
 
 def centred_rows(spec, i, j):
@@ -124,11 +118,6 @@ class TestPair:
             with pytest.raises(DomainError, match="must differ"):
                 quantity(spec, 1, 1)
 
-    def test_rho_clipped_to_one(self):
-        # A rounded |rho| just above 1 is clipped to 1, a degenerate pair.
-        with pytest.raises(DegeneratePairError, match="rho = 1.0$"):
-            general_ec._pair(degenerate_pair(1.0 + 5e-13), 0, 1)
-
     # A pair is read only from a validated spec, so each field is guarded
     # once, by ``validate``, on the entry of the spec it is read from.
 
@@ -181,10 +170,6 @@ class TestSkewingNormal:
             skew = skewing(pair_spec(0.0, 0.0, 1.2, 1.2, rho), 0, 1)
             x = np.linspace(-6, 6, 121)
             np.testing.assert_allclose(skew(-x), 1.0 - skew(x), atol=1e-12)
-
-    def test_degenerate_rejected(self):
-        with pytest.raises(DegeneratePairError):
-            skewing(degenerate_pair(1.0), 0, 1)
 
 
 class TestSkewingStudent:
@@ -325,10 +310,6 @@ class TestReliability:
     def test_forced_ordering(self):
         assert reliability(pair_spec(30.0, 0.0, 1.0, 1.0, 0.0), 0, 1) == pytest.approx(
             0.0, abs=1e-15)
-
-    def test_degenerate_rejected(self):
-        with pytest.raises(DegeneratePairError):
-            reliability(degenerate_pair(-1.0), 0, 1)
 
     @pytest.mark.parametrize("nu", [None, 3.0])
     def test_mean_gap_beyond_float_range_of_the_scale(self, nu):

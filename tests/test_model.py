@@ -138,6 +138,19 @@ class TestValidate:
         with pytest.raises(ValidationError, match="S_ii \\+ S_jj - 2 S_ij overflow"):
             validate(DistributionSpec("normal", [0.0, 0.0], sigma))
 
+    @pytest.mark.parametrize("sigma", [
+        [[1e-323, -2.5e-323], [-2.5e-323, 5e-323]],  # not positive definite
+        [[1e-323, 1.5e-323], [1.5e-323, 5e-323]],  # rho reads 1 once stored
+        [[2e-308, 0.0], [0.0, 2e-308]],  # every v is normal, the diagonal is not
+        [[1e-300, 0.99999999999e-300], [0.99999999999e-300, 1e-300]],  # v is 2e-311
+    ])
+    def test_underflowing_difference_scale_rejected(self, sigma):
+        # Each passes the relative pivot check, whose threshold underflows
+        # to 0 for the first two.
+        with pytest.raises(ValidationError) as exc:
+            validate(DistributionSpec("normal", [0.0, 0.0], sigma))
+        assert exc.value.violations == ["difference scales S_ii + S_jj - 2 S_ij underflow"]
+
     @pytest.mark.parametrize("diag", [(1e300, 1e300), (1e308, 1e297)])
     def test_huge_finite_difference_scales_accepted(self, diag):
         # (1e308, 1e297) passes the pairwise check, past the 4 max S_ii bound.
@@ -226,6 +239,73 @@ class TestValidate:
                               capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr[-2000:]
         assert proc.stdout.split() == ["refused", "refused"]
+
+
+def exact_pivots(sigma: np.ndarray) -> list[Fraction]:
+    """The pivots of an LDL^T factorization of ``sigma``'s entries, in exact
+    rational arithmetic: all are positive exactly when it is positive definite."""
+    a = [[Fraction(x) for x in row] for row in sigma.tolist()]
+    pivots = []
+    for k in range(len(a)):
+        pivots.append(a[k][k])
+        if a[k][k] <= 0:
+            break
+        for i in range(k + 1, len(a)):
+            factor = a[i][k] / a[k][k]
+            for j in range(k + 1, len(a)):
+                a[i][j] -= factor * a[k][j]
+    return pivots
+
+
+class TestScaleGate:
+    """What ``validate`` guarantees every route, searched for by seeded draws:
+    an accepted spec is positive definite in exact arithmetic, its
+    difference scales v lie at or above 2^-1022, and every |rho| < 1.  So no
+    route meets a pair without a density."""
+
+    @staticmethod
+    def accepts(spec: DistributionSpec) -> bool:
+        """Whether ``validate`` accepts ``spec``, asserting the guarantee if so."""
+        try:
+            valid = validate(spec)
+        except ValidationError:
+            return False
+        assert all(p > 0 for p in exact_pivots(valid.sigma_mat)), valid.sigma_mat
+        assert pair_differences(valid).v.min() >= 2.0**-1022, valid.sigma_mat
+        assert np.abs(pair_correlations(valid)).max() < 1.0, valid.sigma_mat
+        return True
+
+    def test_subnormal_grid(self):
+        # [[a, c], [c, b]] times the smallest subnormal, a and b in 1..39 and
+        # c in -40..39: a tenth of the 121,680 matrices.
+        rng = np.random.default_rng(37)
+        u = 5e-324
+        grid = np.stack(np.meshgrid(np.arange(1, 40), np.arange(1, 40), np.arange(-40, 40),
+                                    indexing="ij"), axis=-1).reshape(-1, 3)
+        for a, b, c in grid[rng.choice(len(grid), size=len(grid) // 10, replace=False)]:
+            self.accepts(DistributionSpec(
+                "normal", [0.0, 0.0], [[a * u, c * u], [c * u, b * u]]))
+
+    def test_near_singular(self):
+        # n = 2 to 6 at scales 10^U(-323, 300), one correlation within
+        # 10^U(-16, -1) of +-1, the others random.
+        rng = np.random.default_rng(38)
+        accepted = 0
+        for _ in range(3000):
+            n = int(rng.integers(2, 7))
+            rows = rng.normal(size=(n, n))
+            rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+            # Row 1 at angle theta to +-row 0, with 1 - cos(theta) = gap.
+            gap = 10.0 ** rng.uniform(-16.0, -1.0)
+            other = rows[1] - (rows[1] @ rows[0]) * rows[0]
+            other /= np.linalg.norm(other)
+            cos = 1.0 - gap
+            rows[1] = rng.choice([-1.0, 1.0]) * cos * rows[0] + np.sqrt(gap * (2.0 - gap)) * other
+            sd = 10.0 ** rng.uniform(0.0, 3.0, n)
+            sigma = 10.0 ** rng.uniform(-323.0, 300.0) * (rows @ rows.T * np.outer(sd, sd))
+            sigma = np.triu(sigma) + np.triu(sigma, 1).T
+            accepted += self.accepts(DistributionSpec("normal", np.zeros(n), sigma))
+        assert accepted >= 1000
 
 
 class TestPairDerived:

@@ -2,8 +2,11 @@
 its own error estimate of mpmath.
 
 About 1,000 specs span the ranges the package accepts: n from 2 to 6, a
-common scale 10^U(-140, 140) with per-variable scale ratios up to 1e3,
-random correlations, half of them offset by up to 1e15 times the scale.
+common scale 10^U(-162, 150), so that some variances fall below the
+normal range and are refused, with per-variable scale ratios up to 1e3,
+or up to 10^5.9 in every other spec, close to the 1e12 variance ratio
+that ``validate``'s pivot check allows, random correlations, half of them
+offset by up to 1e15 times the scale.
 The means lie a normal number of scales apart, except in one spec in
 four, whose means lie 10^U(0, 8) scales from zero, so that its mean gaps
 reach 1e8 pair scales.  A third are normal; the rest are t with nu = 1 + 10^U(-6, 8), and a few
@@ -32,8 +35,8 @@ TWO_OVER_SQRT_PI = 1.1283791670955126
 
 def draw_spec(rng: np.random.Generator, k: int) -> DistributionSpec:
     n = int(rng.integers(2, 7))
-    scale = 10.0 ** rng.uniform(-140.0, 140.0)
-    sd = scale * 10.0 ** rng.uniform(0.0, 3.0, n)
+    scale = 10.0 ** rng.uniform(-162.0, 150.0)
+    sd = scale * 10.0 ** rng.uniform(0.0, 5.9 if k % 2 else 3.0, n)
     a = rng.normal(size=(n, n))
     cov = a @ a.T + 0.1 * np.eye(n)
     root = np.sqrt(np.diag(cov))

@@ -12,12 +12,14 @@ import enum
 import inspect
 import types
 
+import pytest
+from scipy.special import ndtri, stdtrit
+
 import gmd
 from gmd import cli
 
 PUBLIC = [
     "BoundReport",
-    "DegeneratePairError",
     "DegreesOfFreedom",
     "DistributionSpec",
     "DomainError",
@@ -72,7 +74,6 @@ def test_public_names_are_pinned():
 PARAMETERS = {
     "BoundReport": ["second_moment", "sqrt_one_minus_rho", "gmd2_sqrt2", "cp", "exact_gmd",
                     "notes"],
-    "DegeneratePairError": None,
     "DegreesOfFreedom": ["nu"],
     "DistributionSpec": ["family", "mu", "sigma_mat", "nu"],
     "DomainError": None,
@@ -164,3 +165,38 @@ def test_cli_options_are_pinned():
         for name, parser in commands.choices.items()
     }
     assert options == OPTIONS
+
+
+# Every route's diagnostic keys and the exact type of each value: a count is
+# an int, never a float or a numpy scalar.
+QUADRATURE_COUNTS = {"quadrature_subdivisions": int, "quadrature_panels": int,
+                     "quadrature_rounds": int}
+DIAGNOSTICS = {
+    "ClosedForm": {"abs_error_estimate": float},
+    "Quadrature": {"abs_error_estimate": float, **QUADRATURE_COUNTS,
+                   "quadrature_integrals": int},
+    "MonteCarlo": {"std_error": float, "std_error_valid": bool, "draws": int, "chunks": int,
+                   "seed": int, "prng": str, "normal_method": str},
+    "Quantile": {"abs_error_estimate": float, **QUADRATURE_COUNTS},
+}
+
+
+@pytest.mark.parametrize("nu", [None, 1.5, 4.0])
+def test_diagnostic_keys_are_pinned(nu):
+    family = "normal" if nu is None else "student-t"
+    spec = gmd.validate(gmd.DistributionSpec(family, [0.0, 1.0], [[1.0, 0.3], [0.3, 2.0]], nu))
+    if nu is None:
+        quantile = gmd.QuantileFunction(ndtri)
+    else:
+        quantile = gmd.QuantileFunction(lambda u: stdtrit(nu, u),
+                                        tail=cli._student_t_quantile_tail(spec.dof))
+    results = [
+        (gmd.normal_gmd if nu is None else gmd.student_gmd)(spec),
+        gmd.gmd_quadrature(spec),
+        gmd.estimate_gmd(spec, gmd.MonteCarloConfig(draws=2000, seed=1)),
+        gmd.estimate_gmd(spec, gmd.MonteCarloConfig(draws=2000, seed=1), pairs=False),
+        gmd.quantile_gmd(quantile),
+    ]
+    for result in results:
+        kinds = {key: type(value) for key, value in result.diagnostics.items()}
+        assert kinds == DIAGNOSTICS[result.method.value], result.method
