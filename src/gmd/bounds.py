@@ -4,8 +4,9 @@ All bounds here require finite second moments.  For the Student-t family
 the scale entries of the spec are inflated by sqrt(nu/(nu-2)) to obtain
 standard deviations before any bound is formed; without a variance the
 bounds simply do not exist and the report marks them inapplicable.  The
-bounds are formed for all pairs at once from the same arrays as the
-closed form (``model.pair_differences``, ``model.pair_correlations``).
+bounds are formed for all pairs at once from the pair law the spec
+holds, the closed form's (``ValidatedSpec.pair_differences`` and
+``pair_correlations``).
 The sqrt(1 - rho), sqrt(2) sigma and C_p bounds need a common mean and
 scale; the report judges that relative to the spec's own scales and
 means, so a spec and its scaled copies get the same bounds, each scaled.
@@ -22,7 +23,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from .errors import DomainError, MomentExistenceError
-from .model import ValidatedSpec, pair_correlations, pair_differences
+from .model import ValidatedSpec
 from .special import NO_VARIANCE, lp_norm_std_normal
 
 
@@ -68,7 +69,7 @@ def second_moment_bound(spec: ValidatedSpec) -> float:
     formed for every pair at once from the law of the difference.
     """
     factor = _sd_factor(spec)
-    m, v, _ = pair_differences(spec)
+    m, v, _ = spec.pair_differences
     return float(np.mean(factor * np.sqrt(v) + np.abs(m)))
 
 
@@ -76,16 +77,16 @@ def exchangeable_rho_bound(sigma1: float, rhos: Sequence[float]) -> float:
     """sqrt(2)*sigma1 times the pair average of sqrt(1 - rho).
 
     Valid for vectors with common mean and common standard deviation
-    sigma1 > 0.  sqrt(1 - rho) is taken as 0 at rho = 1.
+    sigma1 > 0.
     """
-    if sigma1 <= 0:
-        raise DomainError(f"sigma1 must be > 0, got {sigma1}")
+    if not (math.isfinite(sigma1) and sigma1 > 0):
+        raise DomainError(f"sigma1 must be > 0 and finite, got {sigma1}")
     rhos = np.asarray(rhos, dtype=float)
     if rhos.size == 0:
         raise DomainError("empty pair correlation list")
-    if np.any(np.abs(rhos) > 1.0):
+    if not np.all(np.abs(rhos) <= 1.0):  # NaN fails the comparison too
         raise DomainError("correlations must lie in [-1, 1]")
-    return math.sqrt(2.0) * sigma1 * float(np.mean(np.sqrt(np.maximum(1.0 - rhos, 0.0))))
+    return math.sqrt(2.0) * sigma1 * float(np.mean(np.sqrt(1.0 - rhos)))
 
 
 def cp_constant(p: float) -> float:
@@ -97,8 +98,8 @@ def cp_constant(p: float) -> float:
 
 def cp_bound(p: float, sigma1: float) -> float:
     """C_p * sigma1; the caller asserts the i.i.d. assumption."""
-    if sigma1 <= 0:
-        raise DomainError(f"sigma1 must be > 0, got {sigma1}")
+    if not (math.isfinite(sigma1) and sigma1 > 0):
+        raise DomainError(f"sigma1 must be > 0 and finite, got {sigma1}")
     return cp_constant(p) * sigma1
 
 
@@ -110,7 +111,7 @@ def build_bound_report(spec: ValidatedSpec, exact_gmd: float | None = None) -> B
     """Assemble every bound whose assumptions the spec satisfies; C_p at p = 2."""
     notes: list[str] = []
     sds = np.sqrt(np.diag(spec.sigma_mat))
-    rhos = pair_correlations(spec)
+    rhos = spec.pair_correlations
     # Common mean and scale, judged relative to the spec's own size so that
     # a spec and its scaled copies get the same bounds: scales against the
     # largest scale, means against the largest of |mu| and the scales.

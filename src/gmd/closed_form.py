@@ -38,7 +38,7 @@ import numpy as np
 from numpy.typing import ArrayLike
 
 from .errors import DomainError, MomentExistenceError, NonconvergenceError
-from .model import GmdMethod, GmdResult, ValidatedSpec, pair_differences
+from .model import GmdMethod, GmdResult, ValidatedSpec
 from .quadrature import _EPS, integrate_interval, integrate_real_line_batch
 from .special import (
     DegreesOfFreedom,
@@ -93,7 +93,7 @@ def _standard_gap(m: ArrayLike, s: ArrayLike) -> float | np.ndarray:
 def _folded_gmd(spec: ValidatedSpec) -> GmdResult:
     """Average of E|X_i - X_j| over all pairs, by the folded-law formula;
     its one diagnostic is ``abs_error_estimate``."""
-    m, v, var_sum = pair_differences(spec)
+    m, v, var_sum = spec.pair_differences
     s = np.sqrt(v)
     z = _standard_gap(m, s)
     moment = _upper_moment(z, spec.dof)
@@ -103,7 +103,9 @@ def _folded_gmd(spec: ValidatedSpec) -> GmdResult:
     # grows like 1/(nu - 1), so M v could overflow where 2 M s does not.
     pdf_term = 2.0 * moment * v / s if spec.dof is None else 2.0 * moment * s
     values = pdf_term + m * (2.0 * _law_cdf(z, spec.dof) - 1.0)
-    pair_errors = _EPS * (np.abs(m) + values * (var_sum / v))
+    # _EPS scales first, so that E|D| var_sum / v cannot overflow where the
+    # estimate does not; it is a power of two, so the bits are the same.
+    pair_errors = _EPS * np.abs(m) + (_EPS * values) * (var_sum / v)
     count = values.size
     result = GmdResult(float(values.sum()) / count, GmdMethod.CLOSED_FORM, values)
     result.diagnostics["abs_error_estimate"] = _ERROR_FACTOR * float(pair_errors.sum()) / count

@@ -63,7 +63,7 @@ import numpy as np
 
 from .closed_form import _law_cdf, _standard_gap, _upper_moment
 from .errors import DomainError, NonconvergenceError
-from .model import GmdMethod, GmdResult, ValidatedSpec, pair_correlations
+from .model import GmdMethod, GmdResult, ValidatedSpec
 from .quadrature import (
     _EPS,
     BatchIntegrand,
@@ -92,7 +92,7 @@ def _marginal_pdf(x: np.ndarray, mu: float, sigma: float,
 
 def _pair(spec: ValidatedSpec, i: int, j: int) -> tuple[float, float, float, float, float]:
     """(mu_i, mu_j, sigma_i, sigma_j, rho) of the ordered pair (i, j) of ``spec``,
-    rho as ``pair_correlations`` forms it, so |rho| < 1."""
+    rho as ``ValidatedSpec.pair_correlations`` forms it, so |rho| < 1."""
     n = spec.n
     if not (0 <= i < n and 0 <= j < n):
         raise DomainError(f"pair indices ({i},{j}) out of range for n = {n}")
@@ -302,8 +302,9 @@ def reliability_quadrature(spec: ValidatedSpec, i: int, j: int) -> QuadratureRes
 def _difference_law(spec: ValidatedSpec, i: int, j: int) -> tuple[float, float]:
     """(z, s) of X_i - X_j = m + s T, formed as the closed form forms every pair's.
 
-    m = mu_i - mu_j and s^2 = S_ii + S_jj - 2 S_ij as ``pair_differences``
-    forms them, and z = m/s held as ``closed_form._standard_gap`` holds it.
+    m = mu_i - mu_j and s^2 = S_ii + S_jj - 2 S_ij as
+    ``ValidatedSpec.pair_differences`` forms them, and z = m/s held as
+    ``closed_form._standard_gap`` holds it.
     """
     mu_i, mu_j, _, _, _ = _pair(spec, i, j)
     s_mat = spec.sigma_mat
@@ -373,8 +374,8 @@ def gmd_quadrature(spec: ValidatedSpec) -> GmdResult:
         spec.dof.require_mean()
     rows, cols = spec.pair_index
     sd = np.sqrt(np.diag(spec.sigma_mat))
-    rho = pair_correlations(spec)
-    gap = spec.mu[rows] - spec.mu[cols]
+    rho = spec.pair_correlations
+    gap = spec.pair_differences.m
     zero = np.zeros_like(gap)
     # Row 2k is pair k's ordering (i, j) moved so that mu_j = 0, as
     # ``reliability_quadrature`` moves its row; row 2k + 1 is the same pair

@@ -6,12 +6,13 @@ scale matrix sigma.  ``validate`` turns it into an immutable
 ``ValidatedSpec`` with a cached Cholesky factor, or raises with the
 invariants it violates.  Its ``dof`` is None exactly for the normal
 family, which ``ValidatedSpec`` checks itself, and every route reads it
-as the law.  A validated spec holds arrays, and every route reads all
-its pairs from them at once, in ``ValidatedSpec.pair_index`` order:
-``pair_differences`` gives the law of X_i - X_j for the closed form and
-the bounds, ``pair_correlations`` gives rho_ij for the bounds and the
-quadrature route.  The public pair quantities of ``general_ec`` (pi_ij,
-R_ij, h_ij, mu_H) read one ordered pair (i, j) of a validated spec.
+as the law.  A validated spec holds arrays and its pair law, and every
+route reads all its pairs from them at once, in
+``ValidatedSpec.pair_index`` order: ``pair_differences`` is the law of
+X_i - X_j that ``validate``'s scale gate judges and the closed form, the
+bounds and the quadrature route read, and ``pair_correlations`` holds
+rho_ij.  The public pair quantities of ``general_ec`` (pi_ij, R_ij,
+h_ij, mu_H) read one ordered pair (i, j) of a validated spec.
 ``GmdResult`` carries every route's value with its pair breakdown.
 
 Wire format: a spec file is one JSON object with the keys ``family``,
@@ -69,6 +70,18 @@ class DistributionSpec:
     nu: float | None = None
 
 
+class PairDifferences(NamedTuple):
+    """The law of D = X_i - X_j for every pair i < j, in ``pair_index`` order.
+
+    D is normal, or Student-t with the spec's nu, because elliptical laws
+    are closed under linear maps.
+    """
+
+    m: np.ndarray  # location mu_i - mu_j
+    v: np.ndarray  # squared scale S_ii + S_jj - 2 S_ij
+    var_sum: np.ndarray  # S_ii + S_jj, which v is the rounded difference of
+
+
 @dataclass(frozen=True)
 class ValidatedSpec:
     """A spec that passed validation; arrays are read-only.
@@ -80,7 +93,8 @@ class ValidatedSpec:
     range of a double, hence every pair has |rho| < 1 and a density.
     ``chol`` is the lower Cholesky factor of the (symmetrized) scale
     matrix, shared by sampling and by scale extraction.  ``dof``, the
-    law every route reads, is None exactly for the normal family.
+    law every route reads, is None exactly for the normal family.  The
+    pair law is formed once per spec and kept with it.
     """
 
     family: Family
@@ -106,6 +120,34 @@ class ValidatedSpec:
     def pair_index(self) -> tuple[np.ndarray, np.ndarray]:
         """``pair_indices(n)``, kept with the spec: every array route reads it."""
         return pair_indices(self.n)
+
+    @cached_property
+    def pair_differences(self) -> PairDifferences:
+        """The law of X_i - X_j for all pairs, read-only: ``validate``
+        gates on this v, so every v is finite and at least ``SCALE_FLOOR``.
+
+        The means are differenced directly, so a large common location
+        offset costs m no digits."""
+        rows, cols = self.pair_index
+        diag = np.diag(self.sigma_mat)
+        var_sum = diag[rows] + diag[cols]
+        law = PairDifferences(self.mu[rows] - self.mu[cols],
+                              var_sum - 2.0 * self.sigma_mat[rows, cols], var_sum)
+        for arr in law:
+            arr.setflags(write=False)
+        return law
+
+    @cached_property
+    def pair_correlations(self) -> np.ndarray:
+        """rho_ij = S_ij / sqrt(S_ii S_jj) for every pair, read-only.
+
+        ``validate``'s pivot check keeps 1 - rho_ij^2 above 1e-12, and its
+        range check keeps S_ii normal, so every |rho_ij| < 1 as computed."""
+        rows, cols = self.pair_index
+        sd = np.sqrt(np.diag(self.sigma_mat))
+        rho = self.sigma_mat[rows, cols] / (sd[rows] * sd[cols])
+        rho.setflags(write=False)
+        return rho
 
 
 @dataclass
@@ -184,7 +226,8 @@ def validate(spec: DistributionSpec | ValidatedSpec) -> ValidatedSpec:
             problems.append(f"sigma must be {n}x{n}, got shape {sigma.shape}")
         if not np.all(np.isfinite(mu)):
             problems.append("mu contains non-finite entries")
-        elif n and not math.isfinite(float(np.max(mu)) - float(np.min(mu))):
+        elif n and not math.isfinite((float(np.max(mu)) - float(np.min(mu))) * n * n):
+            # n^2 times the spread bounds every sum over pairs of mean gaps.
             problems.append("mean differences mu_i - mu_j overflow")
         if not np.all(np.isfinite(sigma)):
             problems.append("sigma contains non-finite entries")
@@ -224,14 +267,17 @@ def validate(spec: DistributionSpec | ValidatedSpec) -> ValidatedSpec:
     if float(np.min(np.diag(chol)) ** 2) <= PIVOT_RTOL * float(np.max(np.diag(sigma))):
         raise ValidationError(
             ["sigma is numerically singular (Cholesky pivot below 1e-12 of max diagonal)"])
-    out_of_range = _difference_scales_out_of_range(sigma)
-    if out_of_range:
-        raise ValidationError([f"difference scales S_ii + S_jj - 2 S_ij {out_of_range}"])
-
     mu = mu.copy()  # the symmetrized sigma is already a new array
     for arr in (mu, sigma, chol):
         arr.setflags(write=False)
-    return ValidatedSpec(family, mu, sigma, chol, dof)
+    validated = ValidatedSpec(family, mu, sigma, chol, dof)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is nan
+        v = validated.pair_differences.v
+    if not np.isfinite(v).all():
+        raise ValidationError(["difference scales S_ii + S_jj - 2 S_ij overflow"])
+    if float(np.min(v)) < SCALE_FLOOR or float(np.min(np.diag(sigma))) < SCALE_FLOOR:
+        raise ValidationError(["difference scales S_ii + S_jj - 2 S_ij underflow"])
+    return validated
 
 
 def _is_real(kind: type) -> bool:
@@ -262,32 +308,6 @@ def _float_array(name: str, value: Any, problems: list[str]) -> np.ndarray | Non
         return None
 
 
-def _difference_scales_out_of_range(sigma: np.ndarray) -> str | None:
-    """Which end of its range a difference scale S_ii + S_jj - 2 S_ij of a
-    Cholesky-checked S, formed as ``pair_differences`` forms it, leaves:
-    "overflow" if one is not finite, "underflow" if one or a diagonal
-    entry lies below ``SCALE_FLOOR``, else None.
-
-    |S_ij| <= max S_ii there, so a finite 4 max S_ii bounds every term.
-    v is at least X_j's Cholesky pivot, the variance of X_j given X_1 ..
-    X_{j-1}, which the pivot check keeps above 1e-12 max S_ii: with
-    min S_ii >= 2^-960 that is above 2^-1000, far from the floor.  Those
-    two bounds settle the common case in O(n); only beyond them, where
-    the pivot check itself may have underflowed, are the pairs formed.
-    """
-    diag = np.diag(sigma)
-    if math.isfinite(4.0 * float(np.max(diag))) and float(np.min(diag)) >= 2.0**-960:
-        return None
-    rows, cols = pair_indices(diag.size)
-    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is nan
-        v = diag[rows] + diag[cols] - 2.0 * sigma[rows, cols]
-    if not np.isfinite(v).all():
-        return "overflow"
-    if float(np.min(v)) < SCALE_FLOOR or float(np.min(diag)) < SCALE_FLOOR:
-        return "underflow"
-    return None
-
-
 def pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Rows i and columns j of the pairs i < j, row by row: the order of every
     pair breakdown."""
@@ -300,44 +320,6 @@ def dimension_of_pairs(count: int) -> int:
     if count < 1 or n * (n - 1) // 2 != count:
         raise DomainError(f"{count} is not the pair count of a dimension n >= 2")
     return n
-
-
-class PairDifferences(NamedTuple):
-    """The law of D = X_i - X_j for every pair i < j, in ``pair_index`` order.
-
-    D is normal, or Student-t with the spec's nu, because elliptical laws
-    are closed under linear maps.
-    """
-
-    m: np.ndarray  # location mu_i - mu_j
-    v: np.ndarray  # squared scale S_ii + S_jj - 2 S_ij
-    var_sum: np.ndarray  # S_ii + S_jj, which v is the rounded difference of
-
-
-def pair_differences(spec: ValidatedSpec) -> PairDifferences:
-    """Location and squared scale of X_i - X_j for all pairs at once.
-
-    The means are differenced directly, so a large common location offset
-    costs m no digits.  v comes from the entries of the scale matrix in
-    O(n^2) work, formed as ``validate`` checks it, so every v is finite
-    and at least ``SCALE_FLOOR``.
-    """
-    rows, cols = spec.pair_index
-    diag = np.diag(spec.sigma_mat)
-    var_sum = diag[rows] + diag[cols]
-    v = var_sum - 2.0 * spec.sigma_mat[rows, cols]
-    return PairDifferences(spec.mu[rows] - spec.mu[cols], v, var_sum)
-
-
-def pair_correlations(spec: ValidatedSpec) -> np.ndarray:
-    """rho_ij = S_ij / sqrt(S_ii S_jj) for every pair i < j, in ``pair_index`` order.
-
-    ``validate``'s pivot check keeps 1 - rho_ij^2 above 1e-12, and its
-    range check keeps S_ii normal, so every |rho_ij| < 1 as computed.
-    """
-    rows, cols = spec.pair_index
-    sd = np.sqrt(np.diag(spec.sigma_mat))
-    return spec.sigma_mat[rows, cols] / (sd[rows] * sd[cols])
 
 
 # --- JSON wire format -------------------------------------------------------

@@ -45,12 +45,13 @@ differences are summed pair by pair instead, which is faster there than
 a row sort.  ``verify`` takes this mode.  Either way, each block's
 (count, mean, M2) of s_d is merged into the running one in stream order
 (Chan, Golub & LeVeque 1979); without the breakdown, the value is the
-merged mean.  s_d is taken in one power of two unit, set by the first
-block's largest s_d, so the squares do not overflow at scales near
-1e154, and a stream of one block gives the two-pass standard deviation
-bit for bit.  The standard error estimates the error only when
-E|X_i - X_j|^2 is finite (``finite_variance``: not for a t without a
-variance); the result says so in ``std_error_valid``.
+merged mean.  s_d and the pair sums are taken in one power of two
+unit, set by the first block's range before it is reduced, so neither
+the squares at scales near 1e154 nor the pair sums near the top of the
+double range overflow, and a stream of one block gives the two-pass
+standard deviation bit for bit.  The standard error estimates the error
+only when E|X_i - X_j|^2 is finite (``finite_variance``: not for a t
+without a variance); the result says so in ``std_error_valid``.
 ``classic_empirical_gmd`` is the same sorted sum over a univariate
 sample: its U-statistic.
 """
@@ -229,17 +230,19 @@ def _draw_stats(blocks: Iterable[np.ndarray], pairs: bool
             block = x[a : a + step]
             rows = len(block)
             stat = stat_buf[:rows]
-            if pairs:
-                _add_pair_sums(np.ascontiguousarray(block.T), pair_sums, buf, stat)
+            if count == 0:
+                # At most the first block's range, so neither the squares nor
+                # the pair sums overflow.  Dividing by a power of two is exact,
+                # so every result that did not overflow keeps its bits.
+                unit = math.ldexp(1.0, math.frexp(float(np.ptp(block)))[1] - 1)
+            if pairs:  # the n x rows transpose, a new array, in the unit
+                _add_pair_sums(np.divide(block.T, unit, order="C"), pair_sums, buf, stat)
             elif n < SORT_MIN_N:
                 _pair_spread(block, buf[:rows] if n > 2 else None, stat)
             else:
                 _sorted_gmd(block, buf[:rows], out=stat)
-            if count == 0:
-                # Dividing by a power of two is exact, so the squares cannot
-                # overflow and every result that did not overflow keeps its bits.
-                unit = math.ldexp(1.0, math.frexp(float(stat.max()))[1] - 1)
-            stat /= unit
+            if not pairs:
+                stat /= unit
             block_mean = float(stat.sum()) / rows
             stat -= block_mean
             np.square(stat, out=stat)
@@ -257,7 +260,7 @@ def _draw_stats(blocks: Iterable[np.ndarray], pairs: bool
     if count < 2:
         raise DomainError("need at least 2 draws")
     std_error = math.sqrt(m2 / (count - 1)) * unit / math.sqrt(count)
-    pair_means = None if pair_sums is None else pair_sums / count
+    pair_means = None if pair_sums is None else pair_sums / count * unit
     return pair_means, mean * unit, std_error, count
 
 

@@ -16,7 +16,7 @@ from scipy.special import ndtri
 
 import gmd
 from gmd.general_ec import _marginal_pdf, gmd_quadrature, h_density, reliability
-from gmd.model import DistributionSpec, Family, pair_correlations, validate
+from gmd.model import DistributionSpec, Family, validate
 from gmd.monte_carlo import MonteCarloConfig, classic_empirical_gmd, estimate_gmd
 from gmd.quadrature import integrate_real_line
 from gmd.special import DegreesOfFreedom
@@ -107,7 +107,7 @@ class TestAcceptance:
             for k in range(100):
                 spec = random_exchangeable_spec(rng, equicorrelated=(k % 2 == 0))
                 sd = math.sqrt(spec.sigma_mat[0, 0])
-                exact = exchangeable_normal_gmd(sd, pair_correlations(spec))
+                exact = exchangeable_normal_gmd(sd, spec.pair_correlations)
                 assert gmd.normal_gmd(spec).value == pytest.approx(exact, abs=1e-12)
                 est = estimate_gmd(spec, MonteCarloConfig(draws=1_000_000, seed=3000 + k))
                 assert abs(est.value - exact) <= 3.0 * est.diagnostics["std_error"]
@@ -165,7 +165,7 @@ class TestAcceptance:
                 spec = random_exchangeable_spec(rng)
                 exact = gmd.normal_gmd(spec).value
                 bound = gmd.exchangeable_rho_bound(math.sqrt(spec.sigma_mat[0, 0]),
-                                                   pair_correlations(spec))
+                                                   spec.pair_correlations)
                 assert exact / bound == pytest.approx(SQRT_2_OVER_PI, abs=1e-9)
 
     def test_criterion_8_quantile_formula(self):

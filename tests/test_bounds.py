@@ -113,6 +113,18 @@ class TestExchangeableRhoBound:
             exchangeable_rho_bound(1.0, [1.5])
 
 
+@pytest.mark.parametrize("bound, args", [
+    (exchangeable_rho_bound, (1.0, [math.nan])),
+    (exchangeable_rho_bound, (math.nan, [0.0])),
+    (exchangeable_rho_bound, (math.inf, [0.0])),
+    (cp_bound, (2.0, math.nan)),
+    (cp_bound, (2.0, math.inf)),
+])
+def test_non_finite_input_rejected(bound, args):
+    with pytest.raises(DomainError):
+        bound(*args)
+
+
 class TestCpConstant:
     def test_p2_value(self):
         assert cp_constant(2.0) == pytest.approx(TWO_OVER_SQRT3, abs=1e-12)

@@ -30,7 +30,7 @@ from gmd.closed_form import (
 )
 from gmd.bounds import second_moment_bound
 from gmd.errors import DomainError, MomentExistenceError, NonconvergenceError
-from gmd.model import DistributionSpec, ValidatedSpec, pair_correlations, validate
+from gmd.model import DistributionSpec, ValidatedSpec, validate
 from gmd.special import DegreesOfFreedom, student_t_pdf
 
 from helpers import (
@@ -165,7 +165,7 @@ class TestNormalGmd:
             spec = random_exchangeable_spec(rng, equicorrelated=bool(rng.integers(2)))
             sd = math.sqrt(spec.sigma_mat[0, 0])
             assert normal_gmd(spec).value == pytest.approx(
-                exchangeable_normal_gmd(sd, pair_correlations(spec)), abs=1e-12
+                exchangeable_normal_gmd(sd, spec.pair_correlations), abs=1e-12
             )
 
     def test_value_is_average_of_contributions(self):
@@ -269,7 +269,7 @@ class TestStudentGmd:
             spec = random_exchangeable_spec(rng, "student-t", nu=nu)
             sd = math.sqrt(spec.sigma_mat[0, 0])
             assert student_gmd(spec).value == pytest.approx(
-                exchangeable_student_gmd(sd, spec.dof, pair_correlations(spec)), abs=1e-12
+                exchangeable_student_gmd(sd, spec.dof, spec.pair_correlations), abs=1e-12
             )
 
     def test_nu_sweep_approaches_normal(self):
@@ -345,6 +345,17 @@ class TestErrorEstimateAtHugeScale:
             exact = float((s * mp.sqrt(2 / mp.pi) + 2 * folded) / 3)  # pairs 01, 02, 12
         assert math.isfinite(estimate)
         assert abs(result.value - exact) <= estimate <= 1e-13 * exact
+
+
+    def test_estimate_of_a_huge_gap_over_a_small_scale(self):
+        # E|D| var_sum / v is about 1e311 here, where eps times it is not.
+        rho = 0.99999999999
+        spec = validate(DistributionSpec("normal", [5e299, -5e299], [[1.0, rho], [rho, 1.0]]))
+        result = normal_gmd(spec)
+        _, v, var_sum = spec.pair_differences
+        expected = 16.0 * 2.0**-52 * 1e300 * (1.0 + float(var_sum[0] / v[0]))
+        assert result.value == 1e300
+        assert result.diagnostics["abs_error_estimate"] == pytest.approx(expected, rel=1e-15)
 
 
 class TestHugeMeanGap:

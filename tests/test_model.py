@@ -24,8 +24,6 @@ from gmd.model import (
     ValidatedSpec,
     _float_array,
     dimension_of_pairs,
-    pair_correlations,
-    pair_differences,
     spec_from_dict,
     spec_from_json,
     validate,
@@ -130,6 +128,13 @@ class TestValidate:
         with pytest.raises(ValidationError, match="mu_i - mu_j overflow"):
             validate(DistributionSpec("normal", [1.7e308, -1.7e308], np.eye(2)))
 
+    @pytest.mark.parametrize("mu", [[8e307, 0.0, -8e307], [5e306, 0.0, 0.0, 0.0, 0.0, -5e306]])
+    def test_mean_spread_whose_pair_sum_overflows_rejected(self, mu):
+        # Each gap is finite, but a sum over the pairs of them is not.
+        with pytest.raises(ValidationError) as exc:
+            validate(DistributionSpec("normal", mu, np.eye(len(mu))))
+        assert exc.value.violations == ["mean differences mu_i - mu_j overflow"]
+
     @pytest.mark.parametrize("sigma", [
         [[1.7e308, -1.6e308], [-1.6e308, 1.7e308]],  # S_ii + S_jj - 2 S_ij > max double
         [[1e308, 0.99e308], [0.99e308, 1e308]],  # S_ii + S_jj alone overflows
@@ -153,9 +158,9 @@ class TestValidate:
 
     @pytest.mark.parametrize("diag", [(1e300, 1e300), (1e308, 1e297)])
     def test_huge_finite_difference_scales_accepted(self, diag):
-        # (1e308, 1e297) passes the pairwise check, past the 4 max S_ii bound.
+        # (1e308, 1e297): 4 max S_ii overflows, but no v does.
         spec = validate(DistributionSpec("normal", [1e307, -1e307], np.diag(diag)))
-        m, v, var_sum = pair_differences(spec)
+        m, v, var_sum = spec.pair_differences
         assert np.isfinite(m).all() and np.isfinite(v).all() and np.isfinite(var_sum).all()
 
     def test_idempotent(self):
@@ -271,8 +276,8 @@ class TestScaleGate:
         except ValidationError:
             return False
         assert all(p > 0 for p in exact_pivots(valid.sigma_mat)), valid.sigma_mat
-        assert pair_differences(valid).v.min() >= 2.0**-1022, valid.sigma_mat
-        assert np.abs(pair_correlations(valid)).max() < 1.0, valid.sigma_mat
+        assert valid.pair_differences.v.min() >= 2.0**-1022, valid.sigma_mat
+        assert np.abs(valid.pair_correlations).max() < 1.0, valid.sigma_mat
         return True
 
     def test_subnormal_grid(self):
@@ -360,14 +365,43 @@ class TestGmdResult:
 
 
 class TestPairArrays:
+    def test_pair_law_is_formed_once_per_spec(self, monkeypatch):
+        # validate forms the pair differences for its gate; every route
+        # reads them, and the correlations, from the spec.
+        calls = {}
+        for name in ("pair_differences", "pair_correlations"):
+            prop = vars(ValidatedSpec)[name]
+
+            def counted(spec, form=prop.func, name=name):
+                calls[name] = calls.get(name, 0) + 1
+                return form(spec)
+            monkeypatch.setattr(prop, "func", counted)
+        spec = validate(DistributionSpec("normal", [0.0, 1.0, -2.0], np.eye(3)))
+        assert calls == {"pair_differences": 1}
+        gmd.build_bound_report(spec, normal_gmd(spec).value)
+        gmd_quadrature(spec)
+        assert calls == {"pair_differences": 1, "pair_correlations": 1}
+
+    def test_pair_law_is_read_only(self):
+        spec = random_normal_spec(np.random.default_rng(38), 5)
+        law, rhos = spec.pair_differences, spec.pair_correlations
+        for arr in (*law, rhos):
+            assert not arr.flags.writeable
+        for name in ("pair_differences", "pair_correlations"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(spec, name, None)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(spec, name)
+        assert spec.pair_differences is law and spec.pair_correlations is rhos
+
     @pytest.mark.parametrize("nu", [None, 4.0])
     def test_one_kernel_for_the_pair_quantities(self, nu):
         # R_ij of every ordered pair is the closed form's K(-z), bit for bit,
         # with z read from the pair arrays through the closed form's clamp.
         rng = np.random.default_rng(32)
         spec = random_normal_spec(rng, 6) if nu is None else random_student_spec(rng, nu, 6)
-        m, v, var_sum = pair_differences(spec)
-        rhos = pair_correlations(spec)
+        m, v, var_sum = spec.pair_differences
+        rhos = spec.pair_correlations
         z = _standard_gap(m, np.sqrt(v))
         for k, (i, j) in enumerate(spec_pairs(spec)):
             assert m[k] == spec.mu[i] - spec.mu[j]

@@ -381,6 +381,16 @@ class TestStandardErrorAtHugeScale:
         assert big.value == small.value * 2.0**510
         assert big.diagnostics["std_error"] == small.diagnostics["std_error"] * 2.0**510
 
+    def test_pair_breakdown_near_the_top_of_the_double_range(self):
+        # The pair sums over 2e5 draws of |x_0 - x_1| ~ 2e303 would overflow
+        # unscaled (a RuntimeWarning, an error in this suite).
+        spec = validate(DistributionSpec("normal", [1e303, -1e303], np.eye(2)))
+        cfg = MonteCarloConfig(draws=200_000)
+        with_pairs = estimate_gmd(spec, cfg, pairs=True)
+        without = estimate_gmd(spec, cfg, pairs=False)
+        assert math.isfinite(with_pairs.value)
+        assert with_pairs.value == pytest.approx(without.value, rel=1e-12)
+
 
 class TestClassicEstimator:
     def test_two_points(self):

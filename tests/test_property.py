@@ -9,9 +9,11 @@ that ``validate``'s pivot check allows, random correlations, half of them
 offset by up to 1e15 times the scale.
 The means lie a normal number of scales apart, except in one spec in
 four, whose means lie 10^U(0, 8) scales from zero, so that its mean gaps
-reach 1e8 pair scales.  A third are normal; the rest are t with nu = 1 + 10^U(-6, 8), and a few
-take nu 15.3, 31.3 or 63.2279, where the t density's normaliser was once
-60 eps off.  The closed form runs on every spec, the quadrature route at
+reach 1e8 pair scales, and one in twenty, whose means lie
+10^U(290, 308.2) from zero, near the top of the double range.  A third
+are normal; the rest are t with nu = 1 + 10^U(-6, 8), and a few take
+nu 15.3, 31.3 or 63.2279, where the t density's normaliser was once 60
+eps off.  The closed form runs on every spec, the quadrature route at
 n <= 3, and the quantile route on the unit law of about 20 of the nu.
 """
 
@@ -47,6 +49,9 @@ def draw_spec(rng: np.random.Generator, k: int) -> DistributionSpec:
     mu = z * sd
     if rng.random() < 0.5:
         mu += rng.uniform(-1.0, 1.0) * 1e15 * scale
+    if k % 20 == 10:
+        # From a stream of their own, so that every other draw keeps its value.
+        mu = np.sign(z) * 10.0 ** np.random.default_rng([7, k]).uniform(290.0, 308.2, n)
     if k % 3 == 0:
         return DistributionSpec("normal", mu, sigma)
     nu = FIXED_NU[k % 9 // 3] if k % 30 in (1, 4, 7) else 1.0 + 10.0 ** rng.uniform(-6.0, 8.0)

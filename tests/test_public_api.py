@@ -117,7 +117,8 @@ PARAMETERS = {
 
 # Public attributes (fields, properties and methods) of the types every route passes.
 ATTRIBUTES = {
-    "ValidatedSpec": ["chol", "dof", "family", "mu", "n", "pair_index", "sigma_mat"],
+    "ValidatedSpec": ["chol", "dof", "family", "mu", "n", "pair_correlations", "pair_differences",
+                      "pair_index", "sigma_mat"],
     "GmdResult": ["diagnostics", "method", "pair_contributions", "pair_values", "to_dict",
                   "value"],
 }
