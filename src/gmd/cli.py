@@ -68,9 +68,10 @@ def _interleave(*columns: list) -> list:
     return fields
 
 
-# A float64 array in a report is a pair breakdown in ``pair_index`` order.
-# It is written as the list of {"pair": [i, j], "value": v} objects that
-# ``GmdResult.to_dict`` gives, with one template per pair, since a
+# A float64 array in a report is a pair breakdown in ``pair_index`` order,
+# a result's ``pair_values``.  It is written as the report's
+# ``pair_contributions``, the list of {"pair": [i, j], "value": v} objects
+# that ``GmdResult.to_dict`` builds, with one template per pair, since a
 # breakdown can hold n (n - 1) / 2 = 124 750 pairs at n = 500.  It is
 # formatted and written this many pairs at a time, so the memory of a
 # report grows by one slice, not by the breakdown.
@@ -243,8 +244,9 @@ def _result_report(result: GmdResult) -> dict[str, Any]:
 
 
 def _cmd_closed_form(args: argparse.Namespace) -> int:
-    spec = _load_spec(args)
-    _emit(_result_report(_closed_result(spec)), args.output)
+    # No name holds the spec, so its matrices and pair law are freed
+    # before the breakdown is written.
+    _emit(_result_report(_closed_result(_load_spec(args))), args.output)
     return EXIT_OK
 
 

@@ -92,7 +92,11 @@ def _marginal_pdf(x: np.ndarray, mu: float, sigma: float,
 
 def _pair(spec: ValidatedSpec, i: int, j: int) -> tuple[float, float, float, float, float]:
     """(mu_i, mu_j, sigma_i, sigma_j, rho) of the ordered pair (i, j) of ``spec``,
-    rho as ``ValidatedSpec.pair_correlations`` forms it, so |rho| < 1."""
+    rho as ``ValidatedSpec.pair_correlations`` forms it, so |rho| < 1.
+
+    The indices are integers, numpy's included; a bool is not one."""
+    if any(isinstance(k, bool) or not hasattr(k, "__index__") for k in (i, j)):
+        raise DomainError(f"pair indices must be integers, got ({i!r}, {j!r})")
     n = spec.n
     if not (0 <= i < n and 0 <= j < n):
         raise DomainError(f"pair indices ({i},{j}) out of range for n = {n}")

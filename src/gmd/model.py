@@ -4,10 +4,10 @@ A ``DistributionSpec`` describes a location-scale family (multivariate
 normal or Student-t) through a location vector mu and a positive-definite
 scale matrix sigma.  ``validate`` turns it into an immutable
 ``ValidatedSpec`` with a cached Cholesky factor, or raises with the
-invariants it violates.  Its ``dof`` is None exactly for the normal
-family, which ``ValidatedSpec`` checks itself, and every route reads it
-as the law.  A validated spec holds arrays and its pair law, and every
-route reads all its pairs from them at once, in
+invariants it violates.  Its ``dof`` is the law every route reads,
+None for the normal, and its ``family`` is derived from ``dof``, so the
+two cannot disagree.  A validated spec holds arrays and its pair law,
+and every route reads all its pairs from them at once, in
 ``ValidatedSpec.pair_index`` order: ``pair_differences`` is the law of
 X_i - X_j that ``validate``'s scale gate judges and the closed form, the
 bounds and the quadrature route read, and ``pair_correlations`` holds
@@ -92,25 +92,20 @@ class ValidatedSpec:
     difference scales S_ii + S_jj - 2 S_ij and diagonal lie in the normal
     range of a double, hence every pair has |rho| < 1 and a density.
     ``chol`` is the lower Cholesky factor of the (symmetrized) scale
-    matrix, shared by sampling and by scale extraction.  ``dof``, the
-    law every route reads, is None exactly for the normal family.  The
-    pair law is formed once per spec and kept with it.
+    matrix, shared by sampling and by scale extraction.  ``dof`` is the
+    law every route reads, None for the normal; ``family`` is read from
+    it, not stored.  The pair law is formed once per spec and kept with it.
     """
 
-    family: Family
     mu: np.ndarray
     sigma_mat: np.ndarray
     chol: np.ndarray
     dof: DegreesOfFreedom | None
 
-    def __post_init__(self) -> None:
-        # Raised rather than asserted, so that ``python -O`` keeps the
-        # check; it also holds for ``dataclasses.replace``.
-        if self.family == Family.STUDENT_T and self.dof is None:
-            raise DomainError("a Student-t spec requires degrees of freedom")
-        if self.family == Family.NORMAL and self.dof is not None:
-            raise DomainError(
-                f"a normal spec takes no degrees of freedom, got nu = {self.dof.nu}")
+    @property
+    def family(self) -> Family:
+        """The family of the law ``dof`` names: normal exactly when it is None."""
+        return Family.NORMAL if self.dof is None else Family.STUDENT_T
 
     @property
     def n(self) -> int:
@@ -156,10 +151,11 @@ class GmdResult:
 
     ``pair_values`` holds the term of every pair i < j as one float64
     array in ``ValidatedSpec.pair_index`` order, or None for a Monte Carlo
-    estimate made without the breakdown; ``pair_contributions`` pairs
-    each value with its indices.  Diagnostics are numeric (error
-    estimates, sample counts, subdivision counts) plus the algorithm-name
-    constants and the ``std_error_valid`` flag recorded by the sampler.
+    estimate made without the breakdown; ``to_dict`` pairs each value
+    with its indices, as the report's ``pair_contributions``.
+    Diagnostics are numeric (error estimates, sample counts, subdivision
+    counts) plus the algorithm-name constants and the
+    ``std_error_valid`` flag recorded by the sampler.
     """
 
     value: float
@@ -167,23 +163,16 @@ class GmdResult:
     pair_values: np.ndarray | None
     diagnostics: dict[str, float | int | bool | str] = field(default_factory=dict)
 
-    @property
-    def pair_contributions(self) -> list[tuple[tuple[int, int], float]] | None:
-        """((i, j), value) for every pair, in ``pair_index`` order, or None
-        without a breakdown."""
-        if self.pair_values is None:
-            return None
-        rows, cols = pair_indices(dimension_of_pairs(self.pair_values.size))
-        return list(zip(zip(rows.tolist(), cols.tolist()), self.pair_values.tolist()))
-
     def to_dict(self) -> dict[str, Any]:
-        contributions = self.pair_contributions
+        breakdown = None
+        if self.pair_values is not None:
+            rows, cols = pair_indices(dimension_of_pairs(self.pair_values.size))
+            breakdown = [{"pair": [i, j], "value": v} for i, j, v in
+                         zip(rows.tolist(), cols.tolist(), self.pair_values.tolist())]
         return {
             "value": self.value,
             "method": self.method.value,
-            "pair_contributions": None if contributions is None else [
-                {"pair": [i, j], "value": v} for (i, j), v in contributions
-            ],
+            "pair_contributions": breakdown,
             "diagnostics": dict(self.diagnostics),
         }
 
@@ -270,7 +259,7 @@ def validate(spec: DistributionSpec | ValidatedSpec) -> ValidatedSpec:
     mu = mu.copy()  # the symmetrized sigma is already a new array
     for arr in (mu, sigma, chol):
         arr.setflags(write=False)
-    validated = ValidatedSpec(family, mu, sigma, chol, dof)
+    validated = ValidatedSpec(mu, sigma, chol, dof)
     with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is nan
         v = validated.pair_differences.v
     if not np.isfinite(v).all():

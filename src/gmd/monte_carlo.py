@@ -118,11 +118,10 @@ def sample(spec: ValidatedSpec, cfg: MonteCarloConfig) -> Iterator[np.ndarray]:
     any draw; the draws happen as the stream is consumed."""
     if spec.dof is not None:
         spec.dof.require_mean()
-    return _stream(spec, cfg, None if spec.dof is None else spec.dof.nu)
+    return _stream(spec, cfg)
 
 
-def _stream(spec: ValidatedSpec, cfg: MonteCarloConfig, nu: float | None
-            ) -> Iterator[np.ndarray]:
+def _stream(spec: ValidatedSpec, cfg: MonteCarloConfig) -> Iterator[np.ndarray]:
     # No longer than the longest chunk, so that a short run (a 2000-draw
     # verify) does not touch buffers it never fills.  Every chunk that fits
     # in a block stays one block, so the samples are the same.
@@ -137,12 +136,12 @@ def _stream(spec: ValidatedSpec, cfg: MonteCarloConfig, nu: float | None
             rows = min(block, size - start)
             z = rng.standard_normal(out=z_buf[:rows])
             x = np.matmul(z, chol_t, out=x_buf[:rows])
-            if nu is not None:
+            if spec.dof is not None:
                 # The chi-square draws, as numpy's chisquare(nu) forms them
                 # (2 standard_gamma(nu / 2)), in the normals' spent buffer.
-                w = rng.standard_gamma(nu / 2, out=z_buf.reshape(-1)[:rows])
+                w = rng.standard_gamma(spec.dof.nu / 2, out=z_buf.reshape(-1)[:rows])
                 w *= 2
-                w /= nu
+                w /= spec.dof.nu
                 x /= np.sqrt(w, out=w)[:, None]
             x += spec.mu
             yield x
@@ -308,8 +307,16 @@ def estimate_gmd(spec: ValidatedSpec, cfg: MonteCarloConfig, pairs: bool = True)
 
 def classic_empirical_gmd(x: np.ndarray) -> float:
     """U-statistic GMD of a univariate sample, all-pairs mean |x_a - x_b|,
-    in O(m log m) by the sorted sample."""
+    in O(m log m) by the sorted sample; every observation must be finite.
+
+    The sum is taken in a power-of-two unit at most max |x|, so that no
+    difference overflows; dividing by a power of two is exact, so a
+    sample clear of the subnormal range keeps its bits."""
     x = np.asarray(x, dtype=float).ravel()
     if x.size < 2:
         raise DomainError(f"need at least 2 observations, got {x.size}")
-    return float(_sorted_gmd(x, np.empty_like(x)))
+    if not np.isfinite(x).all():
+        raise DomainError("observations must be finite")
+    unit = math.ldexp(1.0, math.frexp(float(np.max(np.abs(x))))[1] - 1)
+    scaled = x / unit
+    return float(_sorted_gmd(scaled, np.empty_like(scaled))) * unit

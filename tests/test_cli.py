@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -986,6 +987,29 @@ class TestEmitMemory:
         expected = reference_output(result.to_dict(), output)
         assert sink.chars == len(expected)
         assert sink.digest.hexdigest() == hashlib.sha256(expected.encode()).hexdigest()
+
+    def test_closed_form_releases_the_spec_before_the_report(self, monkeypatch, capsys,
+                                                             iid_normal_spec):
+        # The spec holds sigma, chol, pair_index and the pair law (m, v,
+        # S_ii + S_jj): held while the breakdown streams, they raised the
+        # peak of an n = 500 report.
+        specs, alive = [], []
+        load, emit = cli._load_spec, cli._emit
+
+        def loaded(args):
+            spec = load(args)
+            specs.append(weakref.ref(spec))
+            return spec
+
+        def emitted(report, out):
+            alive.append(specs[0]() is not None)
+            emit(report, out)
+
+        monkeypatch.setattr(cli, "_load_spec", loaded)
+        monkeypatch.setattr(cli, "_emit", emitted)
+        code, out = run(capsys, "closed-form", iid_normal_spec)
+        assert code == 0 and out
+        assert alive == [False]
 
     def test_emit_is_not_a_generator(self):
         # A lazy _emit would write nothing when called, and a caller timing

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from helpers import (
     random_student_spec,
     reference_pair_stats,
     reference_sample,
+    spec_pairs,
     stacked,
 )
 
@@ -245,7 +247,7 @@ class TestBlockedKernel:
         cfg = MonteCarloConfig(draws=draws, seed=7, chunks=chunks)
         with_pairs = estimate_gmd(spec, cfg)
         result = estimate_gmd(spec, cfg, False)
-        assert result.pair_values is None and result.pair_contributions is None
+        assert result.pair_values is None
         assert result.to_dict()["pair_contributions"] is None
         assert result.diagnostics["draws"] == draws
         assert result.value == pytest.approx(with_pairs.value, rel=1e-14, abs=0)
@@ -348,7 +350,8 @@ class TestEstimateGmd:
     def test_value_is_average_of_contributions(self):
         spec = iid_normal_spec(3)
         result = estimate_gmd(spec, MonteCarloConfig(draws=10_000, seed=19))
-        avg = sum(v for _, v in result.pair_contributions) / 3.0
+        assert len(spec_pairs(spec)) == result.pair_values.size == 3
+        avg = sum(result.pair_values.tolist()) / 3.0
         assert result.value == pytest.approx(avg, abs=1e-12)
 
     @pytest.mark.parametrize("nu", [1.0, 0.5])
@@ -395,9 +398,11 @@ class TestStandardErrorAtHugeScale:
 class TestClassicEstimator:
     def test_two_points(self):
         assert classic_empirical_gmd([0.0, 1.0]) == 1.0
+        assert classic_empirical_gmd([0.0, 0.0]) == 0.0
 
     def test_three_points(self):
-        assert classic_empirical_gmd([1.0, 2.0, 3.0]) == pytest.approx(4.0 / 3.0, rel=1e-15)
+        # Summed in a power-of-two unit, which is exact: the same bits as without.
+        assert classic_empirical_gmd([1.0, 2.0, 3.0]).hex() == "0x1.5555555555555p+0"
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(23)
@@ -429,3 +434,16 @@ class TestClassicEstimator:
     def test_too_small(self):
         with pytest.raises(DomainError):
             classic_empirical_gmd([1.0])
+
+    @pytest.mark.parametrize("x", [[1.0, math.nan], [0.0, math.inf], [-math.inf, 0.0, 1.0]])
+    def test_non_finite_observation_refused(self, x):
+        # They gave nan and inf with no error.
+        with pytest.raises(DomainError, match="finite"):
+            classic_empirical_gmd(x)
+
+    def test_differences_beyond_the_largest_double(self):
+        # |1e308 - (-1e308)| overflows a double, but the GMD, 4e308/3, does
+        # not: the sum is taken in a unit of max |x|.
+        x = [1e308, -1e308, 0.0]
+        exact = sum(abs(Fraction(a) - Fraction(b)) for a in x for b in x) / 6
+        assert classic_empirical_gmd(x) == pytest.approx(float(exact), rel=4e-16, abs=0)

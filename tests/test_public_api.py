@@ -86,7 +86,7 @@ PARAMETERS = {
     "NonconvergenceError": ["message", "integral"],
     "QuadratureResult": ["value", "error", "subdivisions", "panels"],
     "QuantileFunction": ["eval", "tail"],
-    "ValidatedSpec": ["family", "mu", "sigma_mat", "chol", "dof"],
+    "ValidatedSpec": ["mu", "sigma_mat", "chol", "dof"],
     "ValidationError": ["violations"],
     "build_bound_report": ["spec", "exact_gmd"],
     "classic_empirical_gmd": ["x"],
@@ -119,8 +119,7 @@ PARAMETERS = {
 ATTRIBUTES = {
     "ValidatedSpec": ["chol", "dof", "family", "mu", "n", "pair_correlations", "pair_differences",
                       "pair_index", "sigma_mat"],
-    "GmdResult": ["diagnostics", "method", "pair_contributions", "pair_values", "to_dict",
-                  "value"],
+    "GmdResult": ["diagnostics", "method", "pair_values", "to_dict", "value"],
 }
 
 

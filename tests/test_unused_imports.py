@@ -1,10 +1,10 @@
-"""Every name a ``gmd`` module imports is used in that module.
+"""Every name a ``gmd`` module or a test module imports is used in it.
 
-A deletion that leaves its imports behind fails here.  The check reads
-the source with ``ast``: a name counts as used where it appears as an
-identifier anywhere in the module, annotations included.  ``__init__``
-is skipped, since its imports are the public names that
-``test_public_api`` pins.
+A deletion that leaves its imports behind fails here, a deleted test's
+included.  The check reads the source with ``ast``: a name counts as
+used where it appears as an identifier anywhere in the module,
+annotations included.  The package's ``__init__`` is skipped, since its
+imports are the public names that ``test_public_api`` pins.
 """
 
 import ast
@@ -15,6 +15,7 @@ import pytest
 import gmd
 
 PACKAGE = Path(gmd.__file__).parent
+TESTS = Path(__file__).parent
 
 # (module, name): why the import stays although the module does not use it.
 KEPT = {
@@ -44,13 +45,23 @@ def used_names(tree: ast.Module) -> set[str]:
 
 
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
+TEST_MODULES = sorted(p.name for p in TESTS.glob("*.py"))
+
+
+def unused_imports(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return sorted(imported_names(tree) - used_names(tree))
 
 
 @pytest.mark.parametrize("module", MODULES)
 def test_every_import_is_used(module):
-    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
-    unused = imported_names(tree) - used_names(tree)
-    assert sorted(unused) == sorted(name for mod, name in KEPT if mod == module)
+    unused = unused_imports(PACKAGE / f"{module}.py")
+    assert unused == sorted(name for mod, name in KEPT if mod == module)
+
+
+@pytest.mark.parametrize("module", TEST_MODULES)
+def test_every_test_import_is_used(module):
+    assert unused_imports(TESTS / module) == []
 
 
 def test_the_guard_sees_an_unused_import():
